@@ -9,6 +9,12 @@ m is a power of two, g2 is forced odd so the probe sequence walks the
 whole table; otherwise g2 is reduced mod m and bumped away from zero.
 Bits live in packed 64-bit words (bit i sits in word i // 64 at position
 i % 64), which is also the snapshot wire layout.
+
+Batch queries exit early per key: probe 0 needs only g1, and each later
+probe runs over just the keys every earlier probe found set.  At the
+planned fill about half the keys survive each probe, so a batch costs
+about 2n probes and one g2 hash per surviving key instead of k*n probes
+and two hashes per key.
 """
 
 from __future__ import annotations
@@ -92,17 +98,17 @@ class BloomFilter:
             ((g1 + i * g2 + _probe_offset(i)) & _MASK) % m for i in range(self.params.k)
         ]
 
-    def _g1g2_vec(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _g2_vec(self, keys: np.ndarray) -> np.ndarray:
         m = self.params.m
-        seed = self.params.seed
-        g1 = hash_words_vec(seed, 1, keys)
-        g2 = hash_words_vec(seed, 2, keys)
+        g2 = hash_words_vec(self.params.seed, 2, keys)
         if m & (m - 1) == 0:
-            g2 = g2 | np.uint64(1)
-        else:
-            g2 = g2 % np.uint64(m)
-            g2[g2 == 0] = np.uint64(1)
-        return g1, g2
+            return g2 | np.uint64(1)
+        g2 %= np.uint64(m)
+        g2[g2 == 0] = np.uint64(1)
+        return g2
+
+    def _g1g2_vec(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return hash_words_vec(self.params.seed, 1, keys), self._g2_vec(keys)
 
     # -- mutation --------------------------------------------------------
 
@@ -135,19 +141,39 @@ class BloomFilter:
                 return False
         return True
 
+    def _bits_at(self, pos: np.ndarray) -> np.ndarray:
+        # bit i is bit i % 8 of byte i // 8 in the little-endian word layout;
+        # byte gathers and shifts run several times faster than 64-bit ones
+        octets = np.ascontiguousarray(self.words, dtype="<u8").view(np.uint8)
+        byte = octets[pos >> np.uint64(3)]
+        return ((byte >> (pos.astype(np.uint8) & np.uint8(7))) & np.uint8(1)).view(bool)
+
     def contains_many(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorized contains: probe by probe over the keys still unrejected.
+
+        Probe 0 is g1 mod m (C(0,3) = 0), so g2 is hashed only for the keys
+        that pass it, and each later probe sees only the survivors of the
+        one before.  Positions are those of `contains`.
+        """
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        hit = np.ones(keys.shape, dtype=bool)
-        if keys.size == 0:
-            return hit
-        g1, g2 = self._g1g2_vec(keys)
+        shape = keys.shape
+        keys = keys.reshape(-1)
+        hit = np.zeros(keys.size, dtype=bool)
         m = np.uint64(self.params.m)
-        with np.errstate(over="ignore"):
-            for i in range(self.params.k):
-                pos = (g1 + np.uint64(i) * g2 + np.uint64(_probe_offset(i))) % m
-                word = self.words[(pos >> np.uint64(6)).astype(np.int64)]
-                hit &= ((word >> (pos & np.uint64(63))) & np.uint64(1)).astype(bool)
-        return hit
+        g1 = hash_words_vec(self.params.seed, 1, keys)
+        live = np.flatnonzero(self._bits_at(g1 % m))
+        if self.params.k > 1 and live.size:
+            g1 = g1[live]
+            g2 = self._g2_vec(keys[live])
+            with np.errstate(over="ignore"):
+                for i in range(1, self.params.k):
+                    pos = (g1 + np.uint64(i) * g2 + np.uint64(_probe_offset(i))) % m
+                    keep = np.flatnonzero(self._bits_at(pos))
+                    live, g1, g2 = live[keep], g1[keep], g2[keep]
+                    if not live.size:
+                        break
+        hit[live] = True
+        return hit.reshape(shape)
 
     @property
     def popcount(self) -> int:

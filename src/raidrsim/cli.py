@@ -22,7 +22,7 @@ from .experiment import (
     spec_from_flat,
 )
 from .profiler import profile
-from .raidr import UnbinnableRowError, build_bins, measured_filter_fprs
+from .raidr import UnbinnableRowError
 from .retention import generate_ground_truth
 from .selftest import run_selftest
 from .simulate import RefreshSimulation, check_report_invariants
@@ -56,12 +56,11 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def write_bins_csv(path: Path, spec: ExperimentSpec, sim: RefreshSimulation) -> None:
-    fprs = measured_filter_fprs(sim.bins, sim.retention_profile)
     lines = [_csv_comment(spec), "bin_index,interval_ms,rows_inserted,filter_m_bits,filter_k,measured_fpr"]
     for b, filt in enumerate(sim.bins.filters):
         lines.append(
             f"{b},{sim.bins.intervals_ms[b]!r},{sim.bins.counts[b]},"
-            f"{filt.params.m},{filt.params.k},{fprs[b]!r}"
+            f"{filt.params.m},{filt.params.k},{sim.filter_fprs[b]!r}"
         )
     d = sim.bins.default_bin
     lines.append(f"{d},{sim.bins.intervals_ms[d]!r},{sim.bins.counts[d]},0,0,0.0")

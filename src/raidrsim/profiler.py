@@ -75,9 +75,10 @@ def _vrt_low_seen(gt: RetentionGroundTruth, cfg: ProfilerConfig) -> np.ndarray:
     sample_at = set(int(w) for w in _round_windows(cfg.profiling_window_span, cfg.rounds))
     low = np.zeros(idx.size, dtype=bool)
     seen_idx = np.zeros(idx.size, dtype=bool)
+    prefix = rng.hash_words_vec(gt.seed, rng.TAG_PROFILE_VRT_STEP, idx)
     # window 0 is the fresh state: never low, nothing to record there
     for w in range(1, cfg.profiling_window_span):
-        u = rng.uniform01_vec(gt.seed, rng.TAG_PROFILE_VRT_STEP, idx, w)
+        u = rng.uniform01_of(rng.extend_hash_vec(prefix, w))
         low = np.where(low, u >= gt.vrt.p_low_to_high, u < gt.vrt.p_high_to_low)
         if w in sample_at:
             seen_idx |= low

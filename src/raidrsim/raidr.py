@@ -128,12 +128,21 @@ class BinSet:
                 return b
         return self.default_bin
 
+    def claims(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Each filter's membership mask over `rows`, shortest interval first."""
+        rows = np.ascontiguousarray(rows, dtype=np.uint64)
+        return [filt.contains_many(rows) for filt in self.filters]
+
+    def first_claims(self, claims: list[np.ndarray], shape) -> np.ndarray:
+        """Bin per row from claims(): the first claiming filter, default if none."""
+        out = np.full(shape, self.default_bin, dtype=np.int64)
+        for b in range(len(claims) - 1, -1, -1):
+            out[claims[b]] = b
+        return out
+
     def query_many(self, rows: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(rows, dtype=np.uint64)
-        out = np.full(rows.shape, self.default_bin, dtype=np.int64)
-        for b in range(len(self.filters) - 1, -1, -1):
-            out[self.filters[b].contains_many(rows)] = b
-        return out
+        return self.first_claims(self.claims(rows), rows.shape)
 
 
 def build_bins(
@@ -225,16 +234,3 @@ def savings_fraction(bins: BinSet, device: DeviceConfig, horizon_windows: int) -
     baseline = device.num_rows * horizon_windows
     return 1.0 - issued / baseline
 
-
-def measured_filter_fprs(bins: BinSet, profile: RetentionProfile) -> list[float]:
-    """Empirical per-filter FPR measured over the rows not inserted in each filter."""
-    idx = bins.bin_cfg.classify(profile.measured_retention_ms)
-    rows = np.arange(profile.num_rows, dtype=np.uint64)
-    out = []
-    for b, filt in enumerate(bins.filters):
-        others = rows[idx != b]
-        if others.size == 0:
-            out.append(0.0)
-            continue
-        out.append(float(filt.contains_many(others).mean()))
-    return out

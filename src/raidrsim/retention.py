@@ -164,6 +164,9 @@ class RetentionGroundTruth:
         self.vrt_low = np.zeros(device.num_rows, dtype=bool)
         self.current_window = 0
         self._vrt_rows = np.flatnonzero(has_vrt).astype(np.uint64)
+        # hash of (seed, TAG_VRT_STEP, row), the window-independent prefix of
+        # every step draw; a function of seed and has_vrt alone
+        self._vrt_step_prefix = rng.hash_words_vec(seed, rng.TAG_VRT_STEP, self._vrt_rows)
 
     @property
     def num_rows(self) -> int:
@@ -183,7 +186,7 @@ class RetentionGroundTruth:
             )
         idx = self._vrt_rows
         if idx.size:
-            u = rng.uniform01_vec(self.seed, rng.TAG_VRT_STEP, idx, window)
+            u = rng.uniform01_of(rng.extend_hash_vec(self._vrt_step_prefix, window))
             low = self.vrt_low[idx]
             self.vrt_low[idx] = np.where(low, u >= self.vrt.p_low_to_high, u < self.vrt.p_high_to_low)
         self.current_window = window
@@ -215,7 +218,7 @@ class RetentionGroundTruth:
             out = np.where(low, out * self.vrt.low_factor, out)
         return out
 
-    def min_possible_retention(self, rows: np.ndarray | None = None) -> np.ndarray:
+    def min_possible_retention(self, rows: np.ndarray | slice | None = None) -> np.ndarray:
         """Per-row minimum over all patterns and toggle states (what a perfect profiler sees)."""
         base = self.base_retention_ms if rows is None else self.base_retention_ms[rows]
         vrt_flag = self.has_vrt if rows is None else self.has_vrt[rows]

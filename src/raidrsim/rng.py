@@ -73,14 +73,28 @@ def hash_words_vec(*words) -> np.ndarray:
     return h
 
 
+def extend_hash_vec(h: np.ndarray, word: int) -> np.ndarray:
+    """hash_words_vec(*words, word) from h = hash_words_vec(*words).
+
+    Lets a caller that hashes the same prefix every step (a per-row stream
+    indexed by window) hash the prefix once.
+    """
+    with np.errstate(over="ignore"):
+        return _mix64_vec(h + _V_GAMMA + np.uint64(int(word) & _MASK))
+
+
 def uniform01(*words: int) -> float:
     """Deterministic uniform in [0, 1) keyed by the given words."""
     return (hash_words(*words) >> 11) * 2.0**-53
 
 
-def uniform01_vec(*words) -> np.ndarray:
-    h = hash_words_vec(*words)
+def uniform01_of(h: np.ndarray) -> np.ndarray:
+    """The uniform in [0, 1) that uniform01_vec derives from the hash h."""
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def uniform01_vec(*words) -> np.ndarray:
+    return uniform01_of(hash_words_vec(*words))
 
 
 def integer_below(n: int, *words: int) -> int:

@@ -7,6 +7,12 @@ rows whose retention never changes get their failure counts in closed form,
 while rows with an active retention toggle are stepped every window.  Both
 paths are validated to match a brute-force step-through row by row.
 
+Everything fixed per row once the bins exist (the queried bin, refresh and
+false-positive counts, the closed-form failures and the per-filter FPRs)
+comes from a single pass over the rows in fixed-size blocks, in which each
+filter is queried once per row.  Its temporaries are bounded by the block
+size, not by the device.
+
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
 point in that gap.
@@ -30,6 +36,10 @@ from .retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel, 
 _CHECKPOINT_MAGIC = b"RSIM"
 _CHECKPOINT_VERSION = 1
 _CHECKPOINT_HEADER = struct.Struct("<4sI32s")
+
+# rows per block of the engine's single pass over the device; bounds the
+# pass's temporaries independently of num_rows
+_CHUNK_ROWS = 1 << 20
 
 
 class CheckpointError(RuntimeError):
@@ -128,6 +138,7 @@ class RefreshSimulation:
                 f"horizon_windows {sim_cfg.horizon_windows} below max bin multiplier {max_mult}"
             )
 
+        t0 = time.perf_counter()
         seed = sim_cfg.seed
         self.gt = generate_ground_truth(device, dist, vrt, dpd, seed)
         self.retention_profile = profile(
@@ -138,42 +149,64 @@ class RefreshSimulation:
             seed=rng.hash_words(seed, rng.TAG_FILTER_SEED),
         )
 
-        n = device.num_rows
-        horizon = sim_cfg.horizon_windows
-        rows = np.arange(n, dtype=np.uint64)
-        mult_table = np.asarray(self.bins.multipliers, dtype=np.int64)
-        queried = self.bins.query_many(rows)
-        profiled = bin_cfg.classify(self.retention_profile.measured_retention_ms)
-        mult_q = mult_table[queried]
-        mult_p = mult_table[profiled]
-
-        self.refreshes_issued = int(refreshes_in_horizon(horizon, mult_q).sum())
-        self.fpr_extra_refreshes = int(
-            (refreshes_in_horizon(horizon, mult_q) - refreshes_in_horizon(horizon, mult_p)).sum()
-        )
-
-        base_ms = device.trefw_ms
-        static = ~self.gt.has_vrt
-        r_static = self.gt.min_possible_retention()[static]
-        m_static = mult_q[static]
-        jmin = np.floor(r_static / base_ms).astype(np.int64) + 1
-        per_cycle = np.maximum(0, m_static - jmin + 1)
-        full_cycles = horizon // m_static
-        remainder = horizon % m_static
-        partial = np.maximum(0, remainder - jmin + 1)
-        fails_static = full_cycles * per_cycle + partial
-        self._static_failures = int(fails_static.sum())
-        self._static_unsafe = int(np.count_nonzero(fails_static > 0))
-
-        self._v_idx = np.flatnonzero(self.gt.has_vrt)
-        self._v_mult = mult_q[self._v_idx]
+        self._scan_rows()
         self._v_last = np.zeros(self._v_idx.size, dtype=np.int64)
         self._v_runmin = np.full(self._v_idx.size, np.inf)
         self._v_failures = 0
         self._v_unsafe = np.zeros(self._v_idx.size, dtype=bool)
 
         self._window = 0
-        self._wall = 0.0
+        self._wall = time.perf_counter() - t0
+
+    def _scan_rows(self) -> None:
+        """Sum every per-row quantity the built bins fix, in one blocked pass.
+
+        Each filter meets each row once; its claim mask gives both the
+        queried bin and the filter's false-positive count for bins.csv.
+        Every stream is keyed by row index, so the blocking is exact.
+        """
+        horizon = self.sim_cfg.horizon_windows
+        base_ms = self.device.trefw_ms
+        bins, gt = self.bins, self.gt
+        mult_table = np.asarray(bins.multipliers, dtype=np.int64)
+        issued = profiled_issued = static_failures = static_unsafe = 0
+        fp_hits = [0] * len(bins.filters)
+        fp_others = [0] * len(bins.filters)
+        v_mult = []
+        for lo in range(0, self.device.num_rows, _CHUNK_ROWS):
+            block = slice(lo, min(lo + _CHUNK_ROWS, self.device.num_rows))
+            rows = np.arange(block.start, block.stop, dtype=np.uint64)
+            claims = bins.claims(rows)
+            profiled = self.bin_cfg.classify(self.retention_profile.measured_retention_ms[block])
+            mult_q = mult_table[bins.first_claims(claims, rows.shape)]
+            issued += int(refreshes_in_horizon(horizon, mult_q).sum())
+            profiled_issued += int(refreshes_in_horizon(horizon, mult_table[profiled]).sum())
+            for b, claimed in enumerate(claims):
+                others = profiled != b
+                fp_hits[b] += int(np.count_nonzero(claimed & others))
+                fp_others[b] += int(np.count_nonzero(others))
+
+            # a row whose retention never toggles fails in every window at
+            # least jmin windows past its last refresh, so only rows with
+            # jmin <= m can fail at all
+            has_vrt = gt.has_vrt[block]
+            jmin = np.floor(gt.min_possible_retention(block) / base_ms).astype(np.int64) + 1
+            at_risk = np.flatnonzero((jmin <= mult_q) & ~has_vrt)
+            m, jmin = mult_q[at_risk], jmin[at_risk]
+            fails = (horizon // m) * (m - jmin + 1) + np.maximum(0, horizon % m - jmin + 1)
+            static_failures += int(fails.sum())
+            static_unsafe += int(np.count_nonzero(fails))
+            v_mult.append(mult_q[has_vrt])
+
+        self.refreshes_issued = issued
+        self.fpr_extra_refreshes = issued - profiled_issued
+        self._static_failures = static_failures
+        self._static_unsafe = static_unsafe
+        # hits / others as Python ints is the correctly rounded quotient,
+        # the same float the boolean mean over the others gives
+        self.filter_fprs = [h / o if o else 0.0 for h, o in zip(fp_hits, fp_others)]
+        self._v_idx = np.flatnonzero(gt.has_vrt)
+        self._v_mult = np.concatenate(v_mult)
 
     # -- stepping ----------------------------------------------------------
 

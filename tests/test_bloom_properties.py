@@ -1,6 +1,7 @@
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from raidrsim import rng
 from raidrsim.bloom import BloomFilter, BloomParams, analytic_fpr, plan_params
 
 params_st = st.builds(
@@ -83,3 +84,30 @@ def test_fpr_monotone_in_n(m, k):
     values = [analytic_fpr(m, k, n) for n in (0, 1, 2, 4, 64)]
     assert values == sorted(values)
     assert all(0.0 <= v <= 1.0 for v in values)
+
+
+
+small_params_st = st.builds(
+    BloomParams,
+    m=st.one_of(st.integers(min_value=1, max_value=300), st.sampled_from([1, 2, 64, 128, 256])),
+    k=st.one_of(st.just(1), st.integers(min_value=1, max_value=64)),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+@given(
+    small_params_st,
+    # inserted keys: from an empty filter to one with every bit set
+    st.one_of(st.integers(min_value=0, max_value=100), st.just(2000)),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+@example(BloomParams(m=1, k=1), 0, 0, 0)  # empty keys
+@settings(max_examples=150, deadline=None)
+def test_contains_many_matches_scalar_contains(params, n_inserted, n_probes, probe_seed):
+    f = BloomFilter(params)
+    inserted = rng.hash_words_vec(params.seed, np.arange(n_inserted, dtype=np.uint64))
+    f.insert_many(inserted)
+    probes = rng.hash_words_vec(probe_seed, np.arange(n_probes, dtype=np.uint64))
+    keys = np.concatenate([probes, inserted[:16]])
+    assert f.contains_many(keys).tolist() == [f.contains(int(key)) for key in keys]

@@ -77,6 +77,22 @@ class TestMeasuredMode:
         )
         assert np.array_equal(measured.measured_retention_ms, oracle.measured_retention_ms)
 
+    def test_vrt_campaign_follows_the_scalar_row_window_stream(self):
+        # the campaign draws uniform01(seed, TAG_PROFILE_VRT_STEP, row, w) and
+        # records the low state at the sampled windows 0, 2, 4 and 6
+        vrt = VrtModel(enabled=True, affected_fraction=0.5, low_factor=0.5,
+                       p_high_to_low=0.2, p_low_to_high=0.5)
+        gt = make_gt(num_rows=200, seed=17, vrt=vrt)
+        cfg = ProfilerConfig(mode="measured", rounds=4, profiling_window_span=8)
+        measured = profile(gt, cfg, seed=5).measured_retention_ms
+        for r in (int(r) for r in np.flatnonzero(gt.has_vrt)):
+            low = seen = False
+            for w in range(1, 8):
+                u = rng.uniform01(17, rng.TAG_PROFILE_VRT_STEP, r, w)
+                low = u >= 0.5 if low else u < 0.2
+                seen |= low and w % 2 == 0
+            assert measured[r] == gt.base_retention_ms[r] * (0.5 if seen else 1.0)
+
     def test_patterns_tested_above_universe_rejected(self):
         gt = make_gt(dpd=DpdModel(enabled=True, num_patterns=4))
         with pytest.raises(ValueError, match="patterns_tested"):

@@ -9,7 +9,6 @@ from raidrsim.raidr import (
     RefreshSchedule,
     UnbinnableRowError,
     build_bins,
-    measured_filter_fprs,
     refreshes_in_horizon,
     savings_fraction,
     should_refresh,
@@ -218,14 +217,6 @@ class TestSavings:
         mixed_vals[:100] = 70.0
         fast = build_bins(profile_of(mixed_vals), BinConfig(), 1e-3)
         assert savings_fraction(fast, dev, 64) <= savings_fraction(slow, dev, 64)
-
-
-def test_measured_filter_fprs_all_default():
-    vals = np.full(500, 2560.0)
-    bins = build_bins(profile_of(vals), BinConfig(), 1e-3)
-    prof = profile_of(vals)
-    fprs = measured_filter_fprs(bins, prof)
-    assert fprs == [0.0, 0.0]  # empty filters never hit
 
 
 @given(st.lists(st.floats(min_value=64.0, max_value=4096.0), min_size=1, max_size=200))

@@ -163,6 +163,19 @@ class TestVrtChain:
             expected = w % 2 == 1
             assert gt.vrt_low.all() == expected and gt.vrt_low.any() == expected
 
+    def test_steps_follow_the_scalar_row_window_stream(self):
+        # window w draws uniform01(seed, TAG_VRT_STEP, row, w) for each row
+        vrt = VrtModel(enabled=True, affected_fraction=0.5, p_high_to_low=0.3, p_low_to_high=0.4)
+        gt = make_gt(vrt=vrt, num_rows=200, seed=13)
+        rows = [int(r) for r in np.flatnonzero(gt.has_vrt)]
+        low = {r: False for r in rows}
+        for w in range(1, 7):
+            gt.step_vrt(w)
+            for r in rows:
+                u = rng.uniform01(13, rng.TAG_VRT_STEP, r, w)
+                low[r] = u >= 0.4 if low[r] else u < 0.3
+            assert [bool(gt.vrt_low[r]) for r in rows] == [low[r] for r in rows]
+
     def test_out_of_order_step_rejected(self):
         gt = make_gt(num_rows=10)
         with pytest.raises(ValueError, match="consecutive"):

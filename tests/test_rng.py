@@ -17,6 +17,19 @@ def test_uniform_scalar_vector_agreement():
         assert float(vec[r]) == rng.uniform01(2**63 + 3, 9, r)
 
 
+def test_extend_hash_matches_full_hash():
+    rows = np.arange(3000, dtype=np.uint64)
+    prefix = rng.hash_words_vec(2**64 - 5, rng.TAG_VRT_STEP, rows)
+    for window in (0, 1, 17, 4095, 2**64 - 1):
+        ext = rng.extend_hash_vec(prefix, window)
+        assert np.array_equal(ext, rng.hash_words_vec(2**64 - 5, rng.TAG_VRT_STEP, rows, window))
+        for r in (0, 1, 2999):
+            assert int(ext[r]) == rng.hash_words(2**64 - 5, rng.TAG_VRT_STEP, r, window)
+        assert np.array_equal(
+            rng.uniform01_of(ext), rng.uniform01_vec(2**64 - 5, rng.TAG_VRT_STEP, rows, window)
+        )
+
+
 def test_order_sensitivity():
     assert rng.hash_words(1, 2) != rng.hash_words(2, 1)
     assert rng.hash_words(0) != rng.hash_words(0, 0)

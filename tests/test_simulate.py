@@ -1,6 +1,12 @@
+import dataclasses
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from raidrsim import rng
+from raidrsim import simulate as simulate_mod
 from raidrsim.profiler import ProfilerConfig
 from raidrsim.raidr import BinConfig
 from raidrsim.retention import (
@@ -225,6 +231,20 @@ class TestDeterminismAndCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             RefreshSimulation.restore(bytes(blob))
 
+    def test_checkpoint_mid_vrt_rebuilds_step_prefix(self):
+        # the cached VRT hash prefix is rebuilt from seed and rows, never stored
+        sim = RefreshSimulation(*noisy_args(seed=59, horizon=40))
+        sim.run(stop_after_window=23)
+        blob = sim.checkpoint()
+        assert sim.gt._vrt_step_prefix.size > 0
+        assert sim.gt._vrt_step_prefix.tobytes() not in blob
+        restored = RefreshSimulation.restore(blob)
+        rows = np.flatnonzero(restored.gt.has_vrt).astype(np.uint64)
+        assert np.array_equal(
+            restored.gt._vrt_step_prefix, rng.hash_words_vec(59, rng.TAG_VRT_STEP, rows)
+        )
+        assert restored.run().to_text() == run(*noisy_args(seed=59, horizon=40)).to_text()
+
     def test_report_requires_completion(self):
         sim = RefreshSimulation(*noisy_args(seed=51))
         sim.run(stop_after_window=3)
@@ -241,3 +261,69 @@ def test_vrt_trajectory_matches_standalone_ground_truth():
     for w in range(1, 12):
         gt.step_vrt(w)
     assert np.array_equal(gt.vrt_low, sim.gt.vrt_low)
+
+
+def fpr_args():
+    # measured profiling with VRT and DPD misses gives failures; a loose
+    # Bloom budget gives false positives in both filters
+    return noisy_args(num_rows=3000, horizon=40, seed=61) + (0.2,)
+
+
+def report_fields(rep):
+    fields = dataclasses.asdict(rep)
+    del fields["wall_time_s"]  # host time, excluded from the artifact as well
+    return fields
+
+
+def independent_filter_fprs(sim):
+    idx = sim.bin_cfg.classify(sim.retention_profile.measured_retention_ms)
+    rows = np.arange(sim.device.num_rows, dtype=np.uint64)
+    return [
+        float(filt.contains_many(rows[idx != b]).mean()) if np.any(idx != b) else 0.0
+        for b, filt in enumerate(sim.bins.filters)
+    ]
+
+
+def test_row_blocking_changes_nothing(monkeypatch):
+    default = RefreshSimulation(*fpr_args())
+    rep = default.run()
+    assert rep.retention_failures > 0 and rep.fpr_extra_refreshes > 0
+    assert all(0.0 < f < 1.0 for f in default.filter_fprs)
+    assert default.filter_fprs == independent_filter_fprs(default)
+
+    monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 7)
+    blocked = RefreshSimulation(*fpr_args())
+    assert report_fields(blocked.run()) == report_fields(rep)
+    assert blocked.filter_fprs == default.filter_fprs
+
+
+def test_filter_fprs_all_default():
+    args = list(quiet_args(num_rows=500, horizon=16))
+    args[2] = RetentionDistribution(weak_fraction=0.0)
+    sim = RefreshSimulation(*args)
+    assert sim.bins.counts == (0, 0, 500)
+    assert sim.filter_fprs == [0.0, 0.0]  # empty filters never hit
+
+
+def test_engine_pass_memory_is_bounded(monkeypatch):
+    # the row pass works in blocks, so its peak is set by the ground truth
+    # and the profile (about 40 B/row), not by one temporary per row quantity
+    monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 1 << 14)
+    num_rows = 1 << 18
+    tracemalloc.start()
+    try:
+        RefreshSimulation(*quiet_args(num_rows=num_rows, horizon=64, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / num_rows <= 48
+
+
+def test_wall_time_covers_engine_set_up(monkeypatch):
+    def slow_ground_truth(*args):
+        time.sleep(0.05)
+        return generate_ground_truth(*args)
+
+    monkeypatch.setattr(simulate_mod, "generate_ground_truth", slow_ground_truth)
+    rep = run(*quiet_args(num_rows=200, horizon=8))
+    assert rep.wall_time_s >= 0.05
