@@ -5,8 +5,8 @@ and print the headline numbers."""
 import argparse
 import time
 
-from raidrsim.experiment import ExperimentSpec, spec_from_flat
-from raidrsim.simulate import run
+from raidrsim.experiment import spec_from_flat
+from raidrsim.simulate import RefreshSimulation
 
 
 def main():
@@ -21,11 +21,7 @@ def main():
     spec = spec_from_flat(flat)
 
     t0 = time.perf_counter()
-    report = run(
-        spec.sim, spec.device, spec.dist, spec.vrt, spec.dpd,
-        spec.profiler, spec.bins, spec.bloom_budget,
-        config_echo=spec.to_flat(),
-    )
+    report = RefreshSimulation(spec).run()
     elapsed = time.perf_counter() - t0
 
     print(f"rows                 {report.num_rows}")

@@ -1,18 +1,10 @@
 """Retention-aware multi-rate DRAM refresh: bins, Bloom filters, simulation."""
 
 from .bloom import BloomFilter, BloomParams, analytic_fpr, plan_params
-from .experiment import ConfigError, ExperimentSpec, spec_from_flat
+from .experiment import ConfigError, ExperimentSpec, SimConfig, spec_from_flat
 from .overhead import OverheadInputs, density_sweep, refresh_energy_fraction, throughput_loss
 from .profiler import ProfilerConfig, RetentionProfile, misclassification_report, profile
-from .raidr import (
-    BinConfig,
-    BinSet,
-    RefreshSchedule,
-    UnbinnableRowError,
-    build_bins,
-    savings_fraction,
-    should_refresh,
-)
+from .raidr import BinConfig, BinSet, UnbinnableRowError, build_bins
 from .retention import (
     DeviceConfig,
     DpdModel,
@@ -21,15 +13,14 @@ from .retention import (
     VrtModel,
     generate_ground_truth,
 )
-from .simulate import CheckpointError, RefreshSimulation, SimConfig, SimReport, run
+from .simulate import CheckpointError, RefreshSimulation, SimReport, run
 
 __all__ = [
     "BloomFilter", "BloomParams", "analytic_fpr", "plan_params",
     "ConfigError", "ExperimentSpec", "spec_from_flat",
     "OverheadInputs", "density_sweep", "refresh_energy_fraction", "throughput_loss",
     "ProfilerConfig", "RetentionProfile", "misclassification_report", "profile",
-    "BinConfig", "BinSet", "RefreshSchedule", "UnbinnableRowError",
-    "build_bins", "savings_fraction", "should_refresh",
+    "BinConfig", "BinSet", "UnbinnableRowError", "build_bins",
     "DeviceConfig", "DpdModel", "RetentionDistribution", "RetentionGroundTruth",
     "VrtModel", "generate_ground_truth",
     "CheckpointError", "RefreshSimulation", "SimConfig", "SimReport", "run",

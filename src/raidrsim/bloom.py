@@ -208,15 +208,6 @@ class BloomFilter:
         filt.n_inserted = n_inserted
         return filt
 
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "BloomFilter":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
-
 
 def analytic_fpr(m: int, k: int, n: int) -> float:
     """Expected false-positive probability after n inserts: (1-(1-1/m)^(k n))^k."""

@@ -33,12 +33,16 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 
-def _build_spec(args) -> ExperimentSpec:
+def _flat_config(args) -> dict[str, str]:
     flat = load_config(args.config) if args.config else {}
     flat = apply_overrides(flat, args.set)
     if args.seed is not None:
         flat["seed"] = str(args.seed)
-    return spec_from_flat(flat)
+    return flat
+
+
+def _build_spec(args) -> ExperimentSpec:
+    return spec_from_flat(_flat_config(args))
 
 
 def _ensure_outdir(args) -> Path:
@@ -68,19 +72,11 @@ def write_bins_csv(path: Path, spec: ExperimentSpec, sim: RefreshSimulation) -> 
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _run_simulation(spec: ExperimentSpec) -> tuple[RefreshSimulation, object]:
-    sim = RefreshSimulation(
-        spec.sim, spec.device, spec.dist, spec.vrt, spec.dpd, spec.profiler,
-        spec.bins, spec.bloom_budget, scenario=spec.scenario, config_echo=spec.to_flat(),
-    )
-    report = sim.run()
-    return sim, report
-
-
 def cmd_simulate(args) -> int:
     spec = _build_spec(args)
     out = _ensure_outdir(args)
-    sim, report = _run_simulation(spec)
+    sim = RefreshSimulation(spec)
+    report = sim.run()
     _write_text(out / "simreport.txt", report.to_text())
     write_bins_csv(out / "bins.csv", spec, sim)
     print(f"scenario = {report.scenario}")
@@ -97,13 +93,8 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_point(payload):
-    index, flat, key, value = payload
-    flat = dict(flat)
-    flat[key] = value
-    spec = spec_from_flat(flat)
-    if key != "seed":  # an explicit seed axis overrides the derived per-point seed
-        spec = spec.with_seed(spec.sweep_seed(index))
-    sim, report = _run_simulation(spec)
+    index, key, value, spec = payload
+    report = RefreshSimulation(spec).run()
     inputs = spec.overhead_inputs()
     row = {
         "point_index": index,
@@ -139,17 +130,20 @@ def cmd_sweep(args) -> int:
 
     if args.axis not in _SCHEMA:
         raise ConfigError(f"unknown sweep axis {args.axis!r}")
-    flat = load_config(args.config) if args.config else {}
-    flat = apply_overrides(flat, args.set)
-    if args.seed is not None:
-        flat["seed"] = str(args.seed)
-    spec_from_flat(flat)  # validate the base config before spawning work
+    flat = _flat_config(args)
+    base_spec = spec_from_flat(flat)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
+    # every point is validated before any output exists
+    payloads = []
+    for i, v in enumerate(values):
+        spec = spec_from_flat({**flat, args.axis: v})
+        if args.axis != "seed":  # an explicit seed axis overrides the derived per-point seed
+            spec = spec.with_seed(spec.sweep_seed(i))
+        payloads.append((i, args.axis, v, spec))
     out = _ensure_outdir(args)
 
-    payloads = [(i, flat, args.axis, v) for i, v in enumerate(values)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_point, payloads))
@@ -157,7 +151,6 @@ def cmd_sweep(args) -> int:
         results = [_sweep_point(p) for p in payloads]
     results.sort(key=lambda r: r[0])
 
-    base_spec = spec_from_flat(flat)
     lines = [_csv_comment(base_spec), ",".join(_SWEEP_COLUMNS)]
     for index, row, report_text in results:
         point_dir = out / f"point_{index:03d}"

@@ -4,7 +4,12 @@ The config format is plain text, one `section.key = value` per line, with
 `#` comments and blank lines ignored.  Unknown keys are rejected before
 any computation.  Lists are comma separated; the tRFC table is written as
 `gbit:ns` pairs.  The same canonical rendering feeds the config hash that
-every artifact echoes.
+every artifact echoes and the config block of an engine checkpoint.
+
+An `ExperimentSpec` is the one description of a run: the engine is built
+from it, and its flat rendering is the run's config echo.  Every check
+that spans config sections runs when a spec is constructed, so a bad
+config is rejected before any output exists.
 
 Seed splitting: a master seed drives the run; sweep point i derives its
 seed as hash(master, TAG_SWEEP_POINT, i), so points are independent yet
@@ -13,19 +18,40 @@ reproducible.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 from . import rng
 from .bloom import BloomParams
 from .overhead import OverheadInputs
-from .profiler import ProfilerConfig
+from .profiler import MODE_MEASURED, ProfilerConfig
 from .retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
 from .raidr import BinConfig
-from .simulate import SimConfig, config_sha256
 
 
 class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad value, or violated invariant."""
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    horizon_windows: int = 1024
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.horizon_windows < 1:
+            raise ValueError("horizon_windows must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in 64 bits")
+
+
+def config_text(config: dict[str, str]) -> str:
+    """Canonical rendering of a flat config: sorted `key = value` lines."""
+    return "\n".join(f"{k} = {config[k]}" for k in sorted(config))
+
+
+def config_sha256(config: dict[str, str]) -> str:
+    return hashlib.sha256(config_text(config).encode()).hexdigest()
 
 
 def _fmt_float(v: float) -> str:
@@ -156,20 +182,60 @@ class ExperimentSpec:
         # the master seed governs; keep the sim config in lockstep
         if self.sim.seed != self.seed:
             object.__setattr__(self, "sim", replace(self.sim, seed=self.seed))
+        # the scenario must survive the `key = value` text of a checkpoint
+        if self.scenario != self.scenario.strip() or len(self.scenario.splitlines()) > 1:
+            raise ConfigError(f"scenario must be one line without outer spaces, got {self.scenario!r}")
+        max_mult = max(self.bins.multipliers)
+        if self.sim.horizon_windows < max_mult:
+            raise ConfigError(
+                f"sim.horizon_windows {self.sim.horizon_windows} below the largest bin "
+                f"multiplier {max_mult}"
+            )
+        if self.dist.floor_ms < self.device.trefw_ms:
+            raise ConfigError(
+                f"dist.floor_ms {self.dist.floor_ms} below device.trefw_ms {self.device.trefw_ms}: "
+                "rows would be unrefreshable at the base rate"
+            )
+        if self.profiler.mode == MODE_MEASURED and self.profiler.patterns_tested > self.dpd.num_patterns:
+            raise ConfigError(
+                f"profiler.patterns_tested {self.profiler.patterns_tested} exceeds "
+                f"dpd.num_patterns {self.dpd.num_patterns}"
+            )
+        try:
+            budget = self.bloom_budget
+        except ValueError as exc:
+            raise ConfigError(f"bloom.explicit_m/bloom.explicit_k: {exc}") from exc
+        if not isinstance(budget, BloomParams) and not 0.0 < budget < 1.0:
+            raise ConfigError(f"bloom.target_fpr must be in (0, 1), got {budget}")
+
+    @classmethod
+    def from_parts(cls, sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3):
+        """The spec of the engine's positional parts.
+
+        The budget is a per-bin FPR target, or BloomParams with seed 0:
+        the form `bloom_budget` returns for an explicit m/k.
+        """
+        if isinstance(bloom_budget, BloomParams):
+            if bloom_budget.seed != 0:
+                raise ValueError(f"explicit BloomParams must have seed 0, got {bloom_budget.seed}")
+            bloom = {"bloom_explicit_m": bloom_budget.m, "bloom_explicit_k": bloom_budget.k}
+        elif isinstance(bloom_budget, (int, float)):
+            bloom = {"bloom_target_fpr": float(bloom_budget)}
+        else:
+            raise ValueError(f"bloom budget must be an FPR or BloomParams, got {bloom_budget!r}")
+        return cls(
+            seed=sim_cfg.seed, device=device, dist=dist, vrt=vrt, dpd=dpd,
+            profiler=profiler_cfg, bins=bin_cfg, sim=sim_cfg, **bloom,
+        )
 
     @property
-    def bloom_budget(self):
-        """Explicit BloomParams when configured, else the per-bin FPR target."""
-        if self.bloom_explicit_m is not None or self.bloom_explicit_k is not None:
-            m = 0 if self.bloom_explicit_m is None else self.bloom_explicit_m
-            k = 1 if self.bloom_explicit_k is None else self.bloom_explicit_k
-            try:
-                return BloomParams(m=m, k=k)
-            except ValueError as exc:
-                raise ConfigError(f"bloom.explicit_m/bloom.explicit_k: {exc}") from exc
-        if not 0.0 < self.bloom_target_fpr < 1.0:
-            raise ConfigError(f"bloom.target_fpr must be in (0, 1), got {self.bloom_target_fpr}")
-        return self.bloom_target_fpr
+    def bloom_budget(self) -> float | BloomParams:
+        """Explicit BloomParams (seed 0) when configured, else the per-bin FPR target."""
+        if self.bloom_explicit_m is None and self.bloom_explicit_k is None:
+            return self.bloom_target_fpr
+        m = 0 if self.bloom_explicit_m is None else self.bloom_explicit_m
+        k = 1 if self.bloom_explicit_k is None else self.bloom_explicit_k
+        return BloomParams(m=m, k=k)
 
     def overhead_inputs(self) -> OverheadInputs:
         return OverheadInputs(
@@ -235,7 +301,7 @@ class ExperimentSpec:
         return config_sha256(self.to_flat())
 
     def with_seed(self, seed: int) -> "ExperimentSpec":
-        return replace(self, seed=seed, sim=replace(self.sim, seed=seed))
+        return replace(self, seed=seed)
 
 
 def spec_from_flat(flat: dict[str, str]) -> ExperimentSpec:
@@ -282,7 +348,6 @@ def spec_from_flat(flat: dict[str, str]) -> ExperimentSpec:
             sim=sim,
             overhead=over,
         )
-        _ = spec.bloom_budget  # force explicit-params validation
     except ConfigError:
         raise
     except ValueError as exc:

@@ -10,14 +10,12 @@ never a slower one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import rng
 from .bloom import BloomFilter, BloomParams, plan_params
 from .profiler import RetentionProfile
-from .retention import DeviceConfig
 
 
 class UnbinnableRowError(RuntimeError):
@@ -148,14 +146,14 @@ class BinSet:
 def build_bins(
     profile: RetentionProfile,
     bin_cfg: BinConfig,
-    bloom_budget: float | BloomParams | Sequence[BloomParams] = 1e-3,
+    bloom_budget: float | BloomParams = 1e-3,
     seed: int = 0,
 ) -> BinSet:
     """Insert each row into the filter of the bin holding its profiled retention.
 
     bloom_budget is either a per-bin target false-positive rate (filters are
-    sized for the actual bin populations) or explicit BloomParams (one for
-    all bins, or a sequence with one per bin).
+    sized for the actual bin populations) or explicit BloomParams shared by
+    all bins.
     """
     measured = profile.measured_retention_ms
     below = measured < bin_cfg.base_interval_ms
@@ -175,62 +173,19 @@ def build_bins(
     for b in range(nbins):
         if isinstance(bloom_budget, BloomParams):
             params = bloom_budget
-        elif isinstance(bloom_budget, (int, float)):
+        else:
             params = plan_params(
                 float(bloom_budget),
                 max(1, int(counts[b])),
                 seed=rng.hash_words(seed, rng.TAG_FILTER_SEED, b),
             )
-        else:
-            params = bloom_budget[b]
         filt = BloomFilter(params)
         filt.insert_many(np.flatnonzero(idx == b).astype(np.uint64))
         filters.append(filt)
     return BinSet(bin_cfg=bin_cfg, filters=filters, counts=tuple(int(c) for c in counts))
 
 
-@dataclass
-class RefreshSchedule:
-    """Period counter plus per-bin interval multipliers (default bin last)."""
-
-    multipliers: tuple[int, ...]
-    period_counter: int = 0
-
-    def __post_init__(self):
-        if not self.multipliers or any(m < 1 for m in self.multipliers):
-            raise ValueError("multipliers must be positive integers")
-        if self.period_counter < 0:
-            raise ValueError("period_counter must be non-negative")
-
-    @classmethod
-    def for_bins(cls, bins: BinSet) -> "RefreshSchedule":
-        return cls(multipliers=bins.multipliers)
-
-    def advance(self) -> None:
-        self.period_counter += 1
-
-
-def should_refresh(bins: BinSet, sched: RefreshSchedule, row: int) -> bool:
-    """Refresh `row` this window iff the counter hits its bin's multiplier."""
-    mult = sched.multipliers[bins.query(row)]
-    return sched.period_counter % mult == 0
-
-
 def refreshes_in_horizon(horizon_windows: int, multiplier):
     """Number of windows w in [0, horizon) with w % multiplier == 0 (ceil division)."""
     return -(-horizon_windows // multiplier)
-
-
-def savings_fraction(bins: BinSet, device: DeviceConfig, horizon_windows: int) -> float:
-    """Fraction of baseline refreshes eliminated, counting false-positive extras."""
-    max_mult = max(bins.multipliers)
-    if horizon_windows < 1 or horizon_windows % max_mult:
-        raise ValueError(
-            f"horizon_windows must be a positive multiple of the max multiplier {max_mult}"
-        )
-    rows = np.arange(device.num_rows, dtype=np.uint64)
-    mult = np.asarray(bins.multipliers, dtype=np.int64)[bins.query_many(rows)]
-    issued = int(refreshes_in_horizon(horizon_windows, mult).sum())
-    baseline = device.num_rows * horizon_windows
-    return 1.0 - issued / baseline
 

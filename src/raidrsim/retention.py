@@ -227,16 +227,6 @@ class RetentionGroundTruth:
             out = np.where(vrt_flag, out * self.vrt.low_factor, out)
         return out
 
-    def dump_csv(self, path) -> None:
-        """Debug dump: row_index, base_retention_ms, has_vrt, dpd_worst_pattern."""
-        with open(path, "w") as fh:
-            fh.write("row_index,base_retention_ms,has_vrt,dpd_worst_pattern\n")
-            for i in range(self.num_rows):
-                fh.write(
-                    f"{i},{float(self.base_retention_ms[i])!r},"
-                    f"{int(self.has_vrt[i])},{int(self.dpd_worst_pattern[i])}\n"
-                )
-
 
 def generate_ground_truth(
     device: DeviceConfig,

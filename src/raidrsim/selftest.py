@@ -15,7 +15,7 @@ from .experiment import ExperimentSpec
 from .profiler import ProfilerConfig
 from .raidr import BinConfig
 from .retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
-from .simulate import SimConfig, run
+from .simulate import RefreshSimulation, SimConfig, run
 
 FAULT_CORRUPT_BLOOM = "corrupt-bloom"
 KNOWN_FAULTS = (FAULT_CORRUPT_BLOOM,)
@@ -81,14 +81,9 @@ def _check_fpr_calibration(_: str | None) -> str | None:
 
 
 def _check_determinism(_: str | None) -> str | None:
-    spec = ExperimentSpec()
-    args = (
-        SimConfig(horizon_windows=32, seed=9),
-        DeviceConfig.from_rows(10_000),
-        spec.dist, spec.vrt, spec.dpd, spec.profiler, spec.bins,
-    )
-    a = run(*args).to_text()
-    b = run(*args).to_text()
+    spec = ExperimentSpec(seed=9, device=DeviceConfig.from_rows(10_000), sim=SimConfig(horizon_windows=32))
+    a = RefreshSimulation(spec).run().to_text()
+    b = RefreshSimulation(spec).run().to_text()
     if a != b:
         return "two identical runs produced different reports"
     return None

@@ -16,12 +16,17 @@ size, not by the device.
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
 point in that gap.
+
+A checkpoint is a `<4sI32s` header (magic `RSIM`, version, SHA-256 of the
+payload) and a payload of plain data: the length-prefixed canonical config
+text, the window and the VRT failure count, then the VRT rows' state
+arrays.  Restore parses the config, rebuilds the engine from it and checks
+every array against that engine; it never executes code from the blob.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 import struct
 import time
 from dataclasses import dataclass, field
@@ -29,13 +34,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .experiment import (
+    ExperimentSpec,
+    SimConfig,  # re-exported for callers of run()
+    config_sha256,
+    config_text,
+    parse_config_text,
+    spec_from_flat,
+)
 from .profiler import MODE_ORACLE, ProfilerConfig, profile
-from .raidr import BinConfig, BinSet, build_bins, refreshes_in_horizon
-from .retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel, generate_ground_truth
+from .raidr import BinSet, build_bins, refreshes_in_horizon
+from .retention import generate_ground_truth
 
 _CHECKPOINT_MAGIC = b"RSIM"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 _CHECKPOINT_HEADER = struct.Struct("<4sI32s")
+_CHECKPOINT_COUNTS = struct.Struct("<QQ")  # window, VRT failures so far
+# the VRT rows' state, in payload order: (name, stored dtype)
+_CHECKPOINT_ARRAYS = (("vrt_low", "u1"), ("v_last", "<i8"), ("v_runmin", "<f8"), ("v_unsafe", "u1"))
 
 # rows per block of the engine's single pass over the device; bounds the
 # pass's temporaries independently of num_rows
@@ -44,18 +60,6 @@ _CHUNK_ROWS = 1 << 20
 
 class CheckpointError(RuntimeError):
     """Checkpoint blob failed version or integrity validation."""
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    horizon_windows: int = 1024
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.horizon_windows < 1:
-            raise ValueError("horizon_windows must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
 
 
 @dataclass
@@ -100,52 +104,23 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def config_sha256(config: dict[str, str]) -> str:
-    canon = "\n".join(f"{k} = {config[k]}" for k in sorted(config))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 class RefreshSimulation:
     """One deterministic simulation run; step, checkpoint, resume, report."""
 
-    def __init__(
-        self,
-        sim_cfg: SimConfig,
-        device: DeviceConfig,
-        dist: RetentionDistribution,
-        vrt: VrtModel,
-        dpd: DpdModel,
-        profiler_cfg: ProfilerConfig,
-        bin_cfg: BinConfig,
-        bloom_budget=1e-3,
-        scenario: str = "default",
-        config_echo: dict[str, str] | None = None,
-    ):
-        self.sim_cfg = sim_cfg
-        self.device = device
-        self.profiler_cfg = profiler_cfg
-        self.bin_cfg = bin_cfg
-        self.bloom_budget = bloom_budget
-        self.scenario = scenario
-        self.config_echo = dict(config_echo) if config_echo else _default_echo(
-            sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget
-        )
-        self._init_args = (sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget)
-
-        max_mult = max(bin_cfg.multipliers)
-        if sim_cfg.horizon_windows < max_mult:
-            raise ValueError(
-                f"horizon_windows {sim_cfg.horizon_windows} below max bin multiplier {max_mult}"
-            )
+    def __init__(self, spec: ExperimentSpec):
+        self.spec = spec
+        self.device = spec.device
+        self.bin_cfg = spec.bins
+        self.horizon = spec.sim.horizon_windows
 
         t0 = time.perf_counter()
-        seed = sim_cfg.seed
-        self.gt = generate_ground_truth(device, dist, vrt, dpd, seed)
+        seed = spec.seed
+        self.gt = generate_ground_truth(spec.device, spec.dist, spec.vrt, spec.dpd, seed)
         self.retention_profile = profile(
-            self.gt, profiler_cfg, rng.hash_words(seed, rng.TAG_PROFILER_SEED)
+            self.gt, spec.profiler, rng.hash_words(seed, rng.TAG_PROFILER_SEED)
         )
         self.bins: BinSet = build_bins(
-            self.retention_profile, bin_cfg, bloom_budget,
+            self.retention_profile, spec.bins, spec.bloom_budget,
             seed=rng.hash_words(seed, rng.TAG_FILTER_SEED),
         )
 
@@ -165,7 +140,7 @@ class RefreshSimulation:
         queried bin and the filter's false-positive count for bins.csv.
         Every stream is keyed by row index, so the blocking is exact.
         """
-        horizon = self.sim_cfg.horizon_windows
+        horizon = self.horizon
         base_ms = self.device.trefw_ms
         bins, gt = self.bins, self.gt
         mult_table = np.asarray(bins.multipliers, dtype=np.int64)
@@ -225,7 +200,7 @@ class RefreshSimulation:
 
     def run(self, stop_after_window: int | None = None) -> SimReport | None:
         """Advance to the horizon (or to stop_after_window); report when complete."""
-        horizon = self.sim_cfg.horizon_windows
+        horizon = self.horizon
         end = horizon if stop_after_window is None else min(stop_after_window, horizon)
         t0 = time.perf_counter()
         while self._window < end:
@@ -237,16 +212,16 @@ class RefreshSimulation:
         return None
 
     def report(self) -> SimReport:
-        if self._window != self.sim_cfg.horizon_windows:
+        if self._window != self.horizon:
             raise RuntimeError(
-                f"simulation at window {self._window} of {self.sim_cfg.horizon_windows}; run() it first"
+                f"simulation at window {self._window} of {self.horizon}; run() it first"
             )
-        baseline = self.device.num_rows * self.sim_cfg.horizon_windows
+        baseline = self.device.num_rows * self.horizon
         return SimReport(
-            scenario=self.scenario,
-            seed=self.sim_cfg.seed,
+            scenario=self.spec.scenario,
+            seed=self.spec.seed,
             num_rows=self.device.num_rows,
-            horizon_windows=self.sim_cfg.horizon_windows,
+            horizon_windows=self.horizon,
             refreshes_issued=self.refreshes_issued,
             refreshes_baseline_equiv=baseline,
             savings_fraction=1.0 - self.refreshes_issued / baseline,
@@ -257,25 +232,26 @@ class RefreshSimulation:
             bin_intervals_ms=self.bins.intervals_ms,
             total_filter_bits=self.bins.total_filter_bits,
             wall_time_s=self._wall,
-            config=dict(self.config_echo),
+            config=self.spec.to_flat(),
         )
 
     # -- checkpointing -----------------------------------------------------
 
     def checkpoint(self) -> bytes:
         """Snapshot at the current window boundary; resume reproduces the run exactly."""
+        text = config_text(self.spec.to_flat()).encode()
         state = {
-            "init_args": self._init_args,
-            "scenario": self.scenario,
-            "config_echo": self.config_echo,
-            "window": self._window,
-            "vrt_low": self.gt.vrt_low[self._v_idx].copy(),
-            "v_last": self._v_last.copy(),
-            "v_runmin": self._v_runmin.copy(),
-            "v_failures": self._v_failures,
-            "v_unsafe": self._v_unsafe.copy(),
+            "vrt_low": self.gt.vrt_low[self._v_idx],
+            "v_last": self._v_last,
+            "v_runmin": self._v_runmin,
+            "v_unsafe": self._v_unsafe,
         }
-        payload = pickle.dumps(state, protocol=4)
+        payload = b"".join([
+            struct.pack("<Q", len(text)),
+            text,
+            _CHECKPOINT_COUNTS.pack(self._window, self._v_failures),
+            *(state[name].astype(dtype).tobytes() for name, dtype in _CHECKPOINT_ARRAYS),
+        ])
         header = _CHECKPOINT_HEADER.pack(
             _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, hashlib.sha256(payload).digest()
         )
@@ -283,6 +259,7 @@ class RefreshSimulation:
 
     @classmethod
     def restore(cls, blob: bytes) -> "RefreshSimulation":
+        """Rebuild a run from checkpoint() bytes; nothing in the blob is executed."""
         if len(blob) < _CHECKPOINT_HEADER.size:
             raise CheckpointError("checkpoint truncated")
         magic, version, digest = _CHECKPOINT_HEADER.unpack_from(blob)
@@ -290,40 +267,58 @@ class RefreshSimulation:
             raise CheckpointError(f"bad checkpoint magic {magic!r}")
         if version != _CHECKPOINT_VERSION:
             raise CheckpointError(f"checkpoint version {version} unsupported")
-        payload = blob[_CHECKPOINT_HEADER.size:]
+        payload = memoryview(blob)[_CHECKPOINT_HEADER.size:]
         if hashlib.sha256(payload).digest() != digest:
             raise CheckpointError("checkpoint integrity check failed")
-        state = pickle.loads(payload)
-        sim = cls(*state["init_args"], scenario=state["scenario"], config_echo=state["config_echo"])
-        w = state["window"]
-        sim.gt.vrt_low[sim._v_idx] = state["vrt_low"]
-        sim.gt.current_window = max(0, w - 1)
-        sim._v_last = state["v_last"]
-        sim._v_runmin = state["v_runmin"]
-        sim._v_failures = state["v_failures"]
-        sim._v_unsafe = state["v_unsafe"]
-        sim._window = w
+
+        if len(payload) < 8:
+            raise CheckpointError("checkpoint config block truncated")
+        (text_len,) = struct.unpack_from("<Q", payload)
+        pos = 8 + text_len
+        if len(payload) < pos + _CHECKPOINT_COUNTS.size:
+            raise CheckpointError("checkpoint config block truncated")
+        try:
+            text = bytes(payload[8:pos]).decode()
+            spec = spec_from_flat(parse_config_text(text))
+        except ValueError as exc:  # ConfigError and UnicodeDecodeError included
+            raise CheckpointError(f"checkpoint config rejected: {exc}") from exc
+        if config_text(spec.to_flat()) != text:
+            raise CheckpointError("checkpoint config is not in canonical form")
+        window, v_failures = _CHECKPOINT_COUNTS.unpack_from(payload, pos)
+        pos += _CHECKPOINT_COUNTS.size
+        if window > spec.sim.horizon_windows:
+            raise CheckpointError(f"checkpoint window {window} beyond horizon {spec.sim.horizon_windows}")
+
+        sim = cls(spec)
+        n = sim._v_idx.size
+        expected = pos + n * sum(np.dtype(dtype).itemsize for _, dtype in _CHECKPOINT_ARRAYS)
+        if len(payload) != expected:
+            raise CheckpointError(
+                f"checkpoint state is {len(payload) - pos} bytes; {n} VRT rows need {expected - pos}"
+            )
+        state = {}
+        for name, dtype in _CHECKPOINT_ARRAYS:
+            state[name] = np.frombuffer(payload, dtype=dtype, count=n, offset=pos)
+            pos += state[name].nbytes
+        for name in ("vrt_low", "v_unsafe"):
+            if np.any(state[name] > 1):
+                raise CheckpointError(f"checkpoint {name} holds a byte other than 0 or 1")
+
+        sim.gt.vrt_low[sim._v_idx] = state["vrt_low"].astype(bool)
+        sim.gt.current_window = max(0, window - 1)
+        sim._v_last = state["v_last"].astype(np.int64)
+        sim._v_runmin = state["v_runmin"].astype(np.float64)
+        sim._v_failures = v_failures
+        sim._v_unsafe = state["v_unsafe"].astype(bool)
+        sim._window = window
         return sim
 
 
-def run(
-    sim_cfg: SimConfig,
-    device: DeviceConfig,
-    dist: RetentionDistribution,
-    vrt: VrtModel,
-    dpd: DpdModel,
-    profiler_cfg: ProfilerConfig,
-    bin_cfg: BinConfig,
-    bloom_budget=1e-3,
-    scenario: str = "default",
-    config_echo: dict[str, str] | None = None,
-) -> SimReport:
-    """Build and run one simulation end to end."""
-    sim = RefreshSimulation(
-        sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget,
-        scenario=scenario, config_echo=config_echo,
-    )
-    report = sim.run()
+def run(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3) -> SimReport:
+    """Build and run one simulation from the engine's positional parts."""
+    report = RefreshSimulation(
+        ExperimentSpec.from_parts(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget)
+    ).run()
     assert report is not None
     return report
 
@@ -340,25 +335,10 @@ def check_report_invariants(report: SimReport, profiler_cfg: ProfilerConfig | No
     max_mult = max(1, int(round(max(report.bin_intervals_ms) / min(report.bin_intervals_ms))))
     if report.savings_fraction > 1.0 - 1.0 / max_mult + 1e-12:
         problems.append("savings-bound: savings exceeds 1 - 1/max_multiplier")
-    if profiler_cfg is not None:
-        if (
-            profiler_cfg.mode == MODE_ORACLE
-            and profiler_cfg.guard_band_factor == 1.0
-            and report.retention_failures != 0
-        ):
-            problems.append("oracle-safety: retention failures under perfect profiling")
+    # a guard only shortens intervals, Bloom errors only demote rows, and a
+    # row below the base interval is rejected at build: no guard >= 1 can
+    # make an oracle profile unsafe
+    if profiler_cfg is not None and profiler_cfg.mode == MODE_ORACLE and report.retention_failures:
+        problems.append("oracle-safety: retention failures under perfect profiling")
     return problems
 
-
-def _default_echo(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget) -> dict[str, str]:
-    echo = {
-        "sim": repr(sim_cfg),
-        "device": repr(device),
-        "dist": repr(dist),
-        "vrt": repr(vrt),
-        "dpd": repr(dpd),
-        "profiler": repr(profiler_cfg),
-        "bins": repr(bin_cfg),
-        "bloom_budget": repr(bloom_budget),
-    }
-    return echo

@@ -195,7 +195,7 @@ def test_c7_determinism_and_checkpoint(tmp_path):
         ProfilerConfig(),
         BinConfig(),
     )
-    sim = RefreshSimulation(*args)
+    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
     sim.run(stop_after_window=57)
     blob = sim.checkpoint()
     resumed = RefreshSimulation.restore(blob).run()

@@ -171,15 +171,6 @@ class TestSnapshot:
         assert g.n_inserted == f.n_inserted
         assert np.array_equal(g.words, f.words)
 
-    def test_file_roundtrip(self, tmp_path):
-        f = BloomFilter(BloomParams(m=128, k=2, seed=5))
-        f.insert(17)
-        path = tmp_path / "filter.rblm"
-        f.save(path)
-        g = BloomFilter.load(path)
-        assert g.contains(17)
-        assert np.array_equal(g.words, f.words)
-
     def test_golden_bytes(self):
         # pins the wire layout: magic, m u64, k u32, seed u64, n u64, words LE
         f = BloomFilter(BloomParams(m=64, k=1, seed=0))

@@ -2,15 +2,23 @@ import os
 import stat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raidrsim.cli import main
 from raidrsim.experiment import (
     ConfigError,
     ExperimentSpec,
+    OverheadConfig,
+    SimConfig,
     apply_overrides,
+    config_text,
     parse_config_text,
     spec_from_flat,
 )
+from raidrsim.profiler import ProfilerConfig
+from raidrsim.raidr import BinConfig
+from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
+from raidrsim.simulate import run
 
 
 def run_cli(*argv):
@@ -68,6 +76,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="--set"):
             apply_overrides({}, ["seed:2"])
 
+    @pytest.mark.parametrize("scenario", [" x", "x ", "a\nb", "a\x0bb"])
+    def test_scenario_must_survive_config_text(self, scenario):
+        with pytest.raises(ConfigError, match="scenario"):
+            ExperimentSpec(scenario=scenario)
+
     def test_explicit_bloom_params_validation(self):
         with pytest.raises(ConfigError, match="bloom.explicit"):
             spec_from_flat({"bloom.explicit_m": "0", "bloom.explicit_k": "2"})
@@ -81,6 +94,115 @@ class TestConfig:
         spec = spec_from_flat({"seed": "77"})
         assert spec.sim.seed == 77
         assert spec.with_seed(5).sim.seed == 5
+
+
+def floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_specs(draw):
+    """Specs over every schema key: non-round floats, empty and long lists, tRFC tables."""
+    row_bits = draw(st.integers(1, 1 << 14))
+    densities = sorted(draw(st.lists(floats(1e-3, 1e3), min_size=1, max_size=5, unique=True)))
+    latencies = sorted(draw(st.lists(floats(1.0, 1e4), min_size=len(densities), max_size=len(densities))))
+    device = DeviceConfig(
+        density_bits=row_bits * draw(st.integers(1, 1 << 40)),
+        row_size_bits=row_bits,
+        trefw_ms=draw(floats(1e-3, 1e3)),
+        refresh_cmds_per_window=draw(st.integers(1, 1 << 20)),
+        banks=draw(st.integers(1, 64)),
+        trfc_table_ns=dict(zip(densities, latencies)),
+    )
+    floor = device.trefw_ms * draw(floats(1.0, 8.0))
+    weak_high = floor + draw(floats(1e-3, 1e3))
+    dist = RetentionDistribution(
+        kind=draw(st.sampled_from(["two-population", "lognormal-tail"])),
+        weak_fraction=draw(floats(0.0, 1.0)),
+        floor_ms=floor,
+        weak_high_ms=weak_high,
+        strong_value_ms=weak_high + draw(floats(0.0, 1e4)),
+        lognormal_median_ms=draw(floats(1e-3, 1e4)),
+        lognormal_sigma=draw(floats(1e-3, 10.0)),
+    )
+    vrt = VrtModel(
+        enabled=draw(st.booleans()),
+        affected_fraction=draw(floats(0.0, 1.0)),
+        low_factor=draw(floats(1e-6, 1.0)),
+        p_high_to_low=draw(floats(0.0, 1.0)),
+        p_low_to_high=draw(floats(0.0, 1.0)),
+    )
+    dpd = DpdModel(
+        enabled=draw(st.booleans()),
+        num_patterns=draw(st.integers(1, 64)),
+        worst_pattern_factor=draw(floats(1e-6, 1.0)),
+    )
+    mode = draw(st.sampled_from(["oracle", "measured"]))
+    profiler = ProfilerConfig(
+        mode=mode,
+        patterns_tested=draw(st.integers(1, dpd.num_patterns if mode == "measured" else 128)),
+        rounds=draw(st.integers(1, 16)),
+        guard_band_factor=draw(floats(1.0, 16.0)),
+        profiling_window_span=draw(st.integers(1, 16)),
+    )
+    base = draw(floats(1e-2, 1e3))
+    mults = sorted(draw(st.lists(st.integers(1, 64), max_size=5, unique=True)))
+    bins = BinConfig(thresholds_ms=tuple(base * m for m in mults), base_interval_ms=base)
+    explicit_m = draw(st.none() | st.integers(1, 1 << 40))
+    explicit_k = None if explicit_m is None else draw(st.none() | st.integers(1, 64))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return ExperimentSpec(
+        scenario=draw(st.text(alphabet="abcXYZ019-_.=# ", max_size=12).map(str.strip)),
+        seed=seed,
+        device=device,
+        dist=dist,
+        vrt=vrt,
+        dpd=dpd,
+        profiler=profiler,
+        bins=bins,
+        bloom_target_fpr=draw(floats(1e-12, 0.999)),
+        bloom_explicit_m=explicit_m,
+        bloom_explicit_k=explicit_k,
+        sim=SimConfig(horizon_windows=max(bins.multipliers) + draw(st.integers(0, 1 << 20)), seed=seed),
+        overhead=OverheadConfig(
+            densities_gbit=tuple(draw(st.lists(floats(1e-3, 1e4), max_size=8))),
+            extrapolation_anchor_gbit=draw(floats(1e-3, 1e3)),
+            e_refresh_cmd_nj_per_gbit=draw(floats(0.0, 1e3)),
+            e_background_mw=draw(floats(0.0, 1e4)),
+            e_activity_mw=draw(floats(0.0, 1e4)),
+            raidr_savings=draw(floats(0.0, 1.0)),
+        ),
+    )
+
+
+@given(valid_specs())
+@settings(max_examples=150, deadline=None)
+def test_spec_roundtrips_through_flat_and_text(spec):
+    # checkpoint restore and the config echo both rest on this identity
+    flat = spec.to_flat()
+    assert spec_from_flat(flat) == spec
+    assert spec_from_flat(parse_config_text(config_text(flat))) == spec
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--set", "sim.horizon_windows=2"),
+    ("simulate", "--set", "dist.floor_ms=32"),
+    ("simulate", "--set", "profiler.mode=measured", "--set", "profiler.patterns_tested=9"),
+    ("sweep", "--axis", "sim.horizon_windows", "--values", "32,2", *SMALL),
+    ("sweep", "--axis", "dist.floor_ms", "--values", "64,32", *SMALL),
+], ids=["horizon", "floor", "patterns", "sweep-horizon", "sweep-floor"])
+def test_invalid_config_exits_2_before_creating_outdir(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_library_report_equals_cli_artifact(tmp_path):
+    assert run_cli("simulate", "--out", str(tmp_path), "--seed", "5", *SMALL) == 0
+    spec = spec_from_flat({"seed": "5", "device.density_bits": "40960000", "sim.horizon_windows": "32"})
+    parts = (spec.sim, spec.device, spec.dist, spec.vrt, spec.dpd, spec.profiler, spec.bins, spec.bloom_budget)
+    assert run(*parts).to_text() == (tmp_path / "simreport.txt").read_text()
 
 
 class TestSimulateCommand:

@@ -4,15 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from raidrsim.bloom import BloomParams, analytic_fpr
 from raidrsim.profiler import ProfilerConfig, RetentionProfile, profile
-from raidrsim.raidr import (
-    BinConfig,
-    RefreshSchedule,
-    UnbinnableRowError,
-    build_bins,
-    refreshes_in_horizon,
-    savings_fraction,
-    should_refresh,
-)
+from raidrsim.raidr import BinConfig, UnbinnableRowError, build_bins, refreshes_in_horizon
 from raidrsim.retention import (
     DeviceConfig,
     DpdModel,
@@ -20,6 +12,7 @@ from raidrsim.retention import (
     VrtModel,
     generate_ground_truth,
 )
+from raidrsim.simulate import SimConfig, run
 
 
 def profile_of(values_ms) -> RetentionProfile:
@@ -87,11 +80,6 @@ class TestBuildBins:
         bins = build_bins(profile_of([70.0, 130.0, 300.0]), BinConfig(), params)
         assert all(f.params == params for f in bins.filters)
 
-    def test_per_bin_params_budget(self):
-        ps = [BloomParams(m=128, k=2, seed=1), BloomParams(m=256, k=3, seed=2)]
-        bins = build_bins(profile_of([70.0, 130.0]), BinConfig(), ps)
-        assert [f.params.m for f in bins.filters] == [128, 256]
-
     def test_deterministic_build(self):
         vals = [70.0, 90.0, 130.0, 200.0, 300.0, 2000.0]
         a = build_bins(profile_of(vals), BinConfig(), 1e-3, seed=5)
@@ -134,59 +122,23 @@ class TestQueryOrder:
         assert demoted >= expected / 3.0
 
 
-class TestSchedule:
-    def test_window_zero_refreshes_everything(self):
-        bins = build_bins(profile_of([70.0, 130.0, 300.0]), BinConfig(), 1e-3)
-        sched = RefreshSchedule.for_bins(bins)
-        assert all(should_refresh(bins, sched, r) for r in range(3))
-
-    def test_default_bin_modular_rule(self):
-        bins = build_bins(profile_of([2560.0]), BinConfig(), 1e-3)
-        sched = RefreshSchedule.for_bins(bins)
-        hits = []
-        for _ in range(5):
-            hits.append(should_refresh(bins, sched, 0))
-            sched.advance()
-        assert hits == [True, False, False, False, True]
-
-    def test_mult2_refresh_count_over_12_windows(self):
-        bins = build_bins(profile_of([130.0]), BinConfig(), 1e-3)
-        sched = RefreshSchedule.for_bins(bins)
-        count = 0
-        for _ in range(12):
-            if should_refresh(bins, sched, 0):
-                count += 1
-            sched.advance()
-        assert count == 6
-
-    def test_refresh_gap_never_exceeds_interval(self):
-        vals = [70.0, 130.0, 300.0, 200.0, 90.0]
-        bins = build_bins(profile_of(vals), BinConfig(), 1e-3)
-        sched = RefreshSchedule.for_bins(bins)
-        last = {r: None for r in range(len(vals))}
-        for w in range(16):
-            for r in range(len(vals)):
-                if should_refresh(bins, sched, r):
-                    if last[r] is not None:
-                        gap_ms = (w - last[r]) * 64.0
-                        assert gap_ms <= bins.intervals_ms[bins.query(r)]
-                    last[r] = w
-            sched.advance()
+def run_bins_only(num_rows, dist, horizon=64):
+    return run(
+        SimConfig(horizon_windows=horizon, seed=0), DeviceConfig.from_rows(num_rows), dist,
+        VrtModel(), DpdModel(), ProfilerConfig(), BinConfig(),
+    )
 
 
 class TestSavings:
     def test_all_default_bin_75_percent(self):
         # the all-strong limit with zero realized false positives
-        n = 4096
-        dev = DeviceConfig.from_rows(n)
-        bins = build_bins(profile_of(np.full(n, 2560.0)), BinConfig(), 1e-3)
-        assert savings_fraction(bins, dev, 64) == 0.75
+        rep = run_bins_only(4096, RetentionDistribution(weak_fraction=0.0))
+        assert rep.savings_fraction == 0.75
 
     def test_all_bin0_zero_savings(self):
-        n = 256
-        dev = DeviceConfig.from_rows(n)
-        bins = build_bins(profile_of(np.full(n, 70.0)), BinConfig(), 1e-3)
-        assert savings_fraction(bins, dev, 64) == 0.0
+        all_bin0 = RetentionDistribution(weak_fraction=1.0, floor_ms=64.0, weak_high_ms=128.0)
+        rep = run_bins_only(256, all_bin0)
+        assert rep.savings_fraction == 0.0
 
     def test_closed_form_matches_window_count(self):
         # direct window-by-window counting vs the per-row ceil formula
@@ -202,21 +154,15 @@ class TestSavings:
         direct = sum(int(np.count_nonzero(w % mult == 0)) for w in range(horizon))
         closed = int(refreshes_in_horizon(horizon, mult).sum())
         assert direct == closed
-        assert abs(savings_fraction(bins, dev, horizon) - (1 - closed / (n * horizon))) < 1e-6
-
-    def test_horizon_must_be_multiple_of_max_multiplier(self):
-        bins = build_bins(profile_of([2560.0]), BinConfig(), 1e-3)
-        with pytest.raises(ValueError, match="multiple"):
-            savings_fraction(bins, DeviceConfig.from_rows(1), 63)
 
     def test_monotone_cost_when_rows_move_to_shorter_bins(self):
         n = 1000
-        dev = DeviceConfig.from_rows(n)
-        slow = build_bins(profile_of(np.full(n, 2560.0)), BinConfig(), 1e-3)
-        mixed_vals = np.full(n, 2560.0)
-        mixed_vals[:100] = 70.0
-        fast = build_bins(profile_of(mixed_vals), BinConfig(), 1e-3)
-        assert savings_fraction(fast, dev, 64) <= savings_fraction(slow, dev, 64)
+        slow = run_bins_only(n, RetentionDistribution(weak_fraction=0.0))
+        fast = run_bins_only(
+            n, RetentionDistribution(weak_fraction=0.1, floor_ms=64.0, weak_high_ms=128.0)
+        )
+        assert fast.bin_counts[0] > 0
+        assert fast.savings_fraction <= slow.savings_fraction
 
 
 @given(st.lists(st.floats(min_value=64.0, max_value=4096.0), min_size=1, max_size=200))

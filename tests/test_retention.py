@@ -211,15 +211,3 @@ class TestVrtChain:
             if w > 200:
                 occ.append(gt.vrt_low.mean())
         assert abs(float(np.mean(occ)) - 0.75) < 0.75 * 0.05
-
-
-def test_dump_csv(tmp_path):
-    gt = make_gt(num_rows=20, dpd=DpdModel(enabled=True))
-    path = tmp_path / "gt.csv"
-    gt.dump_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row_index,base_retention_ms,has_vrt,dpd_worst_pattern"
-    assert len(lines) == 21
-    assert lines[1].startswith("0,")
-    assert float(lines[1].split(",")[1]) > 0
-    assert "np." not in lines[1]

@@ -1,12 +1,19 @@
+import ast
 import dataclasses
+import hashlib
+import pickle
+import struct
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from raidrsim import rng
 from raidrsim import simulate as simulate_mod
+from raidrsim.bloom import BloomParams
+from raidrsim.experiment import ExperimentSpec
 from raidrsim.profiler import ProfilerConfig
 from raidrsim.raidr import BinConfig
 from raidrsim.retention import (
@@ -150,7 +157,7 @@ class TestInvariants:
     def test_fpr_accounting_identity(self):
         # recompute the extra-refresh count independently from the bin maps
         args = quiet_args(num_rows=60_000, horizon=64, seed=9)
-        sim = RefreshSimulation(*args)
+        sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
         rep = sim.run()
         rows = np.arange(60_000, dtype=np.uint64)
         mult = np.asarray(sim.bins.multipliers)
@@ -178,11 +185,63 @@ class TestInvariants:
         problems = check_report_invariants(rep, ProfilerConfig(mode="oracle", guard_band_factor=1.0))
         assert any("oracle-safety" in p for p in problems)
 
+    def test_invariant_checker_flags_oracle_failures_at_any_guard(self):
+        rep = run(*quiet_args(seed=4))
+        rep.retention_failures = 3
+        problems = check_report_invariants(rep, ProfilerConfig(mode="oracle", guard_band_factor=2.0))
+        assert any("oracle-safety" in p for p in problems)
+
+    def test_guarded_oracle_run_with_vrt_and_dpd_is_clean(self):
+        args = (
+            SimConfig(horizon_windows=64, seed=13),
+            DeviceConfig.from_rows(3000),
+            RetentionDistribution(weak_fraction=0.05, floor_ms=160.0),
+            VrtModel(enabled=True, affected_fraction=0.1, low_factor=0.8),
+            DpdModel(enabled=True, worst_pattern_factor=0.8),
+            ProfilerConfig(mode="oracle", guard_band_factor=1.5),
+            BinConfig(),
+        )
+        rep = run(*args)
+        assert rep.retention_failures == 0
+        assert check_report_invariants(rep, args[5]) == []
+
     def test_horizon_below_max_multiplier_rejected(self):
         args = list(quiet_args())
         args[0] = SimConfig(horizon_windows=2, seed=0)
         with pytest.raises(ValueError, match="multiplier"):
-            RefreshSimulation(*args)
+            RefreshSimulation(ExperimentSpec.from_parts(*args))
+
+
+HEADER_SIZE = 40  # magic, version, SHA-256
+UNPICKLED = []
+
+
+def mark_unpickled():
+    UNPICKLED.append(True)
+
+
+class SetsFlagWhenUnpickled:
+    def __reduce__(self):
+        return mark_unpickled, ()
+
+
+def signed(payload, version=2):
+    return b"RSIM" + struct.pack("<I", version) + hashlib.sha256(payload).digest() + payload
+
+
+def config_of(payload):
+    (n,) = struct.unpack_from("<Q", payload)
+    return payload[8:8 + n].decode()
+
+
+def with_text(payload, text):
+    n = 8 + struct.unpack_from("<Q", payload)[0]
+    return struct.pack("<Q", len(text.encode())) + text.encode() + payload[n:]
+
+
+def with_window(payload, window):
+    n = 8 + struct.unpack_from("<Q", payload)[0]
+    return payload[:n] + struct.pack("<Q", window) + payload[n + 8:]
 
 
 class TestDeterminismAndCheckpoint:
@@ -192,14 +251,14 @@ class TestDeterminismAndCheckpoint:
         assert a == b
 
     def test_checkpoint_at_window_zero(self):
-        sim = RefreshSimulation(*noisy_args(seed=31))
+        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=31)))
         blob = sim.checkpoint()
         fresh = run(*noisy_args(seed=31))
         resumed = RefreshSimulation.restore(blob).run()
         assert resumed.to_text() == fresh.to_text()
 
     def test_checkpoint_mid_horizon(self):
-        sim = RefreshSimulation(*noisy_args(seed=37, horizon=40))
+        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=37, horizon=40)))
         assert sim.run(stop_after_window=17) is None
         blob = sim.checkpoint()
         resumed = RefreshSimulation.restore(blob).run()
@@ -207,14 +266,14 @@ class TestDeterminismAndCheckpoint:
         assert resumed.to_text() == uninterrupted.to_text()
 
     def test_interrupted_original_also_matches(self):
-        sim = RefreshSimulation(*noisy_args(seed=41))
+        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=41)))
         sim.run(stop_after_window=20)
         sim.checkpoint()
         rep = sim.run()
         assert rep.to_text() == run(*noisy_args(seed=41)).to_text()
 
     def test_corrupted_blob_rejected(self):
-        sim = RefreshSimulation(*noisy_args(seed=43))
+        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=43)))
         blob = bytearray(sim.checkpoint())
         blob[-1] ^= 0xFF
         with pytest.raises(CheckpointError, match="integrity"):
@@ -225,7 +284,7 @@ class TestDeterminismAndCheckpoint:
             RefreshSimulation.restore(b"NOPE" + bytes(40))
 
     def test_wrong_version_rejected(self):
-        sim = RefreshSimulation(*noisy_args(seed=47))
+        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=47)))
         blob = bytearray(sim.checkpoint())
         blob[4] = 99  # version field
         with pytest.raises(CheckpointError, match="version"):
@@ -233,7 +292,7 @@ class TestDeterminismAndCheckpoint:
 
     def test_checkpoint_mid_vrt_rebuilds_step_prefix(self):
         # the cached VRT hash prefix is rebuilt from seed and rows, never stored
-        sim = RefreshSimulation(*noisy_args(seed=59, horizon=40))
+        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=59, horizon=40)))
         sim.run(stop_after_window=23)
         blob = sim.checkpoint()
         assert sim.gt._vrt_step_prefix.size > 0
@@ -245,8 +304,38 @@ class TestDeterminismAndCheckpoint:
         )
         assert restored.run().to_text() == run(*noisy_args(seed=59, horizon=40)).to_text()
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pickle_payload_never_unpickled(self, version):
+        UNPICKLED.clear()
+        payload = pickle.dumps(SetsFlagWhenUnpickled())
+        with pytest.raises(CheckpointError):
+            RefreshSimulation.restore(signed(payload, version))
+        assert not UNPICKLED
+        pickle.loads(payload)  # the payload is live: unpickling it does set the flag
+        assert UNPICKLED
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda p: p + b"\0", "state is"),
+        (lambda p: p[:-1], "state is"),
+        (lambda p: p[:-1] + b"\x02", "0 or 1"),
+        (lambda p: with_window(p, 41), "beyond horizon"),
+        (lambda p: with_text(p, config_of(p) + "\nbogus.key = 1"), "bogus.key"),
+        (lambda p: with_text(p, config_of(p).replace("sim.horizon_windows = 40", "sim.horizon_windows = 2")),
+         "multiplier"),
+        (lambda p: with_text(p, config_of(p).replace("seed = 67", "seed = 067")), "canonical"),
+        (lambda p: struct.pack("<Q", 1 << 40) + p[8:], "truncated"),
+    ], ids=["trailing", "short", "bool-byte", "window", "unknown-key", "bad-config",
+            "non-canonical", "text-length"])
+    def test_malformed_payload_rejected(self, edit, match):
+        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=67, horizon=40)))
+        sim.run(stop_after_window=9)
+        payload = sim.checkpoint()[HEADER_SIZE:]
+        assert RefreshSimulation.restore(signed(payload)).run() is not None
+        with pytest.raises(CheckpointError, match=match):
+            RefreshSimulation.restore(signed(edit(payload)))
+
     def test_report_requires_completion(self):
-        sim = RefreshSimulation(*noisy_args(seed=51))
+        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=51)))
         sim.run(stop_after_window=3)
         with pytest.raises(RuntimeError, match="run"):
             sim.report()
@@ -255,7 +344,7 @@ class TestDeterminismAndCheckpoint:
 def test_vrt_trajectory_matches_standalone_ground_truth():
     # the engine steps the same ground-truth chain an external caller sees
     args = noisy_args(seed=53, horizon=12)
-    sim = RefreshSimulation(*args)
+    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
     sim.run()
     gt = generate_ground_truth(args[1], args[2], args[3], args[4], args[0].seed)
     for w in range(1, 12):
@@ -285,14 +374,14 @@ def independent_filter_fprs(sim):
 
 
 def test_row_blocking_changes_nothing(monkeypatch):
-    default = RefreshSimulation(*fpr_args())
+    default = RefreshSimulation(ExperimentSpec.from_parts(*fpr_args()))
     rep = default.run()
     assert rep.retention_failures > 0 and rep.fpr_extra_refreshes > 0
     assert all(0.0 < f < 1.0 for f in default.filter_fprs)
     assert default.filter_fprs == independent_filter_fprs(default)
 
     monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 7)
-    blocked = RefreshSimulation(*fpr_args())
+    blocked = RefreshSimulation(ExperimentSpec.from_parts(*fpr_args()))
     assert report_fields(blocked.run()) == report_fields(rep)
     assert blocked.filter_fprs == default.filter_fprs
 
@@ -300,7 +389,7 @@ def test_row_blocking_changes_nothing(monkeypatch):
 def test_filter_fprs_all_default():
     args = list(quiet_args(num_rows=500, horizon=16))
     args[2] = RetentionDistribution(weak_fraction=0.0)
-    sim = RefreshSimulation(*args)
+    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
     assert sim.bins.counts == (0, 0, 500)
     assert sim.filter_fprs == [0.0, 0.0]  # empty filters never hit
 
@@ -312,7 +401,7 @@ def test_engine_pass_memory_is_bounded(monkeypatch):
     num_rows = 1 << 18
     tracemalloc.start()
     try:
-        RefreshSimulation(*quiet_args(num_rows=num_rows, horizon=64, seed=3))
+        RefreshSimulation(ExperimentSpec.from_parts(*quiet_args(num_rows=num_rows, horizon=64, seed=3)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -327,3 +416,33 @@ def test_wall_time_covers_engine_set_up(monkeypatch):
     monkeypatch.setattr(simulate_mod, "generate_ground_truth", slow_ground_truth)
     rep = run(*quiet_args(num_rows=200, horizon=8))
     assert rep.wall_time_s >= 0.05
+
+
+def test_no_deserializer_imports_in_package():
+    # checkpoints and snapshots are plain data; nothing in the package may unpickle
+    banned = {"pickle", "marshal", "shelve"}
+    src = Path(simulate_mod.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] in banned]
+    assert len(list(src.glob("*.py"))) > 5
+    assert found == []
+
+
+def test_from_parts_budget_forms():
+    args = quiet_args()
+    assert ExperimentSpec.from_parts(*args, 0.25).bloom_budget == 0.25
+    explicit = ExperimentSpec.from_parts(*args, BloomParams(m=300, k=3))
+    assert (explicit.bloom_explicit_m, explicit.bloom_explicit_k) == (300, 3)
+    assert explicit.bloom_budget == BloomParams(m=300, k=3)
+    with pytest.raises(ValueError, match="seed 0"):
+        ExperimentSpec.from_parts(*args, BloomParams(m=300, k=3, seed=1))
+    with pytest.raises(ValueError, match="budget"):
+        ExperimentSpec.from_parts(*args, [BloomParams(m=300, k=3)] * 2)
