@@ -2,7 +2,8 @@
 
 Subcommands: simulate, sweep, profile, overhead, selftest.
 Exit codes: 0 success, 2 configuration error, 3 invariant violation,
-4 I/O error.
+4 I/O error.  Any other exception is a fault in raidrsim itself and
+escapes with its traceback (exit 1), whatever its type.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def _flat_config(args) -> dict[str, str]:
 
 def _build_spec(args) -> ExperimentSpec:
     return spec_from_flat(_flat_config(args))
+
+
+def _overhead_inputs(spec: ExperimentSpec) -> overhead_mod.OverheadInputs:
+    """The spec's overhead-model inputs; a bad overhead.* value is a config error."""
+    try:
+        return spec.overhead_inputs()
+    except ValueError as exc:
+        raise ConfigError(f"overhead: {exc}") from exc
 
 
 def _ensure_outdir(args) -> Path:
@@ -141,6 +150,7 @@ def cmd_sweep(args) -> int:
         spec = spec_from_flat({**flat, args.axis: v})
         if args.axis != "seed":  # an explicit seed axis overrides the derived per-point seed
             spec = spec.with_seed(spec.sweep_seed(i))
+        _overhead_inputs(spec)
         payloads.append((i, args.axis, v, spec))
     out = _ensure_outdir(args)
 
@@ -187,16 +197,19 @@ def cmd_profile(args) -> int:
 
 def cmd_overhead(args) -> int:
     spec = _build_spec(args)
+    inputs = _overhead_inputs(spec)
+    try:
+        points = overhead_mod.density_sweep(
+            inputs,
+            spec.overhead.densities_gbit,
+            policies=(
+                (overhead_mod.POLICY_BASELINE, 0.0),
+                (overhead_mod.POLICY_RAIDR, spec.overhead.raidr_savings),
+            ),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"overhead: {exc}") from exc
     out = _ensure_outdir(args)
-    inputs = spec.overhead_inputs()
-    points = overhead_mod.density_sweep(
-        inputs,
-        spec.overhead.densities_gbit,
-        policies=(
-            (overhead_mod.POLICY_BASELINE, 0.0),
-            (overhead_mod.POLICY_RAIDR, spec.overhead.raidr_savings),
-        ),
-    )
     lines = [_csv_comment(spec), "density_bits,policy,savings,throughput_loss,refresh_energy_fraction,trfc_ns_used"]
     for p in points:
         lines.append(
@@ -273,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UnbinnableRowError as exc:

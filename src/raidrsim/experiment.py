@@ -371,7 +371,11 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path) -> dict[str, str]:
     with open(path) as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not text: {exc}") from exc
+    return parse_config_text(text)
 
 
 def apply_overrides(flat: dict[str, str], overrides) -> dict[str, str]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .retention import RetentionGroundTruth
+from .retention import RetentionGroundTruth, vrt_step
 
 MODE_ORACLE = "oracle"
 MODE_MEASURED = "measured"
@@ -68,7 +68,7 @@ def _vrt_low_seen(gt: RetentionGroundTruth, cfg: ProfilerConfig) -> np.ndarray:
     state; transitions reuse the per-row physical streams under a dedicated
     purpose tag.
     """
-    idx = np.flatnonzero(gt.has_vrt).astype(np.uint64)
+    idx = gt.vrt_rows
     seen = np.zeros(gt.num_rows, dtype=bool)
     if idx.size == 0:
         return seen
@@ -78,11 +78,10 @@ def _vrt_low_seen(gt: RetentionGroundTruth, cfg: ProfilerConfig) -> np.ndarray:
     prefix = rng.hash_words_vec(gt.seed, rng.TAG_PROFILE_VRT_STEP, idx)
     # window 0 is the fresh state: never low, nothing to record there
     for w in range(1, cfg.profiling_window_span):
-        u = rng.uniform01_of(rng.extend_hash_vec(prefix, w))
-        low = np.where(low, u >= gt.vrt.p_low_to_high, u < gt.vrt.p_high_to_low)
+        low = vrt_step(low, rng.extend_hash_vec(prefix, w), gt.vrt)
         if w in sample_at:
             seen_idx |= low
-    seen[idx.astype(np.int64)] = seen_idx
+    seen[idx] = seen_idx
     return seen
 
 

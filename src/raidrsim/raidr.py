@@ -31,6 +31,10 @@ class UnbinnableRowError(RuntimeError):
             f"interval (first: row {row} at {measured_ms} ms) cannot be refreshed fast enough"
         )
 
+    def __reduce__(self):
+        # rebuilt from its fields, so it crosses a process pool intact
+        return type(self), (self.row, self.measured_ms, self.base_interval_ms, self.count)
+
 
 @dataclass(frozen=True)
 class BinConfig:

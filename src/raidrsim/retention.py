@@ -13,6 +13,7 @@ bit-identical across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,11 +146,27 @@ class DpdModel:
             raise ValueError("worst_pattern_factor must be in (0, 1]")
 
 
+def vrt_step(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
+    """One transition of the retention toggle, drawn from the step hashes h.
+
+    A low row stays low unless uniform01_of(h) < p_low_to_high; a high row
+    drops low iff uniform01_of(h) < p_high_to_low.  The uniform is
+    (h >> 11) * 2**-53, so `u < p` is exactly `h >> 11 < ceil(p * 2**53)`;
+    p * 2**53 is itself exact for p in [0, 1], a power-of-two scaling.
+    """
+    k = h >> np.uint64(11)
+    stay = k >= np.uint64(math.ceil(vrt.p_low_to_high * 2.0**53))
+    drop = k < np.uint64(math.ceil(vrt.p_high_to_low * 2.0**53))
+    return (low & stay) | (drop & ~low)
+
+
 class RetentionGroundTruth:
     """Per-row true retention state, regenerable from config + seed.
 
     Mutable only through step_vrt; generation may be sharded across row
-    ranges because every stream is keyed by row index.
+    ranges because every stream is keyed by row index.  The toggle state
+    is held for the affected rows only (vrt_rows_low, aligned with
+    vrt_rows), so a step costs time in the number of affected rows.
     """
 
     def __init__(self, device, dist, vrt, dpd, seed, base_retention_ms, dpd_worst_pattern, has_vrt):
@@ -161,16 +178,28 @@ class RetentionGroundTruth:
         self.base_retention_ms = base_retention_ms
         self.dpd_worst_pattern = dpd_worst_pattern
         self.has_vrt = has_vrt
-        self.vrt_low = np.zeros(device.num_rows, dtype=bool)
         self.current_window = 0
-        self._vrt_rows = np.flatnonzero(has_vrt).astype(np.uint64)
+        self.vrt_rows = np.flatnonzero(has_vrt)
+        self.vrt_rows_low = np.zeros(self.vrt_rows.size, dtype=bool)
+        # each affected row's retention in its high and low state, by the
+        # same float operations as retention_now
+        self.vrt_retention_high = self.base_retention_ms[self.vrt_rows] * self._dpd_factor()
+        self.vrt_retention_low = self.vrt_retention_high * vrt.low_factor
         # hash of (seed, TAG_VRT_STEP, row), the window-independent prefix of
         # every step draw; a function of seed and has_vrt alone
-        self._vrt_step_prefix = rng.hash_words_vec(seed, rng.TAG_VRT_STEP, self._vrt_rows)
+        self._vrt_step_prefix = rng.hash_words_vec(seed, rng.TAG_VRT_STEP, self.vrt_rows)
 
     @property
     def num_rows(self) -> int:
         return self.device.num_rows
+
+    @property
+    def vrt_low(self) -> np.ndarray:
+        """Read-only per-row toggle state over the whole device, built on demand."""
+        out = np.zeros(self.num_rows, dtype=bool)
+        out[self.vrt_rows] = self.vrt_rows_low
+        out.flags.writeable = False
+        return out
 
     def _dpd_factor(self) -> float:
         return self.dpd.worst_pattern_factor if self.dpd.enabled else 1.0
@@ -184,11 +213,9 @@ class RetentionGroundTruth:
             raise ValueError(
                 f"step_vrt windows must be consecutive; at {self.current_window}, got {window}"
             )
-        idx = self._vrt_rows
-        if idx.size:
-            u = rng.uniform01_of(rng.extend_hash_vec(self._vrt_step_prefix, window))
-            low = self.vrt_low[idx]
-            self.vrt_low[idx] = np.where(low, u >= self.vrt.p_low_to_high, u < self.vrt.p_high_to_low)
+        if self.vrt_rows.size:
+            h = rng.extend_hash_vec(self._vrt_step_prefix, window)
+            self.vrt_rows_low = vrt_step(self.vrt_rows_low, h, self.vrt)
         self.current_window = window
         return self
 
@@ -201,21 +228,15 @@ class RetentionGroundTruth:
                 f"ground truth is at window {self.current_window}, not {window}; call step_vrt in order"
             )
         factor = self._dpd_factor()
-        if self.vrt_low[row]:
+        if self.has_vrt[row] and self.vrt_rows_low[np.searchsorted(self.vrt_rows, row)]:
             factor *= self.vrt.low_factor
         return float(self.base_retention_ms[row]) * factor
 
-    def retention_now(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Vector of current-window worst-case retentions (internal fast path)."""
-        if rows is None:
-            base = self.base_retention_ms
-            low = self.vrt_low
-        else:
-            base = self.base_retention_ms[rows]
-            low = self.vrt_low[rows]
-        out = base * self._dpd_factor()
+    def retention_now(self) -> np.ndarray:
+        """Vector of current-window worst-case retentions over every row."""
+        out = self.base_retention_ms * self._dpd_factor()
         if self.vrt.enabled:
-            out = np.where(low, out * self.vrt.low_factor, out)
+            out = np.where(self.vrt_low, out * self.vrt.low_factor, out)
         return out
 
     def min_possible_retention(self, rows: np.ndarray | slice | None = None) -> np.ndarray:

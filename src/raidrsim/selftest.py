@@ -11,7 +11,7 @@ import numpy as np
 
 from . import rng
 from .bloom import BloomFilter, BloomParams, analytic_fpr
-from .experiment import ExperimentSpec
+from .experiment import ConfigError, ExperimentSpec
 from .profiler import ProfilerConfig
 from .raidr import BinConfig
 from .retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
@@ -101,7 +101,7 @@ _PROPERTIES = (
 def run_selftest(fault: str | None = None) -> list[str]:
     """Run every property; returns the names of the ones that failed."""
     if fault is not None and fault not in KNOWN_FAULTS:
-        raise ValueError(f"unknown fault {fault!r}; known: {', '.join(KNOWN_FAULTS)}")
+        raise ConfigError(f"unknown fault {fault!r}; known: {', '.join(KNOWN_FAULTS)}")
     failures = []
     for name, check in _PROPERTIES:
         problem = check(fault)

@@ -15,13 +15,17 @@ size, not by the device.
 
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
-point in that gap.
+point in that gap.  A VRT row only ever holds two retentions, so its
+running minimum is a flag, "low state seen since the last refresh", and a
+window's work is proportional to the number of VRT rows.
 
 A checkpoint is a `<4sI32s` header (magic `RSIM`, version, SHA-256 of the
 payload) and a payload of plain data: the length-prefixed canonical config
 text, the window and the VRT failure count, then the VRT rows' state
 arrays.  Restore parses the config, rebuilds the engine from it and checks
-every array against that engine; it never executes code from the blob.
+every array against that engine: the refresh windows and running minima
+must be the ones the schedule reaches from the stored toggle states.  It
+never executes code from the blob.
 """
 
 from __future__ import annotations
@@ -125,10 +129,12 @@ class RefreshSimulation:
         )
 
         self._scan_rows()
-        self._v_last = np.zeros(self._v_idx.size, dtype=np.int64)
-        self._v_runmin = np.full(self._v_idx.size, np.inf)
+        n_vrt = self.gt.vrt_rows.size
+        # whether each VRT row held its low state at any window since its
+        # last refresh: its running minimum retention is then the low one
+        self._v_seen = np.zeros(n_vrt, dtype=bool)
         self._v_failures = 0
-        self._v_unsafe = np.zeros(self._v_idx.size, dtype=bool)
+        self._v_unsafe = np.zeros(n_vrt, dtype=bool)
 
         self._window = 0
         self._wall = time.perf_counter() - t0
@@ -180,21 +186,27 @@ class RefreshSimulation:
         # hits / others as Python ints is the correctly rounded quotient,
         # the same float the boolean mean over the others gives
         self.filter_fprs = [h / o if o else 0.0 for h, o in zip(fp_hits, fp_others)]
-        self._v_idx = np.flatnonzero(gt.has_vrt)
-        self._v_mult = np.concatenate(v_mult)
+        # the VRT rows' distinct multipliers, and each row's index into them
+        self._v_mults, self._v_key = np.unique(np.concatenate(v_mult), return_inverse=True)
 
     # -- stepping ----------------------------------------------------------
 
     def _step(self, w: int) -> None:
+        gt = self.gt
         if w > 0:
-            self.gt.step_vrt(w)
-        if self._v_idx.size == 0:
+            gt.step_vrt(w)
+        if gt.vrt_rows.size == 0:
             return
-        refresh = (w % self._v_mult) == 0
-        self._v_last[refresh] = w
-        self._v_runmin[refresh] = np.inf
-        np.minimum(self._v_runmin, self.gt.retention_now(self._v_idx), out=self._v_runmin)
-        failed = (w - self._v_last + 1) * self.device.trefw_ms > self._v_runmin
+        # per multiplier: refreshed this window, and the time since the last refresh
+        phase = w % self._v_mults
+        refresh = (phase == 0)[self._v_key]
+        elapsed_ms = ((phase + 1) * self.device.trefw_ms)[self._v_key]
+        self._v_seen = gt.vrt_rows_low | (self._v_seen & ~refresh)
+        # the running minimum is the low retention if seen, else the high
+        # one, and the low one is never above the high one
+        failed = (elapsed_ms > gt.vrt_retention_high) | (
+            self._v_seen & (elapsed_ms > gt.vrt_retention_low)
+        )
         self._v_failures += int(np.count_nonzero(failed))
         self._v_unsafe |= failed
 
@@ -237,15 +249,24 @@ class RefreshSimulation:
 
     # -- checkpointing -----------------------------------------------------
 
+    def _checkpoint_state(self) -> dict[str, np.ndarray]:
+        """The VRT rows' stored state: toggle, last refresh, running minimum, unsafe."""
+        gt = self.gt
+        if self._window == 0:
+            v_last = np.zeros(gt.vrt_rows.size, dtype=np.int64)
+            v_runmin = np.full(gt.vrt_rows.size, np.inf)
+        else:
+            w = self._window - 1
+            v_last = w - w % self._v_mults[self._v_key]
+            v_runmin = np.where(self._v_seen, gt.vrt_retention_low, gt.vrt_retention_high)
+        return {
+            "vrt_low": gt.vrt_rows_low, "v_last": v_last, "v_runmin": v_runmin, "v_unsafe": self._v_unsafe,
+        }
+
     def checkpoint(self) -> bytes:
         """Snapshot at the current window boundary; resume reproduces the run exactly."""
         text = config_text(self.spec.to_flat()).encode()
-        state = {
-            "vrt_low": self.gt.vrt_low[self._v_idx],
-            "v_last": self._v_last,
-            "v_runmin": self._v_runmin,
-            "v_unsafe": self._v_unsafe,
-        }
+        state = self._checkpoint_state()
         payload = b"".join([
             struct.pack("<Q", len(text)),
             text,
@@ -290,7 +311,7 @@ class RefreshSimulation:
             raise CheckpointError(f"checkpoint window {window} beyond horizon {spec.sim.horizon_windows}")
 
         sim = cls(spec)
-        n = sim._v_idx.size
+        n = sim.gt.vrt_rows.size
         expected = pos + n * sum(np.dtype(dtype).itemsize for _, dtype in _CHECKPOINT_ARRAYS)
         if len(payload) != expected:
             raise CheckpointError(
@@ -304,13 +325,21 @@ class RefreshSimulation:
             if np.any(state[name] > 1):
                 raise CheckpointError(f"checkpoint {name} holds a byte other than 0 or 1")
 
-        sim.gt.vrt_low[sim._v_idx] = state["vrt_low"].astype(bool)
+        low = state["vrt_low"].astype(bool)
+        sim.gt.vrt_rows_low = low
         sim.gt.current_window = max(0, window - 1)
-        sim._v_last = state["v_last"].astype(np.int64)
-        sim._v_runmin = state["v_runmin"].astype(np.float64)
+        sim._v_seen = state["v_runmin"] == sim.gt.vrt_retention_low
         sim._v_failures = v_failures
         sim._v_unsafe = state["v_unsafe"].astype(bool)
         sim._window = window
+        # the stored refresh times and running minima must be the ones the
+        # schedule reaches, and a row low now has been low since its refresh
+        reached = sim._checkpoint_state()
+        for name in ("v_last", "v_runmin"):
+            if not np.array_equal(reached[name], state[name]):
+                raise CheckpointError(f"checkpoint {name} is not what the refresh schedule reaches")
+        if np.any(low & ~sim._v_seen):
+            raise CheckpointError("checkpoint vrt_low holds a low row with no low running minimum")
         return sim
 
 

@@ -4,6 +4,7 @@ import stat
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from raidrsim import cli as cli_mod
 from raidrsim.cli import main
 from raidrsim.experiment import (
     ConfigError,
@@ -190,12 +191,36 @@ def test_spec_roundtrips_through_flat_and_text(spec):
     ("simulate", "--set", "profiler.mode=measured", "--set", "profiler.patterns_tested=9"),
     ("sweep", "--axis", "sim.horizon_windows", "--values", "32,2", *SMALL),
     ("sweep", "--axis", "dist.floor_ms", "--values", "64,32", *SMALL),
-], ids=["horizon", "floor", "patterns", "sweep-horizon", "sweep-floor"])
+    ("overhead", "--set", "overhead.extrapolation_anchor_gbit=3"),
+    ("overhead", "--set", "overhead.densities_gbit=4,2"),
+    ("overhead", "--set", "overhead.raidr_savings=1.5"),
+    ("sweep", "--axis", "overhead.extrapolation_anchor_gbit", "--values", "4,3", *SMALL),
+], ids=["horizon", "floor", "patterns", "sweep-horizon", "sweep-floor", "overhead-anchor",
+        "overhead-densities", "overhead-savings", "sweep-overhead-anchor"])
 def test_invalid_config_exits_2_before_creating_outdir(tmp_path, capsys, argv):
     out = tmp_path / "never"
     assert run_cli(*argv, "--out", str(out)) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_file_that_is_not_text_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = \xff\n")
+    assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "never")) == 2
+    assert "not text" in capsys.readouterr().err
+
+
+def test_unexpected_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    # a ValueError from inside the engine is a fault in raidrsim, not a bad
+    # config: it escapes main, so the interpreter exits 1, not 2
+    def broken_run(self, stop_after_window=None):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(cli_mod.RefreshSimulation, "run", broken_run)
+    with pytest.raises(ValueError, match="engine fault"):
+        run_cli("simulate", "--out", str(tmp_path), *SMALL)
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_library_report_equals_cli_artifact(tmp_path):
@@ -330,6 +355,15 @@ class TestSweepCommand:
     def test_unknown_axis_exit_2(self, tmp_path, capsys):
         assert run_cli("sweep", "--axis", "nope", "--values", "1", "--out", str(tmp_path)) == 2
         assert "axis" in capsys.readouterr().err
+
+    def test_unbinnable_point_exits_3_under_parallel_jobs(self, tmp_path, capsys):
+        # the worker's UnbinnableRowError must reach main intact
+        code = run_cli(
+            "sweep", "--axis", "profiler.guard_band_factor", "--values", "1.0,8.0", *SMALL,
+            "--set", "dist.weak_fraction=1.0", "--jobs", "2", "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert "refreshed fast enough" in capsys.readouterr().err
 
     def test_parallel_jobs_same_csv(self, tmp_path):
         common = [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raidrsim import rng
 from raidrsim.retention import (
@@ -10,6 +11,7 @@ from raidrsim.retention import (
     RetentionDistribution,
     VrtModel,
     generate_ground_truth,
+    vrt_step,
 )
 
 
@@ -211,3 +213,37 @@ class TestVrtChain:
             if w > 200:
                 occ.append(gt.vrt_low.mean())
         assert abs(float(np.mean(occ)) - 0.75) < 0.75 * 0.05
+
+
+def _ulp_neighbours(p):
+    return st.sampled_from([float(np.nextafter(p, 0.0)), p, float(np.nextafter(p, 1.0))])
+
+
+# probabilities on the 2**-53 grid of the uniform and one ulp either side,
+# the ends, subnormals and anything else in [0, 1]
+probabilities = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 2.0**-53]),
+    st.integers(0, 2**53).map(lambda k: k * 2.0**-53).flatmap(_ulp_neighbours),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def hashes_near(draw, p):
+    """A 64-bit hash whose uniform lies on or next to p's grid point."""
+    k = min(max(int(p * 2.0**53) + draw(st.integers(-1, 2)), 0), 2**53 - 1)
+    return (k << 11) | draw(st.integers(0, 2**11 - 1))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_vrt_step_is_the_uniform_threshold_rule(data):
+    p_hl, p_lh = data.draw(probabilities), data.draw(probabilities)
+    vrt = VrtModel(enabled=True, p_high_to_low=p_hl, p_low_to_high=p_lh)
+    hashes = [data.draw(hashes_near(p)) for p in (p_hl, p_lh) for _ in range(3)]
+    hashes += data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=8))
+    h = np.array(hashes * 2, dtype=np.uint64)
+    low = np.repeat([False, True], len(hashes))
+    u = rng.uniform01_of(h)
+    assert np.array_equal(vrt_step(low, h, vrt), np.where(low, u >= p_lh, u < p_hl))

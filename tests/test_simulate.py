@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import math
 import pickle
 import struct
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raidrsim import rng
 from raidrsim import simulate as simulate_mod
@@ -244,6 +246,27 @@ def with_window(payload, window):
     return payload[:n] + struct.pack("<Q", window) + payload[n + 8:]
 
 
+def with_state(payload, name, change):
+    """payload with the stored VRT array `name` replaced by change(array)."""
+    pos = 8 + struct.unpack_from("<Q", payload)[0] + 16  # text block, window, failures
+    arrays = simulate_mod._CHECKPOINT_ARRAYS
+    n = (len(payload) - pos) // sum(np.dtype(dtype).itemsize for _, dtype in arrays)
+    for array_name, dtype in arrays:
+        size = n * np.dtype(dtype).itemsize
+        if array_name == name:
+            old = np.frombuffer(payload, dtype=dtype, count=n, offset=pos)
+            new = change(old.copy()).astype(dtype).tobytes()
+            assert len(new) == size and new != old.tobytes()
+            return payload[:pos] + new + payload[pos + size:]
+        pos += size
+    raise KeyError(name)
+
+
+def one_ulp_below(a):
+    a[0] = np.nextafter(a[0], 0.0)
+    return a
+
+
 class TestDeterminismAndCheckpoint:
     def test_two_runs_identical(self):
         a = run(*noisy_args(seed=23)).to_text()
@@ -324,8 +347,10 @@ class TestDeterminismAndCheckpoint:
          "multiplier"),
         (lambda p: with_text(p, config_of(p).replace("seed = 67", "seed = 067")), "canonical"),
         (lambda p: struct.pack("<Q", 1 << 40) + p[8:], "truncated"),
+        (lambda p: with_state(p, "v_last", lambda a: a + 1), "v_last"),
+        (lambda p: with_state(p, "v_runmin", one_ulp_below), "v_runmin"),
     ], ids=["trailing", "short", "bool-byte", "window", "unknown-key", "bad-config",
-            "non-canonical", "text-length"])
+            "non-canonical", "text-length", "v-last", "v-runmin"])
     def test_malformed_payload_rejected(self, edit, match):
         sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=67, horizon=40)))
         sim.run(stop_after_window=9)
@@ -333,6 +358,29 @@ class TestDeterminismAndCheckpoint:
         assert RefreshSimulation.restore(signed(payload)).run() is not None
         with pytest.raises(CheckpointError, match=match):
             RefreshSimulation.restore(signed(edit(payload)))
+
+    def test_fresh_checkpoint_with_a_low_row_rejected(self):
+        # every row starts high: a low row at window 0 is unreachable
+        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=67, horizon=40)))
+        payload = with_state(sim.checkpoint()[HEADER_SIZE:], "vrt_low", lambda a: a | 1)
+        with pytest.raises(CheckpointError, match="low row"):
+            RefreshSimulation.restore(signed(payload))
+
+    def test_checkpoint_bytes_survive_restore(self):
+        # at the first windows, on both sides of the largest multiplier's first
+        # refresh and at the horizon, restore then checkpoint gives the same bytes
+        args = noisy_args(seed=71, horizon=40)
+        sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+        m = max(sim.bins.multipliers)
+        assert m > 1 and sim.gt.vrt_rows.size
+        uninterrupted = run(*args).to_text()
+        for window in (0, 1, m - 1, m, 40):
+            sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+            sim.run(stop_after_window=window)
+            blob = sim.checkpoint()
+            restored = RefreshSimulation.restore(blob)
+            assert restored.checkpoint() == blob
+            assert restored.run().to_text() == uninterrupted
 
     def test_report_requires_completion(self):
         sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=51)))
@@ -446,3 +494,58 @@ def test_from_parts_budget_forms():
         ExperimentSpec.from_parts(*args, BloomParams(m=300, k=3, seed=1))
     with pytest.raises(ValueError, match="budget"):
         ExperimentSpec.from_parts(*args, [BloomParams(m=300, k=3)] * 2)
+
+
+@st.composite
+def small_vrt_runs(draw):
+    """Engine parts of a small VRT config, and a window to checkpoint at.
+
+    Bins of 64/192/448 ms (multipliers 1, 3 and 7) and horizons mostly
+    off a multiple of 7.  The retention floor is a multiple of 64 ms high
+    enough that every row's lowest retention, after the guard band, stays
+    at or above the 64 ms base interval, so no draw is unbinnable; a weak
+    band one ulp wide puts weak rows exactly on it, so elapsed times tie
+    with retentions.
+    """
+    low_factor = draw(st.sampled_from([1.0, 0.8, 0.5, 0.45, 0.3]))
+    dpd = DpdModel(enabled=draw(st.booleans()), num_patterns=4, worst_pattern_factor=0.75)
+    mode = draw(st.sampled_from(["oracle", "measured"]))
+    guard = draw(st.sampled_from([1.0, 1.25]))
+    dpd_factor = dpd.worst_pattern_factor if dpd.enabled else 1.0
+    floor = 64.0 * draw(st.integers(math.ceil(guard / (low_factor * dpd_factor)), 8))
+    width = draw(st.sampled_from([0.0, 64.0, 256.0, 640.0]))
+    dist = RetentionDistribution(
+        weak_fraction=0.7, floor_ms=floor,
+        weak_high_ms=floor + width if width else math.nextafter(floor, math.inf),
+        strong_value_ms=2560.0,
+    )
+    probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    vrt = VrtModel(enabled=True, affected_fraction=draw(st.sampled_from([0.3, 1.0])),
+                   low_factor=low_factor, p_high_to_low=draw(probability),
+                   p_low_to_high=draw(probability))
+    profiler = ProfilerConfig(mode=mode, patterns_tested=draw(st.integers(1, 4)),
+                              rounds=draw(st.integers(1, 3)), guard_band_factor=guard,
+                              profiling_window_span=draw(st.integers(1, 6)))
+    horizon = 7 * draw(st.integers(1, 4)) + draw(st.integers(0, 6))
+    args = (
+        SimConfig(horizon_windows=horizon, seed=draw(st.integers(0, 2**64 - 1))),
+        DeviceConfig.from_rows(draw(st.integers(8, 48))),
+        dist, vrt, dpd, profiler,
+        BinConfig(thresholds_ms=(192.0, 448.0)),
+        draw(st.sampled_from([1e-3, 0.3])),
+    )
+    return args, draw(st.integers(0, horizon))
+
+
+@given(small_vrt_runs())
+@settings(max_examples=60, deadline=None)
+def test_vrt_engine_matches_oracle_across_checkpoint(drawn):
+    args, stop = drawn
+    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    assert sim.bins.multipliers == (1, 3, 7)
+    sim.run(stop_after_window=stop)
+    rep = RefreshSimulation.restore(sim.checkpoint()).run()
+    ref = run_reference(*args)
+    assert (rep.refreshes_issued, rep.retention_failures, rep.unsafe_rows, rep.fpr_extra_refreshes) == (
+        ref.refreshes_issued, ref.retention_failures, ref.unsafe_rows, ref.fpr_extra_refreshes
+    )
