@@ -46,14 +46,6 @@ def _build_spec(args) -> ExperimentSpec:
     return spec_from_flat(_flat_config(args))
 
 
-def _overhead_inputs(spec: ExperimentSpec) -> overhead_mod.OverheadInputs:
-    """The spec's overhead-model inputs; a bad overhead.* value is a config error."""
-    try:
-        return spec.overhead_inputs()
-    except ValueError as exc:
-        raise ConfigError(f"overhead: {exc}") from exc
-
-
 def _ensure_outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -150,7 +142,6 @@ def cmd_sweep(args) -> int:
         spec = spec_from_flat({**flat, args.axis: v})
         if args.axis != "seed":  # an explicit seed axis overrides the derived per-point seed
             spec = spec.with_seed(spec.sweep_seed(i))
-        _overhead_inputs(spec)
         payloads.append((i, args.axis, v, spec))
     out = _ensure_outdir(args)
 
@@ -197,18 +188,8 @@ def cmd_profile(args) -> int:
 
 def cmd_overhead(args) -> int:
     spec = _build_spec(args)
-    inputs = _overhead_inputs(spec)
-    try:
-        points = overhead_mod.density_sweep(
-            inputs,
-            spec.overhead.densities_gbit,
-            policies=(
-                (overhead_mod.POLICY_BASELINE, 0.0),
-                (overhead_mod.POLICY_RAIDR, spec.overhead.raidr_savings),
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"overhead: {exc}") from exc
+    inputs = spec.overhead_inputs()
+    points = overhead_mod.density_sweep(inputs, spec.overhead.densities_gbit, spec.overhead.policies)
     out = _ensure_outdir(args)
     lines = [_csv_comment(spec), "density_bits,policy,savings,throughput_loss,refresh_energy_fraction,trfc_ns_used"]
     for p in points:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from . import rng
 from .bloom import BloomParams
-from .overhead import OverheadInputs
+from .overhead import POLICY_BASELINE, POLICY_RAIDR, OverheadInputs, check_sweep
 from .profiler import MODE_MEASURED, ProfilerConfig
 from .retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
 from .raidr import BinConfig
@@ -159,6 +159,11 @@ class OverheadConfig:
     e_activity_mw: float = 150.0
     raidr_savings: float = 0.75
 
+    @property
+    def policies(self) -> tuple[tuple[str, float], ...]:
+        """The (policy, savings) pairs the density sweep compares."""
+        return ((POLICY_BASELINE, 0.0), (POLICY_RAIDR, self.raidr_savings))
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -207,6 +212,11 @@ class ExperimentSpec:
             raise ConfigError(f"bloom.explicit_m/bloom.explicit_k: {exc}") from exc
         if not isinstance(budget, BloomParams) and not 0.0 < budget < 1.0:
             raise ConfigError(f"bloom.target_fpr must be in (0, 1), got {budget}")
+        try:
+            self.overhead_inputs()
+            check_sweep(self.overhead.densities_gbit, self.overhead.policies)
+        except ValueError as exc:
+            raise ConfigError(f"overhead: {exc}") from exc
 
     @classmethod
     def from_parts(cls, sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3):

@@ -121,17 +121,30 @@ class OverheadPoint:
     trfc_ns_used: float
 
 
+def check_sweep(densities_gbit, policies) -> list[float]:
+    """The densities as floats, once the sweep's arguments pass its checks.
+
+    Raises ValueError unless there is at least one density, every density
+    is positive and ascending, and every policy is known with its savings
+    in [0, 1].
+    """
+    densities = [float(d) for d in densities_gbit]
+    if not densities or any(d <= 0 for d in densities):
+        raise ValueError("densities must be positive")
+    if densities != sorted(densities):
+        raise ValueError("densities must be sorted ascending")
+    for policy, savings in policies:
+        _check_policy(policy, savings)
+    return densities
+
+
 def density_sweep(
     inputs: OverheadInputs,
     densities_gbit,
     policies=((POLICY_BASELINE, 0.0), (POLICY_RAIDR, 0.75)),
 ) -> list[OverheadPoint]:
     """Overhead metrics per (density, policy) pair, densities ascending."""
-    densities = [float(d) for d in densities_gbit]
-    if not densities or any(d <= 0 for d in densities):
-        raise ValueError("densities must be positive")
-    if densities != sorted(densities):
-        raise ValueError("densities must be sorted ascending")
+    densities = check_sweep(densities_gbit, policies)
     points = []
     for d in densities:
         for policy, savings in policies:

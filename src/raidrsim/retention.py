@@ -163,10 +163,13 @@ def vrt_step(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
 class RetentionGroundTruth:
     """Per-row true retention state, regenerable from config + seed.
 
-    Mutable only through step_vrt; generation may be sharded across row
-    ranges because every stream is keyed by row index.  The toggle state
-    is held for the affected rows only (vrt_rows_low, aligned with
-    vrt_rows), so a step costs time in the number of affected rows.
+    Mutable only through step_vrt, which a standalone caller such as the
+    reference oracle uses to walk the toggle chain; the engine keeps its
+    own toggle state and never mutates the ground truth.  Generation may
+    be sharded across row ranges because every stream is keyed by row
+    index.  The toggle state is held for the affected rows only
+    (vrt_rows_low, aligned with vrt_rows), so a step costs time in the
+    number of affected rows.
     """
 
     def __init__(self, device, dist, vrt, dpd, seed, base_retention_ms, dpd_worst_pattern, has_vrt):

@@ -4,8 +4,8 @@ The pipeline is: generate ground truth, profile it, build the Bloom bins,
 then walk the horizon window by window.  Bin membership is immutable after
 build, so per-row refresh counts follow exactly from the modular schedule;
 rows whose retention never changes get their failure counts in closed form,
-while rows with an active retention toggle are stepped every window.  Both
-paths are validated to match a brute-force step-through row by row.
+while rows with an active retention toggle are stepped window by window.
+Both paths are validated to match a brute-force step-through row by row.
 
 Everything fixed per row once the bins exist (the queried bin, refresh and
 false-positive counts, the closed-form failures and the per-filter FPRs)
@@ -16,8 +16,12 @@ size, not by the device.
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
 point in that gap.  A VRT row only ever holds two retentions, so its
-running minimum is a flag, "low state seen since the last refresh", and a
-window's work is proportional to the number of VRT rows.
+running minimum is a flag, "low state seen since the last refresh".  A
+VRT row whose longest refresh gap, m * trefw_ms, is at most its low
+retention never fails in either state.  Such rows are split off at build
+and stepped only when their toggle state is observed, at a checkpoint;
+run() steps only the rows that can fail, so a window's work is
+proportional to their number.
 
 A checkpoint is a `<4sI32s` header (magic `RSIM`, version, SHA-256 of the
 payload) and a payload of plain data: the length-prefixed canonical config
@@ -48,7 +52,7 @@ from .experiment import (
 )
 from .profiler import MODE_ORACLE, ProfilerConfig, profile
 from .raidr import BinSet, build_bins, refreshes_in_horizon
-from .retention import generate_ground_truth
+from .retention import generate_ground_truth, vrt_step
 
 _CHECKPOINT_MAGIC = b"RSIM"
 _CHECKPOINT_VERSION = 2
@@ -64,6 +68,18 @@ _CHUNK_ROWS = 1 << 20
 
 class CheckpointError(RuntimeError):
     """Checkpoint blob failed version or integrity validation."""
+
+
+class _VrtGroup:
+    """VRT rows stepped together, with the per-row inputs of a step gathered once."""
+
+    def __init__(self, rows: np.ndarray, gt, v_key: np.ndarray):
+        self.rows = rows  # positions among gt.vrt_rows
+        self.prefix = gt._vrt_step_prefix[rows]
+        self.r_high = gt.vrt_retention_high[rows]
+        self.r_low = gt.vrt_retention_low[rows]
+        self.key = v_key[rows]
+        self.window = 0  # windows stepped so far
 
 
 @dataclass
@@ -129,12 +145,20 @@ class RefreshSimulation:
         )
 
         self._scan_rows()
-        n_vrt = self.gt.vrt_rows.size
-        # whether each VRT row held its low state at any window since its
-        # last refresh: its running minimum retention is then the low one
+        gt = self.gt
+        n_vrt = gt.vrt_rows.size
+        # the VRT rows' toggle state, and whether each held its low state at
+        # any window since its last refresh: its running minimum retention
+        # is then the low one
+        self._v_low = np.zeros(n_vrt, dtype=bool)
         self._v_seen = np.zeros(n_vrt, dtype=bool)
         self._v_failures = 0
         self._v_unsafe = np.zeros(n_vrt, dtype=bool)
+        # a row fails only past its low retention, and its elapsed time
+        # peaks at m * trefw_ms, computed as _advance computes it
+        can_fail = self._v_mults[self._v_key] * self.device.trefw_ms > gt.vrt_retention_low
+        self._can_fail = _VrtGroup(np.flatnonzero(can_fail), gt, self._v_key)
+        self._cannot_fail = _VrtGroup(np.flatnonzero(~can_fail), gt, self._v_key)
 
         self._window = 0
         self._wall = time.perf_counter() - t0
@@ -191,33 +215,33 @@ class RefreshSimulation:
 
     # -- stepping ----------------------------------------------------------
 
-    def _step(self, w: int) -> None:
-        gt = self.gt
-        if w > 0:
-            gt.step_vrt(w)
-        if gt.vrt_rows.size == 0:
-            return
-        # per multiplier: refreshed this window, and the time since the last refresh
-        phase = w % self._v_mults
-        refresh = (phase == 0)[self._v_key]
-        elapsed_ms = ((phase + 1) * self.device.trefw_ms)[self._v_key]
-        self._v_seen = gt.vrt_rows_low | (self._v_seen & ~refresh)
-        # the running minimum is the low retention if seen, else the high
-        # one, and the low one is never above the high one
-        failed = (elapsed_ms > gt.vrt_retention_high) | (
-            self._v_seen & (elapsed_ms > gt.vrt_retention_low)
-        )
-        self._v_failures += int(np.count_nonzero(failed))
-        self._v_unsafe |= failed
+    def _advance(self, g: _VrtGroup, end: int) -> None:
+        """Step group g from the window it has reached up to `end`, counting its failures."""
+        if g.rows.size and g.window < end:
+            low, seen, unsafe = self._v_low[g.rows], self._v_seen[g.rows], self._v_unsafe[g.rows]
+            for w in range(g.window, end):
+                if w > 0:
+                    low = vrt_step(low, rng.extend_hash_vec(g.prefix, w), self.spec.vrt)
+                # per multiplier: refreshed this window, and the time since the last refresh
+                phase = w % self._v_mults
+                refresh = (phase == 0)[g.key]
+                elapsed_ms = ((phase + 1) * self.device.trefw_ms)[g.key]
+                seen = low | (seen & ~refresh)
+                # the running minimum is the low retention if seen, else the
+                # high one, and the low one is never above the high one
+                failed = (elapsed_ms > g.r_high) | (seen & (elapsed_ms > g.r_low))
+                self._v_failures += int(np.count_nonzero(failed))
+                unsafe |= failed
+            self._v_low[g.rows], self._v_seen[g.rows], self._v_unsafe[g.rows] = low, seen, unsafe
+        g.window = max(g.window, end)
 
     def run(self, stop_after_window: int | None = None) -> SimReport | None:
         """Advance to the horizon (or to stop_after_window); report when complete."""
         horizon = self.horizon
         end = horizon if stop_after_window is None else min(stop_after_window, horizon)
         t0 = time.perf_counter()
-        while self._window < end:
-            self._step(self._window)
-            self._window += 1
+        self._advance(self._can_fail, end)
+        self._window = max(self._window, end)
         self._wall += time.perf_counter() - t0
         if self._window == horizon:
             return self.report()
@@ -250,7 +274,11 @@ class RefreshSimulation:
     # -- checkpointing -----------------------------------------------------
 
     def _checkpoint_state(self) -> dict[str, np.ndarray]:
-        """The VRT rows' stored state: toggle, last refresh, running minimum, unsafe."""
+        """The VRT rows' stored state: toggle, last refresh, running minimum, unsafe.
+
+        The rows that cannot fail are first stepped up to the current window.
+        """
+        self._advance(self._cannot_fail, self._window)
         gt = self.gt
         if self._window == 0:
             v_last = np.zeros(gt.vrt_rows.size, dtype=np.int64)
@@ -260,7 +288,7 @@ class RefreshSimulation:
             v_last = w - w % self._v_mults[self._v_key]
             v_runmin = np.where(self._v_seen, gt.vrt_retention_low, gt.vrt_retention_high)
         return {
-            "vrt_low": gt.vrt_rows_low, "v_last": v_last, "v_runmin": v_runmin, "v_unsafe": self._v_unsafe,
+            "vrt_low": self._v_low, "v_last": v_last, "v_runmin": v_runmin, "v_unsafe": self._v_unsafe,
         }
 
     def checkpoint(self) -> bytes:
@@ -326,12 +354,11 @@ class RefreshSimulation:
                 raise CheckpointError(f"checkpoint {name} holds a byte other than 0 or 1")
 
         low = state["vrt_low"].astype(bool)
-        sim.gt.vrt_rows_low = low
-        sim.gt.current_window = max(0, window - 1)
+        sim._v_low = low
         sim._v_seen = state["v_runmin"] == sim.gt.vrt_retention_low
         sim._v_failures = v_failures
         sim._v_unsafe = state["v_unsafe"].astype(bool)
-        sim._window = window
+        sim._window = sim._can_fail.window = sim._cannot_fail.window = window
         # the stored refresh times and running minima must be the ones the
         # schedule reaches, and a row low now has been low since its refresh
         reached = sim._checkpoint_state()

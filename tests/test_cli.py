@@ -91,6 +91,17 @@ class TestConfig:
         b = spec_from_flat({}).config_hash()
         assert a == b and len(a) == 64
 
+    @pytest.mark.parametrize("overhead, match", [
+        (OverheadConfig(extrapolation_anchor_gbit=3.0), "anchor"),
+        (OverheadConfig(densities_gbit=()), "positive"),
+        (OverheadConfig(densities_gbit=(4.0, 2.0)), "ascending"),
+        (OverheadConfig(raidr_savings=1.5), "savings"),
+        (OverheadConfig(e_activity_mw=-1.0), "e_activity_mw"),
+    ])
+    def test_overhead_values_checked_when_spec_is_built(self, overhead, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentSpec(overhead=overhead)
+
     def test_seed_follows_master(self):
         spec = spec_from_flat({"seed": "77"})
         assert spec.sim.seed == 77
@@ -166,8 +177,8 @@ def valid_specs(draw):
         bloom_explicit_k=explicit_k,
         sim=SimConfig(horizon_windows=max(bins.multipliers) + draw(st.integers(0, 1 << 20)), seed=seed),
         overhead=OverheadConfig(
-            densities_gbit=tuple(draw(st.lists(floats(1e-3, 1e4), max_size=8))),
-            extrapolation_anchor_gbit=draw(floats(1e-3, 1e3)),
+            densities_gbit=tuple(sorted(draw(st.lists(floats(1e-3, 1e4), min_size=1, max_size=8)))),
+            extrapolation_anchor_gbit=draw(st.sampled_from(densities)),
             e_refresh_cmd_nj_per_gbit=draw(floats(0.0, 1e3)),
             e_background_mw=draw(floats(0.0, 1e4)),
             e_activity_mw=draw(floats(0.0, 1e4)),
@@ -195,8 +206,15 @@ def test_spec_roundtrips_through_flat_and_text(spec):
     ("overhead", "--set", "overhead.densities_gbit=4,2"),
     ("overhead", "--set", "overhead.raidr_savings=1.5"),
     ("sweep", "--axis", "overhead.extrapolation_anchor_gbit", "--values", "4,3", *SMALL),
+    ("simulate", "--set", "overhead.extrapolation_anchor_gbit=3", *SMALL),
+    ("simulate", "--set", "overhead.densities_gbit=4,2", *SMALL),
+    ("simulate", "--set", "overhead.densities_gbit=", *SMALL),
+    ("simulate", "--set", "overhead.raidr_savings=1.5", *SMALL),
+    ("simulate", "--set", "overhead.e_background_mw=-1", *SMALL),
 ], ids=["horizon", "floor", "patterns", "sweep-horizon", "sweep-floor", "overhead-anchor",
-        "overhead-densities", "overhead-savings", "sweep-overhead-anchor"])
+        "overhead-densities", "overhead-savings", "sweep-overhead-anchor", "simulate-overhead-anchor",
+        "simulate-overhead-densities", "simulate-overhead-no-densities", "simulate-overhead-savings",
+        "simulate-overhead-energy"])
 def test_invalid_config_exits_2_before_creating_outdir(tmp_path, capsys, argv):
     out = tmp_path / "never"
     assert run_cli(*argv, "--out", str(out)) == 2

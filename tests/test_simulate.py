@@ -390,14 +390,66 @@ class TestDeterminismAndCheckpoint:
 
 
 def test_vrt_trajectory_matches_standalone_ground_truth():
-    # the engine steps the same ground-truth chain an external caller sees
+    # the engine steps the same ground-truth chain an external caller sees,
+    # in its own state: its ground truth stays at window 0, every row high
     args = noisy_args(seed=53, horizon=12)
     sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    assert sim._can_fail.rows.size and sim._cannot_fail.rows.size
     sim.run()
+    assert sim.gt.current_window == 0 and not sim.gt.vrt_rows_low.any()
     gt = generate_ground_truth(args[1], args[2], args[3], args[4], args[0].seed)
     for w in range(1, 12):
         gt.step_vrt(w)
-    assert np.array_equal(gt.vrt_low, sim.gt.vrt_low)
+    assert gt.vrt_rows_low.any()
+    assert np.array_equal(gt.vrt_rows_low, sim._checkpoint_state()["vrt_low"])
+
+
+def test_rows_that_cannot_fail_add_nothing_when_caught_up():
+    sim = RefreshSimulation(ExperimentSpec.from_parts(*fpr_args()))
+    assert sim._can_fail.rows.size and sim._cannot_fail.rows.size
+    rep = sim.run()
+    assert rep.retention_failures > 0
+    assert sim._cannot_fail.window == 0
+    sim._checkpoint_state()
+    assert sim._cannot_fail.window == sim.horizon
+    assert report_fields(sim.report()) == report_fields(rep)
+
+
+def test_partition_steps_exactly_the_rows_that_can_fail():
+    # every VRT row drops low at window 1 and stays there, so a row fails
+    # iff its longest gap, m * 64 ms, exceeds its low retention.  Rows at
+    # 896 ms sit in the 448 ms bin with a low retention of exactly 448 ms:
+    # they tie, and never fail
+    args = (
+        SimConfig(horizon_windows=16, seed=5),
+        DeviceConfig.from_rows(400),
+        RetentionDistribution(weak_fraction=0.5, floor_ms=448.0, weak_high_ms=896.0,
+                              strong_value_ms=896.0),
+        VrtModel(enabled=True, affected_fraction=0.5, low_factor=0.5,
+                 p_high_to_low=1.0, p_low_to_high=0.0),
+        DpdModel(),
+        ProfilerConfig(mode="measured", rounds=1, profiling_window_span=1),
+        BinConfig(thresholds_ms=(192.0, 448.0)),
+    )
+    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    longest_gap_ms = sim._v_mults[sim._v_key] * 64.0
+    assert np.count_nonzero(longest_gap_ms == sim.gt.vrt_retention_low) > 10
+    sim.run()
+    unsafe = np.flatnonzero(sim._checkpoint_state()["v_unsafe"])
+    assert unsafe.size > 10
+    assert np.array_equal(unsafe, sim._can_fail.rows)
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (0, 40), (1, 2), (3, 4), (9, 23), (23, 40)])
+def test_checkpoint_after_restore_and_advance_matches_uninterrupted(first, second):
+    args = fpr_args()
+    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    sim.run(stop_after_window=first)
+    resumed = RefreshSimulation.restore(sim.checkpoint())
+    resumed.run(stop_after_window=second)
+    uninterrupted = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    uninterrupted.run(stop_after_window=second)
+    assert resumed.checkpoint() == uninterrupted.checkpoint()
 
 
 def fpr_args():
@@ -500,8 +552,11 @@ def test_from_parts_budget_forms():
 def small_vrt_runs(draw):
     """Engine parts of a small VRT config, and a window to checkpoint at.
 
-    Bins of 64/192/448 ms (multipliers 1, 3 and 7) and horizons mostly
-    off a multiple of 7.  The retention floor is a multiple of 64 ms high
+    Zero to four bins above the 64 ms base, at multipliers drawn from 2, 3,
+    5, 7 and 9, and horizons mostly off a multiple of the largest one.  The
+    Bloom budget is an FPR target or an explicit tiny geometry (m up to
+    256 bits, never a power of two), whose false positives demote rows to
+    shorter intervals.  The retention floor is a multiple of 64 ms high
     enough that every row's lowest retention, after the guard band, stays
     at or above the 64 ms base interval, so no draw is unbinnable; a weak
     band one ulp wide puts weak rows exactly on it, so elapsed times tie
@@ -526,26 +581,32 @@ def small_vrt_runs(draw):
     profiler = ProfilerConfig(mode=mode, patterns_tested=draw(st.integers(1, 4)),
                               rounds=draw(st.integers(1, 3)), guard_band_factor=guard,
                               profiling_window_span=draw(st.integers(1, 6)))
-    horizon = 7 * draw(st.integers(1, 4)) + draw(st.integers(0, 6))
+    mults = sorted(draw(st.permutations([2, 3, 5, 7, 9]))[:draw(st.integers(0, 4))])
+    bins = BinConfig(thresholds_ms=tuple(64.0 * m for m in mults))
+    span = max(bins.multipliers[-1], 7)
+    horizon = draw(st.integers(bins.multipliers[-1], 5 * span - 1))
+    tiny_bloom = st.builds(BloomParams, m=st.integers(3, 255).filter(lambda m: m & (m - 1)),
+                           k=st.integers(1, 4))
     args = (
         SimConfig(horizon_windows=horizon, seed=draw(st.integers(0, 2**64 - 1))),
         DeviceConfig.from_rows(draw(st.integers(8, 48))),
-        dist, vrt, dpd, profiler,
-        BinConfig(thresholds_ms=(192.0, 448.0)),
-        draw(st.sampled_from([1e-3, 0.3])),
+        dist, vrt, dpd, profiler, bins,
+        draw(st.sampled_from([1e-3, 0.3]) | tiny_bloom),
     )
     return args, draw(st.integers(0, horizon))
 
 
 @given(small_vrt_runs())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_vrt_engine_matches_oracle_across_checkpoint(drawn):
     args, stop = drawn
     sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
-    assert sim.bins.multipliers == (1, 3, 7)
     sim.run(stop_after_window=stop)
-    rep = RefreshSimulation.restore(sim.checkpoint()).run()
+    restored = RefreshSimulation.restore(sim.checkpoint())
+    rep = restored.run()
     ref = run_reference(*args)
     assert (rep.refreshes_issued, rep.retention_failures, rep.unsafe_rows, rep.fpr_extra_refreshes) == (
         ref.refreshes_issued, ref.retention_failures, ref.unsafe_rows, ref.fpr_extra_refreshes
     )
+    sim.run()
+    assert restored.checkpoint() == sim.checkpoint()
