@@ -8,7 +8,7 @@ times above the analytic value for filters a few hundred bits long.  When
 m is a power of two, g2 is forced odd so the probe sequence walks the
 whole table; otherwise g2 is reduced mod m and bumped away from zero.
 Bits live in packed 64-bit words (bit i sits in word i // 64 at position
-i % 64), which is also the snapshot wire layout.
+i % 64).
 
 Batch queries exit early per key: probe 0 needs only g1, and each later
 probe runs over just the keys every earlier probe found set.  At the
@@ -20,7 +20,6 @@ and two hashes per key.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ import numpy as np
 from .rng import hash_words, hash_words_vec
 
 _MASK = (1 << 64) - 1
-_SNAPSHOT_MAGIC = b"RBLM1"
-_SNAPSHOT_HEADER = struct.Struct("<5sQIQQ")
 
 MAX_HASHES = 64
 DEFAULT_PLAN_CEILING_BITS = 2**32
@@ -178,35 +175,6 @@ class BloomFilter:
     @property
     def popcount(self) -> int:
         return int(np.unpackbits(self.words.view(np.uint8)).sum())
-
-    # -- snapshot wire format ---------------------------------------------
-    # magic "RBLM1", m u64 LE, k u32 LE, seed u64 LE, n_inserted u64 LE,
-    # then ceil(m/64) little-endian 64-bit words.
-
-    def to_bytes(self) -> bytes:
-        header = _SNAPSHOT_HEADER.pack(
-            _SNAPSHOT_MAGIC, self.params.m, self.params.k, self.params.seed, self.n_inserted
-        )
-        return header + self.words.astype("<u8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BloomFilter":
-        if len(data) < _SNAPSHOT_HEADER.size:
-            raise ValueError("bloom snapshot truncated")
-        magic, m, k, seed, n_inserted = _SNAPSHOT_HEADER.unpack_from(data)
-        if magic != _SNAPSHOT_MAGIC:
-            raise ValueError(f"bad bloom snapshot magic {magic!r}")
-        expected = _SNAPSHOT_HEADER.size + 8 * ((m + 63) // 64)
-        if len(data) != expected:
-            raise ValueError(f"bloom snapshot length {len(data)}, expected {expected}")
-        filt = cls(BloomParams(m=m, k=k, seed=seed))
-        filt.words[:] = np.frombuffer(data, dtype="<u8", offset=_SNAPSHOT_HEADER.size)
-        if m % 64:
-            tail = int(filt.words[-1]) >> (m % 64)
-            if tail:
-                raise ValueError("bloom snapshot has bits set beyond m")
-        filt.n_inserted = n_inserted
-        return filt
 
 
 def analytic_fpr(m: int, k: int, n: int) -> float:

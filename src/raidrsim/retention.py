@@ -172,20 +172,19 @@ class RetentionGroundTruth:
     number of affected rows.
     """
 
-    def __init__(self, device, dist, vrt, dpd, seed, base_retention_ms, dpd_worst_pattern, has_vrt):
+    def __init__(self, device, dist, vrt, dpd, seed, base_retention_ms, has_vrt):
         self.device = device
         self.dist = dist
         self.vrt = vrt
         self.dpd = dpd
         self.seed = seed
         self.base_retention_ms = base_retention_ms
-        self.dpd_worst_pattern = dpd_worst_pattern
         self.has_vrt = has_vrt
         self.current_window = 0
         self.vrt_rows = np.flatnonzero(has_vrt)
         self.vrt_rows_low = np.zeros(self.vrt_rows.size, dtype=bool)
         # each affected row's retention in its high and low state, by the
-        # same float operations as retention_now
+        # same float operations as min_possible_retention
         self.vrt_retention_high = self.base_retention_ms[self.vrt_rows] * self._dpd_factor()
         self.vrt_retention_low = self.vrt_retention_high * vrt.low_factor
         # hash of (seed, TAG_VRT_STEP, row), the window-independent prefix of
@@ -195,14 +194,6 @@ class RetentionGroundTruth:
     @property
     def num_rows(self) -> int:
         return self.device.num_rows
-
-    @property
-    def vrt_low(self) -> np.ndarray:
-        """Read-only per-row toggle state over the whole device, built on demand."""
-        out = np.zeros(self.num_rows, dtype=bool)
-        out[self.vrt_rows] = self.vrt_rows_low
-        out.flags.writeable = False
-        return out
 
     def _dpd_factor(self) -> float:
         return self.dpd.worst_pattern_factor if self.dpd.enabled else 1.0
@@ -234,13 +225,6 @@ class RetentionGroundTruth:
         if self.has_vrt[row] and self.vrt_rows_low[np.searchsorted(self.vrt_rows, row)]:
             factor *= self.vrt.low_factor
         return float(self.base_retention_ms[row]) * factor
-
-    def retention_now(self) -> np.ndarray:
-        """Vector of current-window worst-case retentions over every row."""
-        out = self.base_retention_ms * self._dpd_factor()
-        if self.vrt.enabled:
-            out = np.where(self.vrt_low, out * self.vrt.low_factor, out)
-        return out
 
     def min_possible_retention(self, rows: np.ndarray | slice | None = None) -> np.ndarray:
         """Per-row minimum over all patterns and toggle states (what a perfect profiler sees)."""
@@ -290,10 +274,4 @@ def generate_ground_truth(
     else:
         has_vrt = np.zeros(n, dtype=bool)
 
-    if dpd.enabled:
-        pattern = rng.integer_below_vec(dpd.num_patterns, seed, rng.TAG_DPD_PATTERN, rows)
-        pattern = pattern.astype(np.uint32)
-    else:
-        pattern = np.zeros(n, dtype=np.uint32)
-
-    return RetentionGroundTruth(device, dist, vrt, dpd, seed, base, pattern, has_vrt)
+    return RetentionGroundTruth(device, dist, vrt, dpd, seed, base, has_vrt)

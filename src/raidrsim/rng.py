@@ -24,13 +24,11 @@ TAG_WEAK_SELECT = 0x01
 TAG_BASE_RETENTION = 0x02
 TAG_VRT_FLAG = 0x04
 TAG_VRT_STEP = 0x05
-TAG_DPD_PATTERN = 0x06
 TAG_PROFILE_VRT_STEP = 0x07
 TAG_PROFILE_PATTERNS = 0x08
 TAG_PROFILER_SEED = 0x09
 TAG_FILTER_SEED = 0x0A
 TAG_SWEEP_POINT = 0x0B
-TAG_FPR_PROBE = 0x0C
 
 
 def mix64(x: int) -> int:
@@ -95,15 +93,6 @@ def uniform01_of(h: np.ndarray) -> np.ndarray:
 
 def uniform01_vec(*words) -> np.ndarray:
     return uniform01_of(hash_words_vec(*words))
-
-
-def integer_below(n: int, *words: int) -> int:
-    """Deterministic integer in [0, n). Modulo bias is negligible for n << 2**64."""
-    return hash_words(*words) % n
-
-
-def integer_below_vec(n: int, *words) -> np.ndarray:
-    return hash_words_vec(*words) % np.uint64(n)
 
 
 def standard_normal_vec(*words) -> np.ndarray:

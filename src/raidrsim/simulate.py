@@ -23,13 +23,13 @@ and stepped only when their toggle state is observed, at a checkpoint;
 run() steps only the rows that can fail, so a window's work is
 proportional to their number.
 
-A checkpoint is a `<4sI32s` header (magic `RSIM`, version, SHA-256 of the
-payload) and a payload of plain data: the length-prefixed canonical config
-text, the window and the VRT failure count, then the VRT rows' state
-arrays.  Restore parses the config, rebuilds the engine from it and checks
-every array against that engine: the refresh windows and running minima
-must be the ones the schedule reaches from the stored toggle states.  It
-never executes code from the blob.
+A checkpoint (version 3) is a `<4sI32s` header (magic `RSIM`, version,
+SHA-256 of the payload) and a payload of plain data: the length-prefixed
+canonical config text, the window and the VRT failure count, then three
+flags per VRT row, one byte each: low, seen and unsafe.  Restore parses
+the config, rebuilds the engine from it and checks the flags against that
+engine's VRT rows and refresh schedule.  It never executes code from the
+blob.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ from .raidr import BinSet, build_bins, refreshes_in_horizon
 from .retention import generate_ground_truth, vrt_step
 
 _CHECKPOINT_MAGIC = b"RSIM"
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 _CHECKPOINT_HEADER = struct.Struct("<4sI32s")
 _CHECKPOINT_COUNTS = struct.Struct("<QQ")  # window, VRT failures so far
-# the VRT rows' state, in payload order: (name, stored dtype)
-_CHECKPOINT_ARRAYS = (("vrt_low", "u1"), ("v_last", "<i8"), ("v_runmin", "<f8"), ("v_unsafe", "u1"))
+# the VRT rows' flags in payload order, one u1 byte (0 or 1) per row each
+_CHECKPOINT_ARRAYS = ("vrt_low", "seen", "unsafe")
 
 # rows per block of the engine's single pass over the device; bounds the
 # pass's temporaries independently of num_rows
@@ -274,22 +274,9 @@ class RefreshSimulation:
     # -- checkpointing -----------------------------------------------------
 
     def _checkpoint_state(self) -> dict[str, np.ndarray]:
-        """The VRT rows' stored state: toggle, last refresh, running minimum, unsafe.
-
-        The rows that cannot fail are first stepped up to the current window.
-        """
+        """The VRT rows' stored flags, the rows that cannot fail first stepped up to the current window."""
         self._advance(self._cannot_fail, self._window)
-        gt = self.gt
-        if self._window == 0:
-            v_last = np.zeros(gt.vrt_rows.size, dtype=np.int64)
-            v_runmin = np.full(gt.vrt_rows.size, np.inf)
-        else:
-            w = self._window - 1
-            v_last = w - w % self._v_mults[self._v_key]
-            v_runmin = np.where(self._v_seen, gt.vrt_retention_low, gt.vrt_retention_high)
-        return {
-            "vrt_low": self._v_low, "v_last": v_last, "v_runmin": v_runmin, "v_unsafe": self._v_unsafe,
-        }
+        return {"vrt_low": self._v_low, "seen": self._v_seen, "unsafe": self._v_unsafe}
 
     def checkpoint(self) -> bytes:
         """Snapshot at the current window boundary; resume reproduces the run exactly."""
@@ -299,7 +286,7 @@ class RefreshSimulation:
             struct.pack("<Q", len(text)),
             text,
             _CHECKPOINT_COUNTS.pack(self._window, self._v_failures),
-            *(state[name].astype(dtype).tobytes() for name, dtype in _CHECKPOINT_ARRAYS),
+            *(state[name].astype(np.uint8).tobytes() for name in _CHECKPOINT_ARRAYS),
         ])
         header = _CHECKPOINT_HEADER.pack(
             _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, hashlib.sha256(payload).digest()
@@ -340,33 +327,30 @@ class RefreshSimulation:
 
         sim = cls(spec)
         n = sim.gt.vrt_rows.size
-        expected = pos + n * sum(np.dtype(dtype).itemsize for _, dtype in _CHECKPOINT_ARRAYS)
-        if len(payload) != expected:
+        if len(payload) != pos + n * len(_CHECKPOINT_ARRAYS):
             raise CheckpointError(
-                f"checkpoint state is {len(payload) - pos} bytes; {n} VRT rows need {expected - pos}"
+                f"checkpoint state is {len(payload) - pos} bytes; "
+                f"{n} VRT rows need {n * len(_CHECKPOINT_ARRAYS)}"
             )
-        state = {}
-        for name, dtype in _CHECKPOINT_ARRAYS:
-            state[name] = np.frombuffer(payload, dtype=dtype, count=n, offset=pos)
-            pos += state[name].nbytes
-        for name in ("vrt_low", "v_unsafe"):
-            if np.any(state[name] > 1):
+        flags = np.frombuffer(payload, dtype=np.uint8, offset=pos).reshape(len(_CHECKPOINT_ARRAYS), n)
+        for name, row_flags in zip(_CHECKPOINT_ARRAYS, flags):
+            if np.any(row_flags > 1):
                 raise CheckpointError(f"checkpoint {name} holds a byte other than 0 or 1")
+        low, seen, unsafe = flags.astype(bool)
+        # the flags must be ones the schedule reaches: a row low now has been
+        # low since its last refresh, the toggle first steps into window 1,
+        # and a row refreshed in the last window has seen exactly its state then
+        if np.any(low & ~seen):
+            raise CheckpointError("checkpoint vrt_low holds a low row that is not seen")
+        if window <= 1 and np.any(seen):
+            raise CheckpointError(f"checkpoint holds a seen or low row at window {window}")
+        refreshed = (window - 1) % sim._v_mults[sim._v_key] == 0
+        if window > 1 and np.any(refreshed & (seen != low)):
+            raise CheckpointError(f"checkpoint seen != vrt_low on a row refreshed in window {window - 1}")
 
-        low = state["vrt_low"].astype(bool)
-        sim._v_low = low
-        sim._v_seen = state["v_runmin"] == sim.gt.vrt_retention_low
+        sim._v_low, sim._v_seen, sim._v_unsafe = low, seen, unsafe
         sim._v_failures = v_failures
-        sim._v_unsafe = state["v_unsafe"].astype(bool)
         sim._window = sim._can_fail.window = sim._cannot_fail.window = window
-        # the stored refresh times and running minima must be the ones the
-        # schedule reaches, and a row low now has been low since its refresh
-        reached = sim._checkpoint_state()
-        for name in ("v_last", "v_runmin"):
-            if not np.array_equal(reached[name], state[name]):
-                raise CheckpointError(f"checkpoint {name} is not what the refresh schedule reaches")
-        if np.any(low & ~sim._v_seen):
-            raise CheckpointError("checkpoint vrt_low holds a low row with no low running minimum")
         return sim
 
 

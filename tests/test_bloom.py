@@ -160,46 +160,3 @@ class TestPlan:
             plan_params(1.0, 10)
         with pytest.raises(ValueError):
             plan_params(0.1, 0)
-
-
-class TestSnapshot:
-    def test_roundtrip(self):
-        f = BloomFilter(BloomParams(m=300, k=5, seed=123456789))
-        f.insert_many(fresh_keys(9, 40))
-        g = BloomFilter.from_bytes(f.to_bytes())
-        assert g.params == f.params
-        assert g.n_inserted == f.n_inserted
-        assert np.array_equal(g.words, f.words)
-
-    def test_golden_bytes(self):
-        # pins the wire layout: magic, m u64, k u32, seed u64, n u64, words LE
-        f = BloomFilter(BloomParams(m=64, k=1, seed=0))
-        blob = f.to_bytes()
-        assert blob[:5] == b"RBLM1"
-        assert blob[5:13] == (64).to_bytes(8, "little")
-        assert blob[13:17] == (1).to_bytes(4, "little")
-        assert blob[17:25] == (0).to_bytes(8, "little")
-        assert blob[25:33] == (0).to_bytes(8, "little")
-        assert blob[33:] == bytes(8)
-        f.insert(123)
-        pos = f._positions(123)[0]
-        assert BloomFilter.from_bytes(f.to_bytes()).words[0] == np.uint64(1 << pos)
-
-    def test_bad_magic(self):
-        f = BloomFilter(BloomParams(m=64, k=1, seed=0))
-        blob = bytearray(f.to_bytes())
-        blob[0] ^= 0xFF
-        with pytest.raises(ValueError, match="magic"):
-            BloomFilter.from_bytes(bytes(blob))
-
-    def test_truncated(self):
-        f = BloomFilter(BloomParams(m=64, k=1, seed=0))
-        with pytest.raises(ValueError):
-            BloomFilter.from_bytes(f.to_bytes()[:-3])
-
-    def test_trailing_bits_rejected(self):
-        f = BloomFilter(BloomParams(m=10, k=1, seed=0))
-        blob = bytearray(f.to_bytes())
-        blob[-1] |= 0x80  # bit 63 of the only word, beyond m=10
-        with pytest.raises(ValueError, match="beyond"):
-            BloomFilter.from_bytes(bytes(blob))

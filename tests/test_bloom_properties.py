@@ -57,17 +57,6 @@ def test_deterministic_rebuild(params, keys):
     assert np.array_equal(a.words, b.words)
 
 
-@given(params_st, keys_st)
-@settings(max_examples=30, deadline=None)
-def test_snapshot_roundtrip(params, keys):
-    f = BloomFilter(params)
-    for key in keys:
-        f.insert(key)
-    g = BloomFilter.from_bytes(f.to_bytes())
-    assert g.params == f.params and g.n_inserted == f.n_inserted
-    assert np.array_equal(g.words, f.words)
-
-
 @given(
     st.floats(min_value=1e-6, max_value=0.9),
     st.integers(min_value=1, max_value=5000),

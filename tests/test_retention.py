@@ -100,11 +100,6 @@ class TestGeneration:
         b = make_gt(seed=2, dist=RetentionDistribution(weak_fraction=0.5))
         assert not np.array_equal(a.base_retention_ms, b.base_retention_ms)
 
-    def test_dpd_patterns_sampled(self):
-        gt = make_gt(dpd=DpdModel(enabled=True, num_patterns=8), num_rows=8000, seed=9)
-        counts = np.bincount(gt.dpd_worst_pattern, minlength=8)
-        assert counts.min() > 700  # roughly uniform over 8 patterns
-
 
 class TestTrueMinRetention:
     def test_no_noise_equals_base(self):
@@ -146,37 +141,43 @@ class TestTrueMinRetention:
         floor = 64.0 * 0.5 * 0.7
         for w in range(1, 30):
             gt.step_vrt(w)
-            assert gt.retention_now().min() >= floor - 1e-9
+            assert min(gt.true_min_retention(r, w) for r in range(gt.num_rows)) >= floor - 1e-9
+
+
+def make_all_vrt_gt(num_rows, seed=0, **vrt_kw):
+    """Ground truth in which every row toggles, so vrt_rows_low[r] is row r's state."""
+    gt = make_gt(vrt=VrtModel(enabled=True, affected_fraction=1.0, **vrt_kw), num_rows=num_rows, seed=seed)
+    assert np.array_equal(gt.vrt_rows, np.arange(num_rows))
+    return gt
 
 
 class TestVrtChain:
     def test_absorbing_high(self):
-        vrt = VrtModel(enabled=True, affected_fraction=1.0, p_high_to_low=0.0, p_low_to_high=0.5)
-        gt = make_gt(vrt=vrt, num_rows=500)
+        gt = make_all_vrt_gt(500, p_high_to_low=0.0, p_low_to_high=0.5)
         for w in range(1, 50):
             gt.step_vrt(w)
-            assert not gt.vrt_low.any()
+            assert not gt.vrt_rows_low.any()
 
     def test_deterministic_alternation(self):
-        vrt = VrtModel(enabled=True, affected_fraction=1.0, p_high_to_low=1.0, p_low_to_high=1.0)
-        gt = make_gt(vrt=vrt, num_rows=100)
+        gt = make_all_vrt_gt(100, p_high_to_low=1.0, p_low_to_high=1.0)
         for w in range(1, 9):
             gt.step_vrt(w)
             expected = w % 2 == 1
-            assert gt.vrt_low.all() == expected and gt.vrt_low.any() == expected
+            assert gt.vrt_rows_low.all() == expected and gt.vrt_rows_low.any() == expected
 
     def test_steps_follow_the_scalar_row_window_stream(self):
         # window w draws uniform01(seed, TAG_VRT_STEP, row, w) for each row
         vrt = VrtModel(enabled=True, affected_fraction=0.5, p_high_to_low=0.3, p_low_to_high=0.4)
         gt = make_gt(vrt=vrt, num_rows=200, seed=13)
-        rows = [int(r) for r in np.flatnonzero(gt.has_vrt)]
+        rows = [int(r) for r in gt.vrt_rows]
+        assert rows == np.flatnonzero(gt.has_vrt).tolist()
         low = {r: False for r in rows}
         for w in range(1, 7):
             gt.step_vrt(w)
             for r in rows:
                 u = rng.uniform01(13, rng.TAG_VRT_STEP, r, w)
                 low[r] = u >= 0.4 if low[r] else u < 0.3
-            assert [bool(gt.vrt_low[r]) for r in rows] == [low[r] for r in rows]
+            assert gt.vrt_rows_low.tolist() == [low[r] for r in rows]
 
     def test_out_of_order_step_rejected(self):
         gt = make_gt(num_rows=10)
@@ -185,33 +186,30 @@ class TestVrtChain:
 
     def test_stationary_occupancy_ensemble(self):
         # two-state chain with p=q=0.1: stationary low occupancy 1/2
-        vrt = VrtModel(enabled=True, affected_fraction=1.0, p_high_to_low=0.1, p_low_to_high=0.1)
-        gt = make_gt(vrt=vrt, num_rows=10_000, seed=21)
+        gt = make_all_vrt_gt(10_000, seed=21, p_high_to_low=0.1, p_low_to_high=0.1)
         occ = []
         for w in range(1, 10_001):
             gt.step_vrt(w)
             if w > 100:  # discard burn-in from the all-high start
-                occ.append(gt.vrt_low.mean())
+                occ.append(gt.vrt_rows_low.mean())
         assert abs(float(np.mean(occ)) - 0.5) < 0.025
 
     def test_stationary_occupancy_single_row_time_average(self):
-        vrt = VrtModel(enabled=True, affected_fraction=1.0, p_high_to_low=0.1, p_low_to_high=0.1)
-        gt = make_gt(vrt=vrt, num_rows=1, seed=33)
+        gt = make_all_vrt_gt(1, seed=33, p_high_to_low=0.1, p_low_to_high=0.1)
         low_windows = 0
         for w in range(1, 10_001):
             gt.step_vrt(w)
-            low_windows += int(gt.vrt_low[0])
+            low_windows += int(gt.vrt_rows_low[0])
         assert abs(low_windows / 10_000 - 0.5) < 0.05
 
     def test_asymmetric_stationary(self):
         p, q = 0.3, 0.1  # stationary low occupancy p/(p+q) = 0.75
-        vrt = VrtModel(enabled=True, affected_fraction=1.0, p_high_to_low=p, p_low_to_high=q)
-        gt = make_gt(vrt=vrt, num_rows=5000, seed=8)
+        gt = make_all_vrt_gt(5000, seed=8, p_high_to_low=p, p_low_to_high=q)
         occ = []
         for w in range(1, 2001):
             gt.step_vrt(w)
             if w > 200:
-                occ.append(gt.vrt_low.mean())
+                occ.append(gt.vrt_rows_low.mean())
         assert abs(float(np.mean(occ)) - 0.75) < 0.75 * 0.05
 
 

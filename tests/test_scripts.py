@@ -22,11 +22,6 @@ def test_scripts_run_at_small_size():
                        "--windows", "64", "--guards", "1,4")
     assert {float(line.split()[0]): line.split()[1] for line in lines[1:]} == {1.0: "2/2", 4.0: "0/2"}
 
-    lines = run_script("density_scaling.py", "--densities", "1,8,64")
-    assert [line.split()[:2] for line in lines[1:]] == [
-        [d, p] for d in ("1.0", "8.0", "64.0") for p in ("baseline", "raidr")
-    ]
-
     lines = run_script("run_default_scenario.py", "--rows", "2000")
     assert lines[0].split() == ["rows", "2000"]
     assert "retention failures   0" in lines

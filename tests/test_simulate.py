@@ -227,7 +227,7 @@ class SetsFlagWhenUnpickled:
         return mark_unpickled, ()
 
 
-def signed(payload, version=2):
+def signed(payload, version=simulate_mod._CHECKPOINT_VERSION):
     return b"RSIM" + struct.pack("<I", version) + hashlib.sha256(payload).digest() + payload
 
 
@@ -246,25 +246,27 @@ def with_window(payload, window):
     return payload[:n] + struct.pack("<Q", window) + payload[n + 8:]
 
 
+def state_offset(payload):
+    return 8 + struct.unpack_from("<Q", payload)[0] + 16  # text block, window, failures
+
+
 def with_state(payload, name, change):
-    """payload with the stored VRT array `name` replaced by change(array)."""
-    pos = 8 + struct.unpack_from("<Q", payload)[0] + 16  # text block, window, failures
+    """payload with the stored VRT flags `name` replaced by change(flags)."""
+    pos = state_offset(payload)
     arrays = simulate_mod._CHECKPOINT_ARRAYS
-    n = (len(payload) - pos) // sum(np.dtype(dtype).itemsize for _, dtype in arrays)
-    for array_name, dtype in arrays:
-        size = n * np.dtype(dtype).itemsize
-        if array_name == name:
-            old = np.frombuffer(payload, dtype=dtype, count=n, offset=pos)
-            new = change(old.copy()).astype(dtype).tobytes()
-            assert len(new) == size and new != old.tobytes()
-            return payload[:pos] + new + payload[pos + size:]
-        pos += size
-    raise KeyError(name)
+    n = (len(payload) - pos) // len(arrays)
+    pos += n * arrays.index(name)
+    old = np.frombuffer(payload, dtype=np.uint8, count=n, offset=pos)
+    new = change(old.copy()).astype(np.uint8).tobytes()
+    assert len(new) == n and new != old.tobytes()
+    return payload[:pos] + new + payload[pos + n:]
 
 
-def one_ulp_below(a):
-    a[0] = np.nextafter(a[0], 0.0)
-    return a
+def first_set_to(value):
+    def change(a):
+        a[0] = value
+        return a
+    return change
 
 
 class TestDeterminismAndCheckpoint:
@@ -327,7 +329,7 @@ class TestDeterminismAndCheckpoint:
         )
         assert restored.run().to_text() == run(*noisy_args(seed=59, horizon=40)).to_text()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_pickle_payload_never_unpickled(self, version):
         UNPICKLED.clear()
         payload = pickle.dumps(SetsFlagWhenUnpickled())
@@ -347,24 +349,47 @@ class TestDeterminismAndCheckpoint:
          "multiplier"),
         (lambda p: with_text(p, config_of(p).replace("seed = 67", "seed = 067")), "canonical"),
         (lambda p: struct.pack("<Q", 1 << 40) + p[8:], "truncated"),
-        (lambda p: with_state(p, "v_last", lambda a: a + 1), "v_last"),
-        (lambda p: with_state(p, "v_runmin", one_ulp_below), "v_runmin"),
+        (lambda p: with_state(p, "seen", first_set_to(2)), "seen holds a byte"),
+        # every row is refreshed in window 8, so seen must equal vrt_low, and
+        # some row is high there
+        (lambda p: with_state(p, "seen", lambda a: a | 1), "refreshed in window 8"),
+        (lambda p: with_state(p, "vrt_low", lambda a: a | 1), "low row that is not seen"),
     ], ids=["trailing", "short", "bool-byte", "window", "unknown-key", "bad-config",
-            "non-canonical", "text-length", "v-last", "v-runmin"])
+            "non-canonical", "text-length", "seen-byte", "seen-after-refresh", "low-unseen"])
     def test_malformed_payload_rejected(self, edit, match):
         sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=67, horizon=40)))
         sim.run(stop_after_window=9)
+        assert all(8 % m == 0 for m in sim.bins.multipliers)
         payload = sim.checkpoint()[HEADER_SIZE:]
         assert RefreshSimulation.restore(signed(payload)).run() is not None
         with pytest.raises(CheckpointError, match=match):
             RefreshSimulation.restore(signed(edit(payload)))
 
-    def test_fresh_checkpoint_with_a_low_row_rejected(self):
-        # every row starts high: a low row at window 0 is unreachable
+    def test_version_2_layout_rejected(self):
+        # version 2 stored 18 bytes per VRT row: vrt_low u1, v_last i8 (the
+        # last refresh window, 8 for every row here), v_runmin f8, v_unsafe u1
         sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=67, horizon=40)))
-        payload = with_state(sim.checkpoint()[HEADER_SIZE:], "vrt_low", lambda a: a | 1)
-        with pytest.raises(CheckpointError, match="low row"):
-            RefreshSimulation.restore(signed(payload))
+        sim.run(stop_after_window=9)
+        payload = sim.checkpoint()[HEADER_SIZE:]
+        gt, n, pos = sim.gt, sim.gt.vrt_rows.size, state_offset(payload)
+        v_last = np.full(n, 8, dtype="<i8")
+        v_runmin = np.where(sim._v_seen, gt.vrt_retention_low, gt.vrt_retention_high).astype("<f8")
+        low, unsafe = payload[pos:pos + n], payload[pos + 2 * n:]
+        v2 = payload[:pos] + low + v_last.tobytes() + v_runmin.tobytes() + unsafe
+        with pytest.raises(CheckpointError, match="version"):
+            RefreshSimulation.restore(signed(v2, version=2))
+
+    def test_fresh_checkpoint_with_a_low_row_rejected(self):
+        # every row starts high and the toggle first steps into window 1, so
+        # a low row is unreachable at windows 0 and 1, even if seen
+        for window in (0, 1):
+            sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=67, horizon=40)))
+            sim.run(stop_after_window=window)
+            payload = sim.checkpoint()[HEADER_SIZE:]
+            for name in ("vrt_low", "seen"):
+                payload = with_state(payload, name, lambda a: a | 1)
+            with pytest.raises(CheckpointError, match=f"seen or low row at window {window}"):
+                RefreshSimulation.restore(signed(payload))
 
     def test_checkpoint_bytes_survive_restore(self):
         # at the first windows, on both sides of the largest multiplier's first
@@ -378,6 +403,8 @@ class TestDeterminismAndCheckpoint:
             sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
             sim.run(stop_after_window=window)
             blob = sim.checkpoint()
+            # three one-byte flags per VRT row: low, seen, unsafe
+            assert len(blob) - HEADER_SIZE - state_offset(blob[HEADER_SIZE:]) == 3 * sim.gt.vrt_rows.size
             restored = RefreshSimulation.restore(blob)
             assert restored.checkpoint() == blob
             assert restored.run().to_text() == uninterrupted
@@ -435,7 +462,7 @@ def test_partition_steps_exactly_the_rows_that_can_fail():
     longest_gap_ms = sim._v_mults[sim._v_key] * 64.0
     assert np.count_nonzero(longest_gap_ms == sim.gt.vrt_retention_low) > 10
     sim.run()
-    unsafe = np.flatnonzero(sim._checkpoint_state()["v_unsafe"])
+    unsafe = np.flatnonzero(sim._checkpoint_state()["unsafe"])
     assert unsafe.size > 10
     assert np.array_equal(unsafe, sim._can_fail.rows)
 
