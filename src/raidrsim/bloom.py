@@ -66,12 +66,11 @@ class BloomFilter:
     may be probed concurrently.
     """
 
-    __slots__ = ("params", "words", "n_inserted")
+    __slots__ = ("params", "words")
 
     def __init__(self, params: BloomParams):
         self.params = params
         self.words = np.zeros((params.m + 63) // 64, dtype=np.uint64)
-        self.n_inserted = 0
 
     # -- hashing ---------------------------------------------------------
 
@@ -112,7 +111,6 @@ class BloomFilter:
     def insert(self, key: int) -> None:
         for pos in self._positions(key):
             self.words[pos >> 6] |= np.uint64(1 << (pos & 63))
-        self.n_inserted += 1
 
     def insert_many(self, keys: np.ndarray) -> None:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
@@ -128,7 +126,6 @@ class BloomFilter:
                     (pos >> np.uint64(6)).astype(np.int64),
                     np.uint64(1) << (pos & np.uint64(63)),
                 )
-        self.n_inserted += int(keys.size)
 
     # -- queries ---------------------------------------------------------
 
@@ -171,10 +168,6 @@ class BloomFilter:
                         break
         hit[live] = True
         return hit.reshape(shape)
-
-    @property
-    def popcount(self) -> int:
-        return int(np.unpackbits(self.words.view(np.uint8)).sum())
 
 
 def analytic_fpr(m: int, k: int, n: int) -> float:

@@ -159,8 +159,18 @@ def cmd_sweep(args) -> int:
         _write_text(point_dir / "simreport.txt", report_text)
         lines.append(",".join(_fmt_cell(row[c]) for c in _SWEEP_COLUMNS))
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
+    # RAIDR's loss is the baseline's times (1 - savings), so it is clamped only where the baseline's is
+    _print_clamp_note(sorted({
+        payloads[i][3].device.density_gbit for i, row, _ in results if row["throughput_loss_baseline"] == 1.0
+    }))
     print(f"swept {args.axis} over {len(values)} values -> {out / 'sweep.csv'}")
     return EXIT_OK
+
+
+def _print_clamp_note(densities_gbit) -> None:
+    if densities_gbit:
+        print(f"# throughput loss clamped to 1.0 at {', '.join(map(str, densities_gbit))} Gb: "
+              "the refresh load exceeds the window there")
 
 
 def _fmt_cell(v) -> str:
@@ -191,11 +201,14 @@ def cmd_overhead(args) -> int:
     inputs = spec.overhead_inputs()
     points = overhead_mod.density_sweep(inputs, spec.overhead.densities_gbit, spec.overhead.policies)
     out = _ensure_outdir(args)
-    lines = [_csv_comment(spec), "density_bits,policy,savings,throughput_loss,refresh_energy_fraction,trfc_ns_used"]
+    lines = [
+        _csv_comment(spec),
+        "density_bits,policy,savings,throughput_loss,refresh_energy_fraction,trfc_ns_used,clamped",
+    ]
     for p in points:
         lines.append(
             f"{p.density_bits},{p.policy},{p.savings!r},{p.throughput_loss!r},"
-            f"{p.refresh_energy_fraction!r},{p.trfc_ns_used!r}"
+            f"{p.refresh_energy_fraction!r},{p.trfc_ns_used!r},{str(p.clamped).lower()}"
         )
     path = out / "overhead.csv"
     _write_text(path, "\n".join(lines) + "\n")
@@ -213,6 +226,7 @@ def cmd_overhead(args) -> int:
             f"{p.density_gbit:8.3f} Gb  {p.policy:8s}  loss={p.throughput_loss:.4f}  "
             f"energy_fraction={p.refresh_energy_fraction:.4f}  trfc={p.trfc_ns_used:.1f} ns"
         )
+    _print_clamp_note(sorted({p.density_gbit for p in points if p.clamped}))
     print(f"artifact: {path}")
     return EXIT_OK
 

@@ -105,7 +105,8 @@ def _fmt_opt_int(v) -> str:
     return "" if v is None else str(v)
 
 
-# key -> (parser, formatter); defaults come from the dataclasses
+# the one list of config keys: key -> (parser, formatter).  Each key names the
+# spec field it echoes (see _field_of); defaults come from the dataclasses
 _SCHEMA: dict[str, tuple] = {
     "scenario": (str, str),
     "seed": (int, str),
@@ -260,58 +261,40 @@ class ExperimentSpec:
         return rng.hash_words(self.seed, rng.TAG_SWEEP_POINT, point_index)
 
     def to_flat(self) -> dict[str, str]:
-        d, di, v, dp, pf, b, o = (
-            self.device, self.dist, self.vrt, self.dpd, self.profiler, self.bins, self.overhead
-        )
-        values = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "device.density_bits": d.density_bits,
-            "device.row_size_bits": d.row_size_bits,
-            "device.trefw_ms": d.trefw_ms,
-            "device.refresh_cmds_per_window": d.refresh_cmds_per_window,
-            "device.banks": d.banks,
-            "device.trfc_table_ns": d.trfc_table_ns,
-            "dist.kind": di.kind,
-            "dist.weak_fraction": di.weak_fraction,
-            "dist.floor_ms": di.floor_ms,
-            "dist.weak_high_ms": di.weak_high_ms,
-            "dist.strong_value_ms": di.strong_value_ms,
-            "dist.lognormal_median_ms": di.lognormal_median_ms,
-            "dist.lognormal_sigma": di.lognormal_sigma,
-            "vrt.enabled": v.enabled,
-            "vrt.affected_fraction": v.affected_fraction,
-            "vrt.low_factor": v.low_factor,
-            "vrt.p_high_to_low": v.p_high_to_low,
-            "vrt.p_low_to_high": v.p_low_to_high,
-            "dpd.enabled": dp.enabled,
-            "dpd.num_patterns": dp.num_patterns,
-            "dpd.worst_pattern_factor": dp.worst_pattern_factor,
-            "profiler.mode": pf.mode,
-            "profiler.patterns_tested": pf.patterns_tested,
-            "profiler.rounds": pf.rounds,
-            "profiler.guard_band_factor": pf.guard_band_factor,
-            "profiler.profiling_window_span": pf.profiling_window_span,
-            "bins.thresholds_ms": b.thresholds_ms,
-            "bins.base_interval_ms": b.base_interval_ms,
-            "bloom.target_fpr": self.bloom_target_fpr,
-            "bloom.explicit_m": self.bloom_explicit_m,
-            "bloom.explicit_k": self.bloom_explicit_k,
-            "sim.horizon_windows": self.sim.horizon_windows,
-            "overhead.densities_gbit": o.densities_gbit,
-            "overhead.extrapolation_anchor_gbit": o.extrapolation_anchor_gbit,
-            "overhead.e_refresh_cmd_nj_per_gbit": o.e_refresh_cmd_nj_per_gbit,
-            "overhead.e_background_mw": o.e_background_mw,
-            "overhead.e_activity_mw": o.e_activity_mw,
-            "overhead.raidr_savings": o.raidr_savings,
-        }
-        return {k: _SCHEMA[k][1](values[k]) for k in _SCHEMA}
+        """Every schema key with the formatted value of the spec field it names."""
+        flat = {}
+        for key, (_, fmt) in _SCHEMA.items():
+            section, name = _field_of(key)
+            flat[key] = fmt(getattr(getattr(self, section) if section else self, name))
+        return flat
 
     def config_hash(self) -> str:
         return config_sha256(self.to_flat())
 
     def with_seed(self, seed: int) -> "ExperimentSpec":
         return replace(self, seed=seed)
+
+
+# spec field -> dataclass of that config section, in construction order
+_SECTIONS = {
+    "device": DeviceConfig,
+    "dist": RetentionDistribution,
+    "vrt": VrtModel,
+    "dpd": DpdModel,
+    "profiler": ProfilerConfig,
+    "bins": BinConfig,
+    "sim": SimConfig,
+    "overhead": OverheadConfig,
+}
+
+
+def _field_of(key: str) -> tuple[str, str]:
+    """(section, field) a config key names: `a.b` is spec.a.b, `bloom.x` is
+    spec.bloom_x and an undotted key is a field of the spec itself ("")."""
+    section, _, name = key.rpartition(".")
+    if section == "bloom":
+        return "", f"bloom_{name}"
+    return section, name
 
 
 def spec_from_flat(flat: dict[str, str]) -> ExperimentSpec:
@@ -322,47 +305,24 @@ def spec_from_flat(flat: dict[str, str]) -> ExperimentSpec:
     base = ExperimentSpec().to_flat()
     base.update(flat)
 
-    parsed = {}
+    fields: dict[str, dict[str, object]] = {"": {}, **{section: {} for section in _SECTIONS}}
     for key, raw in base.items():
         parser = _SCHEMA[key][0]
         try:
-            parsed[key] = parser(raw)
+            value = parser(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
-
-    def section(prefix: str) -> dict[str, object]:
-        plen = len(prefix) + 1
-        return {k[plen:]: v for k, v in parsed.items() if k.startswith(prefix + ".")}
+        section, name = _field_of(key)
+        fields[section][name] = value
 
     try:
-        device = DeviceConfig(**section("device"))
-        dist = RetentionDistribution(**section("dist"))
-        vrt = VrtModel(**section("vrt"))
-        dpd = DpdModel(**section("dpd"))
-        prof = ProfilerConfig(**section("profiler"))
-        bins = BinConfig(**section("bins"))
-        sim = SimConfig(horizon_windows=parsed["sim.horizon_windows"], seed=parsed["seed"])
-        over = OverheadConfig(**section("overhead"))
-        spec = ExperimentSpec(
-            scenario=parsed["scenario"],
-            seed=parsed["seed"],
-            device=device,
-            dist=dist,
-            vrt=vrt,
-            dpd=dpd,
-            profiler=prof,
-            bins=bins,
-            bloom_target_fpr=parsed["bloom.target_fpr"],
-            bloom_explicit_m=parsed["bloom.explicit_m"],
-            bloom_explicit_k=parsed["bloom.explicit_k"],
-            sim=sim,
-            overhead=over,
-        )
+        # sim.seed follows the master seed, which the spec sets
+        sections = {section: cls(**fields[section]) for section, cls in _SECTIONS.items()}
+        return ExperimentSpec(**fields[""], **sections)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return spec
 
 
 def parse_config_text(text: str) -> dict[str, str]:

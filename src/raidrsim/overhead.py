@@ -12,7 +12,6 @@ band, not vendor data, and every report echoes the constants used.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,31 +61,20 @@ def _check_policy(policy: str, savings: float) -> None:
         raise ValueError("savings must be in [0, 1]")
 
 
-def _clamp_fraction(x: float, what: str, density_gbit: float) -> float:
-    if x > 1.0:
-        warnings.warn(
-            f"{what} {x:.4f} clamped to 1.0 at {density_gbit} Gb; the refresh load "
-            "exceeds the window at this density",
-            stacklevel=3,
-        )
-        return 1.0
-    return max(0.0, x)
-
-
 def throughput_loss(
     inputs: OverheadInputs,
     policy: str = POLICY_BASELINE,
     savings: float = 0.0,
     density_gbit: float | None = None,
 ) -> float:
-    """Fraction of the window consumed by refresh commands."""
+    """Fraction of the window consumed by refresh commands, clamped to 1.0."""
     _check_policy(policy, savings)
     dev = inputs.device
     d = dev.density_gbit if density_gbit is None else float(density_gbit)
     loss = dev.refresh_cmds_per_window * inputs.trfc_ns(d) / (dev.trefw_ms * 1e6)
     if policy == POLICY_RAIDR:
         loss *= 1.0 - savings
-    return _clamp_fraction(loss, "throughput loss", d)
+    return min(loss, 1.0)
 
 
 def refresh_energy_fraction(
@@ -107,7 +95,7 @@ def refresh_energy_fraction(
     total = e_refresh_uj + e_background_uj + e_activity_uj
     if total <= 0.0:
         return 0.0
-    return _clamp_fraction(e_refresh_uj / total, "refresh energy fraction", d)
+    return e_refresh_uj / total  # in [0, 1]: OverheadInputs keeps every term non-negative
 
 
 @dataclass(frozen=True)
@@ -119,6 +107,10 @@ class OverheadPoint:
     throughput_loss: float
     refresh_energy_fraction: float
     trfc_ns_used: float
+
+    @property
+    def clamped(self) -> bool:  # the refresh load fills the whole window
+        return self.throughput_loss == 1.0
 
 
 def check_sweep(densities_gbit, policies) -> list[float]:

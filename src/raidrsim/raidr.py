@@ -9,7 +9,7 @@ never a slower one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class BinSet:
 
     bin_cfg: BinConfig
     filters: list[BloomFilter]
-    counts: tuple[int, ...] = field(default=())  # rows inserted per bin, default bin last
+    counts: tuple[int, ...]  # rows inserted per bin, default bin last
 
     @property
     def intervals_ms(self) -> tuple[float, ...]:
@@ -141,10 +141,6 @@ class BinSet:
         for b in range(len(claims) - 1, -1, -1):
             out[claims[b]] = b
         return out
-
-    def query_many(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(rows, dtype=np.uint64)
-        return self.first_claims(self.claims(rows), rows.shape)
 
 
 def build_bins(

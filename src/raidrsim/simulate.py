@@ -7,11 +7,13 @@ rows whose retention never changes get their failure counts in closed form,
 while rows with an active retention toggle are stepped window by window.
 Both paths are validated to match a brute-force step-through row by row.
 
-Everything fixed per row once the bins exist (the queried bin, refresh and
-false-positive counts, the closed-form failures and the per-filter FPRs)
-comes from a single pass over the rows in fixed-size blocks, in which each
-filter is queried once per row.  Its temporaries are bounded by the block
-size, not by the device.
+Everything fixed per row once the bins exist (the queried bin, refresh
+counts, the closed-form failures and each filter's claim count) comes from
+a single pass over the rows in fixed-size blocks, in which each filter is
+queried once per row.  Its temporaries are bounded by the block size, not
+by the device.  The pass never reads the profile: a Bloom filter has no
+false negatives, so the bin counts turn the claim counts into the
+per-filter FPRs and fix the refreshes the profiled schedule would issue.
 
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
@@ -130,17 +132,15 @@ class RefreshSimulation:
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         self.device = spec.device
-        self.bin_cfg = spec.bins
         self.horizon = spec.sim.horizon_windows
 
         t0 = time.perf_counter()
         seed = spec.seed
         self.gt = generate_ground_truth(spec.device, spec.dist, spec.vrt, spec.dpd, seed)
-        self.retention_profile = profile(
-            self.gt, spec.profiler, rng.hash_words(seed, rng.TAG_PROFILER_SEED)
-        )
+        # the bins fix every profiled count, so the profile is freed once they exist
         self.bins: BinSet = build_bins(
-            self.retention_profile, spec.bins, spec.bloom_budget,
+            profile(self.gt, spec.profiler, rng.hash_words(seed, rng.TAG_PROFILER_SEED)),
+            spec.bins, spec.bloom_budget,
             seed=rng.hash_words(seed, rng.TAG_FILTER_SEED),
         )
 
@@ -166,30 +166,27 @@ class RefreshSimulation:
     def _scan_rows(self) -> None:
         """Sum every per-row quantity the built bins fix, in one blocked pass.
 
-        Each filter meets each row once; its claim mask gives both the
-        queried bin and the filter's false-positive count for bins.csv.
-        Every stream is keyed by row index, so the blocking is exact.
+        Each filter meets each row once; its claim mask gives the queried
+        bin and its claim count.  Each filter holds exactly its bin's
+        profiled rows and has no false negatives, so bins.counts gives
+        the false positives and the profiled schedule's refreshes.  Every
+        stream is keyed by row index, so the blocking is exact.
         """
         horizon = self.horizon
         base_ms = self.device.trefw_ms
         bins, gt = self.bins, self.gt
         mult_table = np.asarray(bins.multipliers, dtype=np.int64)
-        issued = profiled_issued = static_failures = static_unsafe = 0
-        fp_hits = [0] * len(bins.filters)
-        fp_others = [0] * len(bins.filters)
+        issued = static_failures = static_unsafe = 0
+        claimed = [0] * len(bins.filters)
         v_mult = []
         for lo in range(0, self.device.num_rows, _CHUNK_ROWS):
             block = slice(lo, min(lo + _CHUNK_ROWS, self.device.num_rows))
             rows = np.arange(block.start, block.stop, dtype=np.uint64)
             claims = bins.claims(rows)
-            profiled = self.bin_cfg.classify(self.retention_profile.measured_retention_ms[block])
             mult_q = mult_table[bins.first_claims(claims, rows.shape)]
             issued += int(refreshes_in_horizon(horizon, mult_q).sum())
-            profiled_issued += int(refreshes_in_horizon(horizon, mult_table[profiled]).sum())
-            for b, claimed in enumerate(claims):
-                others = profiled != b
-                fp_hits[b] += int(np.count_nonzero(claimed & others))
-                fp_others[b] += int(np.count_nonzero(others))
+            for b, mask in enumerate(claims):
+                claimed[b] += int(np.count_nonzero(mask))
 
             # a row whose retention never toggles fails in every window at
             # least jmin windows past its last refresh, so only rows with
@@ -203,13 +200,16 @@ class RefreshSimulation:
             static_unsafe += int(np.count_nonzero(fails))
             v_mult.append(mult_q[has_vrt])
 
+        counts = bins.counts
         self.refreshes_issued = issued
+        profiled_issued = sum(c * refreshes_in_horizon(horizon, m) for c, m in zip(counts, bins.multipliers))
         self.fpr_extra_refreshes = issued - profiled_issued
         self._static_failures = static_failures
         self._static_unsafe = static_unsafe
-        # hits / others as Python ints is the correctly rounded quotient,
-        # the same float the boolean mean over the others gives
-        self.filter_fprs = [h / o if o else 0.0 for h, o in zip(fp_hits, fp_others)]
+        # a filter's FPR is its claims beyond its own rows over the rows
+        # profiled outside it; on Python ints the quotient is correctly rounded
+        n = self.device.num_rows
+        self.filter_fprs = [(k - c) / (n - c) if n > c else 0.0 for k, c in zip(claimed, counts)]
         # the VRT rows' distinct multipliers, and each row's index into them
         self._v_mults, self._v_key = np.unique(np.concatenate(v_mult), return_inverse=True)
 

@@ -20,8 +20,7 @@ def fresh_keys(tag: int, n: int) -> np.ndarray:
 class TestParams:
     def test_empty_construction(self):
         f = BloomFilter(BloomParams(m=64, k=2, seed=7))
-        assert f.popcount == 0
-        assert f.n_inserted == 0
+        assert not f.words.any()
         assert not f.contains(123)
 
     def test_minimal_size(self):
@@ -48,12 +47,11 @@ class TestInsertContains:
         before = f.words.copy()
         f.insert(42)
         assert np.array_equal(f.words, before)
-        assert f.n_inserted == 2
 
     def test_popcount_bound_one_insert(self):
         f = BloomFilter(BloomParams(m=8, k=8, seed=3))
         f.insert(99)
-        assert f.popcount <= 8
+        assert np.unpackbits(f.words.view(np.uint8)).sum() <= 8
 
     def test_empty_filter_all_negative(self):
         f = BloomFilter(BloomParams(m=512, k=3, seed=9))
@@ -67,7 +65,6 @@ class TestInsertContains:
         for key in keys:
             b.insert(int(key))
         assert np.array_equal(a.words, b.words)
-        assert a.n_inserted == b.n_inserted == 200
 
     def test_contains_many_matches_scalar(self):
         f = BloomFilter(BloomParams(m=590, k=10, seed=44))

@@ -1,5 +1,7 @@
+import dataclasses
 import os
 import stat
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from raidrsim import cli as cli_mod
 from raidrsim.cli import main
 from raidrsim.experiment import (
+    _SCHEMA,
     ConfigError,
     ExperimentSpec,
     OverheadConfig,
@@ -106,6 +109,21 @@ class TestConfig:
         spec = spec_from_flat({"seed": "77"})
         assert spec.sim.seed == 77
         assert spec.with_seed(5).sim.seed == 5
+
+    def test_schema_names_every_spec_field(self):
+        # a section field is `section.field`, a bloom_x field `bloom.x`, any
+        # other spec field its own name; sim.seed is the master seed
+        spec = ExperimentSpec()
+        fields = set()
+        for f in dataclasses.fields(spec):
+            value = getattr(spec, f.name)
+            if dataclasses.is_dataclass(value):
+                fields |= {f"{f.name}.{g.name}" for g in dataclasses.fields(value)}
+            elif f.name.startswith("bloom_"):
+                fields.add("bloom." + f.name.removeprefix("bloom_"))
+            else:
+                fields.add(f.name)
+        assert fields - {"sim.seed"} == set(_SCHEMA)
 
 
 def floats(lo, hi):
@@ -418,7 +436,9 @@ class TestOverheadCommand:
         assert code == 0
         assert "calibrated band" in out
         lines = (tmp_path / "overhead.csv").read_text().splitlines()
-        assert lines[1] == "density_bits,policy,savings,throughput_loss,refresh_energy_fraction,trfc_ns_used"
+        assert lines[1] == (
+            "density_bits,policy,savings,throughput_loss,refresh_energy_fraction,trfc_ns_used,clamped"
+        )
         base_rows = [l.split(",") for l in lines[2:] if l.split(",")[1] == "baseline"]
         losses = [float(r[3]) for r in base_rows]
         assert losses == sorted(losses)
@@ -426,6 +446,36 @@ class TestOverheadCommand:
         last = base_rows[-1]
         assert int(last[0]) == 64 * 2**30
         assert 0.35 <= float(last[3]) <= 0.55
+        assert "loss clamped" not in out
+
+    def test_clamped_loss_flagged_in_csv_and_one_note(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("overhead", "--out", str(tmp_path), "--set", "overhead.densities_gbit=2,4,128")
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        notes = [l for l in captured.out.splitlines() if "loss clamped" in l]
+        assert notes == ["# throughput loss clamped to 1.0 at 128.0 Gb: the refresh load exceeds the window there"]
+        rows = [l.split(",") for l in (tmp_path / "overhead.csv").read_text().splitlines()[2:]]
+        assert len(rows) == 6
+        assert all(r[-1] in ("true", "false") for r in rows)
+        assert [(int(r[0]), r[1]) for r in rows if r[-1] == "true"] == [(128 * 2**30, "baseline")]
+        assert all(float(r[3]) == 1.0 for r in rows if r[-1] == "true")
+
+    def test_sweep_notes_clamped_loss_once(self, tmp_path, capsys):
+        # a 10 us tRFC makes 8192 commands overrun the 64 ms window at any density
+        code = run_cli(
+            "sweep", "--out", str(tmp_path), *SMALL, "--set", "device.trfc_table_ns=4:10000",
+            "--axis", "dist.weak_fraction", "--values", "0.0,0.001",
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        notes = [l for l in captured.out.splitlines() if "loss clamped" in l]
+        assert notes == [
+            "# throughput loss clamped to 1.0 at 0.03814697265625 Gb: the refresh load exceeds the window there"
+        ]
 
 
 class TestSelftestCommand:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,8 +63,9 @@ class TestThroughputLoss:
             base = throughput_loss(inputs, density_gbit=d)
             assert throughput_loss(inputs, POLICY_RAIDR, 0.6, d) == pytest.approx(0.4 * base)
 
-    def test_clamped_with_warning(self, inputs):
-        with pytest.warns(UserWarning, match="clamped"):
+    def test_clamped_to_one_without_warning(self, inputs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             loss = throughput_loss(inputs, density_gbit=200)
         assert loss == 1.0
 

@@ -16,7 +16,7 @@ from raidrsim import rng
 from raidrsim import simulate as simulate_mod
 from raidrsim.bloom import BloomParams
 from raidrsim.experiment import ExperimentSpec
-from raidrsim.profiler import ProfilerConfig
+from raidrsim.profiler import ProfilerConfig, profile
 from raidrsim.raidr import BinConfig
 from raidrsim.retention import (
     DeviceConfig,
@@ -163,8 +163,8 @@ class TestInvariants:
         rep = sim.run()
         rows = np.arange(60_000, dtype=np.uint64)
         mult = np.asarray(sim.bins.multipliers)
-        q = mult[sim.bins.query_many(rows)]
-        p = mult[sim.bins.bin_cfg.classify(sim.retention_profile.measured_retention_ms)]
+        q = mult[sim.bins.first_claims(sim.bins.claims(rows), rows.shape)]
+        p = mult[sim.bins.bin_cfg.classify(profile_of(sim).measured_retention_ms)]
         expected = int((-(-64 // q) - (-(-64 // p))).sum())
         assert rep.fpr_extra_refreshes == expected
         # and the rate is in the right regime for the planned budget
@@ -491,8 +491,14 @@ def report_fields(rep):
     return fields
 
 
+def profile_of(sim):
+    """The profile the engine built its bins from, rebuilt from the spec."""
+    spec = sim.spec
+    return profile(sim.gt, spec.profiler, rng.hash_words(spec.seed, rng.TAG_PROFILER_SEED))
+
+
 def independent_filter_fprs(sim):
-    idx = sim.bin_cfg.classify(sim.retention_profile.measured_retention_ms)
+    idx = sim.spec.bins.classify(profile_of(sim).measured_retention_ms)
     rows = np.arange(sim.device.num_rows, dtype=np.uint64)
     return [
         float(filt.contains_many(rows[idx != b]).mean()) if np.any(idx != b) else 0.0
