@@ -2,7 +2,7 @@
 
 from .bloom import BloomFilter, BloomParams, analytic_fpr, plan_params
 from .experiment import ConfigError, ExperimentSpec, SimConfig, spec_from_flat
-from .overhead import OverheadInputs, density_sweep, refresh_energy_fraction, throughput_loss
+from .overhead import OverheadConfig, density_sweep, refresh_energy_fraction, throughput_loss
 from .profiler import ProfilerConfig, RetentionProfile, misclassification_report, profile
 from .raidr import BinConfig, BinSet, UnbinnableRowError, build_bins
 from .retention import (
@@ -18,7 +18,7 @@ from .simulate import CheckpointError, RefreshSimulation, SimReport, run
 __all__ = [
     "BloomFilter", "BloomParams", "analytic_fpr", "plan_params",
     "ConfigError", "ExperimentSpec", "spec_from_flat",
-    "OverheadInputs", "density_sweep", "refresh_energy_fraction", "throughput_loss",
+    "OverheadConfig", "density_sweep", "refresh_energy_fraction", "throughput_loss",
     "ProfilerConfig", "RetentionProfile", "misclassification_report", "profile",
     "BinConfig", "BinSet", "UnbinnableRowError", "build_bins",
     "DeviceConfig", "DpdModel", "RetentionDistribution", "RetentionGroundTruth",

@@ -96,7 +96,7 @@ def cmd_simulate(args) -> int:
 def _sweep_point(payload):
     index, key, value, spec = payload
     report = RefreshSimulation(spec).run()
-    inputs = spec.overhead_inputs()
+    baseline, raidr = overhead_mod.policy_points(spec.device, spec.overhead, report.savings_fraction)
     row = {
         "point_index": index,
         "axis": key,
@@ -107,23 +107,14 @@ def _sweep_point(payload):
         "unsafe_rows": report.unsafe_rows,
         "fpr_extra_refreshes": report.fpr_extra_refreshes,
         "refreshes_issued": report.refreshes_issued,
-        "throughput_loss_baseline": overhead_mod.throughput_loss(inputs),
-        "throughput_loss_raidr": overhead_mod.throughput_loss(
-            inputs, overhead_mod.POLICY_RAIDR, report.savings_fraction
-        ),
-        "refresh_energy_fraction_baseline": overhead_mod.refresh_energy_fraction(inputs),
-        "refresh_energy_fraction_raidr": overhead_mod.refresh_energy_fraction(
-            inputs, overhead_mod.POLICY_RAIDR, report.savings_fraction
-        ),
+        "throughput_loss_baseline": baseline.throughput_loss,
+        "throughput_loss_raidr": raidr.throughput_loss,
+        "refresh_energy_fraction_baseline": baseline.refresh_energy_fraction,
+        "refresh_energy_fraction_raidr": raidr.refresh_energy_fraction,
+        # RAIDR's loss is the baseline's times (1 - savings), so it is clamped only where the baseline's is
+        "clamped": baseline.clamped,
     }
     return index, row, report.to_text()
-
-
-_SWEEP_COLUMNS = (
-    "point_index", "axis", "value", "seed", "savings_fraction", "retention_failures",
-    "unsafe_rows", "fpr_extra_refreshes", "refreshes_issued", "throughput_loss_baseline",
-    "throughput_loss_raidr", "refresh_energy_fraction_baseline", "refresh_energy_fraction_raidr",
-)
 
 
 def cmd_sweep(args) -> int:
@@ -152,17 +143,14 @@ def cmd_sweep(args) -> int:
         results = [_sweep_point(p) for p in payloads]
     results.sort(key=lambda r: r[0])
 
-    lines = [_csv_comment(base_spec), ",".join(_SWEEP_COLUMNS)]
+    lines = [_csv_comment(base_spec), ",".join(results[0][1])]  # the columns are the row's keys
     for index, row, report_text in results:
         point_dir = out / f"point_{index:03d}"
         point_dir.mkdir(exist_ok=True)
         _write_text(point_dir / "simreport.txt", report_text)
-        lines.append(",".join(_fmt_cell(row[c]) for c in _SWEEP_COLUMNS))
+        lines.append(",".join(map(_fmt_cell, row.values())))
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
-    # RAIDR's loss is the baseline's times (1 - savings), so it is clamped only where the baseline's is
-    _print_clamp_note(sorted({
-        payloads[i][3].device.density_gbit for i, row, _ in results if row["throughput_loss_baseline"] == 1.0
-    }))
+    _print_clamp_note(sorted({payloads[i][3].device.density_gbit for i, row, _ in results if row["clamped"]}))
     print(f"swept {args.axis} over {len(values)} values -> {out / 'sweep.csv'}")
     return EXIT_OK
 
@@ -174,6 +162,8 @@ def _print_clamp_note(densities_gbit) -> None:
 
 
 def _fmt_cell(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -192,14 +182,14 @@ def cmd_profile(args) -> int:
         measured = prof.measured_retention_ms
         for i in range(prof.num_rows):
             fh.write(f"{i},{float(measured[i])!r},{int(bins_idx[i])}\n")
-    print(f"profiled {prof.num_rows} rows ({prof.provenance} mode) -> {path}")
+    print(f"profiled {prof.num_rows} rows ({spec.profiler.mode} mode) -> {path}")
     return EXIT_OK
 
 
 def cmd_overhead(args) -> int:
     spec = _build_spec(args)
-    inputs = spec.overhead_inputs()
-    points = overhead_mod.density_sweep(inputs, spec.overhead.densities_gbit, spec.overhead.policies)
+    cfg = spec.overhead
+    points = overhead_mod.density_sweep(spec.device, cfg)
     out = _ensure_outdir(args)
     lines = [
         _csv_comment(spec),
@@ -208,18 +198,18 @@ def cmd_overhead(args) -> int:
     for p in points:
         lines.append(
             f"{p.density_bits},{p.policy},{p.savings!r},{p.throughput_loss!r},"
-            f"{p.refresh_energy_fraction!r},{p.trfc_ns_used!r},{str(p.clamped).lower()}"
+            f"{p.refresh_energy_fraction!r},{p.trfc_ns_used!r},{_fmt_cell(p.clamped)}"
         )
     path = out / "overhead.csv"
     _write_text(path, "\n".join(lines) + "\n")
     print(
         "# tRFC beyond the table is a proportional projection from the "
-        f"{inputs.extrapolation_anchor_gbit} Gb entry: treat high-density rows as a "
+        f"{cfg.extrapolation_anchor_gbit} Gb entry: treat high-density rows as a "
         "calibrated band, not measured values"
     )
     print(
-        f"# energy constants: e_refresh_cmd={inputs.e_refresh_cmd_nj_per_gbit} nJ/Gb, "
-        f"background={inputs.e_background_mw} mW, activity={inputs.e_activity_mw} mW"
+        f"# energy constants: e_refresh_cmd={cfg.e_refresh_cmd_nj_per_gbit} nJ/Gb, "
+        f"background={cfg.e_background_mw} mW, activity={cfg.e_activity_mw} mW"
     )
     for p in points:
         print(

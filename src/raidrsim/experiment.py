@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from . import rng
 from .bloom import BloomParams
-from .overhead import POLICY_BASELINE, POLICY_RAIDR, OverheadInputs, check_sweep
+from .overhead import OverheadConfig, check as check_overhead
 from .profiler import MODE_MEASURED, ProfilerConfig
 from .retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
 from .raidr import BinConfig
@@ -152,21 +152,6 @@ _SCHEMA: dict[str, tuple] = {
 
 
 @dataclass(frozen=True)
-class OverheadConfig:
-    densities_gbit: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    extrapolation_anchor_gbit: float = 4.0
-    e_refresh_cmd_nj_per_gbit: float = 22.5
-    e_background_mw: float = 75.0
-    e_activity_mw: float = 150.0
-    raidr_savings: float = 0.75
-
-    @property
-    def policies(self) -> tuple[tuple[str, float], ...]:
-        """The (policy, savings) pairs the density sweep compares."""
-        return ((POLICY_BASELINE, 0.0), (POLICY_RAIDR, self.raidr_savings))
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     """Everything one run needs; every field has a documented default."""
 
@@ -214,8 +199,7 @@ class ExperimentSpec:
         if not isinstance(budget, BloomParams) and not 0.0 < budget < 1.0:
             raise ConfigError(f"bloom.target_fpr must be in (0, 1), got {budget}")
         try:
-            self.overhead_inputs()
-            check_sweep(self.overhead.densities_gbit, self.overhead.policies)
+            check_overhead(self.device, self.overhead)
         except ValueError as exc:
             raise ConfigError(f"overhead: {exc}") from exc
 
@@ -247,15 +231,6 @@ class ExperimentSpec:
         m = 0 if self.bloom_explicit_m is None else self.bloom_explicit_m
         k = 1 if self.bloom_explicit_k is None else self.bloom_explicit_k
         return BloomParams(m=m, k=k)
-
-    def overhead_inputs(self) -> OverheadInputs:
-        return OverheadInputs(
-            device=self.device,
-            extrapolation_anchor_gbit=self.overhead.extrapolation_anchor_gbit,
-            e_refresh_cmd_nj_per_gbit=self.overhead.e_refresh_cmd_nj_per_gbit,
-            e_background_mw=self.overhead.e_background_mw,
-            e_activity_mw=self.overhead.e_activity_mw,
-        )
 
     def sweep_seed(self, point_index: int) -> int:
         return rng.hash_words(self.seed, rng.TAG_SWEEP_POINT, point_index)

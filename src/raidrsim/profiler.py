@@ -44,12 +44,9 @@ class ProfilerConfig:
 
 @dataclass
 class RetentionProfile:
-    """Per-row measured retention (already guard-divided) plus provenance."""
+    """Per-row measured retention, already guard-divided."""
 
     measured_retention_ms: np.ndarray
-    provenance: str
-    config: ProfilerConfig
-    seed: int
 
     @property
     def num_rows(self) -> int:
@@ -111,7 +108,7 @@ def profile(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int) -> Retenti
             low_seen = _vrt_low_seen(gt, cfg)
             measured = np.where(low_seen, measured * gt.vrt.low_factor, measured)
     measured = measured / cfg.guard_band_factor
-    return RetentionProfile(measured, cfg.mode, cfg, seed)
+    return RetentionProfile(measured)
 
 
 @dataclass(frozen=True)

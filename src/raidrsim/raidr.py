@@ -71,10 +71,6 @@ class BinConfig:
         return len(self.thresholds_ms)
 
     @property
-    def default_interval_ms(self) -> float:
-        return self.thresholds_ms[-1] if self.thresholds_ms else self.base_interval_ms
-
-    @property
     def all_intervals_ms(self) -> tuple[float, ...]:
         """Refresh interval per bin, default bin last."""
         if not self.thresholds_ms:

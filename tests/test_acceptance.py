@@ -15,7 +15,7 @@ from raidrsim import rng
 from raidrsim.bloom import BloomFilter, BloomParams, analytic_fpr
 from raidrsim.cli import main as cli_main
 from raidrsim.experiment import ExperimentSpec
-from raidrsim.overhead import OverheadInputs, density_sweep
+from raidrsim.overhead import POLICY_BASELINE, OverheadConfig, density_sweep
 from raidrsim.profiler import ProfilerConfig
 from raidrsim.raidr import BinConfig
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
@@ -56,9 +56,8 @@ def test_c2_density_scaling_band():
     # 64 Gb baseline throughput loss must land in the near-half band
     # [0.35, 0.55]; this is a calibrated-band consistency check on the
     # default tRFC table, not a reproduction of any published curve
-    inputs = OverheadInputs(device=DeviceConfig())
-    points = density_sweep(inputs, [8, 16, 32, 64], policies=(("baseline", 0.0),))
-    losses = {p.density_gbit: p.throughput_loss for p in points}
+    points = density_sweep(DeviceConfig(), OverheadConfig(densities_gbit=(8, 16, 32, 64)))
+    losses = {p.density_gbit: p.throughput_loss for p in points if p.policy == POLICY_BASELINE}
     assert sorted(losses.values()) == [losses[d] for d in (8, 16, 32, 64)]
     assert 0.35 <= losses[64] <= 0.55, losses[64]
     _passed(2, f"64 Gb baseline throughput loss {losses[64]:.3f} in [0.35, 0.55]")

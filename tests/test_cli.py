@@ -411,6 +411,25 @@ class TestSweepCommand:
             tmp_path / "par" / "sweep.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("settings, clamped", [
+        # a 10 us tRFC makes 8192 commands overrun the 64 ms window at any density
+        (["--set", "device.trfc_table_ns=4:10000"], ["true", "true"]),
+        ([], ["false"]),
+    ], ids=["clamped", "default"])
+    def test_clamped_column(self, tmp_path, settings, clamped):
+        values = ",".join(["0.0", "0.001"][:len(clamped)])
+        code = run_cli(
+            "sweep", "--axis", "dist.weak_fraction", "--values", values, *SMALL, *settings,
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1].split(",")[-1] == "clamped"
+        rows = [l.split(",") for l in lines[2:]]
+        assert [r[-1] for r in rows] == clamped
+        loss_col = lines[1].split(",").index("throughput_loss_baseline")
+        assert [float(r[loss_col]) == 1.0 for r in rows] == [c == "true" for c in clamped]
+
 
 class TestProfileCommand:
     def test_profile_csv(self, tmp_path):

@@ -46,13 +46,15 @@ CASES = {
             "bins.csv": "9cdd45204d643fbbb527973cb6acc060505513795bc6c6a26e95e7fa149cadcc",
         },
     ),
+    # both sweep.csv digests were taken after a deliberate change: the final
+    # `clamped` column; the other bytes equal the artifact from before it
     "sweep-guard": (
         [
             "sweep", "--seed", "5", *sets(ROWS_20K, *MEASURED_VRT_DPD),
             "--axis", "profiler.guard_band_factor", "--values", "1.0,1.1",
         ],
         {
-            "sweep.csv": "386451cbf3c0a0a7f86c0c1bb8eae92f22fd48e4eb801cee19d22e039e5974e3",
+            "sweep.csv": "13f143fef52b8e6fe310b4dbe23685083df79f0a492052508900116597a72589",
             "point_000/simreport.txt": "00dc18acefaf2d4912c383b5b8a3dcd91b156f80b1b0894e0532b3831666ed0e",
             "point_001/simreport.txt": "c387dd9140203d909022e73b7e17184bb0508cdc4e7f2ebcbbada53854fad19a",
         },
@@ -61,8 +63,28 @@ CASES = {
         ["profile", "--seed", "2", *sets("device.density_bits=8192000")],  # 1,000 rows
         {"profile.csv": "35715987fe72f974141f2404bc43e2153845e2d9ad521fbd934eb1f0fd928484"},
     ),
+    "overhead-default": (
+        ["overhead"],
+        {"overhead.csv": "36d251f30d8ea9b7f7c7c7d926cc85b65e97787299a07ad8b00dca592f738d99"},
+    ),
+    "overhead-non-default": (
+        # every overhead key off its default; the 256 Gb points clamp
+        ["overhead", *sets(
+            "overhead.raidr_savings=0.3", "overhead.e_refresh_cmd_nj_per_gbit=10",
+            "overhead.extrapolation_anchor_gbit=8", "overhead.densities_gbit=4,16,256",
+        )],
+        {"overhead.csv": "a9badeb378ccc8177badf50f6e8c8487a705723c0673aafd394dc3f71a289489"},
+    ),
+    "sweep-energy": (
+        ["sweep", *sets(ROWS_20K), "--axis", "overhead.e_activity_mw", "--values", "1,200"],
+        {
+            "sweep.csv": "82658aed90433686a69567cf258e071773bd8700e54dfb34abe6f13c7df030fb",
+            "point_000/simreport.txt": "8218adbf1d8980cd058534bca21e0340dc77b602ba655e751ff914f2c891a78b",
+            "point_001/simreport.txt": "a1ec7aad13e0df5dadc18aa1c537c581382fc1ae902a44fe635ecd57b9899fb4",
+        },
+    ),
     "overhead-clamped": (
-        # the one digest taken after a deliberate change: the `clamped` column
+        # taken after a deliberate change: the `clamped` column
         ["overhead", *sets("overhead.densities_gbit=2,4,128")],
         {"overhead.csv": "f80e2b0ee7ec8f906dc7418bd7ab4cf8f806ff56f52f2baf7d7f18ae7b8d8d21"},
     ),

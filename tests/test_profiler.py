@@ -36,7 +36,7 @@ class TestOracleMode:
         gt = make_gt()
         prof = profile(gt, ProfilerConfig(mode="oracle"), seed=1)
         assert np.array_equal(prof.measured_retention_ms, gt.base_retention_ms)
-        assert prof.provenance == "oracle"
+        assert prof.num_rows == gt.num_rows
 
     def test_sees_vrt_and_dpd_minima(self):
         gt = make_gt(

@@ -22,7 +22,7 @@ def query_many(bins, rows) -> np.ndarray:
 
 def profile_of(values_ms) -> RetentionProfile:
     arr = np.asarray(values_ms, dtype=np.float64)
-    return RetentionProfile(arr, "oracle", ProfilerConfig(), seed=0)
+    return RetentionProfile(arr)
 
 
 class TestBinConfig:
@@ -30,7 +30,6 @@ class TestBinConfig:
         cfg = BinConfig()
         assert cfg.all_intervals_ms == (64.0, 128.0, 256.0)
         assert cfg.multipliers == (1, 2, 4)
-        assert cfg.default_interval_ms == 256.0
 
     def test_threshold_classification(self):
         cfg = BinConfig()
