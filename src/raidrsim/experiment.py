@@ -19,7 +19,7 @@ reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from . import rng
 from .bloom import BloomParams
@@ -105,49 +105,16 @@ def _fmt_opt_int(v) -> str:
     return "" if v is None else str(v)
 
 
-# the one list of config keys: key -> (parser, formatter).  Each key names the
-# spec field it echoes (see _field_of); defaults come from the dataclasses
-_SCHEMA: dict[str, tuple] = {
-    "scenario": (str, str),
-    "seed": (int, str),
-    "device.density_bits": (int, str),
-    "device.row_size_bits": (int, str),
-    "device.trefw_ms": (float, _fmt_float),
-    "device.refresh_cmds_per_window": (int, str),
-    "device.banks": (int, str),
-    "device.trfc_table_ns": (_parse_table, _fmt_table),
-    "dist.kind": (str, str),
-    "dist.weak_fraction": (float, _fmt_float),
-    "dist.floor_ms": (float, _fmt_float),
-    "dist.weak_high_ms": (float, _fmt_float),
-    "dist.strong_value_ms": (float, _fmt_float),
-    "dist.lognormal_median_ms": (float, _fmt_float),
-    "dist.lognormal_sigma": (float, _fmt_float),
-    "vrt.enabled": (_parse_bool, _fmt_bool),
-    "vrt.affected_fraction": (float, _fmt_float),
-    "vrt.low_factor": (float, _fmt_float),
-    "vrt.p_high_to_low": (float, _fmt_float),
-    "vrt.p_low_to_high": (float, _fmt_float),
-    "dpd.enabled": (_parse_bool, _fmt_bool),
-    "dpd.num_patterns": (int, str),
-    "dpd.worst_pattern_factor": (float, _fmt_float),
-    "profiler.mode": (str, str),
-    "profiler.patterns_tested": (int, str),
-    "profiler.rounds": (int, str),
-    "profiler.guard_band_factor": (float, _fmt_float),
-    "profiler.profiling_window_span": (int, str),
-    "bins.thresholds_ms": (_parse_float_list, _fmt_float_list),
-    "bins.base_interval_ms": (float, _fmt_float),
-    "bloom.target_fpr": (float, _fmt_float),
-    "bloom.explicit_m": (_parse_opt_int, _fmt_opt_int),
-    "bloom.explicit_k": (_parse_opt_int, _fmt_opt_int),
-    "sim.horizon_windows": (int, str),
-    "overhead.densities_gbit": (_parse_float_list, _fmt_float_list),
-    "overhead.extrapolation_anchor_gbit": (float, _fmt_float),
-    "overhead.e_refresh_cmd_nj_per_gbit": (float, _fmt_float),
-    "overhead.e_background_mw": (float, _fmt_float),
-    "overhead.e_activity_mw": (float, _fmt_float),
-    "overhead.raidr_savings": (float, _fmt_float),
+# a field annotation -> (parser, formatter) of its config value; every
+# config module defers annotations, so each is the text of its source
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, _fmt_float),
+    "bool": (_parse_bool, _fmt_bool),
+    "int | None": (_parse_opt_int, _fmt_opt_int),
+    "tuple[float, ...]": (_parse_float_list, _fmt_float_list),
+    "dict[float, float]": (_parse_table, _fmt_table),
 }
 
 
@@ -238,8 +205,7 @@ class ExperimentSpec:
     def to_flat(self) -> dict[str, str]:
         """Every schema key with the formatted value of the spec field it names."""
         flat = {}
-        for key, (_, fmt) in _SCHEMA.items():
-            section, name = _field_of(key)
+        for key, (section, name, _, fmt) in _SCHEMA.items():
             flat[key] = fmt(getattr(getattr(self, section) if section else self, name))
         return flat
 
@@ -252,24 +218,31 @@ class ExperimentSpec:
 
 # spec field -> dataclass of that config section, in construction order
 _SECTIONS = {
-    "device": DeviceConfig,
-    "dist": RetentionDistribution,
-    "vrt": VrtModel,
-    "dpd": DpdModel,
-    "profiler": ProfilerConfig,
-    "bins": BinConfig,
-    "sim": SimConfig,
-    "overhead": OverheadConfig,
+    f.name: f.default_factory for f in fields(ExperimentSpec) if is_dataclass(f.default_factory)
 }
 
 
-def _field_of(key: str) -> tuple[str, str]:
-    """(section, field) a config key names: `a.b` is spec.a.b, `bloom.x` is
-    spec.bloom_x and an undotted key is a field of the spec itself ("")."""
-    section, _, name = key.rpartition(".")
-    if section == "bloom":
-        return "", f"bloom_{name}"
-    return section, name
+def _schema():
+    """key -> (section, field, parser, formatter) for every spec field.
+
+    A section field `a.x` is spec.a.x, `bloom.x` is spec.bloom_x and an
+    undotted key is a field of the spec itself (section ""); sim.seed has
+    no key, because the master seed governs it.
+    """
+    schema = {}
+    for f in fields(ExperimentSpec):
+        if f.name in _SECTIONS:
+            for g in fields(_SECTIONS[f.name]):
+                if (f.name, g.name) != ("sim", "seed"):
+                    schema[f"{f.name}.{g.name}"] = (f.name, g.name, *_CODECS[g.type])
+        else:
+            key = "bloom." + f.name.removeprefix("bloom_") if f.name.startswith("bloom_") else f.name
+            schema[key] = ("", f.name, *_CODECS[f.type])
+    return schema
+
+
+# the one list of config keys, derived from the spec dataclasses
+_SCHEMA = _schema()
 
 
 def spec_from_flat(flat: dict[str, str]) -> ExperimentSpec:
@@ -280,20 +253,19 @@ def spec_from_flat(flat: dict[str, str]) -> ExperimentSpec:
     base = ExperimentSpec().to_flat()
     base.update(flat)
 
-    fields: dict[str, dict[str, object]] = {"": {}, **{section: {} for section in _SECTIONS}}
+    values: dict[str, dict[str, object]] = {"": {}, **{section: {} for section in _SECTIONS}}
     for key, raw in base.items():
-        parser = _SCHEMA[key][0]
+        section, name, parser, _ = _SCHEMA[key]
         try:
             value = parser(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
-        section, name = _field_of(key)
-        fields[section][name] = value
+        values[section][name] = value
 
     try:
         # sim.seed follows the master seed, which the spec sets
-        sections = {section: cls(**fields[section]) for section, cls in _SECTIONS.items()}
-        return ExperimentSpec(**fields[""], **sections)
+        sections = {section: cls(**values[section]) for section, cls in _SECTIONS.items()}
+        return ExperimentSpec(**values[""], **sections)
     except ConfigError:
         raise
     except ValueError as exc:

@@ -60,11 +60,17 @@ def check(device: DeviceConfig, cfg: OverheadConfig, savings: float = 0.0) -> No
             raise ValueError("savings must be in [0, 1]")
 
 
-def trfc_ns(device: DeviceConfig, cfg: OverheadConfig, density_gbit: float) -> float:
-    """Per-command refresh latency at the given density."""
-    d = float(density_gbit)
+def _density(device: DeviceConfig, density_gbit: float | None) -> float:
+    """The density to evaluate at, the device's by default; it must be positive."""
+    d = device.density_gbit if density_gbit is None else float(density_gbit)
     if d <= 0:
         raise ValueError("density must be positive")
+    return d
+
+
+def trfc_ns(device: DeviceConfig, cfg: OverheadConfig, density_gbit: float) -> float:
+    """Per-command refresh latency at the given density."""
+    d = _density(device, density_gbit)
     table = device.trfc_table_ns
     keys = sorted(table)
     if d <= keys[-1]:
@@ -83,7 +89,7 @@ def throughput_loss(
 ) -> float:
     """Fraction of the window consumed by refresh commands, clamped to 1.0."""
     check(device, cfg, savings)
-    d = device.density_gbit if density_gbit is None else float(density_gbit)
+    d = _density(device, density_gbit)
     loss = device.refresh_cmds_per_window * trfc_ns(device, cfg, d) / (device.trefw_ms * 1e6)
     return min(loss * (1.0 - savings), 1.0)
 
@@ -96,7 +102,7 @@ def refresh_energy_fraction(
 ) -> float:
     """Refresh share of one window's energy: E_r / (E_r + E_bg + E_act)."""
     check(device, cfg, savings)
-    d = device.density_gbit if density_gbit is None else float(density_gbit)
+    d = _density(device, density_gbit)
     e_refresh_uj = device.refresh_cmds_per_window * cfg.e_refresh_cmd_nj_per_gbit * d / 1e3
     e_refresh_uj *= 1.0 - savings
     e_background_uj = cfg.e_background_mw * device.trefw_ms
@@ -126,7 +132,7 @@ def policy_points(
     device: DeviceConfig, cfg: OverheadConfig, savings: float, density_gbit: float | None = None
 ) -> tuple[OverheadPoint, OverheadPoint]:
     """The baseline and RAIDR points at one density (the device's by default)."""
-    d = device.density_gbit if density_gbit is None else float(density_gbit)
+    d = _density(device, density_gbit)
     trfc = trfc_ns(device, cfg, d)
     baseline, raidr = (
         OverheadPoint(

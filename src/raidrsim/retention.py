@@ -172,9 +172,8 @@ class RetentionGroundTruth:
     number of affected rows.
     """
 
-    def __init__(self, device, dist, vrt, dpd, seed, base_retention_ms, has_vrt):
+    def __init__(self, device, vrt, dpd, seed, base_retention_ms, has_vrt):
         self.device = device
-        self.dist = dist
         self.vrt = vrt
         self.dpd = dpd
         self.seed = seed
@@ -274,4 +273,4 @@ def generate_ground_truth(
     else:
         has_vrt = np.zeros(n, dtype=bool)
 
-    return RetentionGroundTruth(device, dist, vrt, dpd, seed, base, has_vrt)
+    return RetentionGroundTruth(device, vrt, dpd, seed, base, has_vrt)

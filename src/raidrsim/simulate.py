@@ -20,18 +20,17 @@ since its last refresh exceeds the smallest true retention it held at any
 point in that gap.  A VRT row only ever holds two retentions, so its
 running minimum is a flag, "low state seen since the last refresh".  A
 VRT row whose longest refresh gap, m * trefw_ms, is at most its low
-retention never fails in either state.  Such rows are split off at build
-and stepped only when their toggle state is observed, at a checkpoint;
-run() steps only the rows that can fail, so a window's work is
-proportional to their number.
+retention never fails in either state, and no result reads its toggle.
+So the engine holds VRT state only for the rows that can fail, and a
+window's work is proportional to their number.
 
-A checkpoint (version 3) is a `<4sI32s` header (magic `RSIM`, version,
+A checkpoint (version 4) is a `<4sI32s` header (magic `RSIM`, version,
 SHA-256 of the payload) and a payload of plain data: the length-prefixed
 canonical config text, the window and the VRT failure count, then three
-flags per VRT row, one byte each: low, seen and unsafe.  Restore parses
-the config, rebuilds the engine from it and checks the flags against that
-engine's VRT rows and refresh schedule.  It never executes code from the
-blob.
+flags per VRT row that can fail, one byte each: low, seen and unsafe.
+Restore parses the config, rebuilds the engine from it and checks the
+flags against that engine's rows and refresh schedule.  It never
+executes code from the blob.
 """
 
 from __future__ import annotations
@@ -57,10 +56,11 @@ from .raidr import BinSet, build_bins, refreshes_in_horizon
 from .retention import generate_ground_truth, vrt_step
 
 _CHECKPOINT_MAGIC = b"RSIM"
-_CHECKPOINT_VERSION = 3
+_CHECKPOINT_VERSION = 4
 _CHECKPOINT_HEADER = struct.Struct("<4sI32s")
 _CHECKPOINT_COUNTS = struct.Struct("<QQ")  # window, VRT failures so far
-# the VRT rows' flags in payload order, one u1 byte (0 or 1) per row each
+# the flags of the VRT rows that can fail, in payload order, one u1 byte
+# (0 or 1) per row each
 _CHECKPOINT_ARRAYS = ("vrt_low", "seen", "unsafe")
 
 # rows per block of the engine's single pass over the device; bounds the
@@ -70,18 +70,6 @@ _CHUNK_ROWS = 1 << 20
 
 class CheckpointError(RuntimeError):
     """Checkpoint blob failed version or integrity validation."""
-
-
-class _VrtGroup:
-    """VRT rows stepped together, with the per-row inputs of a step gathered once."""
-
-    def __init__(self, rows: np.ndarray, gt, v_key: np.ndarray):
-        self.rows = rows  # positions among gt.vrt_rows
-        self.prefix = gt._vrt_step_prefix[rows]
-        self.r_high = gt.vrt_retention_high[rows]
-        self.r_low = gt.vrt_retention_low[rows]
-        self.key = v_key[rows]
-        self.window = 0  # windows stepped so far
 
 
 @dataclass
@@ -146,19 +134,22 @@ class RefreshSimulation:
 
         self._scan_rows()
         gt = self.gt
-        n_vrt = gt.vrt_rows.size
-        # the VRT rows' toggle state, and whether each held its low state at
-        # any window since its last refresh: its running minimum retention
-        # is then the low one
-        self._v_low = np.zeros(n_vrt, dtype=bool)
-        self._v_seen = np.zeros(n_vrt, dtype=bool)
-        self._v_failures = 0
-        self._v_unsafe = np.zeros(n_vrt, dtype=bool)
         # a row fails only past its low retention, and its elapsed time
-        # peaks at m * trefw_ms, computed as _advance computes it
-        can_fail = self._v_mults[self._v_key] * self.device.trefw_ms > gt.vrt_retention_low
-        self._can_fail = _VrtGroup(np.flatnonzero(can_fail), gt, self._v_key)
-        self._cannot_fail = _VrtGroup(np.flatnonzero(~can_fail), gt, self._v_key)
+        # peaks at m * trefw_ms, computed as _advance computes it.  Only
+        # these rows are stepped, so the inputs of a step are gathered once
+        longest_gap_ms = self._v_mults[self._v_key] * self.device.trefw_ms
+        can_fail = np.flatnonzero(longest_gap_ms > gt.vrt_retention_low)
+        self._v_key = self._v_key[can_fail]
+        self._v_prefix = gt._vrt_step_prefix[can_fail]
+        self._v_high_ms = gt.vrt_retention_high[can_fail]
+        self._v_low_ms = gt.vrt_retention_low[can_fail]
+        # their toggle state, and whether each held its low state at any
+        # window since its last refresh: its running minimum retention is
+        # then the low one
+        self._v_low = np.zeros(can_fail.size, dtype=bool)
+        self._v_seen = np.zeros(can_fail.size, dtype=bool)
+        self._v_unsafe = np.zeros(can_fail.size, dtype=bool)
+        self._v_failures = 0
 
         self._window = 0
         self._wall = time.perf_counter() - t0
@@ -215,33 +206,32 @@ class RefreshSimulation:
 
     # -- stepping ----------------------------------------------------------
 
-    def _advance(self, g: _VrtGroup, end: int) -> None:
-        """Step group g from the window it has reached up to `end`, counting its failures."""
-        if g.rows.size and g.window < end:
-            low, seen, unsafe = self._v_low[g.rows], self._v_seen[g.rows], self._v_unsafe[g.rows]
-            for w in range(g.window, end):
+    def _advance(self, end: int) -> None:
+        """Step the rows that can fail from the current window up to `end`, counting their failures."""
+        if self._v_key.size:
+            low, seen, unsafe = self._v_low, self._v_seen, self._v_unsafe
+            for w in range(self._window, end):
                 if w > 0:
-                    low = vrt_step(low, rng.extend_hash_vec(g.prefix, w), self.spec.vrt)
+                    low = vrt_step(low, rng.extend_hash_vec(self._v_prefix, w), self.spec.vrt)
                 # per multiplier: refreshed this window, and the time since the last refresh
                 phase = w % self._v_mults
-                refresh = (phase == 0)[g.key]
-                elapsed_ms = ((phase + 1) * self.device.trefw_ms)[g.key]
+                refresh = (phase == 0)[self._v_key]
+                elapsed_ms = ((phase + 1) * self.device.trefw_ms)[self._v_key]
                 seen = low | (seen & ~refresh)
                 # the running minimum is the low retention if seen, else the
                 # high one, and the low one is never above the high one
-                failed = (elapsed_ms > g.r_high) | (seen & (elapsed_ms > g.r_low))
+                failed = (elapsed_ms > self._v_high_ms) | (seen & (elapsed_ms > self._v_low_ms))
                 self._v_failures += int(np.count_nonzero(failed))
                 unsafe |= failed
-            self._v_low[g.rows], self._v_seen[g.rows], self._v_unsafe[g.rows] = low, seen, unsafe
-        g.window = max(g.window, end)
+            self._v_low, self._v_seen, self._v_unsafe = low, seen, unsafe
+        self._window = max(self._window, end)
 
     def run(self, stop_after_window: int | None = None) -> SimReport | None:
         """Advance to the horizon (or to stop_after_window); report when complete."""
         horizon = self.horizon
         end = horizon if stop_after_window is None else min(stop_after_window, horizon)
         t0 = time.perf_counter()
-        self._advance(self._can_fail, end)
-        self._window = max(self._window, end)
+        self._advance(end)
         self._wall += time.perf_counter() - t0
         if self._window == horizon:
             return self.report()
@@ -273,20 +263,14 @@ class RefreshSimulation:
 
     # -- checkpointing -----------------------------------------------------
 
-    def _checkpoint_state(self) -> dict[str, np.ndarray]:
-        """The VRT rows' stored flags, the rows that cannot fail first stepped up to the current window."""
-        self._advance(self._cannot_fail, self._window)
-        return {"vrt_low": self._v_low, "seen": self._v_seen, "unsafe": self._v_unsafe}
-
     def checkpoint(self) -> bytes:
         """Snapshot at the current window boundary; resume reproduces the run exactly."""
         text = config_text(self.spec.to_flat()).encode()
-        state = self._checkpoint_state()
         payload = b"".join([
             struct.pack("<Q", len(text)),
             text,
             _CHECKPOINT_COUNTS.pack(self._window, self._v_failures),
-            *(state[name].astype(np.uint8).tobytes() for name in _CHECKPOINT_ARRAYS),
+            *(flags.astype(np.uint8).tobytes() for flags in (self._v_low, self._v_seen, self._v_unsafe)),
         ])
         header = _CHECKPOINT_HEADER.pack(
             _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, hashlib.sha256(payload).digest()
@@ -326,11 +310,11 @@ class RefreshSimulation:
             raise CheckpointError(f"checkpoint window {window} beyond horizon {spec.sim.horizon_windows}")
 
         sim = cls(spec)
-        n = sim.gt.vrt_rows.size
+        n = sim._v_key.size
         if len(payload) != pos + n * len(_CHECKPOINT_ARRAYS):
             raise CheckpointError(
                 f"checkpoint state is {len(payload) - pos} bytes; "
-                f"{n} VRT rows need {n * len(_CHECKPOINT_ARRAYS)}"
+                f"{n} VRT rows that can fail need {n * len(_CHECKPOINT_ARRAYS)}"
             )
         flags = np.frombuffer(payload, dtype=np.uint8, offset=pos).reshape(len(_CHECKPOINT_ARRAYS), n)
         for name, row_flags in zip(_CHECKPOINT_ARRAYS, flags):
@@ -350,7 +334,7 @@ class RefreshSimulation:
 
         sim._v_low, sim._v_seen, sim._v_unsafe = low, seen, unsafe
         sim._v_failures = v_failures
-        sim._window = sim._can_fail.window = sim._cannot_fail.window = window
+        sim._window = window
         return sim
 
 

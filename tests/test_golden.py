@@ -91,7 +91,7 @@ CASES = {
 }
 
 CHECKPOINT_WINDOW = 23
-CHECKPOINT_SHA256 = "dc61cc46bda6f248eb07437b48deb7cfa696e5f058901ef1a9c5a6450e8faecf"
+CHECKPOINT_SHA256 = "541e021258eb525dbe03b2157e00b4dda8daba93d6238d2f8fdab6a4e19185a0"
 
 
 def sha256_of(data: bytes) -> str:

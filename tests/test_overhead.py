@@ -150,3 +150,10 @@ def test_library_callers_refused_what_the_spec_refuses(cfg, match):
     for call in (check, density_sweep, throughput_loss, refresh_energy_fraction):
         with pytest.raises(ValueError, match=match):
             call(DEV, cfg)
+
+
+@pytest.mark.parametrize("density", [-1, 0])
+@pytest.mark.parametrize("fn", [throughput_loss, refresh_energy_fraction, policy_points])
+def test_non_positive_density_refused(fn, density):
+    with pytest.raises(ValueError, match="density must be positive"):
+        fn(DEV, CFG, 0.5, density)

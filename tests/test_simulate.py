@@ -24,6 +24,7 @@ from raidrsim.retention import (
     RetentionDistribution,
     VrtModel,
     generate_ground_truth,
+    vrt_step,
 )
 from raidrsim.simulate import (
     CheckpointError,
@@ -329,7 +330,7 @@ class TestDeterminismAndCheckpoint:
         )
         assert restored.run().to_text() == run(*noisy_args(seed=59, horizon=40)).to_text()
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_pickle_payload_never_unpickled(self, version):
         UNPICKLED.clear()
         payload = pickle.dumps(SetsFlagWhenUnpickled())
@@ -368,16 +369,23 @@ class TestDeterminismAndCheckpoint:
     def test_version_2_layout_rejected(self):
         # version 2 stored 18 bytes per VRT row: vrt_low u1, v_last i8 (the
         # last refresh window, 8 for every row here), v_runmin f8, v_unsafe u1
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=67, horizon=40)))
-        sim.run(stop_after_window=9)
-        payload = sim.checkpoint()[HEADER_SIZE:]
-        gt, n, pos = sim.gt, sim.gt.vrt_rows.size, state_offset(payload)
+        payload, gt, low = every_vrt_row_at_window_9()
+        n = gt.vrt_rows.size
         v_last = np.full(n, 8, dtype="<i8")
-        v_runmin = np.where(sim._v_seen, gt.vrt_retention_low, gt.vrt_retention_high).astype("<f8")
-        low, unsafe = payload[pos:pos + n], payload[pos + 2 * n:]
-        v2 = payload[:pos] + low + v_last.tobytes() + v_runmin.tobytes() + unsafe
-        with pytest.raises(CheckpointError, match="version"):
+        v_runmin = np.where(low, gt.vrt_retention_low, gt.vrt_retention_high).astype("<f8")
+        flags = low.astype(np.uint8).tobytes()
+        v2 = payload + flags + v_last.tobytes() + v_runmin.tobytes() + bytes(n)
+        with pytest.raises(CheckpointError, match="version 2"):
             RefreshSimulation.restore(signed(v2, version=2))
+
+    def test_version_3_layout_rejected(self):
+        # version 3 stored the three u1 flags for every VRT row, including
+        # the rows that cannot fail; seen equals vrt_low after the refresh
+        payload, gt, low = every_vrt_row_at_window_9()
+        flags = low.astype(np.uint8).tobytes()
+        v3 = payload + flags + flags + bytes(gt.vrt_rows.size)
+        with pytest.raises(CheckpointError, match="version 3"):
+            RefreshSimulation.restore(signed(v3, version=3))
 
     def test_fresh_checkpoint_with_a_low_row_rejected(self):
         # every row starts high and the toggle first steps into window 1, so
@@ -397,14 +405,15 @@ class TestDeterminismAndCheckpoint:
         args = noisy_args(seed=71, horizon=40)
         sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
         m = max(sim.bins.multipliers)
-        assert m > 1 and sim.gt.vrt_rows.size
+        can_fail = vrt_rows_that_can_fail(sim)
+        assert m > 1 and 0 < can_fail.size < sim.gt.vrt_rows.size
         uninterrupted = run(*args).to_text()
         for window in (0, 1, m - 1, m, 40):
             sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
             sim.run(stop_after_window=window)
             blob = sim.checkpoint()
-            # three one-byte flags per VRT row: low, seen, unsafe
-            assert len(blob) - HEADER_SIZE - state_offset(blob[HEADER_SIZE:]) == 3 * sim.gt.vrt_rows.size
+            # three one-byte flags per VRT row that can fail: low, seen, unsafe
+            assert len(blob) - HEADER_SIZE - state_offset(blob[HEADER_SIZE:]) == 3 * can_fail.size
             restored = RefreshSimulation.restore(blob)
             assert restored.checkpoint() == blob
             assert restored.run().to_text() == uninterrupted
@@ -416,30 +425,87 @@ class TestDeterminismAndCheckpoint:
             sim.report()
 
 
+def every_vrt_row_at_window_9():
+    """A checkpoint payload at window 9 without its flags, the ground truth,
+    and every VRT row's toggle state at window 8, in which every row is refreshed."""
+    args = noisy_args(seed=67, horizon=40)
+    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    sim.run(stop_after_window=9)
+    assert all(8 % m == 0 for m in sim.bins.multipliers)
+    payload = sim.checkpoint()[HEADER_SIZE:]
+    gt = generate_ground_truth(args[1], args[2], args[3], args[4], args[0].seed)
+    for w in range(1, 9):
+        gt.step_vrt(w)
+    return payload[:state_offset(payload)], gt, gt.vrt_rows_low
+
+
+def vrt_longest_gap_ms(sim):
+    """Each VRT row's longest refresh gap, m * trefw_ms, at the bin its filters give it."""
+    rows = sim.gt.vrt_rows.astype(np.uint64)
+    bins = sim.bins
+    mult = np.asarray(bins.multipliers)[bins.first_claims(bins.claims(rows), rows.shape)]
+    return mult * sim.device.trefw_ms
+
+
+def vrt_rows_that_can_fail(sim):
+    """Positions among gt.vrt_rows whose longest refresh gap exceeds their low retention."""
+    return np.flatnonzero(vrt_longest_gap_ms(sim) > sim.gt.vrt_retention_low)
+
+
 def test_vrt_trajectory_matches_standalone_ground_truth():
     # the engine steps the same ground-truth chain an external caller sees,
     # in its own state: its ground truth stays at window 0, every row high
     args = noisy_args(seed=53, horizon=12)
     sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
-    assert sim._can_fail.rows.size and sim._cannot_fail.rows.size
+    can_fail = vrt_rows_that_can_fail(sim)
+    assert 0 < can_fail.size < sim.gt.vrt_rows.size
     sim.run()
     assert sim.gt.current_window == 0 and not sim.gt.vrt_rows_low.any()
     gt = generate_ground_truth(args[1], args[2], args[3], args[4], args[0].seed)
     for w in range(1, 12):
         gt.step_vrt(w)
-    assert gt.vrt_rows_low.any()
-    assert np.array_equal(gt.vrt_rows_low, sim._checkpoint_state()["vrt_low"])
+    assert gt.vrt_rows_low[can_fail].any()
+    assert np.array_equal(gt.vrt_rows_low[can_fail], sim._v_low)
 
 
-def test_rows_that_cannot_fail_add_nothing_when_caught_up():
+def count_vrt_steps(monkeypatch):
+    calls = []
+
+    def counted(*a):
+        calls.append(1)
+        return vrt_step(*a)
+
+    monkeypatch.setattr(simulate_mod, "vrt_step", counted)
+    return calls
+
+
+def test_checkpoint_steps_no_row(monkeypatch):
+    # a checkpoint reads the engine's state and changes none of it
     sim = RefreshSimulation(ExperimentSpec.from_parts(*fpr_args()))
-    assert sim._can_fail.rows.size and sim._cannot_fail.rows.size
     rep = sim.run()
     assert rep.retention_failures > 0
-    assert sim._cannot_fail.window == 0
-    sim._checkpoint_state()
-    assert sim._cannot_fail.window == sim.horizon
+    calls = count_vrt_steps(monkeypatch)
+    state = [a.copy() for a in (sim._v_low, sim._v_seen, sim._v_unsafe)]
+    blob = sim.checkpoint()
+    assert not calls
+    assert all(np.array_equal(a, b) for a, b in zip(state, (sim._v_low, sim._v_seen, sim._v_unsafe)))
+    assert sim.checkpoint() == blob
     assert report_fields(sim.report()) == report_fields(rep)
+
+
+def test_vrt_rows_that_cannot_fail_hold_no_state(monkeypatch):
+    # an oracle profile bins every VRT row at or below its low retention,
+    # so none can fail: nothing is stepped and the checkpoint stores no flags
+    args = quiet_args()[:3] + (VrtModel(enabled=True, affected_fraction=0.3, low_factor=0.5,
+                                         p_high_to_low=0.2, p_low_to_high=0.3),) + quiet_args()[4:]
+    calls = count_vrt_steps(monkeypatch)
+    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    assert sim.gt.vrt_rows.size > 0 and vrt_rows_that_can_fail(sim).size == 0
+    rep = sim.run()
+    blob = sim.checkpoint()
+    assert not calls
+    assert len(blob) == HEADER_SIZE + state_offset(blob[HEADER_SIZE:])
+    assert RefreshSimulation.restore(blob).run().to_text() == rep.to_text() == run(*args).to_text()
 
 
 def test_partition_steps_exactly_the_rows_that_can_fail():
@@ -459,12 +525,16 @@ def test_partition_steps_exactly_the_rows_that_can_fail():
         BinConfig(thresholds_ms=(192.0, 448.0)),
     )
     sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
-    longest_gap_ms = sim._v_mults[sim._v_key] * 64.0
-    assert np.count_nonzero(longest_gap_ms == sim.gt.vrt_retention_low) > 10
-    sim.run()
-    unsafe = np.flatnonzero(sim._checkpoint_state()["unsafe"])
-    assert unsafe.size > 10
-    assert np.array_equal(unsafe, sim._can_fail.rows)
+    assert np.count_nonzero(vrt_longest_gap_ms(sim) == sim.gt.vrt_retention_low) > 10
+    can_fail = vrt_rows_that_can_fail(sim)
+    # the engine holds state for exactly the rows that can fail, and every
+    # one of them fails
+    assert can_fail.size > 10
+    assert np.array_equal(sim._v_prefix, sim.gt._vrt_step_prefix[can_fail])
+    rep = sim.run()
+    assert sim._v_unsafe.all()
+    assert rep.unsafe_rows == can_fail.size
+    assert rep.unsafe_rows == run_reference(*args).unsafe_rows
 
 
 @pytest.mark.parametrize("first, second", [(0, 1), (0, 40), (1, 2), (3, 4), (9, 23), (23, 40)])
