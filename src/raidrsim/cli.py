@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import overhead as overhead_mod
-from . import rng
 from .experiment import (
     ConfigError,
     ExperimentSpec,
@@ -22,11 +21,9 @@ from .experiment import (
     load_config,
     spec_from_flat,
 )
-from .profiler import profile
 from .raidr import UnbinnableRowError
-from .retention import generate_ground_truth
 from .selftest import run_selftest
-from .simulate import RefreshSimulation, check_report_invariants
+from .simulate import RefreshSimulation, check_report_invariants, profiled_blocks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -172,17 +169,15 @@ def _fmt_cell(v) -> str:
 def cmd_profile(args) -> int:
     spec = _build_spec(args)
     out = _ensure_outdir(args)
-    gt = generate_ground_truth(spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed)
-    prof = profile(gt, spec.profiler, rng.hash_words(spec.seed, rng.TAG_PROFILER_SEED))
-    bins_idx = spec.bins.classify(prof.measured_retention_ms)
     path = out / "profile.csv"
     with open(path, "w") as fh:
         fh.write(_csv_comment(spec) + "\n")
         fh.write("row_index,measured_retention_ms,assigned_bin\n")
-        measured = prof.measured_retention_ms
-        for i in range(prof.num_rows):
-            fh.write(f"{i},{float(measured[i])!r},{int(bins_idx[i])}\n")
-    print(f"profiled {prof.num_rows} rows ({spec.profiler.mode} mode) -> {path}")
+        for gt, measured in profiled_blocks(spec):
+            rows = range(gt.start, gt.start + gt.num_rows)
+            bins = spec.bins.classify(measured)
+            fh.write("".join([f"{i},{m!r},{b}\n" for i, m, b in zip(rows, measured.tolist(), bins.tolist())]))
+    print(f"profiled {spec.device.num_rows} rows ({spec.profiler.mode} mode) -> {path}")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .retention import RetentionGroundTruth, vrt_step
+from .retention import RetentionGroundTruth, VrtModel, vrt_step
 
 MODE_ORACLE = "oracle"
 MODE_MEASURED = "measured"
@@ -58,39 +58,39 @@ def _round_windows(span: int, rounds: int) -> np.ndarray:
     return np.unique((np.arange(rounds, dtype=np.int64) * span) // rounds)
 
 
-def _vrt_low_seen(gt: RetentionGroundTruth, cfg: ProfilerConfig) -> np.ndarray:
-    """Whether each affected row occupied its low state at any sampled pass.
+def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig) -> np.ndarray:
+    """Whether each affected row of `rows` occupied its low state at any sampled pass.
 
     The campaign has its own window timeline starting from the fresh (high)
     state; transitions reuse the per-row physical streams under a dedicated
-    purpose tag.
+    purpose tag.  It steps every row of `rows` in one loop over the windows,
+    so its cost is one pass over the span, however the device is blocked.
+    An oracle runs no campaign and sees no row low.
     """
-    idx = gt.vrt_rows
-    seen = np.zeros(gt.num_rows, dtype=bool)
-    if idx.size == 0:
+    seen = np.zeros(rows.size, dtype=bool)
+    if cfg.mode == MODE_ORACLE or rows.size == 0:
         return seen
     sample_at = set(int(w) for w in _round_windows(cfg.profiling_window_span, cfg.rounds))
-    low = np.zeros(idx.size, dtype=bool)
-    seen_idx = np.zeros(idx.size, dtype=bool)
-    prefix = rng.hash_words_vec(gt.seed, rng.TAG_PROFILE_VRT_STEP, idx)
+    low = np.zeros(rows.size, dtype=bool)
+    prefix = rng.hash_words_vec(seed, rng.TAG_PROFILE_VRT_STEP, rows)
     # window 0 is the fresh state: never low, nothing to record there
     for w in range(1, cfg.profiling_window_span):
-        low = vrt_step(low, rng.extend_hash_vec(prefix, w), gt.vrt)
+        low = vrt_step(low, rng.extend_hash_vec(prefix, w), vrt)
         if w in sample_at:
-            seen_idx |= low
-    seen[idx] = seen_idx
+            seen |= low
     return seen
 
 
-def profile(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int) -> RetentionProfile:
-    """Produce a per-row retention profile from the ground truth.
+def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_seen) -> np.ndarray:
+    """Guard-divided measured retention of each row of gt, a range of the device.
 
-    Oracle mode ignores the campaign parameters (patterns, rounds, span);
-    measured mode validates patterns_tested against the pattern universe.
+    low_seen is vrt_low_seen of gt.vrt_rows, passed in so that a blocked
+    caller runs the campaign once for all its blocks.  Oracle mode ignores
+    the campaign parameters (patterns, rounds, span); measured mode
+    validates patterns_tested against the pattern universe.
     """
-    n = gt.num_rows
     if cfg.mode == MODE_ORACLE:
-        measured = gt.min_possible_retention().copy()
+        measured = gt.min_possible_retention()
     else:
         if cfg.patterns_tested > gt.dpd.num_patterns:
             raise ValueError(
@@ -98,17 +98,20 @@ def profile(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int) -> Retenti
             )
         measured = gt.base_retention_ms.copy()
         if gt.dpd.enabled:
-            rows = np.arange(n, dtype=np.uint64)
             # membership of the row's worst pattern in a uniform distinct
             # sample of patterns_tested patterns: exact marginal s/N
             p_cover = cfg.patterns_tested / gt.dpd.num_patterns
-            covered = rng.uniform01_vec(seed, rng.TAG_PROFILE_PATTERNS, rows) < p_cover
+            covered = rng.uniform01_vec(seed, rng.TAG_PROFILE_PATTERNS, gt.rows) < p_cover
             measured = np.where(covered, measured * gt.dpd.worst_pattern_factor, measured)
         if gt.vrt.enabled:
-            low_seen = _vrt_low_seen(gt, cfg)
-            measured = np.where(low_seen, measured * gt.vrt.low_factor, measured)
-    measured = measured / cfg.guard_band_factor
-    return RetentionProfile(measured)
+            at = gt.vrt_rows[low_seen] - gt.start
+            measured[at] = measured[at] * gt.vrt.low_factor
+    return measured / cfg.guard_band_factor
+
+
+def profile(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int) -> RetentionProfile:
+    """Produce a per-row retention profile of the rows of gt."""
+    return RetentionProfile(profile_rows(gt, cfg, seed, vrt_low_seen(gt.seed, gt.vrt, gt.vrt_rows, cfg)))
 
 
 @dataclass(frozen=True)

@@ -149,21 +149,41 @@ def build_bins(
 
     bloom_budget is either a per-bin target false-positive rate (filters are
     sized for the actual bin populations) or explicit BloomParams shared by
-    all bins.
+    all bins.  This is bin_blocks over the profile as one block.
     """
-    measured = profile.measured_retention_ms
-    below = measured < bin_cfg.base_interval_ms
-    if np.any(below):
-        first = int(np.argmax(below))
-        raise UnbinnableRowError(
-            row=first,
-            measured_ms=float(measured[first]),
-            base_interval_ms=bin_cfg.base_interval_ms,
-            count=int(np.count_nonzero(below)),
-        )
-    idx = bin_cfg.classify(measured)
+    return bin_blocks([(0, profile.measured_retention_ms)], profile.num_rows, bin_cfg, bloom_budget, seed)
+
+
+def bin_blocks(blocks, num_rows: int, bin_cfg: BinConfig, bloom_budget, seed: int) -> BinSet:
+    """build_bins over (first row, measured retention) blocks that cover [0, num_rows) in order.
+
+    The filters are sized from the bin counts of the whole device, so each
+    row's bin is kept, in the smallest unsigned type that holds every bin
+    index, until the last block is in; then each filter gets its rows one
+    block at a time.  Beyond that, memory is bounded by the largest block.
+    """
     nbins = bin_cfg.num_filter_bins
-    counts = np.bincount(idx, minlength=nbins + 1)
+    row_bin = np.empty(num_rows, dtype=np.min_scalar_type(nbins))
+    counts = np.zeros(nbins + 1, dtype=np.int64)
+    spans = []
+    first_below, n_below = None, 0
+    for start, measured in blocks:
+        stop = start + measured.size
+        below = np.flatnonzero(measured < bin_cfg.base_interval_ms)
+        if below.size and first_below is None:
+            first_below = (start + int(below[0]), float(measured[below[0]]))
+        n_below += below.size
+        idx = bin_cfg.classify(measured)
+        row_bin[start:stop] = idx
+        counts += np.bincount(idx, minlength=nbins + 1)
+        spans.append((start, stop))
+    if n_below:
+        raise UnbinnableRowError(
+            row=first_below[0],
+            measured_ms=first_below[1],
+            base_interval_ms=bin_cfg.base_interval_ms,
+            count=n_below,
+        )
 
     filters = []
     for b in range(nbins):
@@ -175,9 +195,11 @@ def build_bins(
                 max(1, int(counts[b])),
                 seed=rng.hash_words(seed, rng.TAG_FILTER_SEED, b),
             )
-        filt = BloomFilter(params)
-        filt.insert_many(np.flatnonzero(idx == b).astype(np.uint64))
-        filters.append(filt)
+        filters.append(BloomFilter(params))
+    for start, stop in spans:
+        block = row_bin[start:stop]
+        for b, filt in enumerate(filters):
+            filt.insert_many(np.flatnonzero(block == b).astype(np.uint64) + np.uint64(start))
     return BinSet(bin_cfg=bin_cfg, filters=filters, counts=tuple(int(c) for c in counts))
 
 

@@ -8,13 +8,14 @@ controller never needs finer grain.
 
 All sampling goes through counter-based streams keyed by
 (seed, purpose, row [, window]), so regeneration is order-independent and
-bit-identical across runs.
+bit-identical across runs, and any range of rows can be generated alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -161,38 +162,50 @@ def vrt_step(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
 
 
 class RetentionGroundTruth:
-    """Per-row true retention state, regenerable from config + seed.
+    """True retention state of the rows [start, start + num_rows), regenerable from config + seed.
+
+    Every stream is keyed by row index, so the ground truth of a row range
+    equals the same rows of the whole device's, and the engine generates
+    the device one range at a time.  Row arguments and vrt_rows are device
+    row indices; base_retention_ms and has_vrt are indexed from start.
 
     Mutable only through step_vrt, which a standalone caller such as the
     reference oracle uses to walk the toggle chain; the engine keeps its
-    own toggle state and never mutates the ground truth.  Generation may
-    be sharded across row ranges because every stream is keyed by row
-    index.  The toggle state is held for the affected rows only
-    (vrt_rows_low, aligned with vrt_rows), so a step costs time in the
-    number of affected rows.
+    own toggle state and never mutates the ground truth.  The toggle state
+    is held for the affected rows only (vrt_rows_low, aligned with
+    vrt_rows), so a step costs time in the number of affected rows.
     """
 
-    def __init__(self, device, vrt, dpd, seed, base_retention_ms, has_vrt):
+    def __init__(self, device, vrt, dpd, seed, base_retention_ms, vrt_rows, start=0):
         self.device = device
         self.vrt = vrt
         self.dpd = dpd
         self.seed = seed
+        self.start = start
         self.base_retention_ms = base_retention_ms
-        self.has_vrt = has_vrt
+        self.vrt_rows = vrt_rows
+        self.has_vrt = np.zeros(base_retention_ms.size, dtype=bool)
+        self.has_vrt[vrt_rows - start] = True
         self.current_window = 0
-        self.vrt_rows = np.flatnonzero(has_vrt)
-        self.vrt_rows_low = np.zeros(self.vrt_rows.size, dtype=bool)
+        self.vrt_rows_low = np.zeros(vrt_rows.size, dtype=bool)
         # each affected row's retention in its high and low state, by the
         # same float operations as min_possible_retention
-        self.vrt_retention_high = self.base_retention_ms[self.vrt_rows] * self._dpd_factor()
+        self.vrt_retention_high = base_retention_ms[vrt_rows - start] * self._dpd_factor()
         self.vrt_retention_low = self.vrt_retention_high * vrt.low_factor
-        # hash of (seed, TAG_VRT_STEP, row), the window-independent prefix of
-        # every step draw; a function of seed and has_vrt alone
-        self._vrt_step_prefix = rng.hash_words_vec(seed, rng.TAG_VRT_STEP, self.vrt_rows)
 
     @property
     def num_rows(self) -> int:
-        return self.device.num_rows
+        return self.base_retention_ms.size
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The device row indices covered, as uint64 stream keys."""
+        return np.arange(self.start, self.start + self.num_rows, dtype=np.uint64)
+
+    @cached_property
+    def vrt_step_prefix(self) -> np.ndarray:
+        """Hash of (seed, TAG_VRT_STEP, row) per affected row: the window-independent prefix of its steps."""
+        return rng.hash_words_vec(self.seed, rng.TAG_VRT_STEP, self.vrt_rows)
 
     def _dpd_factor(self) -> float:
         return self.dpd.worst_pattern_factor if self.dpd.enabled else 1.0
@@ -207,32 +220,77 @@ class RetentionGroundTruth:
                 f"step_vrt windows must be consecutive; at {self.current_window}, got {window}"
             )
         if self.vrt_rows.size:
-            h = rng.extend_hash_vec(self._vrt_step_prefix, window)
+            h = rng.extend_hash_vec(self.vrt_step_prefix, window)
             self.vrt_rows_low = vrt_step(self.vrt_rows_low, h, self.vrt)
         self.current_window = window
         return self
 
     def true_min_retention(self, row: int, window: int) -> float:
         """Worst-case retention of `row` during `window` (ms)."""
-        if not 0 <= row < self.num_rows:
-            raise IndexError(f"row {row} out of range [0, {self.num_rows})")
+        if not self.start <= row < self.start + self.num_rows:
+            raise IndexError(f"row {row} out of range [{self.start}, {self.start + self.num_rows})")
         if window != self.current_window:
             raise ValueError(
                 f"ground truth is at window {self.current_window}, not {window}; call step_vrt in order"
             )
         factor = self._dpd_factor()
-        if self.has_vrt[row] and self.vrt_rows_low[np.searchsorted(self.vrt_rows, row)]:
+        i = row - self.start
+        if self.has_vrt[i] and self.vrt_rows_low[np.searchsorted(self.vrt_rows, row)]:
             factor *= self.vrt.low_factor
-        return float(self.base_retention_ms[row]) * factor
+        return float(self.base_retention_ms[i]) * factor
 
-    def min_possible_retention(self, rows: np.ndarray | slice | None = None) -> np.ndarray:
+    def min_possible_retention(self) -> np.ndarray:
         """Per-row minimum over all patterns and toggle states (what a perfect profiler sees)."""
-        base = self.base_retention_ms if rows is None else self.base_retention_ms[rows]
-        vrt_flag = self.has_vrt if rows is None else self.has_vrt[rows]
-        out = base * self._dpd_factor()
+        out = self.base_retention_ms * self._dpd_factor()
         if self.vrt.enabled:
-            out = np.where(vrt_flag, out * self.vrt.low_factor, out)
+            out = np.where(self.has_vrt, out * self.vrt.low_factor, out)
         return out
+
+
+def draw_vrt_rows(vrt: VrtModel, seed: int, start: int, stop: int) -> np.ndarray:
+    """Device indices of the rows in [start, stop) that carry a retention toggle, ascending."""
+    if not vrt.enabled:
+        return np.zeros(0, dtype=np.int64)
+    rows = np.arange(start, stop, dtype=np.uint64)
+    return start + np.flatnonzero(rng.uniform01_vec(seed, rng.TAG_VRT_FLAG, rows) < vrt.affected_fraction)
+
+
+def generate_rows(
+    device: DeviceConfig,
+    dist: RetentionDistribution,
+    vrt: VrtModel,
+    dpd: DpdModel,
+    seed: int,
+    start: int,
+    stop: int,
+    vrt_rows: np.ndarray,
+) -> RetentionGroundTruth:
+    """Ground truth of the rows [start, stop), whose toggling rows are vrt_rows (see draw_vrt_rows).
+
+    Weak rows are selected by independent per-row Bernoulli draws, so the
+    weak count is binomial around weak_fraction * num_rows.  The tail law
+    is drawn at the weak rows alone; each draw is a function of its row.
+    """
+    if dist.floor_ms < device.trefw_ms:
+        raise ValueError(
+            f"floor_ms {dist.floor_ms} below trefw_ms {device.trefw_ms}: rows would be "
+            "unrefreshable at the base rate"
+        )
+    rows = np.arange(start, stop, dtype=np.uint64)
+    weak = np.flatnonzero(rng.uniform01_vec(seed, rng.TAG_WEAK_SELECT, rows) < dist.weak_fraction)
+    base = np.full(rows.size, float(dist.strong_value_ms))
+    if weak.size:
+        at = rows[weak]
+        if dist.kind == DIST_TWO_POPULATION:
+            u = rng.uniform01_vec(seed, rng.TAG_BASE_RETENTION, at)
+            draw = dist.floor_ms + u * (dist.weak_high_ms - dist.floor_ms)
+        else:
+            z = rng.standard_normal_vec(seed, rng.TAG_BASE_RETENTION, at)
+            draw = dist.lognormal_median_ms * np.exp(dist.lognormal_sigma * z)
+            # clip into the supported band; mass piles at the edges by design
+            draw = np.clip(draw, dist.floor_ms, np.nextafter(dist.weak_high_ms, 0.0))
+        base[weak] = draw
+    return RetentionGroundTruth(device, vrt, dpd, seed, base, vrt_rows, start)
 
 
 def generate_ground_truth(
@@ -242,35 +300,6 @@ def generate_ground_truth(
     dpd: DpdModel,
     seed: int,
 ) -> RetentionGroundTruth:
-    """Sample per-row retention attributes, deterministically in all inputs.
-
-    Weak rows are selected by independent per-row Bernoulli draws, so the
-    weak count is binomial around weak_fraction * num_rows.
-    """
-    if dist.floor_ms < device.trefw_ms:
-        raise ValueError(
-            f"floor_ms {dist.floor_ms} below trefw_ms {device.trefw_ms}: rows would be "
-            "unrefreshable at the base rate"
-        )
+    """Sample per-row retention attributes of the whole device, deterministically in all inputs."""
     n = device.num_rows
-    rows = np.arange(n, dtype=np.uint64)
-
-    weak = rng.uniform01_vec(seed, rng.TAG_WEAK_SELECT, rows) < dist.weak_fraction
-    base = np.full(n, float(dist.strong_value_ms))
-    if np.any(weak):
-        if dist.kind == DIST_TWO_POPULATION:
-            u = rng.uniform01_vec(seed, rng.TAG_BASE_RETENTION, rows)
-            draw = dist.floor_ms + u * (dist.weak_high_ms - dist.floor_ms)
-        else:
-            z = rng.standard_normal_vec(seed, rng.TAG_BASE_RETENTION, rows)
-            draw = dist.lognormal_median_ms * np.exp(dist.lognormal_sigma * z)
-            # clip into the supported band; mass piles at the edges by design
-            draw = np.clip(draw, dist.floor_ms, np.nextafter(dist.weak_high_ms, 0.0))
-        base[weak] = draw[weak]
-
-    if vrt.enabled:
-        has_vrt = rng.uniform01_vec(seed, rng.TAG_VRT_FLAG, rows) < vrt.affected_fraction
-    else:
-        has_vrt = np.zeros(n, dtype=bool)
-
-    return RetentionGroundTruth(device, vrt, dpd, seed, base, has_vrt)
+    return generate_rows(device, dist, vrt, dpd, seed, 0, n, draw_vrt_rows(vrt, seed, 0, n))

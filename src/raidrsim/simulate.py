@@ -7,13 +7,19 @@ rows whose retention never changes get their failure counts in closed form,
 while rows with an active retention toggle are stepped window by window.
 Both paths are validated to match a brute-force step-through row by row.
 
-Everything fixed per row once the bins exist (the queried bin, refresh
-counts, the closed-form failures and each filter's claim count) comes from
-a single pass over the rows in fixed-size blocks, in which each filter is
-queried once per row.  Its temporaries are bounded by the block size, not
-by the device.  The pass never reads the profile: a Bloom filter has no
-false negatives, so the bin counts turn the claim counts into the
-per-filter FPRs and fix the refreshes the profiled schedule would issue.
+The engine is built in two passes over blocks of _CHUNK_ROWS rows, so its
+memory is set by one block, not by the device.  Pass 1 generates and
+profiles one block at a time; every stream is keyed by row, so a block
+equals the same rows of the full-array ground truth and profile.  Of each
+block it keeps two small integers per row, the profiled bin and the
+closed form's jmin, and the sparse data of the VRT rows.  The bin counts
+then size the filters, which take their rows block by block.  Pass 2
+gives everything fixed per row once the bins exist (the queried bin,
+refresh counts, the closed-form failures and each filter's claim count),
+querying each filter once per row.  It never reads the profile: a Bloom
+filter has no false negatives, so the bin counts turn the claim counts
+into the per-filter FPRs and fix the refreshes the profiled schedule
+would issue.
 
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
@@ -51,9 +57,9 @@ from .experiment import (
     parse_config_text,
     spec_from_flat,
 )
-from .profiler import MODE_ORACLE, ProfilerConfig, profile
-from .raidr import BinSet, build_bins, refreshes_in_horizon
-from .retention import generate_ground_truth, vrt_step
+from .profiler import MODE_ORACLE, ProfilerConfig, profile_rows, vrt_low_seen
+from .raidr import BinSet, bin_blocks, refreshes_in_horizon
+from .retention import draw_vrt_rows, generate_rows, vrt_step
 
 _CHECKPOINT_MAGIC = b"RSIM"
 _CHECKPOINT_VERSION = 4
@@ -63,9 +69,10 @@ _CHECKPOINT_COUNTS = struct.Struct("<QQ")  # window, VRT failures so far
 # (0 or 1) per row each
 _CHECKPOINT_ARRAYS = ("vrt_low", "seen", "unsafe")
 
-# rows per block of the engine's single pass over the device; bounds the
-# pass's temporaries independently of num_rows
-_CHUNK_ROWS = 1 << 20
+# rows per block of the engine's passes over the device; bounds their
+# temporaries independently of num_rows, and keeps them small enough to be
+# reused from the heap rather than mapped afresh for every block
+_CHUNK_ROWS = 1 << 17
 
 
 class CheckpointError(RuntimeError):
@@ -114,6 +121,25 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
+def profiled_blocks(spec: ExperimentSpec):
+    """Yield (ground truth, measured retention) of each block of _CHUNK_ROWS rows, in row order.
+
+    Every stream is keyed by row, so the blocks are the same rows of the
+    full-array generate_ground_truth and profile.  The VRT rows are drawn
+    first, block by block, so that the profiling campaign steps them all
+    in one loop over its windows.
+    """
+    n = spec.device.num_rows
+    blocks = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
+    vrt_rows = np.concatenate([draw_vrt_rows(spec.vrt, spec.seed, lo, hi) for lo, hi in blocks])
+    low_seen = vrt_low_seen(spec.seed, spec.vrt, vrt_rows, spec.profiler)
+    profiler_seed = rng.hash_words(spec.seed, rng.TAG_PROFILER_SEED)
+    for lo, hi in blocks:
+        a, b = np.searchsorted(vrt_rows, (lo, hi))
+        gt = generate_rows(spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed, lo, hi, vrt_rows[a:b])
+        yield gt, profile_rows(gt, spec.profiler, profiler_seed, low_seen[a:b])
+
+
 class RefreshSimulation:
     """One deterministic simulation run; step, checkpoint, resume, report."""
 
@@ -123,26 +149,45 @@ class RefreshSimulation:
         self.horizon = spec.sim.horizon_windows
 
         t0 = time.perf_counter()
-        seed = spec.seed
-        self.gt = generate_ground_truth(spec.device, spec.dist, spec.vrt, spec.dpd, seed)
-        # the bins fix every profiled count, so the profile is freed once they exist
-        self.bins: BinSet = build_bins(
-            profile(self.gt, spec.profiler, rng.hash_words(seed, rng.TAG_PROFILER_SEED)),
-            spec.bins, spec.bloom_budget,
-            seed=rng.hash_words(seed, rng.TAG_FILTER_SEED),
-        )
+        n = self.device.num_rows
+        # a row whose retention never toggles fails in every window at least
+        # jmin windows past its last refresh, so only rows with jmin <= m can
+        # fail at all.  jmin is kept per row, capped one past the largest
+        # multiplier, which a VRT row takes so that it is never counted here
+        jmin_cap = max(spec.bins.multipliers) + 1
+        jmin = np.empty(n, dtype=np.min_scalar_type(jmin_cap))
+        vrt_rows, vrt_high_ms, vrt_low_ms = [], [], []
 
-        self._scan_rows()
-        gt = self.gt
+        def binned_blocks():
+            # pass 1: of each block, only jmin, the VRT rows and their
+            # retentions outlive it, besides the bins bin_blocks keeps
+            for gt, measured in profiled_blocks(spec):
+                lo, hi = gt.start, gt.start + gt.num_rows
+                block_jmin = np.floor(gt.min_possible_retention() / self.device.trefw_ms) + 1
+                block_jmin = np.minimum(block_jmin, jmin_cap)
+                block_jmin[gt.has_vrt] = jmin_cap
+                jmin[lo:hi] = block_jmin
+                vrt_rows.append(gt.vrt_rows)
+                vrt_high_ms.append(gt.vrt_retention_high)
+                vrt_low_ms.append(gt.vrt_retention_low)
+                yield lo, measured
+
+        self.bins: BinSet = bin_blocks(
+            binned_blocks(), n, spec.bins, spec.bloom_budget,
+            seed=rng.hash_words(spec.seed, rng.TAG_FILTER_SEED),
+        )
+        vrt_rows = np.concatenate(vrt_rows)
+        self._scan_rows(jmin, vrt_rows)
         # a row fails only past its low retention, and its elapsed time
         # peaks at m * trefw_ms, computed as _advance computes it.  Only
         # these rows are stepped, so the inputs of a step are gathered once
+        vrt_low_ms = np.concatenate(vrt_low_ms)
         longest_gap_ms = self._v_mults[self._v_key] * self.device.trefw_ms
-        can_fail = np.flatnonzero(longest_gap_ms > gt.vrt_retention_low)
+        can_fail = np.flatnonzero(longest_gap_ms > vrt_low_ms)
         self._v_key = self._v_key[can_fail]
-        self._v_prefix = gt._vrt_step_prefix[can_fail]
-        self._v_high_ms = gt.vrt_retention_high[can_fail]
-        self._v_low_ms = gt.vrt_retention_low[can_fail]
+        self._v_prefix = rng.hash_words_vec(spec.seed, rng.TAG_VRT_STEP, vrt_rows[can_fail])
+        self._v_high_ms = np.concatenate(vrt_high_ms)[can_fail]
+        self._v_low_ms = vrt_low_ms[can_fail]
         # their toggle state, and whether each held its low state at any
         # window since its last refresh: its running minimum retention is
         # then the low one
@@ -154,42 +199,39 @@ class RefreshSimulation:
         self._window = 0
         self._wall = time.perf_counter() - t0
 
-    def _scan_rows(self) -> None:
+    def _scan_rows(self, jmin: np.ndarray, vrt_rows: np.ndarray) -> None:
         """Sum every per-row quantity the built bins fix, in one blocked pass.
 
         Each filter meets each row once; its claim mask gives the queried
         bin and its claim count.  Each filter holds exactly its bin's
         profiled rows and has no false negatives, so bins.counts gives
-        the false positives and the profiled schedule's refreshes.  Every
-        stream is keyed by row index, so the blocking is exact.
+        the false positives and the profiled schedule's refreshes.  A
+        non-VRT row's static failures follow from its queried multiplier
+        and its jmin, which pass 1 kept per row.  Every stream is keyed by
+        row index, so the blocking is exact.
         """
         horizon = self.horizon
-        base_ms = self.device.trefw_ms
-        bins, gt = self.bins, self.gt
+        bins = self.bins
         mult_table = np.asarray(bins.multipliers, dtype=np.int64)
         issued = static_failures = static_unsafe = 0
         claimed = [0] * len(bins.filters)
         v_mult = []
         for lo in range(0, self.device.num_rows, _CHUNK_ROWS):
-            block = slice(lo, min(lo + _CHUNK_ROWS, self.device.num_rows))
-            rows = np.arange(block.start, block.stop, dtype=np.uint64)
+            hi = min(lo + _CHUNK_ROWS, self.device.num_rows)
+            rows = np.arange(lo, hi, dtype=np.uint64)
             claims = bins.claims(rows)
             mult_q = mult_table[bins.first_claims(claims, rows.shape)]
             issued += int(refreshes_in_horizon(horizon, mult_q).sum())
             for b, mask in enumerate(claims):
                 claimed[b] += int(np.count_nonzero(mask))
 
-            # a row whose retention never toggles fails in every window at
-            # least jmin windows past its last refresh, so only rows with
-            # jmin <= m can fail at all
-            has_vrt = gt.has_vrt[block]
-            jmin = np.floor(gt.min_possible_retention(block) / base_ms).astype(np.int64) + 1
-            at_risk = np.flatnonzero((jmin <= mult_q) & ~has_vrt)
-            m, jmin = mult_q[at_risk], jmin[at_risk]
-            fails = (horizon // m) * (m - jmin + 1) + np.maximum(0, horizon % m - jmin + 1)
+            at_risk = np.flatnonzero(jmin[lo:hi] <= mult_q)
+            m, j = mult_q[at_risk], jmin[lo:hi][at_risk].astype(np.int64)
+            fails = (horizon // m) * (m - j + 1) + np.maximum(0, horizon % m - j + 1)
             static_failures += int(fails.sum())
             static_unsafe += int(np.count_nonzero(fails))
-            v_mult.append(mult_q[has_vrt])
+            a, b = np.searchsorted(vrt_rows, (lo, hi))
+            v_mult.append(mult_q[vrt_rows[a:b] - lo])
 
         counts = bins.counts
         self.refreshes_issued = issued
