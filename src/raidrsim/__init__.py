@@ -3,7 +3,7 @@
 from .bloom import BloomFilter, BloomParams, analytic_fpr, plan_params
 from .experiment import ConfigError, ExperimentSpec, SimConfig, spec_from_flat
 from .overhead import OverheadConfig, density_sweep, refresh_energy_fraction, throughput_loss
-from .profiler import ProfilerConfig, RetentionProfile, misclassification_report, profile
+from .profiler import ProfilerConfig, misclassification_report, profile
 from .raidr import BinConfig, BinSet, UnbinnableRowError, build_bins
 from .retention import (
     DeviceConfig,
@@ -19,7 +19,7 @@ __all__ = [
     "BloomFilter", "BloomParams", "analytic_fpr", "plan_params",
     "ConfigError", "ExperimentSpec", "spec_from_flat",
     "OverheadConfig", "density_sweep", "refresh_energy_fraction", "throughput_loss",
-    "ProfilerConfig", "RetentionProfile", "misclassification_report", "profile",
+    "ProfilerConfig", "misclassification_report", "profile",
     "BinConfig", "BinSet", "UnbinnableRowError", "build_bins",
     "DeviceConfig", "DpdModel", "RetentionDistribution", "RetentionGroundTruth",
     "VrtModel", "generate_ground_truth",

@@ -143,7 +143,10 @@ class ExperimentSpec:
         # the scenario must survive the `key = value` text of a checkpoint
         if self.scenario != self.scenario.strip() or len(self.scenario.splitlines()) > 1:
             raise ConfigError(f"scenario must be one line without outer spaces, got {self.scenario!r}")
-        max_mult = max(self.bins.multipliers)
+        try:
+            max_mult = max(self.bins.multipliers(self.device.trefw_ms))
+        except ValueError as exc:
+            raise ConfigError(f"bins.thresholds_ms against device.trefw_ms: {exc}") from exc
         if self.sim.horizon_windows < max_mult:
             raise ConfigError(
                 f"sim.horizon_windows {self.sim.horizon_windows} below the largest bin "

@@ -42,17 +42,6 @@ class ProfilerConfig:
             raise ValueError("profiling_window_span must be >= 1")
 
 
-@dataclass
-class RetentionProfile:
-    """Per-row measured retention, already guard-divided."""
-
-    measured_retention_ms: np.ndarray
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.measured_retention_ms.shape[0])
-
-
 def _round_windows(span: int, rounds: int) -> np.ndarray:
     """Window indices of the profiling passes, spread uniformly over the span."""
     return np.unique((np.arange(rounds, dtype=np.int64) * span) // rounds)
@@ -109,9 +98,9 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_s
     return measured / cfg.guard_band_factor
 
 
-def profile(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int) -> RetentionProfile:
-    """Produce a per-row retention profile of the rows of gt."""
-    return RetentionProfile(profile_rows(gt, cfg, seed, vrt_low_seen(gt.seed, gt.vrt, gt.vrt_rows, cfg)))
+def profile(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int) -> np.ndarray:
+    """Guard-divided measured retention of each row of gt, campaign included."""
+    return profile_rows(gt, cfg, seed, vrt_low_seen(gt.seed, gt.vrt, gt.vrt_rows, cfg))
 
 
 @dataclass(frozen=True)
@@ -128,19 +117,19 @@ class MisclassificationReport:
 
 
 def misclassification_report(
-    profile: RetentionProfile, gt: RetentionGroundTruth, bin_cfg
+    measured_ms: np.ndarray, gt: RetentionGroundTruth, bin_cfg
 ) -> MisclassificationReport:
-    """Compare profiled bins with the bins true minima would pick.
+    """Compare the bins of the profile measured_ms with the bins true minima would pick.
 
     Unsafe rows were assigned a longer refresh interval than their true
-    minimum supports; wasteful rows a shorter one.  Retentions below the
-    base interval clamp to the shortest bin here (the builder refuses
+    minimum supports; wasteful rows a shorter one.  Retentions below
+    device.trefw_ms clamp to the shortest bin here (the builder refuses
     them instead).
     """
-    if profile.num_rows != gt.num_rows:
+    if measured_ms.size != gt.num_rows:
         raise ValueError("profile and ground truth cover different row counts")
-    intervals = np.asarray(bin_cfg.all_intervals_ms)
-    prof_iv = intervals[bin_cfg.classify(profile.measured_retention_ms)]
+    intervals = np.asarray(bin_cfg.intervals_ms(gt.device.trefw_ms))
+    prof_iv = intervals[bin_cfg.classify(measured_ms)]
     true_iv = intervals[bin_cfg.classify(gt.min_possible_retention())]
     unsafe = int(np.count_nonzero(prof_iv > true_iv))
     wasteful = int(np.count_nonzero(prof_iv < true_iv))

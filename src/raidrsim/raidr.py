@@ -15,78 +15,72 @@ import numpy as np
 
 from . import rng
 from .bloom import BloomFilter, BloomParams, plan_params
-from .profiler import RetentionProfile
 
 
 class UnbinnableRowError(RuntimeError):
-    """A row's profiled retention is below the base interval: no bin can protect it."""
+    """A row's profiled retention is below device.trefw_ms: no bin can protect it."""
 
-    def __init__(self, row: int, measured_ms: float, base_interval_ms: float, count: int):
+    def __init__(self, row: int, measured_ms: float, base_ms: float, count: int):
         self.row = row
         self.measured_ms = measured_ms
-        self.base_interval_ms = base_interval_ms
+        self.base_ms = base_ms
         self.count = count
         super().__init__(
-            f"{count} row(s) with profiled retention under the {base_interval_ms} ms base "
-            f"interval (first: row {row} at {measured_ms} ms) cannot be refreshed fast enough"
+            f"{count} row(s) with profiled retention under device.trefw_ms {base_ms} ms "
+            f"(first: row {row} at {measured_ms} ms) cannot be refreshed fast enough"
         )
 
     def __reduce__(self):
         # rebuilt from its fields, so it crosses a process pool intact
-        return type(self), (self.row, self.measured_ms, self.base_interval_ms, self.count)
+        return type(self), (self.row, self.measured_ms, self.base_ms, self.count)
 
 
 @dataclass(frozen=True)
 class BinConfig:
-    """Retention thresholds and the base refresh interval.
+    """Retention thresholds of the bins.
 
-    Bin i covers [thresholds[i-1], thresholds[i]) with refresh interval
-    equal to the lower edge (the base interval for bin 0).  Rows at or
-    above the last threshold take the default interval, which equals that
-    threshold.  Every interval must be an integer multiple of the base so
-    the modular schedule stays exact.
+    The base refresh period is the device's tREFW (device.trefw_ms), which
+    every method that needs it takes as base_ms.  Bin i covers
+    [thresholds[i-1], thresholds[i]) with refresh interval equal to the
+    lower edge (the base period for bin 0).  Rows at or above the last
+    threshold take the default interval, which equals that threshold.
+    Every interval must be a whole multiple of the base so the modular
+    schedule stays exact.
     """
 
     thresholds_ms: tuple[float, ...] = (128.0, 256.0)
-    base_interval_ms: float = 64.0
 
     def __post_init__(self):
         object.__setattr__(self, "thresholds_ms", tuple(float(t) for t in self.thresholds_ms))
-        if self.base_interval_ms <= 0:
-            raise ValueError("base_interval_ms must be positive")
         prev = 0.0
         for t in self.thresholds_ms:
             if t <= prev:
                 raise ValueError(f"thresholds_ms must be strictly increasing, got {self.thresholds_ms}")
             prev = t
-        for iv in self.all_intervals_ms:
-            ratio = iv / self.base_interval_ms
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                raise ValueError(
-                    f"interval {iv} ms is not a positive integer multiple of base {self.base_interval_ms} ms"
-                )
 
     @property
     def num_filter_bins(self) -> int:
         return len(self.thresholds_ms)
 
-    @property
-    def all_intervals_ms(self) -> tuple[float, ...]:
+    def intervals_ms(self, base_ms: float) -> tuple[float, ...]:
         """Refresh interval per bin, default bin last."""
-        if not self.thresholds_ms:
-            return (self.base_interval_ms,)
-        per_bin = (self.base_interval_ms,) + self.thresholds_ms[:-1]
-        return per_bin + (self.thresholds_ms[-1],)
+        return (float(base_ms),) + self.thresholds_ms
 
-    @property
-    def multipliers(self) -> tuple[int, ...]:
-        return tuple(int(round(iv / self.base_interval_ms)) for iv in self.all_intervals_ms)
+    def multipliers(self, base_ms: float) -> tuple[int, ...]:
+        """Each bin's interval in base periods; ValueError unless each is a positive whole multiple."""
+        mults = []
+        for iv in self.intervals_ms(base_ms):
+            ratio = iv / base_ms
+            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+                raise ValueError(f"interval {iv} ms is not a positive integer multiple of base {base_ms} ms")
+            mults.append(int(round(ratio)))
+        return tuple(mults)
 
     def classify(self, measured_ms):
         """Bin index per retention value; the default bin is index num_filter_bins.
 
-        Values below the base interval clamp into bin 0; builders that must
-        reject such rows check for them separately.
+        Values below the base period, device.trefw_ms, clamp into bin 0;
+        builders that must reject such rows check for them separately.
         """
         arr = np.asarray(measured_ms, dtype=np.float64)
         idx = np.searchsorted(np.asarray(self.thresholds_ms), arr, side="right")
@@ -100,16 +94,17 @@ class BinSet:
     """One Bloom filter per non-default bin, shortest interval first."""
 
     bin_cfg: BinConfig
+    base_ms: float  # the base refresh period, device.trefw_ms
     filters: list[BloomFilter]
     counts: tuple[int, ...]  # rows inserted per bin, default bin last
 
     @property
     def intervals_ms(self) -> tuple[float, ...]:
-        return self.bin_cfg.all_intervals_ms
+        return self.bin_cfg.intervals_ms(self.base_ms)
 
     @property
     def multipliers(self) -> tuple[int, ...]:
-        return self.bin_cfg.multipliers
+        return self.bin_cfg.multipliers(self.base_ms)
 
     @property
     def default_bin(self) -> int:
@@ -140,21 +135,24 @@ class BinSet:
 
 
 def build_bins(
-    profile: RetentionProfile,
+    measured_ms: np.ndarray,
     bin_cfg: BinConfig,
+    base_ms: float,
     bloom_budget: float | BloomParams = 1e-3,
     seed: int = 0,
 ) -> BinSet:
     """Insert each row into the filter of the bin holding its profiled retention.
 
-    bloom_budget is either a per-bin target false-positive rate (filters are
-    sized for the actual bin populations) or explicit BloomParams shared by
-    all bins.  This is bin_blocks over the profile as one block.
+    measured_ms is the guard-divided profile of every row, and base_ms the
+    base refresh period.  bloom_budget is either a per-bin target
+    false-positive rate (filters are sized for the actual bin populations)
+    or explicit BloomParams shared by all bins.  This is bin_blocks over
+    the profile as one block.
     """
-    return bin_blocks([(0, profile.measured_retention_ms)], profile.num_rows, bin_cfg, bloom_budget, seed)
+    return bin_blocks([(0, measured_ms)], measured_ms.size, bin_cfg, base_ms, bloom_budget, seed)
 
 
-def bin_blocks(blocks, num_rows: int, bin_cfg: BinConfig, bloom_budget, seed: int) -> BinSet:
+def bin_blocks(blocks, num_rows: int, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: int) -> BinSet:
     """build_bins over (first row, measured retention) blocks that cover [0, num_rows) in order.
 
     The filters are sized from the bin counts of the whole device, so each
@@ -162,6 +160,7 @@ def bin_blocks(blocks, num_rows: int, bin_cfg: BinConfig, bloom_budget, seed: in
     index, until the last block is in; then each filter gets its rows one
     block at a time.  Beyond that, memory is bounded by the largest block.
     """
+    bin_cfg.multipliers(base_ms)  # rejects a threshold that is not a whole multiple of the base
     nbins = bin_cfg.num_filter_bins
     row_bin = np.empty(num_rows, dtype=np.min_scalar_type(nbins))
     counts = np.zeros(nbins + 1, dtype=np.int64)
@@ -169,7 +168,7 @@ def bin_blocks(blocks, num_rows: int, bin_cfg: BinConfig, bloom_budget, seed: in
     first_below, n_below = None, 0
     for start, measured in blocks:
         stop = start + measured.size
-        below = np.flatnonzero(measured < bin_cfg.base_interval_ms)
+        below = np.flatnonzero(measured < base_ms)
         if below.size and first_below is None:
             first_below = (start + int(below[0]), float(measured[below[0]]))
         n_below += below.size
@@ -181,7 +180,7 @@ def bin_blocks(blocks, num_rows: int, bin_cfg: BinConfig, bloom_budget, seed: in
         raise UnbinnableRowError(
             row=first_below[0],
             measured_ms=first_below[1],
-            base_interval_ms=bin_cfg.base_interval_ms,
+            base_ms=base_ms,
             count=n_below,
         )
 
@@ -200,7 +199,7 @@ def bin_blocks(blocks, num_rows: int, bin_cfg: BinConfig, bloom_budget, seed: in
         block = row_bin[start:stop]
         for b, filt in enumerate(filters):
             filt.insert_many(np.flatnonzero(block == b).astype(np.uint64) + np.uint64(start))
-    return BinSet(bin_cfg=bin_cfg, filters=filters, counts=tuple(int(c) for c in counts))
+    return BinSet(bin_cfg=bin_cfg, base_ms=base_ms, filters=filters, counts=tuple(int(c) for c in counts))
 
 
 def refreshes_in_horizon(horizon_windows: int, multiplier):

@@ -35,15 +35,15 @@ def _default_trfc_table() -> dict[float, float]:
 class DeviceConfig:
     """Chip geometry and refresh timing.
 
-    trfc_table_ns maps density in Gbit to the per-command refresh latency;
-    banks is carried for reporting only (per-bank scheduling is out of scope).
+    trefw_ms is the base refresh period: the retention bins refresh at
+    whole multiples of it, and bin 0 at trefw_ms itself.  trfc_table_ns
+    maps density in Gbit to the per-command refresh latency.
     """
 
     density_bits: int = 8_192_000_000
     row_size_bits: int = 8192
     trefw_ms: float = 64.0
     refresh_cmds_per_window: int = 8192
-    banks: int = 8
     trfc_table_ns: dict[float, float] = field(default_factory=_default_trfc_table)
 
     def __post_init__(self):
@@ -55,8 +55,8 @@ class DeviceConfig:
             )
         if self.trefw_ms <= 0:
             raise ValueError("trefw_ms must be positive")
-        if self.refresh_cmds_per_window < 1 or self.banks < 1:
-            raise ValueError("refresh_cmds_per_window and banks must be positive")
+        if self.refresh_cmds_per_window < 1:
+            raise ValueError("refresh_cmds_per_window must be positive")
         if not self.trfc_table_ns:
             raise ValueError("trfc_table_ns must not be empty")
         last = 0.0

@@ -51,16 +51,17 @@ def _check_oracle_safety(_: str | None) -> str | None:
 
 
 def _check_savings_bound(_: str | None) -> str | None:
+    device = DeviceConfig.from_rows(20_000)
     report = run(
         SimConfig(horizon_windows=64, seed=5),
-        DeviceConfig.from_rows(20_000),
+        device,
         RetentionDistribution(weak_fraction=1e-3),
         VrtModel(),
         DpdModel(),
         ProfilerConfig(),
         BinConfig(),
     )
-    bound = 1.0 - 1.0 / max(BinConfig().multipliers)
+    bound = 1.0 - 1.0 / max(BinConfig().multipliers(device.trefw_ms))
     if report.savings_fraction > bound + 1e-12:
         return f"savings {report.savings_fraction} above the {bound} ceiling"
     if report.savings_fraction < 0.70:

@@ -154,7 +154,7 @@ class RefreshSimulation:
         # jmin windows past its last refresh, so only rows with jmin <= m can
         # fail at all.  jmin is kept per row, capped one past the largest
         # multiplier, which a VRT row takes so that it is never counted here
-        jmin_cap = max(spec.bins.multipliers) + 1
+        jmin_cap = max(spec.bins.multipliers(self.device.trefw_ms)) + 1
         jmin = np.empty(n, dtype=np.min_scalar_type(jmin_cap))
         vrt_rows, vrt_high_ms, vrt_low_ms = [], [], []
 
@@ -173,7 +173,7 @@ class RefreshSimulation:
                 yield lo, measured
 
         self.bins: BinSet = bin_blocks(
-            binned_blocks(), n, spec.bins, spec.bloom_budget,
+            binned_blocks(), n, spec.bins, self.device.trefw_ms, spec.bloom_budget,
             seed=rng.hash_words(spec.seed, rng.TAG_FILTER_SEED),
         )
         vrt_rows = np.concatenate(vrt_rows)
@@ -381,7 +381,12 @@ class RefreshSimulation:
 
 
 def run(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3) -> SimReport:
-    """Build and run one simulation from the engine's positional parts."""
+    """Build and run one simulation from the engine's positional parts.
+
+    The spec is the one description of a run; this form stays because
+    perfbench's oracle cross-check calls it positionally, with the same
+    arguments as tests/reference_sim.run_reference.
+    """
     report = RefreshSimulation(
         ExperimentSpec.from_parts(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget)
     ).run()
@@ -402,7 +407,7 @@ def check_report_invariants(report: SimReport, profiler_cfg: ProfilerConfig | No
     if report.savings_fraction > 1.0 - 1.0 / max_mult + 1e-12:
         problems.append("savings-bound: savings exceeds 1 - 1/max_multiplier")
     # a guard only shortens intervals, Bloom errors only demote rows, and a
-    # row below the base interval is rejected at build: no guard >= 1 can
+    # row below device.trefw_ms is rejected at build: no guard >= 1 can
     # make an oracle profile unsafe
     if profiler_cfg is not None and profiler_cfg.mode == MODE_ORACLE and report.retention_failures:
         problems.append("oracle-safety: retention failures under perfect profiling")

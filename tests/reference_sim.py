@@ -32,16 +32,16 @@ def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_
     seed = sim_cfg.seed
     gt = generate_ground_truth(device, dist, vrt, dpd, seed)
     prof = profile(gt, profiler_cfg, rng.hash_words(seed, rng.TAG_PROFILER_SEED))
-    bins = build_bins(prof, bin_cfg, bloom_budget, seed=rng.hash_words(seed, rng.TAG_FILTER_SEED))
+    base_ms = device.trefw_ms
+    bins = build_bins(prof, bin_cfg, base_ms, bloom_budget, seed=rng.hash_words(seed, rng.TAG_FILTER_SEED))
 
     n = device.num_rows
     horizon = sim_cfg.horizon_windows
-    base_ms = device.trefw_ms
     mults = bins.multipliers
     # bins are immutable once built, so the per-row query is hoisted; a
     # separate test pins query stability across repeated calls
     row_mult = [mults[bins.query(r)] for r in range(n)]
-    prof_mult = [mults[int(bin_cfg.classify(float(m)))] for m in prof.measured_retention_ms]
+    prof_mult = [mults[int(bin_cfg.classify(float(m)))] for m in prof]
 
     issued = 0
     failures = 0

@@ -34,7 +34,7 @@ def test_c1_refresh_savings_default_scenario():
     spec = ExperimentSpec()
     assert spec.device.num_rows == 1_000_000
     assert spec.sim.horizon_windows == 1024
-    assert spec.bins.all_intervals_ms == (64.0, 128.0, 256.0)
+    assert spec.bins.intervals_ms(spec.device.trefw_ms) == (64.0, 128.0, 256.0)
     assert spec.dist.weak_fraction == 1e-3
     assert spec.bloom_target_fpr == 1e-3
     assert spec.profiler.mode == "oracle"
@@ -49,6 +49,7 @@ def test_c1_refresh_savings_default_scenario():
     assert elapsed < 60.0, f"default scenario took {elapsed:.1f}s"
     assert report.savings_fraction >= 0.74, report.savings_fraction
     assert report.retention_failures == 0
+    assert report.bin_intervals_ms == (64.0, 128.0, 256.0)
     _passed(1, "refresh savings >= 0.74 at 1e6 rows under 60s")
 
 

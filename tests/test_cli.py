@@ -1,8 +1,11 @@
 import dataclasses
 import os
+import re
 import stat
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +23,7 @@ from raidrsim.experiment import (
     spec_from_flat,
 )
 from raidrsim.profiler import ProfilerConfig
-from raidrsim.raidr import BinConfig
+from raidrsim.raidr import BinConfig, build_bins
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
 from raidrsim.simulate import run
 
@@ -89,6 +92,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bloom.explicit"):
             spec_from_flat({"bloom.explicit_m": "0", "bloom.explicit_k": "2"})
 
+    def test_readme_config_block_parses_to_the_defaults(self):
+        # a key deleted from the spec but left in the README fails here
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        assert spec_from_flat(parse_config_text(block)) == ExperimentSpec()
+
     def test_config_hash_stable(self):
         a = ExperimentSpec().config_hash()
         b = spec_from_flat({}).config_hash()
@@ -141,7 +150,6 @@ def valid_specs(draw):
         row_size_bits=row_bits,
         trefw_ms=draw(floats(1e-3, 1e3)),
         refresh_cmds_per_window=draw(st.integers(1, 1 << 20)),
-        banks=draw(st.integers(1, 64)),
         trfc_table_ns=dict(zip(densities, latencies)),
     )
     floor = device.trefw_ms * draw(floats(1.0, 8.0))
@@ -175,9 +183,8 @@ def valid_specs(draw):
         guard_band_factor=draw(floats(1.0, 16.0)),
         profiling_window_span=draw(st.integers(1, 16)),
     )
-    base = draw(floats(1e-2, 1e3))
     mults = sorted(draw(st.lists(st.integers(1, 64), max_size=5, unique=True)))
-    bins = BinConfig(thresholds_ms=tuple(base * m for m in mults), base_interval_ms=base)
+    bins = BinConfig(thresholds_ms=tuple(device.trefw_ms * m for m in mults))
     explicit_m = draw(st.none() | st.integers(1, 1 << 40))
     explicit_k = None if explicit_m is None else draw(st.none() | st.integers(1, 64))
     seed = draw(st.integers(0, 2**64 - 1))
@@ -193,7 +200,9 @@ def valid_specs(draw):
         bloom_target_fpr=draw(floats(1e-12, 0.999)),
         bloom_explicit_m=explicit_m,
         bloom_explicit_k=explicit_k,
-        sim=SimConfig(horizon_windows=max(bins.multipliers) + draw(st.integers(0, 1 << 20)), seed=seed),
+        sim=SimConfig(
+            horizon_windows=max(bins.multipliers(device.trefw_ms)) + draw(st.integers(0, 1 << 20)), seed=seed,
+        ),
         overhead=OverheadConfig(
             densities_gbit=tuple(sorted(draw(st.lists(floats(1e-3, 1e4), min_size=1, max_size=8)))),
             extrapolation_anchor_gbit=draw(st.sampled_from(densities)),
@@ -212,6 +221,10 @@ def test_spec_roundtrips_through_flat_and_text(spec):
     flat = spec.to_flat()
     assert spec_from_flat(flat) == spec
     assert spec_from_flat(parse_config_text(config_text(flat))) == spec
+    # the bins the engine builds, and reports, refresh each bin at a whole
+    # number of device.trefw_ms
+    bins = build_bins(np.empty(0), spec.bins, spec.device.trefw_ms)
+    assert bins.intervals_ms == tuple(m * spec.device.trefw_ms for m in bins.multipliers)
 
 
 @pytest.mark.parametrize("argv", [
@@ -238,6 +251,37 @@ def test_invalid_config_exits_2_before_creating_outdir(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(out)) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["bins.base_interval_ms=32", "device.banks=8"])
+def test_deleted_keys_are_unknown(tmp_path, capsys, setting):
+    assert run_cli("simulate", "--set", setting, "--out", str(tmp_path / "never")) == 2
+    assert f"unknown config key(s): {setting.split('=')[0]}" in capsys.readouterr().err
+
+
+def test_threshold_off_the_refresh_period_exits_2(tmp_path, capsys):
+    # the default 128 and 256 ms thresholds are not whole multiples of 48 ms
+    assert run_cli("simulate", "--set", "device.trefw_ms=48", "--out", str(tmp_path / "never")) == 2
+    err = capsys.readouterr().err
+    assert "bins.thresholds_ms" in err and "48.0" in err
+
+
+@pytest.mark.parametrize("settings, intervals", [
+    # a 0.6 worst pattern takes weak rows to 38.4 ms: under the 64 ms default
+    # period they would fail, but each is binned at the device's 32 ms
+    (["device.trefw_ms=32", "bins.thresholds_ms=64,128", "dpd.enabled=true",
+      "dpd.worst_pattern_factor=0.6"], "32.0,64.0,128.0"),
+    (["device.trefw_ms=128", "bins.thresholds_ms=256,512", "dist.floor_ms=128"], "128.0,256.0,512.0"),
+], ids=["trefw-32", "trefw-128"])
+def test_bins_refresh_at_multiples_of_the_device_period(tmp_path, settings, intervals):
+    rows = ["--set", "device.density_bits=1638400000"]  # 200,000 rows
+    argv = [arg for item in settings for arg in ("--set", item)]
+    assert run_cli("simulate", "--out", str(tmp_path), *rows, *argv) == 0
+    report = dict(line.split(" = ", 1) for line in (tmp_path / "simreport.txt").read_text().splitlines())
+    assert report["bin_intervals_ms"] == intervals
+    assert report["retention_failures"] == "0" and report["unsafe_rows"] == "0"
+    csv_rows = [l.split(",") for l in (tmp_path / "bins.csv").read_text().splitlines()[2:-1]]
+    assert ",".join(r[1] for r in csv_rows) == intervals
 
 
 def test_config_file_that_is_not_text_exits_2(tmp_path, capsys):

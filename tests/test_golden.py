@@ -2,6 +2,10 @@
 
 A refactor must leave every artifact byte alone, so any change to these
 digests is a deliberate artifact change and is made here on purpose.
+Every digest was last retaken when the config lost bins.base_interval_ms
+and device.banks: each report lost those two echo lines, and every
+config_sha256 (in the reports, the CSV comments and the checkpoint's
+config text and header digest) changed with them; no other byte did.
 """
 
 import hashlib
@@ -35,15 +39,15 @@ CASES = {
     "simulate-default": (
         ["simulate", "--seed", "1", *sets(ROWS_20K)],
         {
-            "simreport.txt": "1d1384ff0365ee72fb51e2efbc818b967be172f3fdacb35b9518b527bd16ef6f",
-            "bins.csv": "f02dbcf6aa5f741eacbad4cb28a0c515f817f8fc4a83fc5d2cb5b63c0543a5dd",
+            "simreport.txt": "471a8ce36896d031399a5402507503fadd1e54c440cc0a29d113b720433ad383",
+            "bins.csv": "4b462fa5d4919ff8915aace80d0b137cc5ec987143aa7450d0746945a8ea0b99",
         },
     ),
     "simulate-measured-vrt-dpd": (
         ["simulate", "--seed", "8675309", *sets(ROWS_20K, *MEASURED_VRT_DPD)],
         {
-            "simreport.txt": "904967712b10dd1664908b6214c8385ae5eca708063d4e4d71acc5a9184b22db",
-            "bins.csv": "9cdd45204d643fbbb527973cb6acc060505513795bc6c6a26e95e7fa149cadcc",
+            "simreport.txt": "7d802ad5ced8fe67d2bea52ed98bcc813ae6f2eea758d112d32abff4e2b79513",
+            "bins.csv": "380d6bf2b9b7320c50854bbfe8699d4ca05a83cf6c3fce5e0b54a98b1852952f",
         },
     ),
     # both sweep.csv digests were taken after a deliberate change: the final
@@ -54,18 +58,18 @@ CASES = {
             "--axis", "profiler.guard_band_factor", "--values", "1.0,1.1",
         ],
         {
-            "sweep.csv": "13f143fef52b8e6fe310b4dbe23685083df79f0a492052508900116597a72589",
-            "point_000/simreport.txt": "00dc18acefaf2d4912c383b5b8a3dcd91b156f80b1b0894e0532b3831666ed0e",
-            "point_001/simreport.txt": "c387dd9140203d909022e73b7e17184bb0508cdc4e7f2ebcbbada53854fad19a",
+            "sweep.csv": "d364ff1b750ee729cd14ea3d622f103b8b575e953011d0835d2c88ed363b8905",
+            "point_000/simreport.txt": "92feb9a3af19d34db734aca3da213c80f81f9443bbd832939edb38838c602960",
+            "point_001/simreport.txt": "5f89a5e86d3feddda14724d2c6bb862c5f8d9fad8117131b408163d24c1a81e0",
         },
     ),
     "profile": (
         ["profile", "--seed", "2", *sets("device.density_bits=8192000")],  # 1,000 rows
-        {"profile.csv": "35715987fe72f974141f2404bc43e2153845e2d9ad521fbd934eb1f0fd928484"},
+        {"profile.csv": "970659f7f00301a9829277b1597195eda3455fac92e8e011219fe35dc38888e0"},
     ),
     "overhead-default": (
         ["overhead"],
-        {"overhead.csv": "36d251f30d8ea9b7f7c7c7d926cc85b65e97787299a07ad8b00dca592f738d99"},
+        {"overhead.csv": "2c8d0fec9a7a2dbe4707b6d919df0f3e793d2a40571cd7f846efa1648f5a2352"},
     ),
     "overhead-non-default": (
         # every overhead key off its default; the 256 Gb points clamp
@@ -73,25 +77,25 @@ CASES = {
             "overhead.raidr_savings=0.3", "overhead.e_refresh_cmd_nj_per_gbit=10",
             "overhead.extrapolation_anchor_gbit=8", "overhead.densities_gbit=4,16,256",
         )],
-        {"overhead.csv": "a9badeb378ccc8177badf50f6e8c8487a705723c0673aafd394dc3f71a289489"},
+        {"overhead.csv": "b460c30f24dfd84044f1e5d6589c41103922c8d9cb2672d1dc56571206a2f348"},
     ),
     "sweep-energy": (
         ["sweep", *sets(ROWS_20K), "--axis", "overhead.e_activity_mw", "--values", "1,200"],
         {
-            "sweep.csv": "82658aed90433686a69567cf258e071773bd8700e54dfb34abe6f13c7df030fb",
-            "point_000/simreport.txt": "8218adbf1d8980cd058534bca21e0340dc77b602ba655e751ff914f2c891a78b",
-            "point_001/simreport.txt": "a1ec7aad13e0df5dadc18aa1c537c581382fc1ae902a44fe635ecd57b9899fb4",
+            "sweep.csv": "57d18fd8e1849bd50fdbc16d99aee06b2d996db14b40837993e743ad803f6856",
+            "point_000/simreport.txt": "b56a483eea615cd1d2e6eaf7532b21c9bc51c1a97c1ffd7589af033a16cbe818",
+            "point_001/simreport.txt": "b89886a1f9270f8dbee80cc7f78452fb821ea381a83de8c85ed56f9086a01896",
         },
     ),
     "overhead-clamped": (
         # taken after a deliberate change: the `clamped` column
         ["overhead", *sets("overhead.densities_gbit=2,4,128")],
-        {"overhead.csv": "f80e2b0ee7ec8f906dc7418bd7ab4cf8f806ff56f52f2baf7d7f18ae7b8d8d21"},
+        {"overhead.csv": "bf2c82e55158cef9e48d3425ef53b05730f208d8ee3895977bb46a050b570179"},
     ),
 }
 
 CHECKPOINT_WINDOW = 23
-CHECKPOINT_SHA256 = "541e021258eb525dbe03b2157e00b4dda8daba93d6238d2f8fdab6a4e19185a0"
+CHECKPOINT_SHA256 = "f01a30841b9193bddda3b56514322e151a3692c183412524177479fb8465a460"
 
 
 def sha256_of(data: bytes) -> str:

@@ -35,8 +35,8 @@ class TestOracleMode:
     def test_no_noise_equals_base(self):
         gt = make_gt()
         prof = profile(gt, ProfilerConfig(mode="oracle"), seed=1)
-        assert np.array_equal(prof.measured_retention_ms, gt.base_retention_ms)
-        assert prof.num_rows == gt.num_rows
+        assert np.array_equal(prof, gt.base_retention_ms)
+        assert prof.shape == (gt.num_rows,)
 
     def test_sees_vrt_and_dpd_minima(self):
         gt = make_gt(
@@ -44,13 +44,13 @@ class TestOracleMode:
             dpd=DpdModel(enabled=True, worst_pattern_factor=0.8),
         )
         prof = profile(gt, ProfilerConfig(mode="oracle"), seed=1)
-        assert np.allclose(prof.measured_retention_ms, gt.base_retention_ms * 0.8 * 0.5)
+        assert np.allclose(prof, gt.base_retention_ms * 0.8 * 0.5)
 
     def test_guard_band_divides(self):
         gt = make_gt()
         p1 = profile(gt, ProfilerConfig(mode="oracle", guard_band_factor=1.0), seed=1)
         p2 = profile(gt, ProfilerConfig(mode="oracle", guard_band_factor=2.0), seed=1)
-        assert np.allclose(p2.measured_retention_ms, p1.measured_retention_ms / 2.0)
+        assert np.allclose(p2, p1 / 2.0)
 
 
 class TestMeasuredMode:
@@ -60,7 +60,7 @@ class TestMeasuredMode:
         measured = profile(
             gt, ProfilerConfig(mode="measured", patterns_tested=8), seed=5
         )
-        assert np.array_equal(measured.measured_retention_ms, oracle.measured_retention_ms)
+        assert np.array_equal(measured, oracle)
 
     def test_full_coverage_with_visited_low_state_equals_oracle(self):
         # alternation chain guarantees a low-state visit at window 1
@@ -75,7 +75,7 @@ class TestMeasuredMode:
             ProfilerConfig(mode="measured", patterns_tested=4, rounds=4, profiling_window_span=4),
             seed=5,
         )
-        assert np.array_equal(measured.measured_retention_ms, oracle.measured_retention_ms)
+        assert np.array_equal(measured, oracle)
 
     def test_vrt_campaign_follows_the_scalar_row_window_stream(self):
         # the campaign draws uniform01(seed, TAG_PROFILE_VRT_STEP, row, w) and
@@ -84,7 +84,7 @@ class TestMeasuredMode:
                        p_high_to_low=0.2, p_low_to_high=0.5)
         gt = make_gt(num_rows=200, seed=17, vrt=vrt)
         cfg = ProfilerConfig(mode="measured", rounds=4, profiling_window_span=8)
-        measured = profile(gt, cfg, seed=5).measured_retention_ms
+        measured = profile(gt, cfg, seed=5)
         for r in (int(r) for r in np.flatnonzero(gt.has_vrt)):
             low = seen = False
             for w in range(1, 8):
@@ -109,7 +109,7 @@ class TestMeasuredMode:
         )
         prof = profile(gt, ProfilerConfig(mode="measured", patterns_tested=1), seed=13)
         true_min = gt.min_possible_retention()
-        overestimated = int(np.count_nonzero(prof.measured_retention_ms > true_min + 1e-12))
+        overestimated = int(np.count_nonzero(prof > true_min + 1e-12))
         expected = n * 7 / 8
         sigma = math.sqrt(n * (7 / 8) * (1 / 8))
         assert abs(overestimated - expected) < 4 * sigma
@@ -126,7 +126,7 @@ class TestMeasuredMode:
             ProfilerConfig(mode="measured", patterns_tested=4, rounds=3, profiling_window_span=8),
         ):
             prof = profile(gt, cfg, seed=3)
-            assert np.all(prof.measured_retention_ms <= gt.base_retention_ms + 1e-12)
+            assert np.all(prof <= gt.base_retention_ms + 1e-12)
 
     def test_guard_band_monotone_per_row(self):
         gt = make_gt(
@@ -138,7 +138,7 @@ class TestMeasuredMode:
             ProfilerConfig(mode="measured", patterns_tested=2, guard_band_factor=g)
             for g in (1.0, 2.0, 4.0)
         ]
-        profs = [profile(gt, c, seed=9).measured_retention_ms for c in cfgs]
+        profs = [profile(gt, c, seed=9) for c in cfgs]
         assert np.all(profs[1] <= profs[0] + 1e-12)
         assert np.all(profs[2] <= profs[1] + 1e-12)
 
@@ -190,6 +190,21 @@ class TestMisclassification:
         sigma = math.sqrt(n * expect_p * (1 - expect_p))
         assert abs(rep.unsafe - n * expect_p) < 4 * sigma
         assert rep.unsafe + rep.exact == n
+
+    def test_intervals_are_taken_from_the_device(self):
+        # with one threshold at 64 ms, bin 0 and the default bin share the
+        # 64 ms interval on a 64 ms device, but bin 0 is 32 ms on a 32 ms one
+        weak = RetentionDistribution(weak_fraction=1.0, floor_ms=64.0, weak_high_ms=256.0)
+        guard = ProfilerConfig(mode="oracle", guard_band_factor=2.0)
+        bins = BinConfig(thresholds_ms=(64.0,))
+        for trefw_ms in (64.0, 32.0):
+            gt = make_gt(device=DeviceConfig.from_rows(1000, trefw_ms=trefw_ms), dist=weak, seed=6)
+            rep = misclassification_report(profile(gt, guard, seed=6), gt, bins)
+            demoted = int(np.count_nonzero(gt.min_possible_retention() < 128.0))
+            assert 0 < demoted < gt.num_rows
+            assert rep.unsafe == 0
+            assert rep.wasteful == (demoted if trefw_ms == 32.0 else 0)
+            assert rep.exact == gt.num_rows - rep.wasteful
 
     def test_shape_mismatch_rejected(self):
         gt = make_gt(num_rows=10)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raidrsim.bloom import BloomParams, analytic_fpr
-from raidrsim.profiler import ProfilerConfig, RetentionProfile, profile
+from raidrsim.profiler import ProfilerConfig, profile
 from raidrsim.raidr import BinConfig, UnbinnableRowError, build_bins, refreshes_in_horizon
 from raidrsim.retention import (
     DeviceConfig,
@@ -20,16 +20,25 @@ def query_many(bins, rows) -> np.ndarray:
     return bins.first_claims(bins.claims(rows), rows.shape)
 
 
-def profile_of(values_ms) -> RetentionProfile:
-    arr = np.asarray(values_ms, dtype=np.float64)
-    return RetentionProfile(arr)
+BASE_MS = 64.0  # the default device.trefw_ms
+
+
+def profile_of(values_ms) -> np.ndarray:
+    return np.asarray(values_ms, dtype=np.float64)
 
 
 class TestBinConfig:
     def test_default_intervals_and_multipliers(self):
         cfg = BinConfig()
-        assert cfg.all_intervals_ms == (64.0, 128.0, 256.0)
-        assert cfg.multipliers == (1, 2, 4)
+        assert cfg.intervals_ms(BASE_MS) == (64.0, 128.0, 256.0)
+        assert cfg.multipliers(BASE_MS) == (1, 2, 4)
+
+    def test_intervals_follow_the_base(self):
+        cfg = BinConfig(thresholds_ms=(96.0, 192.0))
+        assert cfg.intervals_ms(48.0) == (48.0, 96.0, 192.0)
+        assert cfg.multipliers(48.0) == (1, 2, 4)
+        assert cfg.intervals_ms(32) == (32.0, 96.0, 192.0)
+        assert cfg.multipliers(32.0) == (1, 3, 6)
 
     def test_threshold_classification(self):
         cfg = BinConfig()
@@ -40,8 +49,13 @@ class TestBinConfig:
         assert cfg.classify(256.0) == 2
 
     def test_non_multiple_threshold_rejected(self):
+        cfg = BinConfig(thresholds_ms=(100.0, 256.0))
         with pytest.raises(ValueError, match="multiple"):
-            BinConfig(thresholds_ms=(100.0, 256.0))
+            cfg.multipliers(BASE_MS)
+        with pytest.raises(ValueError, match="multiple"):
+            build_bins(profile_of([300.0]), cfg, BASE_MS)
+        with pytest.raises(ValueError, match="multiple"):
+            BinConfig(thresholds_ms=(96.0, 192.0)).multipliers(64.0)
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -49,17 +63,17 @@ class TestBinConfig:
 
     def test_single_threshold_baseline_equivalent(self):
         cfg = BinConfig(thresholds_ms=(64.0,))
-        assert cfg.multipliers == (1, 1)
+        assert cfg.multipliers(BASE_MS) == (1, 1)
 
     def test_empty_thresholds_pure_baseline(self):
         cfg = BinConfig(thresholds_ms=())
-        assert cfg.all_intervals_ms == (64.0,)
-        assert cfg.multipliers == (1,)
+        assert cfg.intervals_ms(BASE_MS) == (64.0,)
+        assert cfg.multipliers(BASE_MS) == (1,)
 
 
 class TestBuildBins:
     def test_three_row_example(self):
-        bins = build_bins(profile_of([70.0, 130.0, 300.0]), BinConfig(), 1e-3)
+        bins = build_bins(profile_of([70.0, 130.0, 300.0]), BinConfig(), BASE_MS, 1e-3)
         assert bins.counts == (1, 1, 1)
         assert bins.query(0) == 0
         assert bins.query(1) in (0, 1)  # false positive may only demote
@@ -68,26 +82,33 @@ class TestBuildBins:
         assert bins.query(0) <= 0 and bins.query(1) <= 1
 
     def test_all_strong_filters_empty(self):
-        bins = build_bins(profile_of([300.0, 500.0, 2560.0]), BinConfig(), 1e-3)
+        bins = build_bins(profile_of([300.0, 500.0, 2560.0]), BinConfig(), BASE_MS, 1e-3)
         assert bins.counts == (0, 0, 3)
         assert all(not f.words.any() for f in bins.filters)
         assert all(bins.query(r) == 2 for r in range(3))
 
     def test_unbinnable_row(self):
         with pytest.raises(UnbinnableRowError) as err:
-            build_bins(profile_of([50.0, 130.0]), BinConfig(), 1e-3)
+            build_bins(profile_of([50.0, 130.0]), BinConfig(), BASE_MS, 1e-3)
         assert err.value.row == 0
         assert err.value.count == 1
+        assert err.value.base_ms == BASE_MS
+
+    def test_base_sets_the_unbinnable_bound_and_the_intervals(self):
+        bins = build_bins(profile_of([50.0, 130.0]), BinConfig(thresholds_ms=(64.0, 128.0)), 32.0)
+        assert bins.counts == (1, 0, 1)
+        assert bins.intervals_ms == (32.0, 64.0, 128.0)
+        assert bins.multipliers == (1, 2, 4)
 
     def test_explicit_params_budget(self):
         params = BloomParams(m=512, k=4, seed=77)
-        bins = build_bins(profile_of([70.0, 130.0, 300.0]), BinConfig(), params)
+        bins = build_bins(profile_of([70.0, 130.0, 300.0]), BinConfig(), BASE_MS, params)
         assert all(f.params == params for f in bins.filters)
 
     def test_deterministic_build(self):
         vals = [70.0, 90.0, 130.0, 200.0, 300.0, 2000.0]
-        a = build_bins(profile_of(vals), BinConfig(), 1e-3, seed=5)
-        b = build_bins(profile_of(vals), BinConfig(), 1e-3, seed=5)
+        a = build_bins(profile_of(vals), BinConfig(), BASE_MS, 1e-3, seed=5)
+        b = build_bins(profile_of(vals), BinConfig(), BASE_MS, 1e-3, seed=5)
         for fa, fb in zip(a.filters, b.filters):
             assert np.array_equal(fa.words, fb.words)
 
@@ -95,14 +116,14 @@ class TestBuildBins:
 class TestQueryOrder:
     def test_inserted_row_always_its_bin_or_shorter(self):
         rng_cases = np.linspace(64.0, 255.9, 500)
-        bins = build_bins(profile_of(rng_cases), BinConfig(), 1e-3)
+        bins = build_bins(profile_of(rng_cases), BinConfig(), BASE_MS, 1e-3)
         idx = bins.bin_cfg.classify(rng_cases)
         queried = query_many(bins, np.arange(500, dtype=np.uint64))
         assert np.all(queried <= idx)  # safety direction
 
     def test_first_claims_matches_scalar(self):
         vals = np.concatenate([np.linspace(64, 255, 64), np.full(200, 2560.0)])
-        bins = build_bins(profile_of(vals), BinConfig(), 1e-2)
+        bins = build_bins(profile_of(vals), BinConfig(), BASE_MS, 1e-2)
         rows = np.arange(vals.size, dtype=np.uint64)
         vec = query_many(bins, rows)
         assert [bins.query(int(r)) for r in rows] == list(vec)
@@ -116,7 +137,7 @@ class TestQueryOrder:
             np.linspace(64.0, 255.9, n_weak),
             np.full(n_strong, 2560.0),
         ])
-        bins = build_bins(profile_of(vals), BinConfig(), 1e-3, seed=3)
+        bins = build_bins(profile_of(vals), BinConfig(), BASE_MS, 1e-3, seed=3)
         strong_rows = np.arange(n_weak, n_weak + n_strong, dtype=np.uint64)
         queried = query_many(bins, strong_rows)
         demoted = float(np.count_nonzero(queried != 2) / n_strong)
@@ -152,7 +173,7 @@ class TestSavings:
             dev, RetentionDistribution(weak_fraction=1e-3), VrtModel(), DpdModel(), seed=2
         )
         prof = profile(gt, ProfilerConfig(), seed=2)
-        bins = build_bins(prof, BinConfig(), 1e-3, seed=2)
+        bins = build_bins(prof, BinConfig(), dev.trefw_ms, 1e-3, seed=2)
         horizon = 16
         mult = np.asarray(bins.multipliers)[query_many(bins, np.arange(n, dtype=np.uint64))]
         direct = sum(int(np.count_nonzero(w % mult == 0)) for w in range(horizon))
@@ -172,7 +193,7 @@ class TestSavings:
 @given(st.lists(st.floats(min_value=64.0, max_value=4096.0), min_size=1, max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_query_interval_never_longer_than_profiled(vals):
-    bins = build_bins(profile_of(vals), BinConfig(), 1e-2)
+    bins = build_bins(profile_of(vals), BinConfig(), BASE_MS, 1e-2)
     intervals = np.asarray(bins.intervals_ms)
     queried_iv = intervals[query_many(bins, np.arange(len(vals), dtype=np.uint64))]
     profiled_iv = intervals[bins.bin_cfg.classify(np.asarray(vals))]

@@ -168,7 +168,7 @@ class TestInvariants:
         rows = np.arange(60_000, dtype=np.uint64)
         mult = np.asarray(sim.bins.multipliers)
         q = mult[sim.bins.first_claims(sim.bins.claims(rows), rows.shape)]
-        p = mult[sim.bins.bin_cfg.classify(profile_of(sim).measured_retention_ms)]
+        p = mult[sim.bins.bin_cfg.classify(profile_of(sim))]
         expected = int((-(-64 // q) - (-(-64 // p))).sum())
         assert rep.fpr_extra_refreshes == expected
         # and the rate is in the right regime for the planned budget
@@ -592,7 +592,7 @@ def profile_of(sim):
 
 
 def independent_filter_fprs(sim):
-    idx = sim.spec.bins.classify(profile_of(sim).measured_retention_ms)
+    idx = sim.spec.bins.classify(profile_of(sim))
     rows = np.arange(sim.device.num_rows, dtype=np.uint64)
     return [
         float(filt.contains_many(rows[idx != b]).mean()) if np.any(idx != b) else 0.0
@@ -629,7 +629,7 @@ def test_row_blocks_equal_the_full_arrays(monkeypatch, kind, mode):
     # ground truth and profile, and the engine built from them is unchanged
     spec = ExperimentSpec.from_parts(*blocking_args(kind, mode))
     gt = ground_truth_of_spec(spec)
-    measured = profile_of_spec(spec, gt).measured_retention_ms
+    measured = profile_of_spec(spec, gt)
     default = RefreshSimulation(spec)
     rep = default.run()
 
@@ -661,17 +661,17 @@ def test_unbinnable_rows_reported_across_blocks(monkeypatch):
     ) + quiet_args()[5:]
     spec = ExperimentSpec.from_parts(*args)
     prof = profile_of_spec(spec, ground_truth_of_spec(spec))
-    bad = np.flatnonzero(prof.measured_retention_ms < 64.0)
+    bad = np.flatnonzero(prof < 64.0)
     assert bad[0] >= 7 and np.unique(bad // 7).size == 5 < bad.size
     with pytest.raises(UnbinnableRowError) as full:
-        build_bins(prof, spec.bins)
+        build_bins(prof, spec.bins, spec.device.trefw_ms)
 
     monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 7)
     with pytest.raises(UnbinnableRowError) as blocked:
         RefreshSimulation(spec)
     for err in (full.value, blocked.value):
         assert (err.row, err.count) == (bad[0], bad.size)
-        assert err.measured_ms == prof.measured_retention_ms[bad[0]]
+        assert err.measured_ms == prof[bad[0]]
     assert str(blocked.value) == str(full.value)
 
 
@@ -757,22 +757,23 @@ def test_from_parts_budget_forms():
 def small_vrt_runs(draw):
     """Engine parts of a small VRT config, a window to checkpoint at and a block size.
 
-    Zero to four bins above the 64 ms base, at multipliers drawn from 2, 3,
-    5, 7 and 9, and horizons mostly off a multiple of the largest one.  The
-    Bloom budget is an FPR target or an explicit tiny geometry (m up to
-    256 bits, never a power of two), whose false positives demote rows to
-    shorter intervals.  The retention floor is a multiple of 64 ms high
-    enough that every row's lowest retention, after the guard band, stays
-    at or above the 64 ms base interval, so no draw is unbinnable; a weak
-    band one ulp wide puts weak rows exactly on it, so elapsed times tie
-    with retentions.
+    The base period, device.trefw_ms, is 64, 48 or 37.5 ms.  Zero to four
+    bins above it, at multipliers drawn from 2, 3, 5, 7 and 9, and
+    horizons mostly off a multiple of the largest one.  The Bloom budget
+    is an FPR target or an explicit tiny geometry (m up to 256 bits, never
+    a power of two), whose false positives demote rows to shorter
+    intervals.  The retention floor is a multiple of the base high enough
+    that every row's lowest retention, after the guard band, stays at or
+    above the base, so no draw is unbinnable; a weak band one ulp wide
+    puts weak rows exactly on it, so elapsed times tie with retentions.
     """
+    base_ms = draw(st.sampled_from([64.0, 48.0, 37.5]))
     low_factor = draw(st.sampled_from([1.0, 0.8, 0.5, 0.45, 0.3]))
     dpd = DpdModel(enabled=draw(st.booleans()), num_patterns=4, worst_pattern_factor=0.75)
     mode = draw(st.sampled_from(["oracle", "measured"]))
     guard = draw(st.sampled_from([1.0, 1.25]))
     dpd_factor = dpd.worst_pattern_factor if dpd.enabled else 1.0
-    floor = 64.0 * draw(st.integers(math.ceil(guard / (low_factor * dpd_factor)), 8))
+    floor = base_ms * draw(st.integers(math.ceil(guard / (low_factor * dpd_factor)), 8))
     width = draw(st.sampled_from([0.0, 64.0, 256.0, 640.0]))
     dist = RetentionDistribution(
         weak_fraction=0.7, floor_ms=floor,
@@ -787,15 +788,16 @@ def small_vrt_runs(draw):
                               rounds=draw(st.integers(1, 3)), guard_band_factor=guard,
                               profiling_window_span=draw(st.integers(1, 6)))
     mults = sorted(draw(st.permutations([2, 3, 5, 7, 9]))[:draw(st.integers(0, 4))])
-    bins = BinConfig(thresholds_ms=tuple(64.0 * m for m in mults))
-    span = max(bins.multipliers[-1], 7)
-    horizon = draw(st.integers(bins.multipliers[-1], 5 * span - 1))
+    bins = BinConfig(thresholds_ms=tuple(base_ms * m for m in mults))
+    device = DeviceConfig.from_rows(draw(st.integers(8, 48)), trefw_ms=base_ms)
+    max_mult = bins.multipliers(device.trefw_ms)[-1]
+    span = max(max_mult, 7)
+    horizon = draw(st.integers(max_mult, 5 * span - 1))
     tiny_bloom = st.builds(BloomParams, m=st.integers(3, 255).filter(lambda m: m & (m - 1)),
                            k=st.integers(1, 4))
     args = (
         SimConfig(horizon_windows=horizon, seed=draw(st.integers(0, 2**64 - 1))),
-        DeviceConfig.from_rows(draw(st.integers(8, 48))),
-        dist, vrt, dpd, profiler, bins,
+        device, dist, vrt, dpd, profiler, bins,
         draw(st.sampled_from([1e-3, 0.3]) | tiny_bloom),
     )
     return args, draw(st.integers(0, horizon)), draw(st.integers(1, 50))
