@@ -12,24 +12,23 @@ gap.  Dividing measured retention by a guard of 4 rebins everything at
 
 import argparse
 
+from raidrsim.experiment import ExperimentSpec, SimConfig
 from raidrsim.profiler import ProfilerConfig
-from raidrsim.raidr import BinConfig
-from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
-from raidrsim.simulate import SimConfig, run
+from raidrsim.retention import DeviceConfig, RetentionDistribution, VrtModel
+from raidrsim.simulate import RefreshSimulation
 
 
 def hazard_report(seed, guard, rows, windows):
-    return run(
-        SimConfig(horizon_windows=windows, seed=seed),
-        DeviceConfig.from_rows(rows),
-        RetentionDistribution(weak_fraction=0.0, strong_value_ms=600.0),
-        VrtModel(enabled=True, affected_fraction=0.05, low_factor=0.3,
-                 p_high_to_low=0.2, p_low_to_high=0.2),
-        DpdModel(),
-        ProfilerConfig(mode="measured", guard_band_factor=guard,
-                       rounds=1, profiling_window_span=1),
-        BinConfig(),
-    )
+    return RefreshSimulation(ExperimentSpec(
+        seed=seed,
+        device=DeviceConfig.from_rows(rows),
+        dist=RetentionDistribution(weak_fraction=0.0, strong_value_ms=600.0),
+        vrt=VrtModel(enabled=True, affected_fraction=0.05, low_factor=0.3,
+                     p_high_to_low=0.2, p_low_to_high=0.2),
+        profiler=ProfilerConfig(mode="measured", guard_band_factor=guard,
+                                rounds=1, profiling_window_span=1),
+        sim=SimConfig(horizon_windows=windows),
+    )).run()
 
 
 def main():

@@ -13,7 +13,7 @@ from .retention import (
     VrtModel,
     generate_ground_truth,
 )
-from .simulate import CheckpointError, RefreshSimulation, SimReport, run
+from .simulate import CheckpointError, RefreshSimulation, SimReport
 
 __all__ = [
     "BloomFilter", "BloomParams", "analytic_fpr", "plan_params",
@@ -23,7 +23,7 @@ __all__ = [
     "BinConfig", "BinSet", "UnbinnableRowError", "build_bins",
     "DeviceConfig", "DpdModel", "RetentionDistribution", "RetentionGroundTruth",
     "VrtModel", "generate_ground_truth",
-    "CheckpointError", "RefreshSimulation", "SimConfig", "SimReport", "run",
+    "CheckpointError", "RefreshSimulation", "SimConfig", "SimReport",
 ]
 
 __version__ = "0.1.0"

@@ -84,7 +84,7 @@ def cmd_simulate(args) -> int:
     print(f"total_filter_bits = {report.total_filter_bits}")
     print(f"wall_time_s = {report.wall_time_s:.3f}")
     print(f"artifacts: {out / 'simreport.txt'}, {out / 'bins.csv'}")
-    violations = check_report_invariants(report, spec.profiler)
+    violations = check_report_invariants(report, spec)
     for v in violations:
         print(f"INVARIANT VIOLATION: {v}", file=sys.stderr)
     return EXIT_INVARIANT if violations else EXIT_OK

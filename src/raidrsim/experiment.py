@@ -173,26 +173,6 @@ class ExperimentSpec:
         except ValueError as exc:
             raise ConfigError(f"overhead: {exc}") from exc
 
-    @classmethod
-    def from_parts(cls, sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3):
-        """The spec of the engine's positional parts.
-
-        The budget is a per-bin FPR target, or BloomParams with seed 0:
-        the form `bloom_budget` returns for an explicit m/k.
-        """
-        if isinstance(bloom_budget, BloomParams):
-            if bloom_budget.seed != 0:
-                raise ValueError(f"explicit BloomParams must have seed 0, got {bloom_budget.seed}")
-            bloom = {"bloom_explicit_m": bloom_budget.m, "bloom_explicit_k": bloom_budget.k}
-        elif isinstance(bloom_budget, (int, float)):
-            bloom = {"bloom_target_fpr": float(bloom_budget)}
-        else:
-            raise ValueError(f"bloom budget must be an FPR or BloomParams, got {bloom_budget!r}")
-        return cls(
-            seed=sim_cfg.seed, device=device, dist=dist, vrt=vrt, dpd=dpd,
-            profiler=profiler_cfg, bins=bin_cfg, sim=sim_cfg, **bloom,
-        )
-
     @property
     def bloom_budget(self) -> float | BloomParams:
         """Explicit BloomParams (seed 0) when configured, else the per-bin FPR target."""

@@ -70,10 +70,10 @@ class BinConfig:
         """Each bin's interval in base periods; ValueError unless each is a positive whole multiple."""
         mults = []
         for iv in self.intervals_ms(base_ms):
-            ratio = iv / base_ms
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+            m = round(iv / base_ms)
+            if m < 1 or m * base_ms != iv:
                 raise ValueError(f"interval {iv} ms is not a positive integer multiple of base {base_ms} ms")
-            mults.append(int(round(ratio)))
+            mults.append(m)
         return tuple(mults)
 
     def classify(self, measured_ms):

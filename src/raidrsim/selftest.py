@@ -11,11 +11,10 @@ import numpy as np
 
 from . import rng
 from .bloom import BloomFilter, BloomParams, analytic_fpr
-from .experiment import ConfigError, ExperimentSpec
+from .experiment import ConfigError, ExperimentSpec, SimConfig
 from .profiler import ProfilerConfig
-from .raidr import BinConfig
 from .retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
-from .simulate import RefreshSimulation, SimConfig, run
+from .simulate import RefreshSimulation, check_report_invariants
 
 FAULT_CORRUPT_BLOOM = "corrupt-bloom"
 KNOWN_FAULTS = (FAULT_CORRUPT_BLOOM,)
@@ -35,38 +34,36 @@ def _check_no_false_negatives(fault: str | None) -> str | None:
     return None
 
 
-def _check_oracle_safety(_: str | None) -> str | None:
-    report = run(
-        SimConfig(horizon_windows=64, seed=11),
-        DeviceConfig.from_rows(20_000),
-        RetentionDistribution(weak_fraction=0.01, floor_ms=128.0),
-        VrtModel(enabled=True, affected_fraction=0.05, low_factor=0.8),
-        DpdModel(enabled=True, worst_pattern_factor=0.8),
-        ProfilerConfig(mode="oracle", guard_band_factor=1.0),
-        BinConfig(),
-    )
-    if report.retention_failures:
-        return f"{report.retention_failures} retention failures under perfect profiling"
+def _check_run(spec: ExperimentSpec, floor: float = 0.0) -> str | None:
+    """The report invariants of one run of `spec`, and a floor under its savings."""
+    report = RefreshSimulation(spec).run()
+    problems = check_report_invariants(report, spec)
+    if problems:
+        return "; ".join(problems)
+    if report.savings_fraction < floor:
+        return f"savings {report.savings_fraction} implausibly low, below {floor}"
     return None
+
+
+def _check_oracle_safety(_: str | None) -> str | None:
+    return _check_run(ExperimentSpec(
+        seed=11,
+        device=DeviceConfig.from_rows(20_000),
+        dist=RetentionDistribution(weak_fraction=0.01, floor_ms=128.0),
+        vrt=VrtModel(enabled=True, affected_fraction=0.05, low_factor=0.8),
+        dpd=DpdModel(enabled=True, worst_pattern_factor=0.8),
+        profiler=ProfilerConfig(mode="oracle", guard_band_factor=1.0),
+        sim=SimConfig(horizon_windows=64),
+    ))
 
 
 def _check_savings_bound(_: str | None) -> str | None:
-    device = DeviceConfig.from_rows(20_000)
-    report = run(
-        SimConfig(horizon_windows=64, seed=5),
-        device,
-        RetentionDistribution(weak_fraction=1e-3),
-        VrtModel(),
-        DpdModel(),
-        ProfilerConfig(),
-        BinConfig(),
-    )
-    bound = 1.0 - 1.0 / max(BinConfig().multipliers(device.trefw_ms))
-    if report.savings_fraction > bound + 1e-12:
-        return f"savings {report.savings_fraction} above the {bound} ceiling"
-    if report.savings_fraction < 0.70:
-        return f"savings {report.savings_fraction} implausibly low for the default scenario"
-    return None
+    return _check_run(ExperimentSpec(
+        seed=5,
+        device=DeviceConfig.from_rows(20_000),
+        dist=RetentionDistribution(weak_fraction=1e-3),
+        sim=SimConfig(horizon_windows=64),
+    ), floor=0.70)
 
 
 def _check_fpr_calibration(_: str | None) -> str | None:

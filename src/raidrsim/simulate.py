@@ -49,15 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .experiment import (
-    ExperimentSpec,
-    SimConfig,  # re-exported for callers of run()
-    config_sha256,
-    config_text,
-    parse_config_text,
-    spec_from_flat,
-)
-from .profiler import MODE_ORACLE, ProfilerConfig, profile_rows, vrt_low_seen
+from .bloom import BloomParams
+from .experiment import ExperimentSpec, config_sha256, config_text, parse_config_text, spec_from_flat
+from .profiler import MODE_ORACLE, profile_rows, vrt_low_seen
 from .raidr import BinSet, bin_blocks, refreshes_in_horizon
 from .retention import draw_vrt_rows, generate_rows, vrt_step
 
@@ -381,21 +375,31 @@ class RefreshSimulation:
 
 
 def run(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3) -> SimReport:
-    """Build and run one simulation from the engine's positional parts.
+    """Build and run the ExperimentSpec of positional parts.
 
-    The spec is the one description of a run; this form stays because
-    perfbench's oracle cross-check calls it positionally, with the same
-    arguments as tests/reference_sim.run_reference.
+    Only perfbench's oracle cross-check calls this form, with the
+    arguments it passes to tests/reference_sim.run_reference; every other
+    run is built from a spec.  The seed is sim_cfg's.  The budget is a
+    per-bin FPR target, or BloomParams with seed 0: the form
+    `ExperimentSpec.bloom_budget` returns for an explicit m/k.
     """
-    report = RefreshSimulation(
-        ExperimentSpec.from_parts(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget)
-    ).run()
+    if isinstance(bloom_budget, BloomParams) and bloom_budget.seed == 0:
+        bloom = {"bloom_explicit_m": bloom_budget.m, "bloom_explicit_k": bloom_budget.k}
+    elif isinstance(bloom_budget, (int, float)):
+        bloom = {"bloom_target_fpr": float(bloom_budget)}
+    else:
+        raise ValueError(f"bloom budget must be an FPR or BloomParams with seed 0, got {bloom_budget!r}")
+    spec = ExperimentSpec(
+        seed=sim_cfg.seed, device=device, dist=dist, vrt=vrt, dpd=dpd,
+        profiler=profiler_cfg, bins=bin_cfg, sim=sim_cfg, **bloom,
+    )
+    report = RefreshSimulation(spec).run()
     assert report is not None
     return report
 
 
-def check_report_invariants(report: SimReport, profiler_cfg: ProfilerConfig | None = None) -> list[str]:
-    """Post-run consistency checks; non-empty list means a violated contract."""
+def check_report_invariants(report: SimReport, spec: ExperimentSpec) -> list[str]:
+    """Post-run checks of the report of `spec`; a non-empty list means a violated contract."""
     problems = []
     baseline = report.refreshes_baseline_equiv
     if not 0 <= report.refreshes_issued <= baseline:
@@ -403,13 +407,12 @@ def check_report_invariants(report: SimReport, profiler_cfg: ProfilerConfig | No
     expected = 1.0 - report.refreshes_issued / baseline
     if abs(report.savings_fraction - expected) > 1e-12:
         problems.append("savings-identity: savings_fraction != 1 - issued/baseline")
-    max_mult = max(1, int(round(max(report.bin_intervals_ms) / min(report.bin_intervals_ms))))
+    max_mult = max(spec.bins.multipliers(spec.device.trefw_ms))
     if report.savings_fraction > 1.0 - 1.0 / max_mult + 1e-12:
         problems.append("savings-bound: savings exceeds 1 - 1/max_multiplier")
     # a guard only shortens intervals, Bloom errors only demote rows, and a
     # row below device.trefw_ms is rejected at build: no guard >= 1 can
     # make an oracle profile unsafe
-    if profiler_cfg is not None and profiler_cfg.mode == MODE_ORACLE and report.retention_failures:
+    if spec.profiler.mode == MODE_ORACLE and report.retention_failures:
         problems.append("oracle-safety: retention failures under perfect profiling")
     return problems
-

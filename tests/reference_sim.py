@@ -28,6 +28,20 @@ class ReferenceResult:
     fpr_extra_refreshes: int
 
 
+def parts_of(spec):
+    """The spec as the positional parts of run_reference and simulate.run.
+
+    perfbench's oracle cross-check passes these parts, in this order, to both.
+    """
+    return (spec.sim, spec.device, spec.dist, spec.vrt, spec.dpd, spec.profiler, spec.bins,
+            spec.bloom_budget)
+
+
+def counters(result):
+    """The four counts that a SimReport and a ReferenceResult share."""
+    return result.refreshes_issued, result.retention_failures, result.unsafe_rows, result.fpr_extra_refreshes
+
+
 def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3):
     seed = sim_cfg.seed
     gt = generate_ground_truth(device, dist, vrt, dpd, seed)

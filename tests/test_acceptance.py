@@ -14,14 +14,13 @@ import pytest
 from raidrsim import rng
 from raidrsim.bloom import BloomFilter, BloomParams, analytic_fpr
 from raidrsim.cli import main as cli_main
-from raidrsim.experiment import ExperimentSpec
+from raidrsim.experiment import ExperimentSpec, SimConfig
 from raidrsim.overhead import POLICY_BASELINE, OverheadConfig, density_sweep
 from raidrsim.profiler import ProfilerConfig
-from raidrsim.raidr import BinConfig
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
-from raidrsim.simulate import RefreshSimulation, SimConfig, run
+from raidrsim.simulate import RefreshSimulation, run
 
-from reference_sim import run_reference
+from reference_sim import counters, parts_of, run_reference
 
 
 def _passed(n, name):
@@ -40,10 +39,7 @@ def test_c1_refresh_savings_default_scenario():
     assert spec.profiler.mode == "oracle"
 
     t0 = time.perf_counter()
-    report = run(
-        spec.sim, spec.device, spec.dist, spec.vrt, spec.dpd,
-        spec.profiler, spec.bins, spec.bloom_budget,
-    )
+    report = RefreshSimulation(spec).run()
     elapsed = time.perf_counter() - t0
 
     assert elapsed < 60.0, f"default scenario took {elapsed:.1f}s"
@@ -68,16 +64,16 @@ def test_c2_density_scaling_band():
 def test_c3_oracle_safety(seed):
     # oracle profiling + guard 1 across 20 seeds, 1e5 rows x 4096 windows,
     # VRT and DPD enabled in the ground truth; exact-zero failures
-    report = run(
-        SimConfig(horizon_windows=4096, seed=seed),
-        DeviceConfig.from_rows(100_000),
-        RetentionDistribution(weak_fraction=1e-3, floor_ms=128.0),
-        VrtModel(enabled=True, affected_fraction=0.02, low_factor=0.8,
-                 p_high_to_low=0.1, p_low_to_high=0.1),
-        DpdModel(enabled=True, num_patterns=8, worst_pattern_factor=0.8),
-        ProfilerConfig(mode="oracle", guard_band_factor=1.0),
-        BinConfig(),
-    )
+    report = RefreshSimulation(ExperimentSpec(
+        seed=seed,
+        device=DeviceConfig.from_rows(100_000),
+        dist=RetentionDistribution(weak_fraction=1e-3, floor_ms=128.0),
+        vrt=VrtModel(enabled=True, affected_fraction=0.02, low_factor=0.8,
+                     p_high_to_low=0.1, p_low_to_high=0.1),
+        dpd=DpdModel(enabled=True, num_patterns=8, worst_pattern_factor=0.8),
+        profiler=ProfilerConfig(mode="oracle", guard_band_factor=1.0),
+        sim=SimConfig(horizon_windows=4096),
+    )).run()
     assert report.retention_failures == 0
     assert report.unsafe_rows == 0
     if seed == 19:
@@ -89,17 +85,16 @@ def test_c4_profiling_hazard_and_guard_band_fix():
     # guard 1 fails in (nearly) every seed; guard 4 rebins everything
     # safely and must produce zero failures in all 20 seeds
     def hazard_run(seed, guard):
-        return run(
-            SimConfig(horizon_windows=256, seed=seed),
-            DeviceConfig.from_rows(2000),
-            RetentionDistribution(weak_fraction=0.0, strong_value_ms=600.0),
-            VrtModel(enabled=True, affected_fraction=0.05, low_factor=0.3,
-                     p_high_to_low=0.2, p_low_to_high=0.2),
-            DpdModel(),
-            ProfilerConfig(mode="measured", guard_band_factor=guard,
-                           rounds=1, profiling_window_span=1),
-            BinConfig(),
-        )
+        return RefreshSimulation(ExperimentSpec(
+            seed=seed,
+            device=DeviceConfig.from_rows(2000),
+            dist=RetentionDistribution(weak_fraction=0.0, strong_value_ms=600.0),
+            vrt=VrtModel(enabled=True, affected_fraction=0.05, low_factor=0.3,
+                         p_high_to_low=0.2, p_low_to_high=0.2),
+            profiler=ProfilerConfig(mode="measured", guard_band_factor=guard,
+                                    rounds=1, profiling_window_span=1),
+            sim=SimConfig(horizon_windows=256),
+        )).run()
 
     seeds = range(20)
     failing_seeds = sum(1 for s in seeds if hazard_run(s, 1.0).retention_failures >= 1)
@@ -146,23 +141,19 @@ def test_c5_bloom_calibration_grid():
 def test_c6_oracle_equivalence_1000_rows_100_windows():
     # the vectorized engine must match the brute-force step-through oracle
     # exactly on a 1e3-row, 100-window instance with every noise source on
-    args = (
-        SimConfig(horizon_windows=100, seed=12345),
-        DeviceConfig.from_rows(1000),
-        RetentionDistribution(weak_fraction=0.1, floor_ms=112.0),
-        VrtModel(enabled=True, affected_fraction=0.2, low_factor=0.8,
-                 p_high_to_low=0.15, p_low_to_high=0.25),
-        DpdModel(enabled=True, num_patterns=4, worst_pattern_factor=0.8),
-        ProfilerConfig(mode="measured", patterns_tested=2, rounds=2,
-                       guard_band_factor=1.0, profiling_window_span=4),
-        BinConfig(),
-    )
-    ref = run_reference(*args)
-    rep = run(*args)
-    assert rep.refreshes_issued == ref.refreshes_issued
-    assert rep.retention_failures == ref.retention_failures
-    assert rep.unsafe_rows == ref.unsafe_rows
-    assert rep.fpr_extra_refreshes == ref.fpr_extra_refreshes
+    parts = parts_of(ExperimentSpec(
+        seed=12345,
+        device=DeviceConfig.from_rows(1000),
+        dist=RetentionDistribution(weak_fraction=0.1, floor_ms=112.0),
+        vrt=VrtModel(enabled=True, affected_fraction=0.2, low_factor=0.8,
+                     p_high_to_low=0.15, p_low_to_high=0.25),
+        dpd=DpdModel(enabled=True, num_patterns=4, worst_pattern_factor=0.8),
+        profiler=ProfilerConfig(mode="measured", patterns_tested=2, rounds=2,
+                                guard_band_factor=1.0, profiling_window_span=4),
+        sim=SimConfig(horizon_windows=100),
+    ))
+    ref = run_reference(*parts)
+    assert counters(run(*parts)) == counters(ref)
     assert ref.retention_failures > 0  # the instance actually exercises failures
     _passed(6, "engine counts equal the brute-force oracle exactly")
 
@@ -186,19 +177,18 @@ def test_c7_determinism_and_checkpoint(tmp_path):
     for name in ("simreport.txt", "bins.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    args = (
-        SimConfig(horizon_windows=128, seed=99),
-        DeviceConfig.from_rows(10_000),
-        RetentionDistribution(weak_fraction=1e-3, floor_ms=128.0),
-        VrtModel(enabled=True, low_factor=0.8),
-        DpdModel(enabled=True, worst_pattern_factor=0.8),
-        ProfilerConfig(),
-        BinConfig(),
+    spec = ExperimentSpec(
+        seed=99,
+        device=DeviceConfig.from_rows(10_000),
+        dist=RetentionDistribution(weak_fraction=1e-3, floor_ms=128.0),
+        vrt=VrtModel(enabled=True, low_factor=0.8),
+        dpd=DpdModel(enabled=True, worst_pattern_factor=0.8),
+        sim=SimConfig(horizon_windows=128),
     )
-    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    sim = RefreshSimulation(spec)
     sim.run(stop_after_window=57)
     blob = sim.checkpoint()
     resumed = RefreshSimulation.restore(blob).run()
-    uninterrupted = run(*args)
+    uninterrupted = RefreshSimulation(spec).run()
     assert resumed.to_text() == uninterrupted.to_text()
     _passed(7, "byte-identical artifacts and checkpoint/restore equivalence")

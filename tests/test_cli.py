@@ -27,6 +27,8 @@ from raidrsim.raidr import BinConfig, build_bins
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
 from raidrsim.simulate import run
 
+from reference_sim import parts_of
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -266,6 +268,16 @@ def test_threshold_off_the_refresh_period_exits_2(tmp_path, capsys):
     assert "bins.thresholds_ms" in err and "48.0" in err
 
 
+def test_threshold_a_hair_under_a_multiple_exits_2(tmp_path, capsys):
+    # taken as 2 x 64 ms, it would refresh its rows, all at 127.99999999 ms, every 128 ms
+    settings = ["device.trefw_ms=64", "bins.thresholds_ms=127.99999999,256", "dist.weak_fraction=1",
+                "dist.floor_ms=127.99999999", "dist.weak_high_ms=128", "device.density_bits=8192000",
+                "sim.horizon_windows=16"]
+    argv = [arg for item in settings for arg in ("--set", item)]
+    assert run_cli("simulate", *argv, "--out", str(tmp_path / "never")) == 2
+    assert "config error: bins.thresholds_ms" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("settings, intervals", [
     # a 0.6 worst pattern takes weak rows to 38.4 ms: under the 64 ms default
     # period they would fail, but each is binned at the device's 32 ms
@@ -303,11 +315,18 @@ def test_unexpected_value_error_is_not_a_config_error(tmp_path, monkeypatch, cap
     assert "config error" not in capsys.readouterr().err
 
 
-def test_library_report_equals_cli_artifact(tmp_path):
-    assert run_cli("simulate", "--out", str(tmp_path), "--seed", "5", *SMALL) == 0
-    spec = spec_from_flat({"seed": "5", "device.density_bits": "40960000", "sim.horizon_windows": "32"})
-    parts = (spec.sim, spec.device, spec.dist, spec.vrt, spec.dpd, spec.profiler, spec.bins, spec.bloom_budget)
-    assert run(*parts).to_text() == (tmp_path / "simreport.txt").read_text()
+@pytest.mark.parametrize("bloom", [
+    {},
+    {"bloom.target_fpr": "0.25"},
+    {"bloom.explicit_m": "300", "bloom.explicit_k": "3"},
+], ids=["default", "target-fpr", "explicit-m-k"])
+def test_library_report_equals_cli_artifact(tmp_path, bloom):
+    # the positional run of perfbench's oracle cross-check, in both budget
+    # forms of spec.bloom_budget, writes the CLI's report bytes
+    flat = {"seed": "5", "device.density_bits": "40960000", "sim.horizon_windows": "32", **bloom}
+    argv = [arg for item in flat.items() for arg in ("--set", "=".join(item))]
+    assert run_cli("simulate", "--out", str(tmp_path), *argv) == 0
+    assert run(*parts_of(spec_from_flat(flat))).to_text() == (tmp_path / "simreport.txt").read_text()
 
 
 class TestSimulateCommand:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raidrsim.bloom import BloomParams, analytic_fpr
+from raidrsim.experiment import ExperimentSpec, SimConfig
 from raidrsim.profiler import ProfilerConfig, profile
 from raidrsim.raidr import BinConfig, UnbinnableRowError, build_bins, refreshes_in_horizon
 from raidrsim.retention import (
@@ -12,7 +13,7 @@ from raidrsim.retention import (
     VrtModel,
     generate_ground_truth,
 )
-from raidrsim.simulate import SimConfig, run
+from raidrsim.simulate import RefreshSimulation
 
 
 def query_many(bins, rows) -> np.ndarray:
@@ -56,6 +57,10 @@ class TestBinConfig:
             build_bins(profile_of([300.0]), cfg, BASE_MS)
         with pytest.raises(ValueError, match="multiple"):
             BinConfig(thresholds_ms=(96.0, 192.0)).multipliers(64.0)
+        # a threshold a hair under a multiple is no multiple: the bin would
+        # be refreshed past its lower edge
+        with pytest.raises(ValueError, match="multiple"):
+            BinConfig(thresholds_ms=(127.99999999, 256.0)).multipliers(64.0)
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -148,10 +153,9 @@ class TestQueryOrder:
 
 
 def run_bins_only(num_rows, dist, horizon=64):
-    return run(
-        SimConfig(horizon_windows=horizon, seed=0), DeviceConfig.from_rows(num_rows), dist,
-        VrtModel(), DpdModel(), ProfilerConfig(), BinConfig(),
-    )
+    return RefreshSimulation(ExperimentSpec(
+        device=DeviceConfig.from_rows(num_rows), dist=dist, sim=SimConfig(horizon_windows=horizon),
+    )).run()
 
 
 class TestSavings:

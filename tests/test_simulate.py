@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from raidrsim import rng
 from raidrsim import simulate as simulate_mod
 from raidrsim.bloom import BloomParams
-from raidrsim.experiment import ExperimentSpec
+from raidrsim.experiment import ExperimentSpec, SimConfig
 from raidrsim.profiler import ProfilerConfig, profile
 from raidrsim.raidr import BinConfig, UnbinnableRowError, build_bins
 from raidrsim.retention import (
@@ -29,141 +29,109 @@ from raidrsim.retention import (
     generate_rows,
     vrt_step,
 )
-from raidrsim.simulate import (
-    CheckpointError,
-    RefreshSimulation,
-    SimConfig,
-    check_report_invariants,
-    run,
-)
+from raidrsim.simulate import CheckpointError, RefreshSimulation, check_report_invariants, run
 
-from reference_sim import run_reference
+from reference_sim import counters, parts_of, run_reference
 
 
-def quiet_args(num_rows=2000, horizon=64, seed=0):
-    return (
-        SimConfig(horizon_windows=horizon, seed=seed),
-        DeviceConfig.from_rows(num_rows),
-        RetentionDistribution(),
-        VrtModel(),
-        DpdModel(),
-        ProfilerConfig(),
-        BinConfig(),
+def quiet_spec(num_rows=2000, horizon=64, seed=0):
+    return ExperimentSpec(seed=seed, device=DeviceConfig.from_rows(num_rows),
+                          sim=SimConfig(horizon_windows=horizon))
+
+
+def noisy_spec(num_rows=300, horizon=40, seed=7, guard=1.0, span=4):
+    return ExperimentSpec(
+        seed=seed,
+        device=DeviceConfig.from_rows(num_rows),
+        dist=RetentionDistribution(weak_fraction=0.2, floor_ms=112.0),
+        vrt=VrtModel(enabled=True, affected_fraction=0.3, low_factor=0.8,
+                     p_high_to_low=0.2, p_low_to_high=0.3),
+        dpd=DpdModel(enabled=True, num_patterns=4, worst_pattern_factor=0.8),
+        profiler=ProfilerConfig(mode="measured", patterns_tested=2, rounds=2,
+                                guard_band_factor=guard, profiling_window_span=span),
+        sim=SimConfig(horizon_windows=horizon),
     )
 
 
-def noisy_args(num_rows=300, horizon=40, seed=7, guard=1.0, span=4):
-    return (
-        SimConfig(horizon_windows=horizon, seed=seed),
-        DeviceConfig.from_rows(num_rows),
-        RetentionDistribution(weak_fraction=0.2, floor_ms=112.0),
-        VrtModel(enabled=True, affected_fraction=0.3, low_factor=0.8,
-                 p_high_to_low=0.2, p_low_to_high=0.3),
-        DpdModel(enabled=True, num_patterns=4, worst_pattern_factor=0.8),
-        ProfilerConfig(mode="measured", patterns_tested=2, rounds=2,
-                       guard_band_factor=guard, profiling_window_span=span),
-        BinConfig(),
-    )
+def report_of(spec):
+    return RefreshSimulation(spec).run()
 
 
 class TestAgainstReferenceOracle:
     def test_quiet_config_exact(self):
-        args = quiet_args(num_rows=400, horizon=32, seed=3)
-        ref = run_reference(*args)
-        rep = run(*args)
-        assert rep.refreshes_issued == ref.refreshes_issued
-        assert rep.retention_failures == ref.retention_failures
-        assert rep.unsafe_rows == ref.unsafe_rows
-        assert rep.fpr_extra_refreshes == ref.fpr_extra_refreshes
+        parts = parts_of(quiet_spec(num_rows=400, horizon=32, seed=3))
+        assert counters(run(*parts)) == counters(run_reference(*parts))
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_noisy_configs_exact(self, seed):
-        args = noisy_args(seed=seed)
-        ref = run_reference(*args)
-        rep = run(*args)
-        assert rep.refreshes_issued == ref.refreshes_issued
-        assert rep.retention_failures == ref.retention_failures
-        assert rep.unsafe_rows == ref.unsafe_rows
-        assert rep.fpr_extra_refreshes == ref.fpr_extra_refreshes
+        parts = parts_of(noisy_spec(seed=seed))
+        assert counters(run(*parts)) == counters(run_reference(*parts))
 
     def test_odd_horizon_partial_cycles_exact(self):
         # horizons that are not multiples of the max multiplier stress the
         # partial-cycle accounting
         for horizon in (5, 7, 13, 31):
-            args = noisy_args(num_rows=150, horizon=horizon, seed=11)
-            ref = run_reference(*args)
-            rep = run(*args)
-            assert rep.refreshes_issued == ref.refreshes_issued
-            assert rep.retention_failures == ref.retention_failures
+            parts = parts_of(noisy_spec(num_rows=150, horizon=horizon, seed=11))
+            assert counters(run(*parts)) == counters(run_reference(*parts))
 
     def test_guard_band_suppresses_failures(self):
-        def hazard_args(guard):
-            return (
-                SimConfig(horizon_windows=64, seed=19),
-                DeviceConfig.from_rows(1500),
-                RetentionDistribution(weak_fraction=0.0, strong_value_ms=600.0),
-                VrtModel(enabled=True, affected_fraction=0.05, low_factor=0.3,
-                         p_high_to_low=0.2, p_low_to_high=0.2),
-                DpdModel(),
-                ProfilerConfig(mode="measured", guard_band_factor=guard,
-                               rounds=1, profiling_window_span=1),
-                BinConfig(),
+        def hazard_spec(guard):
+            return ExperimentSpec(
+                seed=19,
+                device=DeviceConfig.from_rows(1500),
+                dist=RetentionDistribution(weak_fraction=0.0, strong_value_ms=600.0),
+                vrt=VrtModel(enabled=True, affected_fraction=0.05, low_factor=0.3,
+                             p_high_to_low=0.2, p_low_to_high=0.2),
+                profiler=ProfilerConfig(mode="measured", guard_band_factor=guard,
+                                        rounds=1, profiling_window_span=1),
+                sim=SimConfig(horizon_windows=64),
             )
 
-        hazard = run(*hazard_args(1.0))
-        guarded = run(*hazard_args(4.0))
+        hazard = report_of(hazard_spec(1.0))
+        guarded = report_of(hazard_spec(4.0))
         assert hazard.retention_failures > 0
         assert guarded.retention_failures == 0
 
 
 class TestInvariants:
     def test_baseline_equivalence_single_bin(self):
-        args = (
-            SimConfig(horizon_windows=16, seed=1),
-            DeviceConfig.from_rows(500),
-            RetentionDistribution(),
-            VrtModel(),
-            DpdModel(),
-            ProfilerConfig(),
-            BinConfig(thresholds_ms=(64.0,)),
-        )
-        rep = run(*args)
+        spec = dataclasses.replace(quiet_spec(num_rows=500, horizon=16, seed=1),
+                                   bins=BinConfig(thresholds_ms=(64.0,)))
+        rep = report_of(spec)
         assert rep.refreshes_issued == 500 * 16
         assert rep.savings_fraction == 0.0
         assert rep.retention_failures == 0
 
     def test_savings_bound(self):
-        rep = run(*quiet_args())
+        spec = quiet_spec()
+        rep = report_of(spec)
         assert rep.savings_fraction <= 0.75
-        assert not check_report_invariants(rep, ProfilerConfig())
+        assert not check_report_invariants(rep, spec)
 
     def test_empty_thresholds_pure_baseline(self):
-        args = list(quiet_args(num_rows=200, horizon=8))
-        args[6] = BinConfig(thresholds_ms=())
-        rep = run(*args)
+        rep = report_of(dataclasses.replace(quiet_spec(num_rows=200, horizon=8),
+                                            bins=BinConfig(thresholds_ms=())))
         assert rep.refreshes_issued == 200 * 8
         assert rep.savings_fraction == 0.0
         assert rep.total_filter_bits == 0
 
     def test_oracle_safety_many_seeds(self):
         for seed in range(8):
-            args = (
-                SimConfig(horizon_windows=64, seed=seed),
-                DeviceConfig.from_rows(3000),
-                RetentionDistribution(weak_fraction=0.01, floor_ms=128.0),
-                VrtModel(enabled=True, affected_fraction=0.1, low_factor=0.8),
-                DpdModel(enabled=True, worst_pattern_factor=0.8),
-                ProfilerConfig(mode="oracle", guard_band_factor=1.0),
-                BinConfig(),
-            )
-            rep = run(*args)
+            rep = report_of(ExperimentSpec(
+                seed=seed,
+                device=DeviceConfig.from_rows(3000),
+                dist=RetentionDistribution(weak_fraction=0.01, floor_ms=128.0),
+                vrt=VrtModel(enabled=True, affected_fraction=0.1, low_factor=0.8),
+                dpd=DpdModel(enabled=True, worst_pattern_factor=0.8),
+                profiler=ProfilerConfig(mode="oracle", guard_band_factor=1.0),
+                sim=SimConfig(horizon_windows=64),
+            ))
             assert rep.retention_failures == 0
             assert rep.unsafe_rows == 0
 
     def test_fpr_accounting_identity(self):
         # recompute the extra-refresh count independently from the bin maps
-        args = quiet_args(num_rows=60_000, horizon=64, seed=9)
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+        sim = RefreshSimulation(quiet_spec(num_rows=60_000, horizon=64, seed=9))
         rep = sim.run()
         rows = np.arange(60_000, dtype=np.uint64)
         mult = np.asarray(sim.bins.multipliers)
@@ -178,7 +146,7 @@ class TestInvariants:
             assert rate < 10 * 1e-3
 
     def test_savings_identity_and_report_text(self):
-        rep = run(*quiet_args(seed=4))
+        rep = report_of(quiet_spec(seed=4))
         assert rep.savings_fraction == 1.0 - rep.refreshes_issued / rep.refreshes_baseline_equiv
         text = rep.to_text()
         assert "savings_fraction" in text
@@ -186,36 +154,38 @@ class TestInvariants:
         assert "config_sha256" in text
 
     def test_invariant_checker_flags_oracle_failures(self):
-        rep = run(*quiet_args(seed=4))
+        spec = dataclasses.replace(quiet_spec(seed=4),
+                                   profiler=ProfilerConfig(mode="oracle", guard_band_factor=1.0))
+        rep = report_of(spec)
         rep.retention_failures = 3
-        problems = check_report_invariants(rep, ProfilerConfig(mode="oracle", guard_band_factor=1.0))
+        problems = check_report_invariants(rep, spec)
         assert any("oracle-safety" in p for p in problems)
 
     def test_invariant_checker_flags_oracle_failures_at_any_guard(self):
-        rep = run(*quiet_args(seed=4))
+        spec = dataclasses.replace(quiet_spec(seed=4),
+                                   profiler=ProfilerConfig(mode="oracle", guard_band_factor=2.0))
+        rep = report_of(spec)
         rep.retention_failures = 3
-        problems = check_report_invariants(rep, ProfilerConfig(mode="oracle", guard_band_factor=2.0))
+        problems = check_report_invariants(rep, spec)
         assert any("oracle-safety" in p for p in problems)
 
     def test_guarded_oracle_run_with_vrt_and_dpd_is_clean(self):
-        args = (
-            SimConfig(horizon_windows=64, seed=13),
-            DeviceConfig.from_rows(3000),
-            RetentionDistribution(weak_fraction=0.05, floor_ms=160.0),
-            VrtModel(enabled=True, affected_fraction=0.1, low_factor=0.8),
-            DpdModel(enabled=True, worst_pattern_factor=0.8),
-            ProfilerConfig(mode="oracle", guard_band_factor=1.5),
-            BinConfig(),
+        spec = ExperimentSpec(
+            seed=13,
+            device=DeviceConfig.from_rows(3000),
+            dist=RetentionDistribution(weak_fraction=0.05, floor_ms=160.0),
+            vrt=VrtModel(enabled=True, affected_fraction=0.1, low_factor=0.8),
+            dpd=DpdModel(enabled=True, worst_pattern_factor=0.8),
+            profiler=ProfilerConfig(mode="oracle", guard_band_factor=1.5),
+            sim=SimConfig(horizon_windows=64),
         )
-        rep = run(*args)
+        rep = report_of(spec)
         assert rep.retention_failures == 0
-        assert check_report_invariants(rep, args[5]) == []
+        assert check_report_invariants(rep, spec) == []
 
     def test_horizon_below_max_multiplier_rejected(self):
-        args = list(quiet_args())
-        args[0] = SimConfig(horizon_windows=2, seed=0)
         with pytest.raises(ValueError, match="multiplier"):
-            RefreshSimulation(ExperimentSpec.from_parts(*args))
+            quiet_spec(horizon=2)
 
 
 HEADER_SIZE = 40  # magic, version, SHA-256
@@ -275,34 +245,34 @@ def first_set_to(value):
 
 class TestDeterminismAndCheckpoint:
     def test_two_runs_identical(self):
-        a = run(*noisy_args(seed=23)).to_text()
-        b = run(*noisy_args(seed=23)).to_text()
+        a = report_of(noisy_spec(seed=23)).to_text()
+        b = report_of(noisy_spec(seed=23)).to_text()
         assert a == b
 
     def test_checkpoint_at_window_zero(self):
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=31)))
+        sim = RefreshSimulation(noisy_spec(seed=31))
         blob = sim.checkpoint()
-        fresh = run(*noisy_args(seed=31))
+        fresh = report_of(noisy_spec(seed=31))
         resumed = RefreshSimulation.restore(blob).run()
         assert resumed.to_text() == fresh.to_text()
 
     def test_checkpoint_mid_horizon(self):
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=37, horizon=40)))
+        sim = RefreshSimulation(noisy_spec(seed=37, horizon=40))
         assert sim.run(stop_after_window=17) is None
         blob = sim.checkpoint()
         resumed = RefreshSimulation.restore(blob).run()
-        uninterrupted = run(*noisy_args(seed=37, horizon=40))
+        uninterrupted = report_of(noisy_spec(seed=37, horizon=40))
         assert resumed.to_text() == uninterrupted.to_text()
 
     def test_interrupted_original_also_matches(self):
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=41)))
+        sim = RefreshSimulation(noisy_spec(seed=41))
         sim.run(stop_after_window=20)
         sim.checkpoint()
         rep = sim.run()
-        assert rep.to_text() == run(*noisy_args(seed=41)).to_text()
+        assert rep.to_text() == report_of(noisy_spec(seed=41)).to_text()
 
     def test_corrupted_blob_rejected(self):
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=43)))
+        sim = RefreshSimulation(noisy_spec(seed=43))
         blob = bytearray(sim.checkpoint())
         blob[-1] ^= 0xFF
         with pytest.raises(CheckpointError, match="integrity"):
@@ -313,7 +283,7 @@ class TestDeterminismAndCheckpoint:
             RefreshSimulation.restore(b"NOPE" + bytes(40))
 
     def test_wrong_version_rejected(self):
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=47)))
+        sim = RefreshSimulation(noisy_spec(seed=47))
         blob = bytearray(sim.checkpoint())
         blob[4] = 99  # version field
         with pytest.raises(CheckpointError, match="version"):
@@ -321,7 +291,7 @@ class TestDeterminismAndCheckpoint:
 
     def test_checkpoint_mid_vrt_rebuilds_step_prefix(self):
         # the cached VRT hash prefix is rebuilt from seed and rows, never stored
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=59, horizon=40)))
+        sim = RefreshSimulation(noisy_spec(seed=59, horizon=40))
         sim.run(stop_after_window=23)
         blob = sim.checkpoint()
         assert sim._v_prefix.size > 0
@@ -330,7 +300,7 @@ class TestDeterminismAndCheckpoint:
         gt = ground_truth_of(restored)
         rows = gt.vrt_rows[vrt_rows_that_can_fail(restored, gt)].astype(np.uint64)
         assert np.array_equal(restored._v_prefix, rng.hash_words_vec(59, rng.TAG_VRT_STEP, rows))
-        assert restored.run().to_text() == run(*noisy_args(seed=59, horizon=40)).to_text()
+        assert restored.run().to_text() == report_of(noisy_spec(seed=59, horizon=40)).to_text()
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_pickle_payload_never_unpickled(self, version):
@@ -360,7 +330,7 @@ class TestDeterminismAndCheckpoint:
     ], ids=["trailing", "short", "bool-byte", "window", "unknown-key", "bad-config",
             "non-canonical", "text-length", "seen-byte", "seen-after-refresh", "low-unseen"])
     def test_malformed_payload_rejected(self, edit, match):
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*fpr_args()))
+        sim = RefreshSimulation(fpr_spec())
         sim.run(stop_after_window=9)
         assert all(8 % m == 0 for m in sim.bins.multipliers)
         # the stored rows hold mixed flags, so each flag check meets both values
@@ -396,7 +366,7 @@ class TestDeterminismAndCheckpoint:
         # every row starts high and the toggle first steps into window 1, so
         # a low row is unreachable at windows 0 and 1, even if seen
         for window in (0, 1):
-            sim = RefreshSimulation(ExperimentSpec.from_parts(*fpr_args()))
+            sim = RefreshSimulation(fpr_spec())
             sim.run(stop_after_window=window)
             assert sim._v_low.size > 10
             payload = sim.checkpoint()[HEADER_SIZE:]
@@ -409,15 +379,15 @@ class TestDeterminismAndCheckpoint:
     def test_checkpoint_bytes_survive_restore(self):
         # at the first windows, on both sides of the largest multiplier's first
         # refresh and at the horizon, restore then checkpoint gives the same bytes
-        args = noisy_args(seed=71, horizon=40)
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+        spec = noisy_spec(seed=71, horizon=40)
+        sim = RefreshSimulation(spec)
         m = max(sim.bins.multipliers)
         gt = ground_truth_of(sim)
         can_fail = vrt_rows_that_can_fail(sim, gt)
         assert m > 1 and 0 < can_fail.size < gt.vrt_rows.size
-        uninterrupted = run(*args).to_text()
+        uninterrupted = report_of(spec).to_text()
         for window in (0, 1, m - 1, m, 40):
-            sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+            sim = RefreshSimulation(spec)
             sim.run(stop_after_window=window)
             blob = sim.checkpoint()
             # three one-byte flags per VRT row that can fail: low, seen, unsafe
@@ -427,7 +397,7 @@ class TestDeterminismAndCheckpoint:
             assert restored.run().to_text() == uninterrupted
 
     def test_report_requires_completion(self):
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*noisy_args(seed=51)))
+        sim = RefreshSimulation(noisy_spec(seed=51))
         sim.run(stop_after_window=3)
         with pytest.raises(RuntimeError, match="run"):
             sim.report()
@@ -436,12 +406,11 @@ class TestDeterminismAndCheckpoint:
 def every_vrt_row_at_window_9():
     """A checkpoint payload at window 9 without its flags, the ground truth,
     and every VRT row's toggle state at window 8, in which every row is refreshed."""
-    args = noisy_args(seed=67, horizon=40)
-    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    sim = RefreshSimulation(noisy_spec(seed=67, horizon=40))
     sim.run(stop_after_window=9)
     assert all(8 % m == 0 for m in sim.bins.multipliers)
     payload = sim.checkpoint()[HEADER_SIZE:]
-    gt = generate_ground_truth(args[1], args[2], args[3], args[4], args[0].seed)
+    gt = ground_truth_of(sim)
     for w in range(1, 9):
         gt.step_vrt(w)
     return payload[:state_offset(payload)], gt, gt.vrt_rows_low
@@ -473,9 +442,8 @@ def vrt_rows_that_can_fail(sim, gt):
 def test_vrt_trajectory_matches_standalone_ground_truth():
     # the engine steps the same ground-truth chain an external caller sees,
     # in its own state: it keeps no ground truth at all
-    args = noisy_args(seed=53, horizon=12)
-    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
-    gt = generate_ground_truth(args[1], args[2], args[3], args[4], args[0].seed)
+    sim = RefreshSimulation(noisy_spec(seed=53, horizon=12))
+    gt = ground_truth_of(sim)
     can_fail = vrt_rows_that_can_fail(sim, gt)
     assert 0 < can_fail.size < gt.vrt_rows.size
     sim.run()
@@ -499,7 +467,7 @@ def count_vrt_steps(monkeypatch):
 
 def test_checkpoint_steps_no_row(monkeypatch):
     # a checkpoint reads the engine's state and changes none of it
-    sim = RefreshSimulation(ExperimentSpec.from_parts(*fpr_args()))
+    sim = RefreshSimulation(fpr_spec())
     rep = sim.run()
     assert rep.retention_failures > 0
     calls = count_vrt_steps(monkeypatch)
@@ -514,17 +482,17 @@ def test_checkpoint_steps_no_row(monkeypatch):
 def test_vrt_rows_that_cannot_fail_hold_no_state(monkeypatch):
     # an oracle profile bins every VRT row at or below its low retention,
     # so none can fail: nothing is stepped and the checkpoint stores no flags
-    args = quiet_args()[:3] + (VrtModel(enabled=True, affected_fraction=0.3, low_factor=0.5,
-                                         p_high_to_low=0.2, p_low_to_high=0.3),) + quiet_args()[4:]
+    spec = dataclasses.replace(quiet_spec(), vrt=VrtModel(enabled=True, affected_fraction=0.3, low_factor=0.5,
+                                                          p_high_to_low=0.2, p_low_to_high=0.3))
     calls = count_vrt_steps(monkeypatch)
-    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    sim = RefreshSimulation(spec)
     gt = ground_truth_of(sim)
     assert gt.vrt_rows.size > 0 and vrt_rows_that_can_fail(sim, gt).size == 0
     rep = sim.run()
     blob = sim.checkpoint()
     assert not calls
     assert len(blob) == HEADER_SIZE + state_offset(blob[HEADER_SIZE:])
-    assert RefreshSimulation.restore(blob).run().to_text() == rep.to_text() == run(*args).to_text()
+    assert RefreshSimulation.restore(blob).run().to_text() == rep.to_text() == report_of(spec).to_text()
 
 
 def test_partition_steps_exactly_the_rows_that_can_fail():
@@ -532,18 +500,18 @@ def test_partition_steps_exactly_the_rows_that_can_fail():
     # iff its longest gap, m * 64 ms, exceeds its low retention.  Rows at
     # 896 ms sit in the 448 ms bin with a low retention of exactly 448 ms:
     # they tie, and never fail
-    args = (
-        SimConfig(horizon_windows=16, seed=5),
-        DeviceConfig.from_rows(400),
-        RetentionDistribution(weak_fraction=0.5, floor_ms=448.0, weak_high_ms=896.0,
-                              strong_value_ms=896.0),
-        VrtModel(enabled=True, affected_fraction=0.5, low_factor=0.5,
-                 p_high_to_low=1.0, p_low_to_high=0.0),
-        DpdModel(),
-        ProfilerConfig(mode="measured", rounds=1, profiling_window_span=1),
-        BinConfig(thresholds_ms=(192.0, 448.0)),
+    spec = ExperimentSpec(
+        seed=5,
+        device=DeviceConfig.from_rows(400),
+        dist=RetentionDistribution(weak_fraction=0.5, floor_ms=448.0, weak_high_ms=896.0,
+                                   strong_value_ms=896.0),
+        vrt=VrtModel(enabled=True, affected_fraction=0.5, low_factor=0.5,
+                     p_high_to_low=1.0, p_low_to_high=0.0),
+        profiler=ProfilerConfig(mode="measured", rounds=1, profiling_window_span=1),
+        bins=BinConfig(thresholds_ms=(192.0, 448.0)),
+        sim=SimConfig(horizon_windows=16),
     )
-    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    sim = RefreshSimulation(spec)
     gt = ground_truth_of(sim)
     assert np.count_nonzero(vrt_longest_gap_ms(sim, gt) == gt.vrt_retention_low) > 10
     can_fail = vrt_rows_that_can_fail(sim, gt)
@@ -554,25 +522,24 @@ def test_partition_steps_exactly_the_rows_that_can_fail():
     rep = sim.run()
     assert sim._v_unsafe.all()
     assert rep.unsafe_rows == can_fail.size
-    assert rep.unsafe_rows == run_reference(*args).unsafe_rows
+    assert rep.unsafe_rows == run_reference(*parts_of(spec)).unsafe_rows
 
 
 @pytest.mark.parametrize("first, second", [(0, 1), (0, 40), (1, 2), (3, 4), (9, 23), (23, 40)])
 def test_checkpoint_after_restore_and_advance_matches_uninterrupted(first, second):
-    args = fpr_args()
-    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    sim = RefreshSimulation(fpr_spec())
     sim.run(stop_after_window=first)
     resumed = RefreshSimulation.restore(sim.checkpoint())
     resumed.run(stop_after_window=second)
-    uninterrupted = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    uninterrupted = RefreshSimulation(fpr_spec())
     uninterrupted.run(stop_after_window=second)
     assert resumed.checkpoint() == uninterrupted.checkpoint()
 
 
-def fpr_args():
+def fpr_spec():
     # measured profiling with VRT and DPD misses gives failures; a loose
     # Bloom budget gives false positives in both filters
-    return noisy_args(num_rows=3000, horizon=40, seed=61) + (0.2,)
+    return dataclasses.replace(noisy_spec(num_rows=3000, horizon=40, seed=61), bloom_target_fpr=0.2)
 
 
 def report_fields(rep):
@@ -601,25 +568,25 @@ def independent_filter_fprs(sim):
 
 
 def test_row_blocking_changes_nothing(monkeypatch):
-    default = RefreshSimulation(ExperimentSpec.from_parts(*fpr_args()))
+    default = RefreshSimulation(fpr_spec())
     rep = default.run()
     assert rep.retention_failures > 0 and rep.fpr_extra_refreshes > 0
     assert all(0.0 < f < 1.0 for f in default.filter_fprs)
     assert default.filter_fprs == independent_filter_fprs(default)
 
     monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 7)
-    blocked = RefreshSimulation(ExperimentSpec.from_parts(*fpr_args()))
+    blocked = RefreshSimulation(fpr_spec())
     assert report_fields(blocked.run()) == report_fields(rep)
     assert blocked.filter_fprs == default.filter_fprs
 
 
-def blocking_args(kind, mode):
+def blocking_spec(kind, mode):
     """A 200-row VRT+DPD config of either distribution kind and profiler mode."""
-    args = noisy_args(num_rows=200, horizon=40, seed=29)
+    spec = noisy_spec(num_rows=200, horizon=40, seed=29)
     dist = RetentionDistribution(kind=kind, weak_fraction=0.3, floor_ms=112.0, weak_high_ms=400.0,
                                  lognormal_median_ms=200.0)
-    profiler = dataclasses.replace(args[5], mode=mode)
-    return args[:2] + (dist,) + args[3:5] + (profiler, args[6], 0.2)
+    return dataclasses.replace(spec, dist=dist, profiler=dataclasses.replace(spec.profiler, mode=mode),
+                               bloom_target_fpr=0.2)
 
 
 @pytest.mark.parametrize("kind", [DIST_TWO_POPULATION, DIST_LOGNORMAL_TAIL])
@@ -627,7 +594,7 @@ def blocking_args(kind, mode):
 def test_row_blocks_equal_the_full_arrays(monkeypatch, kind, mode):
     # generation and profiling of 7-row blocks concatenate to the full-array
     # ground truth and profile, and the engine built from them is unchanged
-    spec = ExperimentSpec.from_parts(*blocking_args(kind, mode))
+    spec = blocking_spec(kind, mode)
     gt = ground_truth_of_spec(spec)
     measured = profile_of_spec(spec, gt)
     default = RefreshSimulation(spec)
@@ -655,11 +622,9 @@ def test_row_blocks_equal_the_full_arrays(monkeypatch, kind, mode):
 def test_unbinnable_rows_reported_across_blocks(monkeypatch):
     # DPD takes weak rows below the 64 ms base: the first such row lies in a
     # later block, one block holds two, and the count spans five blocks
-    args = quiet_args(num_rows=200, seed=6)[:2] + (
-        RetentionDistribution(weak_fraction=0.2, floor_ms=64.0), VrtModel(),
-        DpdModel(enabled=True, worst_pattern_factor=0.8),
-    ) + quiet_args()[5:]
-    spec = ExperimentSpec.from_parts(*args)
+    spec = dataclasses.replace(quiet_spec(num_rows=200, seed=6),
+                               dist=RetentionDistribution(weak_fraction=0.2, floor_ms=64.0),
+                               dpd=DpdModel(enabled=True, worst_pattern_factor=0.8))
     prof = profile_of_spec(spec, ground_truth_of_spec(spec))
     bad = np.flatnonzero(prof < 64.0)
     assert bad[0] >= 7 and np.unique(bad // 7).size == 5 < bad.size
@@ -676,16 +641,15 @@ def test_unbinnable_rows_reported_across_blocks(monkeypatch):
 
 
 def test_filter_fprs_all_default():
-    args = list(quiet_args(num_rows=500, horizon=16))
-    args[2] = RetentionDistribution(weak_fraction=0.0)
-    sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+    sim = RefreshSimulation(dataclasses.replace(quiet_spec(num_rows=500, horizon=16),
+                                                dist=RetentionDistribution(weak_fraction=0.0)))
     assert sim.bins.counts == (0, 0, 500)
     assert sim.filter_fprs == [0.0, 0.0]  # empty filters never hit
 
 
-def engine_build_peak(num_rows, args_of):
+def engine_build_peak(num_rows, spec_of):
     """tracemalloc peak of building the engine for num_rows rows."""
-    spec = ExperimentSpec.from_parts(*args_of(num_rows))
+    spec = spec_of(num_rows)
     tracemalloc.start()
     try:
         RefreshSimulation(spec)
@@ -700,15 +664,14 @@ def test_engine_pass_memory_is_bounded(monkeypatch):
     # row added to the device adds at most 4 B to the peak, with oracle
     # profiling and with measured VRT+DPD profiling alike
     monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 1 << 12)
-    for args_of in (
-        lambda n: quiet_args(num_rows=n, horizon=64, seed=3),
-        lambda n: noisy_args(num_rows=n, horizon=64, seed=3)[:2]
-        + (RetentionDistribution(weak_fraction=0.01, floor_ms=160.0),
-           VrtModel(enabled=True, affected_fraction=0.01))
-        + noisy_args()[4:],
+    for spec_of in (
+        lambda n: quiet_spec(num_rows=n, horizon=64, seed=3),
+        lambda n: dataclasses.replace(noisy_spec(num_rows=n, horizon=64, seed=3),
+                                      dist=RetentionDistribution(weak_fraction=0.01, floor_ms=160.0),
+                                      vrt=VrtModel(enabled=True, affected_fraction=0.01)),
     ):
-        RefreshSimulation(ExperimentSpec.from_parts(*args_of(1 << 12)))  # one-time caches and imports
-        small, large = engine_build_peak(1 << 18, args_of), engine_build_peak(1 << 19, args_of)
+        RefreshSimulation(spec_of(1 << 12))  # one-time caches and imports
+        small, large = engine_build_peak(1 << 18, spec_of), engine_build_peak(1 << 19, spec_of)
         assert (large - small) / (1 << 18) <= 4
         assert large / (1 << 19) <= 8
 
@@ -719,7 +682,7 @@ def test_wall_time_covers_engine_set_up(monkeypatch):
         return generate_rows(*args)
 
     monkeypatch.setattr(simulate_mod, "generate_rows", slow_block)
-    rep = run(*quiet_args(num_rows=200, horizon=8))
+    rep = report_of(quiet_spec(num_rows=200, horizon=8))
     assert rep.wall_time_s >= 0.05
 
 
@@ -741,21 +704,19 @@ def test_no_deserializer_imports_in_package():
     assert found == []
 
 
-def test_from_parts_budget_forms():
-    args = quiet_args()
-    assert ExperimentSpec.from_parts(*args, 0.25).bloom_budget == 0.25
-    explicit = ExperimentSpec.from_parts(*args, BloomParams(m=300, k=3))
-    assert (explicit.bloom_explicit_m, explicit.bloom_explicit_k) == (300, 3)
-    assert explicit.bloom_budget == BloomParams(m=300, k=3)
+def test_run_rejects_other_budget_forms():
+    # run takes the two forms of spec.bloom_budget, which
+    # test_cli.test_library_report_equals_cli_artifact checks byte for byte
+    parts = parts_of(quiet_spec())[:-1]
     with pytest.raises(ValueError, match="seed 0"):
-        ExperimentSpec.from_parts(*args, BloomParams(m=300, k=3, seed=1))
+        run(*parts, BloomParams(m=300, k=3, seed=1))
     with pytest.raises(ValueError, match="budget"):
-        ExperimentSpec.from_parts(*args, [BloomParams(m=300, k=3)] * 2)
+        run(*parts, [BloomParams(m=300, k=3)] * 2)
 
 
 @st.composite
 def small_vrt_runs(draw):
-    """Engine parts of a small VRT config, a window to checkpoint at and a block size.
+    """The spec of a small VRT run, a window to checkpoint at and a block size.
 
     The base period, device.trefw_ms, is 64, 48 or 37.5 ms.  Zero to four
     bins above it, at multipliers drawn from 2, 3, 5, 7 and 9, and
@@ -793,14 +754,14 @@ def small_vrt_runs(draw):
     max_mult = bins.multipliers(device.trefw_ms)[-1]
     span = max(max_mult, 7)
     horizon = draw(st.integers(max_mult, 5 * span - 1))
-    tiny_bloom = st.builds(BloomParams, m=st.integers(3, 255).filter(lambda m: m & (m - 1)),
-                           k=st.integers(1, 4))
-    args = (
-        SimConfig(horizon_windows=horizon, seed=draw(st.integers(0, 2**64 - 1))),
-        device, dist, vrt, dpd, profiler, bins,
-        draw(st.sampled_from([1e-3, 0.3]) | tiny_bloom),
-    )
-    return args, draw(st.integers(0, horizon)), draw(st.integers(1, 50))
+    seed = draw(st.integers(0, 2**64 - 1))
+    target_fpr = st.sampled_from([1e-3, 0.3]).map(lambda fpr: {"bloom_target_fpr": fpr})
+    tiny_bloom = st.builds(dict, bloom_explicit_m=st.integers(3, 255).filter(lambda m: m & (m - 1)),
+                           bloom_explicit_k=st.integers(1, 4))
+    spec = ExperimentSpec(seed=seed, device=device, dist=dist, vrt=vrt, dpd=dpd, profiler=profiler,
+                          bins=bins, sim=SimConfig(horizon_windows=horizon),
+                          **draw(target_fpr | tiny_bloom))
+    return spec, draw(st.integers(0, horizon)), draw(st.integers(1, 50))
 
 
 @given(small_vrt_runs())
@@ -808,16 +769,12 @@ def small_vrt_runs(draw):
 def test_vrt_engine_matches_oracle_across_checkpoint(drawn):
     # the engine works in blocks of 1 to 50 rows, from one row per block to
     # the whole device in one
-    args, stop, block_rows = drawn
+    spec, stop, block_rows = drawn
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate_mod, "_CHUNK_ROWS", block_rows)
-        sim = RefreshSimulation(ExperimentSpec.from_parts(*args))
+        sim = RefreshSimulation(spec)
         sim.run(stop_after_window=stop)
         restored = RefreshSimulation.restore(sim.checkpoint())
-    rep = restored.run()
-    ref = run_reference(*args)
-    assert (rep.refreshes_issued, rep.retention_failures, rep.unsafe_rows, rep.fpr_extra_refreshes) == (
-        ref.refreshes_issued, ref.retention_failures, ref.unsafe_rows, ref.fpr_extra_refreshes
-    )
+    assert counters(restored.run()) == counters(run_reference(*parts_of(spec)))
     sim.run()
     assert restored.checkpoint() == sim.checkpoint()
