@@ -15,6 +15,13 @@ probe runs over just the keys every earlier probe found set.  At the
 planned fill about half the keys survive each probe, so a batch costs
 about 2n probes and one g2 hash per surviving key instead of k*n probes
 and two hashes per key.
+
+What a probe costs is the numpy passes it makes, not their number of
+calls, so each step is one cheap pass over an array the kernel owns.  A
+position is reduced as x - (x // m) * m: numpy divides by a scalar with
+a multiply and shifts, where % runs a hardware divide per element.  The
+bit is a byte gathered with take() through an intp index view, then
+shifted and masked in place in u8.
 """
 
 from __future__ import annotations
@@ -98,13 +105,11 @@ class BloomFilter:
         m = self.params.m
         g2 = hash_words_vec(self.params.seed, 2, keys)
         if m & (m - 1) == 0:
-            return g2 | np.uint64(1)
-        g2 %= np.uint64(m)
-        g2[g2 == 0] = np.uint64(1)
+            g2 |= np.uint64(1)
+        else:
+            g2 = _mod(g2, np.uint64(m))
+            np.maximum(g2, np.uint64(1), out=g2)  # 0 becomes 1
         return g2
-
-    def _g1g2_vec(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return hash_words_vec(self.params.seed, 1, keys), self._g2_vec(keys)
 
     # -- mutation --------------------------------------------------------
 
@@ -116,16 +121,15 @@ class BloomFilter:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return
-        g1, g2 = self._g1g2_vec(keys)
-        m = np.uint64(self.params.m)
-        with np.errstate(over="ignore"):
-            for i in range(self.params.k):
-                pos = (g1 + np.uint64(i) * g2 + np.uint64(_probe_offset(i))) % m
-                np.bitwise_or.at(
-                    self.words,
-                    (pos >> np.uint64(6)).astype(np.int64),
-                    np.uint64(1) << (pos & np.uint64(63)),
-                )
+        g1 = hash_words_vec(self.params.seed, 1, keys)
+        g2 = self._g2_vec(keys)
+        for i in range(self.params.k):
+            pos = _probe_positions(g1, g2, i, self.params.m)
+            np.bitwise_or.at(
+                self.words,
+                (pos >> np.uint64(6)).view(np.intp),
+                np.uint64(1) << (pos & np.uint64(63)),
+            )
 
     # -- queries ---------------------------------------------------------
 
@@ -136,11 +140,23 @@ class BloomFilter:
         return True
 
     def _bits_at(self, pos: np.ndarray) -> np.ndarray:
-        # bit i is bit i % 8 of byte i // 8 in the little-endian word layout;
-        # byte gathers and shifts run several times faster than 64-bit ones
+        """The filter's bit at each position, as bool; pos is overwritten.
+
+        Bit i is bit i % 8 of byte i // 8 in the little-endian word layout,
+        and byte gathers and shifts run several times faster than 64-bit
+        ones.  pos >> 3 is gathered through an intp view, which spares
+        take() a conversion of the whole index array; the view is safe
+        because every position is below m, so pos >> 3 indexes the
+        filter's own bytes.
+        """
         octets = np.ascontiguousarray(self.words, dtype="<u8").view(np.uint8)
-        byte = octets[pos >> np.uint64(3)]
-        return ((byte >> (pos.astype(np.uint8) & np.uint8(7))) & np.uint8(1)).view(bool)
+        shift = pos.astype(np.uint8)
+        shift &= np.uint8(7)
+        pos >>= np.uint64(3)
+        byte = octets.take(pos.view(np.intp))
+        byte >>= shift
+        byte &= np.uint8(1)
+        return byte.view(bool)
 
     def contains_many(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized contains: probe by probe over the keys still unrejected.
@@ -153,21 +169,47 @@ class BloomFilter:
         shape = keys.shape
         keys = keys.reshape(-1)
         hit = np.zeros(keys.size, dtype=bool)
-        m = np.uint64(self.params.m)
+        m = self.params.m
         g1 = hash_words_vec(self.params.seed, 1, keys)
-        live = np.flatnonzero(self._bits_at(g1 % m))
+        live = np.flatnonzero(self._bits_at(_probe_positions(g1, None, 0, m)))
         if self.params.k > 1 and live.size:
             g1 = g1[live]
             g2 = self._g2_vec(keys[live])
-            with np.errstate(over="ignore"):
-                for i in range(1, self.params.k):
-                    pos = (g1 + np.uint64(i) * g2 + np.uint64(_probe_offset(i))) % m
-                    keep = np.flatnonzero(self._bits_at(pos))
-                    live, g1, g2 = live[keep], g1[keep], g2[keep]
-                    if not live.size:
-                        break
+            for i in range(1, self.params.k):
+                keep = np.flatnonzero(self._bits_at(_probe_positions(g1, g2, i, m)))
+                live, g1, g2 = live[keep], g1[keep], g2[keep]
+                if not live.size:
+                    break
         hit[live] = True
         return hit.reshape(shape)
+
+
+def _mod(x: np.ndarray, m: np.uint64) -> np.ndarray:
+    """x % m for a uint64 array x, computed as x - (x // m) * m in one new array.
+
+    numpy divides by a scalar with a multiply and shifts, while % runs a
+    hardware divide per element; the remainder is the same.
+    """
+    r = x // m
+    r *= m
+    np.subtract(x, r, out=r)
+    return r
+
+
+def _probe_positions(g1: np.ndarray, g2: np.ndarray | None, i: int, m: int) -> np.ndarray:
+    """Probe i of every key, (g1 + i*g2 + C(i,3)) mod 2**64 mod m, in a new array.
+
+    The one vectorized form of `_positions`, which both insert_many and
+    contains_many use; g2 is not read for probe 0.
+    """
+    if i == 0:
+        return _mod(g1, np.uint64(m))
+    pos = g2 * np.uint64(i)  # array arithmetic wraps mod 2**64
+    pos += g1
+    offset = _probe_offset(i)
+    if offset:
+        pos += np.uint64(offset)
+    return _mod(pos, np.uint64(m))
 
 
 def analytic_fpr(m: int, k: int, n: int) -> float:

@@ -119,6 +119,8 @@ def cmd_sweep(args) -> int:
 
     if args.axis not in _SCHEMA:
         raise ConfigError(f"unknown sweep axis {args.axis!r}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     flat = _flat_config(args)
     base_spec = spec_from_flat(flat)
     values = [v.strip() for v in args.values.split(",") if v.strip()]

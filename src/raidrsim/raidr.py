@@ -127,8 +127,11 @@ class BinSet:
         return [filt.contains_many(rows) for filt in self.filters]
 
     def first_claims(self, claims: list[np.ndarray], shape) -> np.ndarray:
-        """Bin per row from claims(): the first claiming filter, default if none."""
-        out = np.full(shape, self.default_bin, dtype=np.int64)
+        """Bin per row from claims(): the first claiming filter, default if none.
+
+        The bins are in the smallest unsigned type that holds the default bin.
+        """
+        out = np.full(shape, self.default_bin, dtype=np.min_scalar_type(self.default_bin))
         for b in range(len(claims) - 1, -1, -1):
             out[claims[b]] = b
         return out

@@ -47,38 +47,63 @@ def hash_words(*words: int) -> int:
     return h
 
 
-def _mix64_vec(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * _V_MUL1
-    x = (x ^ (x >> np.uint64(27))) * _V_MUL2
-    return x ^ (x >> np.uint64(31))
+def _mix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
+    """mix64 of every element of the uint64 array x, in place; tmp is scratch of x's shape."""
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
+    x *= _V_MUL1
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
+    x *= _V_MUL2
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
 
 
 def hash_words_vec(*words) -> np.ndarray:
-    """Vectorized hash_words; any word may be a numpy array of uint64.
+    """Vectorized hash_words; any word may be a numpy array of integers.
 
-    Scalar words are folded with the same lattice as hash_words, so a call
-    mixing scalars and arrays agrees element-wise with the scalar path.
-    Arithmetic intentionally wraps mod 2**64.
+    The scalar words before the first array are folded as Python ints by
+    hash_words' own chain.  From there the hash is one uint64 array that
+    this call owns: every later word is added and mixed in place, so the
+    only temporaries are that array and one scratch array, and no input
+    array is ever written.  Arithmetic intentionally wraps mod 2**64, so
+    a call mixing scalars and arrays agrees element-wise with the scalar
+    path; array arithmetic wraps without a warning.  An all-scalar call
+    returns a 0-d array.
     """
-    h = np.asarray(np.uint64(0))
-    with np.errstate(over="ignore"):
-        for w in words:
-            if isinstance(w, np.ndarray):
-                w64 = w if w.dtype == np.uint64 else w.astype(np.uint64)
-            else:
-                w64 = np.uint64(int(w) & _MASK)
-            h = _mix64_vec(np.asarray(h + _V_GAMMA + w64))
-    return h
+    h = 0
+    for lead, w in enumerate(words):
+        if isinstance(w, np.ndarray):
+            break
+        h = mix64((h + _GAMMA + (int(w) & _MASK)) & _MASK)
+    else:
+        return np.array(h, dtype=np.uint64)
+    x = tmp = None
+    for w in words[lead:]:
+        if not isinstance(w, np.ndarray):
+            x += np.uint64((_GAMMA + int(w)) & _MASK)
+        elif x is None:
+            x = w.astype(np.uint64)  # a copy, even of a uint64 array
+            x += np.uint64((h + _GAMMA) & _MASK)
+        else:
+            w64 = w.astype(np.uint64, copy=False)
+            x = np.add(x, w64, out=np.empty(np.broadcast_shapes(x.shape, w64.shape), np.uint64))
+            x += _V_GAMMA
+        if tmp is None or tmp.shape != x.shape:
+            tmp = np.empty_like(x)
+        _mix64_into(x, tmp)
+    return x
 
 
 def extend_hash_vec(h: np.ndarray, word: int) -> np.ndarray:
     """hash_words_vec(*words, word) from h = hash_words_vec(*words).
 
     Lets a caller that hashes the same prefix every step (a per-row stream
-    indexed by window) hash the prefix once.
+    indexed by window) hash the prefix once.  h is left unchanged.
     """
-    with np.errstate(over="ignore"):
-        return _mix64_vec(h + _V_GAMMA + np.uint64(int(word) & _MASK))
+    x = np.add(h, np.uint64((_GAMMA + int(word)) & _MASK), out=np.empty(np.shape(h), np.uint64))
+    _mix64_into(x, np.empty_like(x))
+    return x
 
 
 def uniform01(*words: int) -> float:

@@ -171,7 +171,7 @@ class RefreshSimulation:
             seed=rng.hash_words(spec.seed, rng.TAG_FILTER_SEED),
         )
         vrt_rows = np.concatenate(vrt_rows)
-        self._scan_rows(jmin, vrt_rows)
+        self._scan_rows(jmin, jmin_cap, vrt_rows)
         # a row fails only past its low retention, and its elapsed time
         # peaks at m * trefw_ms, computed as _advance computes it.  Only
         # these rows are stepped, so the inputs of a step are gathered once
@@ -193,41 +193,49 @@ class RefreshSimulation:
         self._window = 0
         self._wall = time.perf_counter() - t0
 
-    def _scan_rows(self, jmin: np.ndarray, vrt_rows: np.ndarray) -> None:
+    def _scan_rows(self, jmin: np.ndarray, jmin_cap: int, vrt_rows: np.ndarray) -> None:
         """Sum every per-row quantity the built bins fix, in one blocked pass.
 
         Each filter meets each row once; its claim mask gives the queried
-        bin and its claim count.  Each filter holds exactly its bin's
-        profiled rows and has no false negatives, so bins.counts gives
-        the false positives and the profiled schedule's refreshes.  A
-        non-VRT row's static failures follow from its queried multiplier
-        and its jmin, which pass 1 kept per row.  Every stream is keyed by
-        row index, so the blocking is exact.
+        bin and its claim count.  Refreshes are tallied per queried bin:
+        the rows each bin answers, times that bin's refreshes in the
+        horizon.  Each filter holds exactly its bin's profiled rows and has
+        no false negatives, so bins.counts gives the false positives and
+        the profiled schedule's refreshes.  A non-VRT row's static failures
+        follow from its queried multiplier and its jmin, which pass 1 kept
+        per row; only a row with jmin below jmin_cap, one past the largest
+        multiplier, can fail.  Every stream is keyed by row index, so the
+        blocking is exact.
         """
         horizon = self.horizon
         bins = self.bins
         mult_table = np.asarray(bins.multipliers, dtype=np.int64)
-        issued = static_failures = static_unsafe = 0
+        queried = np.zeros(mult_table.size, dtype=np.int64)
+        static_failures = static_unsafe = 0
         claimed = [0] * len(bins.filters)
         v_mult = []
         for lo in range(0, self.device.num_rows, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, self.device.num_rows)
             rows = np.arange(lo, hi, dtype=np.uint64)
             claims = bins.claims(rows)
-            mult_q = mult_table[bins.first_claims(claims, rows.shape)]
-            issued += int(refreshes_in_horizon(horizon, mult_q).sum())
+            q = bins.first_claims(claims, rows.shape)
+            queried += np.bincount(q, minlength=mult_table.size)
             for b, mask in enumerate(claims):
                 claimed[b] += int(np.count_nonzero(mask))
 
-            at_risk = np.flatnonzero(jmin[lo:hi] <= mult_q)
-            m, j = mult_q[at_risk], jmin[lo:hi][at_risk].astype(np.int64)
+            block_jmin = jmin[lo:hi]
+            near = np.flatnonzero(block_jmin < jmin_cap)
+            m, j = mult_table[q[near]], block_jmin[near].astype(np.int64)
+            at_risk = j <= m
+            m, j = m[at_risk], j[at_risk]
             fails = (horizon // m) * (m - j + 1) + np.maximum(0, horizon % m - j + 1)
             static_failures += int(fails.sum())
             static_unsafe += int(np.count_nonzero(fails))
             a, b = np.searchsorted(vrt_rows, (lo, hi))
-            v_mult.append(mult_q[vrt_rows[a:b] - lo])
+            v_mult.append(mult_table[q[vrt_rows[a:b] - lo]])
 
         counts = bins.counts
+        issued = sum(int(c) * refreshes_in_horizon(horizon, m) for c, m in zip(queried, bins.multipliers))
         self.refreshes_issued = issued
         profiled_issued = sum(c * refreshes_in_horizon(horizon, m) for c, m in zip(counts, bins.multipliers))
         self.fpr_extra_refreshes = issued - profiled_issued

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from raidrsim import rng
-from raidrsim.bloom import BloomFilter, BloomParams, analytic_fpr, plan_params
+from raidrsim.bloom import DEFAULT_PLAN_CEILING_BITS, BloomFilter, BloomParams, _mod, analytic_fpr, plan_params
 
 params_st = st.builds(
     BloomParams,
@@ -77,9 +78,36 @@ def test_fpr_monotone_in_n(m, k):
 
 
 
+def _remainder_cases(m: int) -> np.ndarray:
+    # both ends of the word, and each side of a few multiples of m up to the top
+    near = [c * m + d for c in (1, 2, 3, (2**64 - 1) // m) for d in (-1, 0, 1)]
+    return np.array([x for x in [0, 1, 2**64 - 1, *near] if 0 <= x < 2**64], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 2**31 - 1, DEFAULT_PLAN_CEILING_BITS])
+def test_remainder_matches_mod(m):
+    x = _remainder_cases(m)
+    assert _mod(x, np.uint64(m)).tolist() == [int(v) % m for v in x.tolist()]
+
+
+@given(st.integers(min_value=1, max_value=2**64 - 1), st.lists(st.integers(0, 2**64 - 1), max_size=32))
+@settings(max_examples=100, deadline=None)
+def test_remainder_matches_mod_for_random_m(m, extra):
+    x = np.concatenate([_remainder_cases(m), np.array(extra, dtype=np.uint64)])
+    before = x.tobytes()
+    assert _mod(x, np.uint64(m)).tolist() == [int(v) % m for v in x.tolist()]
+    assert x.tobytes() == before
+
+
 small_params_st = st.builds(
     BloomParams,
-    m=st.one_of(st.integers(min_value=1, max_value=300), st.sampled_from([1, 2, 64, 128, 256])),
+    m=st.one_of(
+        st.integers(min_value=1, max_value=300),
+        st.sampled_from([1, 2, 64, 128, 256]),
+        # powers of two force g2 odd; the larger m spread the gathers over many pages
+        st.integers(min_value=0, max_value=20).map(lambda e: 2**e),
+        st.integers(min_value=301, max_value=2**20),
+    ),
     k=st.one_of(st.just(1), st.integers(min_value=1, max_value=64)),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
@@ -93,6 +121,8 @@ small_params_st = st.builds(
     st.integers(min_value=0, max_value=2**64 - 1),
 )
 @example(BloomParams(m=1, k=1), 0, 0, 0)  # empty keys
+@example(BloomParams(m=2**20, k=5, seed=1), 2000, 200, 7)
+@example(BloomParams(m=2**20 - 3, k=5, seed=1), 2000, 200, 7)
 @settings(max_examples=150, deadline=None)
 def test_contains_many_matches_scalar_contains(params, n_inserted, n_probes, probe_seed):
     f = BloomFilter(params)

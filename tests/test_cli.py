@@ -455,6 +455,14 @@ class TestSweepCommand:
         assert run_cli("sweep", "--axis", "nope", "--values", "1", "--out", str(tmp_path)) == 2
         assert "axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "never"
+        code = run_cli("sweep", "--axis", "seed", "--values", "1", *SMALL, "--jobs", jobs, "--out", str(out))
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unbinnable_point_exits_3_under_parallel_jobs(self, tmp_path, capsys):
         # the worker's UnbinnableRowError must reach main intact
         code = run_cli(

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from raidrsim import rng
+from raidrsim.bloom import BloomFilter, BloomParams
 
 
 def test_scalar_vector_agreement():
@@ -66,3 +68,58 @@ def test_known_value_pinned():
     # cross-platform regression pin for the stream definition
     assert rng.hash_words(0) == rng.mix64(0x9E3779B97F4A7C15)
     assert rng.hash_words(1, 2, 3) == rng.hash_words(1, 2, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_vec_matches_scalar_wherever_the_array_word_sits(dtype, at):
+    info = np.iinfo(dtype)
+    arr = np.array([0, 1, 2, 12345, info.max, info.min, info.max // 3], dtype=dtype)
+    scalars = [2**64 - 1, 7]
+    words = {"first": [arr, *scalars], "middle": [scalars[0], arr, scalars[1]], "last": [*scalars, arr]}[at]
+    vec = rng.hash_words_vec(*words)
+    assert vec.dtype == np.uint64 and vec.shape == arr.shape
+    for e, got in zip(arr.tolist(), vec.tolist()):
+        assert got == rng.hash_words(*(e if w is arr else w for w in words))
+
+
+def test_vec_of_a_0d_word():
+    zero_d = np.asarray(np.int64(-3))
+    for words in [(zero_d,), (5, zero_d), (zero_d, 9), (5, zero_d, 9)]:
+        vec = rng.hash_words_vec(*words)
+        assert isinstance(vec, np.ndarray) and vec.shape == ()
+        assert int(vec) == rng.hash_words(*(-3 if w is zero_d else w for w in words))
+    ext = rng.extend_hash_vec(rng.hash_words_vec(5, zero_d), 11)
+    assert isinstance(ext, np.ndarray) and int(ext) == rng.hash_words(5, -3, 11)
+
+
+def test_all_scalar_vec_is_a_0d_array():
+    vec = rng.hash_words_vec(1, 2, 2**64 - 1)
+    assert isinstance(vec, np.ndarray) and vec.shape == () and vec.dtype == np.uint64
+    assert int(vec) == rng.hash_words(1, 2, 2**64 - 1)
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    # the engine passes its own arrays, such as _v_prefix, to these kernels
+    arrays = [
+        np.arange(1000, dtype=np.uint64) * np.uint64(2654435761),
+        np.arange(-500, 500, dtype=np.int64),
+        np.arange(1000, dtype=np.uint32),
+        np.asarray(np.uint64(42)),
+    ]
+    for arr in arrays:
+        before = arr.tobytes()
+        rng.hash_words_vec(3, arr, 4)
+        rng.hash_words_vec(arr)
+        assert arr.tobytes() == before
+    prefix = rng.hash_words_vec(9, rng.TAG_VRT_STEP, np.arange(1000, dtype=np.uint64))
+    before = prefix.tobytes()
+    rng.extend_hash_vec(prefix, 17)
+    assert prefix.tobytes() == before
+    for params in (BloomParams(m=1000, k=7, seed=3), BloomParams(m=1024, k=7, seed=3)):
+        f = BloomFilter(params)
+        keys = rng.hash_words_vec(5, np.arange(300, dtype=np.uint64))
+        before = keys.tobytes()
+        f.insert_many(keys)
+        f.contains_many(keys)
+        assert keys.tobytes() == before
