@@ -23,7 +23,7 @@ from .experiment import (
 )
 from .raidr import UnbinnableRowError
 from .selftest import run_selftest
-from .simulate import RefreshSimulation, check_report_invariants, profiled_blocks
+from .simulate import RefreshSimulation, check_report_invariants, keep_block_pages, profiled_blocks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,7 +136,7 @@ def cmd_sweep(args) -> int:
     out = _ensure_outdir(args)
 
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=keep_block_pages) as pool:
             results = list(pool.map(_sweep_point, payloads))
     else:
         results = [_sweep_point(p) for p in payloads]
@@ -266,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    keep_block_pages()
     try:
         return args.func(args)
     except ConfigError as exc:

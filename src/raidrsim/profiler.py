@@ -52,9 +52,10 @@ def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig
 
     The campaign has its own window timeline starting from the fresh (high)
     state; transitions reuse the per-row physical streams under a dedicated
-    purpose tag.  It steps every row of `rows` in one loop over the windows,
-    so its cost is one pass over the span, however the device is blocked.
-    An oracle runs no campaign and sees no row low.
+    purpose tag.  It steps every row of `rows` in one loop over the windows
+    up to the last sampled one, so its cost is one pass over the span,
+    however the device is blocked.  An oracle runs no campaign and sees no
+    row low.
     """
     seen = np.zeros(rows.size, dtype=bool)
     if cfg.mode == MODE_ORACLE or rows.size == 0:
@@ -62,8 +63,9 @@ def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig
     sample_at = set(int(w) for w in _round_windows(cfg.profiling_window_span, cfg.rounds))
     low = np.zeros(rows.size, dtype=bool)
     prefix = rng.hash_words_vec(seed, rng.TAG_PROFILE_VRT_STEP, rows)
-    # window 0 is the fresh state: never low, nothing to record there
-    for w in range(1, cfg.profiling_window_span):
+    # window 0 is the fresh state: never low, nothing to record there; no
+    # window past the last sampled one is read
+    for w in range(1, max(sample_at) + 1):
         low = vrt_step(low, rng.extend_hash_vec(prefix, w), vrt)
         if w in sample_at:
             seen |= low

@@ -152,33 +152,35 @@ def build_bins(
     or explicit BloomParams shared by all bins.  This is bin_blocks over
     the profile as one block.
     """
-    return bin_blocks([(0, measured_ms)], measured_ms.size, bin_cfg, base_ms, bloom_budget, seed)
+    return bin_blocks([(0, measured_ms)], bin_cfg, base_ms, bloom_budget, seed)
 
 
-def bin_blocks(blocks, num_rows: int, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: int) -> BinSet:
-    """build_bins over (first row, measured retention) blocks that cover [0, num_rows) in order.
+def bin_blocks(blocks, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: int) -> BinSet:
+    """build_bins over (first row, measured retention) blocks that cover the device in row order.
 
     The filters are sized from the bin counts of the whole device, so each
-    row's bin is kept, in the smallest unsigned type that holds every bin
-    index, until the last block is in; then each filter gets its rows one
-    block at a time.  Beyond that, memory is bounded by the largest block.
+    filter bin's member rows are kept, per block as offsets from its first
+    row in the smallest unsigned type that holds them, until the last block
+    is in; then each filter gets its rows one block at a time.  The rows of
+    the default bin are only counted.  Beyond the filter bins' rows, memory
+    is bounded by the largest block.
     """
     bin_cfg.multipliers(base_ms)  # rejects a threshold that is not a whole multiple of the base
     nbins = bin_cfg.num_filter_bins
-    row_bin = np.empty(num_rows, dtype=np.min_scalar_type(nbins))
     counts = np.zeros(nbins + 1, dtype=np.int64)
-    spans = []
+    members = []  # (first row, each filter bin's member offsets) per block
     first_below, n_below = None, 0
     for start, measured in blocks:
-        stop = start + measured.size
         below = np.flatnonzero(measured < base_ms)
         if below.size and first_below is None:
             first_below = (start + int(below[0]), float(measured[below[0]]))
         n_below += below.size
         idx = bin_cfg.classify(measured)
-        row_bin[start:stop] = idx
         counts += np.bincount(idx, minlength=nbins + 1)
-        spans.append((start, stop))
+        binned = np.flatnonzero(idx < nbins)
+        binned_idx = idx[binned]
+        binned = binned.astype(np.min_scalar_type(max(measured.size - 1, 0)))
+        members.append((start, [binned[binned_idx == b] for b in range(nbins)]))
     if n_below:
         raise UnbinnableRowError(
             row=first_below[0],
@@ -198,10 +200,9 @@ def bin_blocks(blocks, num_rows: int, bin_cfg: BinConfig, base_ms: float, bloom_
                 seed=rng.hash_words(seed, rng.TAG_FILTER_SEED, b),
             )
         filters.append(BloomFilter(params))
-    for start, stop in spans:
-        block = row_bin[start:stop]
-        for b, filt in enumerate(filters):
-            filt.insert_many(np.flatnonzero(block == b).astype(np.uint64) + np.uint64(start))
+    for start, offsets in members:
+        for filt, rows in zip(filters, offsets):
+            filt.insert_many(rows.astype(np.uint64) + np.uint64(start))
     return BinSet(bin_cfg=bin_cfg, base_ms=base_ms, filters=filters, counts=tuple(int(c) for c in counts))
 
 

@@ -11,9 +11,11 @@ The engine is built in two passes over blocks of _CHUNK_ROWS rows, so its
 memory is set by one block, not by the device.  Pass 1 generates and
 profiles one block at a time; every stream is keyed by row, so a block
 equals the same rows of the full-array ground truth and profile.  Of each
-block it keeps two small integers per row, the profiled bin and the
-closed form's jmin, and the sparse data of the VRT rows.  The bin counts
-then size the filters, which take their rows block by block.  Pass 2
+block it keeps only the rows that need state: each filter bin's member
+rows, the rows that can fail without VRT with the closed form's jmin,
+and the sparse data of the VRT rows.  The bin counts then size the
+filters, which take their rows block by block.  keep_block_pages, which
+the CLI calls, has malloc reuse each block's pages for the next.  Pass 2
 gives everything fixed per row once the bins exist (the queried bin,
 refresh counts, the closed-form failures and each filter's claim count),
 querying each filter once per row.  It never reads the profile: a Bloom
@@ -41,6 +43,7 @@ executes code from the blob.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import struct
 import time
@@ -64,9 +67,32 @@ _CHECKPOINT_COUNTS = struct.Struct("<QQ")  # window, VRT failures so far
 _CHECKPOINT_ARRAYS = ("vrt_low", "seen", "unsafe")
 
 # rows per block of the engine's passes over the device; bounds their
-# temporaries independently of num_rows, and keeps them small enough to be
-# reused from the heap rather than mapped afresh for every block
+# temporaries, at most 8 B per row of the block each, independently of
+# num_rows.  keep_block_pages has malloc reuse them from block to block
 _CHUNK_ROWS = 1 << 17
+
+# glibc's mallopt parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def keep_block_pages() -> None:
+    """Have glibc's malloc keep the pages of freed block temporaries for the next block.
+
+    By default glibc maps a large array afresh and returns a freed heap top
+    to the kernel, so every block faults its pages in again.  Both
+    thresholds are set above the largest block temporary, 8 * _CHUNK_ROWS
+    bytes: setting the trim threshold alone turns off glibc's dynamic mmap
+    threshold, and every block temporary is then mapped afresh.  A no-op
+    where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    block_bytes = 8 * _CHUNK_ROWS
+    mallopt(_M_MMAP_THRESHOLD, 4 * block_bytes)
+    mallopt(_M_TRIM_THRESHOLD, 16 * block_bytes)
 
 
 class CheckpointError(RuntimeError):
@@ -143,35 +169,37 @@ class RefreshSimulation:
         self.horizon = spec.sim.horizon_windows
 
         t0 = time.perf_counter()
-        n = self.device.num_rows
         # a row whose retention never toggles fails in every window at least
         # jmin windows past its last refresh, so only rows with jmin <= m can
-        # fail at all.  jmin is kept per row, capped one past the largest
-        # multiplier, which a VRT row takes so that it is never counted here
+        # fail at all.  jmin is kept only for the rows below jmin_cap, one
+        # past the largest multiplier, and never for a VRT row
         jmin_cap = max(spec.bins.multipliers(self.device.trefw_ms)) + 1
-        jmin = np.empty(n, dtype=np.min_scalar_type(jmin_cap))
-        vrt_rows, vrt_high_ms, vrt_low_ms = [], [], []
+        near_rows, vrt_rows, vrt_high_ms, vrt_low_ms = [], [], [], []
 
         def binned_blocks():
-            # pass 1: of each block, only jmin, the VRT rows and their
-            # retentions outlive it, besides the bins bin_blocks keeps
+            # pass 1: of each block, only its rows below jmin_cap with their
+            # jmin, the VRT rows and their retentions outlive it, besides
+            # the filter bins' rows that bin_blocks keeps
             for gt, measured in profiled_blocks(spec):
-                lo, hi = gt.start, gt.start + gt.num_rows
+                lo = gt.start
                 block_jmin = np.floor(gt.min_possible_retention() / self.device.trefw_ms) + 1
-                block_jmin = np.minimum(block_jmin, jmin_cap)
-                block_jmin[gt.has_vrt] = jmin_cap
-                jmin[lo:hi] = block_jmin
+                block_jmin[gt.vrt_rows - lo] = jmin_cap
+                near = np.flatnonzero(block_jmin < jmin_cap)
+                near_rows.append((
+                    near.astype(np.min_scalar_type(gt.num_rows - 1)),
+                    block_jmin[near].astype(np.min_scalar_type(jmin_cap)),
+                ))
                 vrt_rows.append(gt.vrt_rows)
                 vrt_high_ms.append(gt.vrt_retention_high)
                 vrt_low_ms.append(gt.vrt_retention_low)
                 yield lo, measured
 
         self.bins: BinSet = bin_blocks(
-            binned_blocks(), n, spec.bins, self.device.trefw_ms, spec.bloom_budget,
+            binned_blocks(), spec.bins, self.device.trefw_ms, spec.bloom_budget,
             seed=rng.hash_words(spec.seed, rng.TAG_FILTER_SEED),
         )
         vrt_rows = np.concatenate(vrt_rows)
-        self._scan_rows(jmin, jmin_cap, vrt_rows)
+        self._scan_rows(near_rows, vrt_rows)
         # a row fails only past its low retention, and its elapsed time
         # peaks at m * trefw_ms, computed as _advance computes it.  Only
         # these rows are stepped, so the inputs of a step are gathered once
@@ -193,7 +221,7 @@ class RefreshSimulation:
         self._window = 0
         self._wall = time.perf_counter() - t0
 
-    def _scan_rows(self, jmin: np.ndarray, jmin_cap: int, vrt_rows: np.ndarray) -> None:
+    def _scan_rows(self, near_rows: list, vrt_rows: np.ndarray) -> None:
         """Sum every per-row quantity the built bins fix, in one blocked pass.
 
         Each filter meets each row once; its claim mask gives the queried
@@ -202,9 +230,10 @@ class RefreshSimulation:
         horizon.  Each filter holds exactly its bin's profiled rows and has
         no false negatives, so bins.counts gives the false positives and
         the profiled schedule's refreshes.  A non-VRT row's static failures
-        follow from its queried multiplier and its jmin, which pass 1 kept
-        per row; only a row with jmin below jmin_cap, one past the largest
-        multiplier, can fail.  Every stream is keyed by row index, so the
+        follow from its queried multiplier and its jmin.  Only a row with
+        jmin at most the largest multiplier can fail, so pass 1 kept, per
+        block, just those rows, as offsets from the block's first row, and
+        their jmin: near_rows.  Every stream is keyed by row index, so the
         blocking is exact.
         """
         horizon = self.horizon
@@ -214,7 +243,7 @@ class RefreshSimulation:
         static_failures = static_unsafe = 0
         claimed = [0] * len(bins.filters)
         v_mult = []
-        for lo in range(0, self.device.num_rows, _CHUNK_ROWS):
+        for lo, (near, near_jmin) in zip(range(0, self.device.num_rows, _CHUNK_ROWS), near_rows):
             hi = min(lo + _CHUNK_ROWS, self.device.num_rows)
             rows = np.arange(lo, hi, dtype=np.uint64)
             claims = bins.claims(rows)
@@ -223,9 +252,7 @@ class RefreshSimulation:
             for b, mask in enumerate(claims):
                 claimed[b] += int(np.count_nonzero(mask))
 
-            block_jmin = jmin[lo:hi]
-            near = np.flatnonzero(block_jmin < jmin_cap)
-            m, j = mult_table[q[near]], block_jmin[near].astype(np.int64)
+            m, j = mult_table[q[near]], near_jmin.astype(np.int64)
             at_risk = j <= m
             m, j = m[at_risk], j[at_risk]
             fails = (horizon // m) * (m - j + 1) + np.maximum(0, horizon % m - j + 1)

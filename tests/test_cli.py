@@ -1,7 +1,11 @@
+import ctypes
 import dataclasses
 import os
 import re
 import stat
+import subprocess
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -412,6 +416,43 @@ class TestSimulateCommand:
         assert lines[1] == "bin_index,interval_ms,rows_inserted,filter_m_bits,filter_k,measured_fpr"
         assert len(lines) == 2 + 3 + 1  # comment, header, three bins, total line
         assert lines[-1].startswith("# total_filter_bits=")
+
+    @pytest.mark.parametrize("broken", ["no-library", "no-mallopt"])
+    def test_runs_unchanged_without_mallopt(self, tmp_path, monkeypatch, broken):
+        assert run_cli("simulate", "--out", str(tmp_path / "a"), *SMALL) == 0
+
+        def cdll(name, *args, **kwargs):
+            if broken == "no-library":
+                raise OSError("no C library")
+            return object()  # a library without mallopt
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert run_cli("simulate", "--out", str(tmp_path / "b"), *SMALL) == 0
+        for name in ("simreport.txt", "bins.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt")
+    def test_added_blocks_map_no_fresh_pages(self, tmp_path):
+        # malloc keeps the freed pages of one block's temporaries for the
+        # next, so a device four times larger takes about as many minor page
+        # faults; a fresh mapping of every block's temporaries adds ~400 a block
+        def minor_faults(num_rows):
+            argv = ["simulate", "--out", str(tmp_path / str(num_rows)),
+                    "--set", f"device.density_bits={num_rows * 8192}"]
+            env = {**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])}
+            code = f"import sys; from raidrsim import cli; sys.exit(cli.main({argv!r}))"
+            proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL)
+            timer = threading.Timer(120, proc.kill)
+            timer.start()
+            try:
+                _, status, usage = os.wait4(proc.pid, 0)
+            finally:
+                timer.cancel()
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0
+            return usage.ru_minflt
+
+        assert minor_faults(1 << 22) - minor_faults(1 << 20) < 1000
 
 
 class TestSweepCommand:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raidrsim import rng
 from raidrsim.profiler import (
     MisclassificationReport,
     ProfilerConfig,
+    _round_windows,
     misclassification_report,
     profile,
+    vrt_low_seen,
 )
 from raidrsim.raidr import BinConfig
 from raidrsim.retention import (
@@ -17,6 +20,7 @@ from raidrsim.retention import (
     RetentionDistribution,
     VrtModel,
     generate_ground_truth,
+    vrt_step,
 )
 
 
@@ -92,6 +96,29 @@ class TestMeasuredMode:
                 low = u >= 0.5 if low else u < 0.2
                 seen |= low and w % 2 == 0
             assert measured[r] == gt.base_retention_ms[r] * (0.5 if seen else 1.0)
+
+    @given(
+        span=st.integers(1, 80),
+        rounds=st.integers(1, 12),
+        p_hl=st.floats(0.0, 1.0),
+        p_lh=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_campaign_stops_at_the_last_sampled_window(self, span, rounds, p_hl, p_lh, seed):
+        # stepping the full span, as a campaign that read every window
+        # would, sees the same rows low: no window past the last sample is read
+        vrt = VrtModel(enabled=True, p_high_to_low=p_hl, p_low_to_high=p_lh)
+        cfg = ProfilerConfig(mode="measured", rounds=rounds, profiling_window_span=span)
+        rows = np.arange(0, 300, 3, dtype=np.int64)
+        sample_at = set(_round_windows(span, rounds).tolist())
+        prefix = rng.hash_words_vec(seed, rng.TAG_PROFILE_VRT_STEP, rows)
+        low = seen = np.zeros(rows.size, dtype=bool)
+        for w in range(1, span):
+            low = vrt_step(low, rng.extend_hash_vec(prefix, w), vrt)
+            if w in sample_at:
+                seen = seen | low
+        assert np.array_equal(vrt_low_seen(seed, vrt, rows, cfg), seen)
 
     def test_patterns_tested_above_universe_rejected(self):
         gt = make_gt(dpd=DpdModel(enabled=True, num_patterns=4))

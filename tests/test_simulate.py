@@ -658,21 +658,41 @@ def engine_build_peak(num_rows, spec_of):
         tracemalloc.stop()
 
 
+def guard_sweep_law_spec(num_rows):
+    """The guard-sweep benchmark's lognormal law and profiling at guard 2.0: about a fifth of the rows binned."""
+    return ExperimentSpec(
+        seed=3,
+        device=DeviceConfig.from_rows(num_rows),
+        dist=RetentionDistribution(kind=DIST_LOGNORMAL_TAIL, weak_fraction=0.3, floor_ms=320.0,
+                                   weak_high_ms=960.0, lognormal_median_ms=440.0, lognormal_sigma=0.4),
+        vrt=VrtModel(enabled=True, affected_fraction=0.02, low_factor=0.5,
+                     p_high_to_low=0.05, p_low_to_high=0.2),
+        dpd=DpdModel(enabled=True, worst_pattern_factor=0.8),
+        profiler=ProfilerConfig(mode="measured", patterns_tested=4, rounds=8,
+                                guard_band_factor=2.0, profiling_window_span=16),
+        sim=SimConfig(horizon_windows=64),
+    )
+
+
 def test_engine_pass_memory_is_bounded(monkeypatch):
-    # the whole build works in blocks: beyond one block it keeps a byte or
-    # two per row (jmin and the profiled bin) and the sparse VRT rows, so a
-    # row added to the device adds at most 4 B to the peak, with oracle
-    # profiling and with measured VRT+DPD profiling alike
+    # the whole build works in blocks: beyond one block it keeps only the
+    # rows that need state (those that can fail statically, the filter
+    # bins' rows and the VRT rows), so where few rows are binned a row added
+    # to the device adds at most 1 B to the peak, with oracle profiling and
+    # with measured VRT+DPD profiling alike.  Where a fifth of the rows is
+    # binned, the sparse state stays within the 4 B bound of the two per-row
+    # arrays it replaced
     monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 1 << 12)
-    for spec_of in (
-        lambda n: quiet_spec(num_rows=n, horizon=64, seed=3),
-        lambda n: dataclasses.replace(noisy_spec(num_rows=n, horizon=64, seed=3),
-                                      dist=RetentionDistribution(weak_fraction=0.01, floor_ms=160.0),
-                                      vrt=VrtModel(enabled=True, affected_fraction=0.01)),
+    for spec_of, per_row_bound in (
+        (lambda n: quiet_spec(num_rows=n, horizon=64, seed=3), 1),
+        (lambda n: dataclasses.replace(noisy_spec(num_rows=n, horizon=64, seed=3),
+                                       dist=RetentionDistribution(weak_fraction=0.01, floor_ms=160.0),
+                                       vrt=VrtModel(enabled=True, affected_fraction=0.01)), 1),
+        (guard_sweep_law_spec, 4),
     ):
         RefreshSimulation(spec_of(1 << 12))  # one-time caches and imports
         small, large = engine_build_peak(1 << 18, spec_of), engine_build_peak(1 << 19, spec_of)
-        assert (large - small) / (1 << 18) <= 4
+        assert (large - small) / (1 << 18) <= per_row_bound
         assert large / (1 << 19) <= 8
 
 
