@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import overhead as overhead_mod
@@ -136,6 +135,9 @@ def cmd_sweep(args) -> int:
     out = _ensure_outdir(args)
 
     if args.jobs > 1:
+        # imported here, so that no other command starts by loading multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=keep_block_pages) as pool:
             results = list(pool.map(_sweep_point, payloads))
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .retention import RetentionGroundTruth, VrtModel, vrt_step
+from .retention import RetentionGroundTruth, VrtModel, vrt_walk
 
 MODE_ORACLE = "oracle"
 MODE_MEASURED = "measured"
@@ -47,28 +47,35 @@ def _round_windows(span: int, rounds: int) -> np.ndarray:
     return np.unique((np.arange(rounds, dtype=np.int64) * span) // rounds)
 
 
-def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig) -> np.ndarray:
+def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig, tile_pairs: int) -> np.ndarray:
     """Whether each affected row of `rows` occupied its low state at any sampled pass.
 
     The campaign has its own window timeline starting from the fresh (high)
     state; transitions reuse the per-row physical streams under a dedicated
-    purpose tag.  It steps every row of `rows` in one loop over the windows
-    up to the last sampled one, so its cost is one pass over the span,
+    purpose tag.  It steps every row of `rows` together, up to the last
+    sampled window, in tiles of consecutive windows: at most tile_pairs
+    (window, row) pairs each, and at least one window.  Each tile is one
+    hash call and one vrt_walk, so its cost is one pass over the span,
     however the device is blocked.  An oracle runs no campaign and sees no
     row low.
     """
     seen = np.zeros(rows.size, dtype=bool)
     if cfg.mode == MODE_ORACLE or rows.size == 0:
         return seen
-    sample_at = set(int(w) for w in _round_windows(cfg.profiling_window_span, cfg.rounds))
+    sample_at = _round_windows(cfg.profiling_window_span, cfg.rounds)
+    last = int(sample_at[-1])
+    sampled = np.zeros(last + 1, dtype=bool)
+    sampled[sample_at] = True
     low = np.zeros(rows.size, dtype=bool)
     prefix = rng.hash_words_vec(seed, rng.TAG_PROFILE_VRT_STEP, rows)
+    tile = max(1, tile_pairs // rows.size)
     # window 0 is the fresh state: never low, nothing to record there; no
     # window past the last sampled one is read
-    for w in range(1, max(sample_at) + 1):
-        low = vrt_step(low, rng.extend_hash_vec(prefix, w), vrt)
-        if w in sample_at:
-            seen |= low
+    for w0 in range(1, last + 1, tile):
+        windows = np.arange(w0, min(w0 + tile, last + 1))
+        lows = vrt_walk(low, rng.extend_hash_vec(prefix, windows[:, None]), vrt)
+        low = lows[-1]
+        seen |= lows[sampled[windows]].any(axis=0)
     return seen
 
 
@@ -101,8 +108,13 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_s
 
 
 def profile(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int) -> np.ndarray:
-    """Guard-divided measured retention of each row of gt, campaign included."""
-    return profile_rows(gt, cfg, seed, vrt_low_seen(gt.seed, gt.vrt, gt.vrt_rows, cfg))
+    """Guard-divided measured retention of each row of gt, campaign included.
+
+    The campaign's tiles hold at most a quarter as many pairs as gt has
+    rows, so its temporaries stay within the size of gt's own arrays.
+    """
+    low_seen = vrt_low_seen(gt.seed, gt.vrt, gt.vrt_rows, cfg, tile_pairs=gt.num_rows // 4)
+    return profile_rows(gt, cfg, seed, low_seen)
 
 
 @dataclass(frozen=True)

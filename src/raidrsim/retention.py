@@ -147,8 +147,8 @@ class DpdModel:
             raise ValueError("worst_pattern_factor must be in (0, 1]")
 
 
-def vrt_step(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
-    """One transition of the retention toggle, drawn from the step hashes h.
+def _stay_drop(h: np.ndarray, vrt: VrtModel) -> tuple[np.ndarray, np.ndarray]:
+    """Whether a low row stays low, and whether a high row drops low, on the step hashes h.
 
     A low row stays low unless uniform01_of(h) < p_low_to_high; a high row
     drops low iff uniform01_of(h) < p_high_to_low.  The uniform is
@@ -158,7 +158,37 @@ def vrt_step(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
     k = h >> np.uint64(11)
     stay = k >= np.uint64(math.ceil(vrt.p_low_to_high * 2.0**53))
     drop = k < np.uint64(math.ceil(vrt.p_high_to_low * 2.0**53))
+    return stay, drop
+
+
+def vrt_step(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
+    """One transition of the retention toggle, drawn from the step hashes h (see _stay_drop).
+
+    RetentionGroundTruth.step_vrt takes one step at a time with it; the
+    engine and the profiling campaign step whole tiles through vrt_walk,
+    so the two paths check each other.
+    """
+    stay, drop = _stay_drop(h, vrt)
     return (low & stay) | (drop & ~low)
+
+
+def vrt_walk(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
+    """The toggle states after each of len(h) consecutive steps from the states low.
+
+    h is a (windows, rows) array of step hashes, one window per line; the
+    result has its shape, and its line t is vrt_step applied t + 1 times.
+    With stay and drop as in vrt_step, the next state is
+    `drop ^ (low & (stay ^ drop))`: stay for a low row, drop for a high
+    one.  So each window costs two in-place bool operations on one line.
+    """
+    out, drop = _stay_drop(h, vrt)
+    out ^= drop
+    prev = low
+    for line, line_drop in zip(out, drop):
+        line &= prev
+        line ^= line_drop
+        prev = line
+    return out
 
 
 class RetentionGroundTruth:

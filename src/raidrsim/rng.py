@@ -95,13 +95,21 @@ def hash_words_vec(*words) -> np.ndarray:
     return x
 
 
-def extend_hash_vec(h: np.ndarray, word: int) -> np.ndarray:
+def extend_hash_vec(h: np.ndarray, word) -> np.ndarray:
     """hash_words_vec(*words, word) from h = hash_words_vec(*words).
 
     Lets a caller that hashes the same prefix every step (a per-row stream
-    indexed by window) hash the prefix once.  h is left unchanged.
+    indexed by window) hash the prefix once.  word may be an integer array
+    that broadcasts against h: a column of windows against a row of
+    prefixes hashes every (window, row) pair in one call, as a
+    (windows, rows) array.  h is left unchanged.
     """
-    x = np.add(h, np.uint64((_GAMMA + int(word)) & _MASK), out=np.empty(np.shape(h), np.uint64))
+    if isinstance(word, np.ndarray):
+        w = word.astype(np.uint64)
+        w += _V_GAMMA
+    else:
+        w = np.uint64((_GAMMA + int(word)) & _MASK)
+    x = np.add(h, w, out=np.empty(np.broadcast_shapes(np.shape(h), np.shape(w)), np.uint64))
     _mix64_into(x, np.empty_like(x))
     return x
 

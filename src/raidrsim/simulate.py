@@ -1,10 +1,11 @@
 """Closed-loop refresh simulation over discrete base windows.
 
 The pipeline is: generate ground truth, profile it, build the Bloom bins,
-then walk the horizon window by window.  Bin membership is immutable after
-build, so per-row refresh counts follow exactly from the modular schedule;
-rows whose retention never changes get their failure counts in closed form,
-while rows with an active retention toggle are stepped window by window.
+then walk the horizon.  Bin membership is immutable after build, so
+per-row refresh counts follow exactly from the modular schedule; rows
+whose retention never changes get their failure counts in closed form,
+while rows with an active retention toggle are stepped through every
+window.
 Both paths are validated to match a brute-force step-through row by row.
 
 The engine is built in two passes over blocks of _CHUNK_ROWS rows, so its
@@ -29,8 +30,11 @@ point in that gap.  A VRT row only ever holds two retentions, so its
 running minimum is a flag, "low state seen since the last refresh".  A
 VRT row whose longest refresh gap, m * trefw_ms, is at most its low
 retention never fails in either state, and no result reads its toggle.
-So the engine holds VRT state only for the rows that can fail, and a
-window's work is proportional to their number.
+So the engine holds VRT state only for the rows that can fail, and
+steps only those, over tiles of consecutive windows.  A tile is one hash
+call over its (window, row) pairs and a few numpy calls over the tile;
+only the toggle walk and the "seen" scan take a call per window, four
+in-place bool operations on one line of the tile.
 
 A checkpoint (version 4) is a `<4sI32s` header (magic `RSIM`, version,
 SHA-256 of the payload) and a payload of plain data: the length-prefixed
@@ -56,7 +60,7 @@ from .bloom import BloomParams
 from .experiment import ExperimentSpec, config_sha256, config_text, parse_config_text, spec_from_flat
 from .profiler import MODE_ORACLE, profile_rows, vrt_low_seen
 from .raidr import BinSet, bin_blocks, refreshes_in_horizon
-from .retention import draw_vrt_rows, generate_rows, vrt_step
+from .retention import draw_vrt_rows, generate_rows, vrt_walk
 
 _CHECKPOINT_MAGIC = b"RSIM"
 _CHECKPOINT_VERSION = 4
@@ -68,7 +72,10 @@ _CHECKPOINT_ARRAYS = ("vrt_low", "seen", "unsafe")
 
 # rows per block of the engine's passes over the device; bounds their
 # temporaries, at most 8 B per row of the block each, independently of
-# num_rows.  keep_block_pages has malloc reuse them from block to block
+# num_rows.  keep_block_pages has malloc reuse them from block to block.
+# A quarter of it bounds the (window, row) pairs of a tile of VRT steps,
+# in the engine and in the profiling campaign, so that a tile's uint64
+# temporaries, 256 KB each, stay in L2 cache
 _CHUNK_ROWS = 1 << 17
 
 # glibc's mallopt parameter numbers
@@ -147,12 +154,12 @@ def profiled_blocks(spec: ExperimentSpec):
     Every stream is keyed by row, so the blocks are the same rows of the
     full-array generate_ground_truth and profile.  The VRT rows are drawn
     first, block by block, so that the profiling campaign steps them all
-    in one loop over its windows.
+    together, in tiles of windows bounded as _advance bounds its tiles.
     """
     n = spec.device.num_rows
     blocks = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
     vrt_rows = np.concatenate([draw_vrt_rows(spec.vrt, spec.seed, lo, hi) for lo, hi in blocks])
-    low_seen = vrt_low_seen(spec.seed, spec.vrt, vrt_rows, spec.profiler)
+    low_seen = vrt_low_seen(spec.seed, spec.vrt, vrt_rows, spec.profiler, _CHUNK_ROWS // 4)
     profiler_seed = rng.hash_words(spec.seed, rng.TAG_PROFILER_SEED)
     for lo, hi in blocks:
         a, b = np.searchsorted(vrt_rows, (lo, hi))
@@ -278,22 +285,44 @@ class RefreshSimulation:
     # -- stepping ----------------------------------------------------------
 
     def _advance(self, end: int) -> None:
-        """Step the rows that can fail from the current window up to `end`, counting their failures."""
-        if self._v_key.size:
+        """Step the rows that can fail from the current window up to `end`, counting their failures.
+
+        The windows go in tiles of at most _CHUNK_ROWS // 4 (window, row)
+        pairs, and at least one window.  A tile hashes all its steps in one
+        call and walks the toggle through them in one vrt_walk; its
+        phases, elapsed times and refresh masks are 2-D arrays, and only
+        the "seen" flag is carried line by line.  Window 0 takes no step.
+        """
+        n = self._v_key.size
+        if n:
             low, seen, unsafe = self._v_low, self._v_seen, self._v_unsafe
-            for w in range(self._window, end):
-                if w > 0:
-                    low = vrt_step(low, rng.extend_hash_vec(self._v_prefix, w), self.spec.vrt)
-                # per multiplier: refreshed this window, and the time since the last refresh
-                phase = w % self._v_mults
-                refresh = (phase == 0)[self._v_key]
-                elapsed_ms = ((phase + 1) * self.device.trefw_ms)[self._v_key]
-                seen = low | (seen & ~refresh)
-                # the running minimum is the low retention if seen, else the
-                # high one, and the low one is never above the high one
-                failed = (elapsed_ms > self._v_high_ms) | (seen & (elapsed_ms > self._v_low_ms))
+            tile = max(1, (_CHUNK_ROWS // 4) // n)
+            for w0 in range(self._window, end, tile):
+                windows = np.arange(w0, min(w0 + tile, end))
+                stepped = windows[windows > 0]
+                lows = vrt_walk(low, rng.extend_hash_vec(self._v_prefix, stepped[:, None]), self.spec.vrt)
+                if stepped.size < windows.size:
+                    lows = np.concatenate([low[None], lows])
+                # per multiplier: refreshed in each window, and the time since
+                # the last refresh.  np.take gathers the rows' columns in C
+                # order, so that each window's line is contiguous
+                phase = windows[:, None] % self._v_mults
+                elapsed_ms = np.take((phase + 1) * self.device.trefw_ms, self._v_key, axis=1)
+                # in place, line t of `failed` goes from "not refreshed in
+                # window t" to "low state held at some window since the last
+                # refresh": the running minimum is then the low retention
+                failed = np.take(phase != 0, self._v_key, axis=1)
+                for line, line_low in zip(failed, lows):
+                    line &= seen
+                    line |= line_low
+                    seen = line
+                # seen is a line of `failed`, which the tests below overwrite
+                low, seen = lows[-1], seen.copy()
+                # the low retention is never above the high one
+                failed &= elapsed_ms > self._v_low_ms
+                failed |= elapsed_ms > self._v_high_ms
                 self._v_failures += int(np.count_nonzero(failed))
-                unsafe |= failed
+                unsafe |= failed.any(axis=0)
             self._v_low, self._v_seen, self._v_unsafe = low, seen, unsafe
         self._window = max(self._window, end)
 

@@ -523,6 +523,16 @@ class TestSweepCommand:
             tmp_path / "par" / "sweep.csv"
         ).read_bytes()
 
+    def test_cli_import_loads_no_process_pool(self):
+        # only sweep --jobs above 1 needs the pool; every other command
+        # starts without loading it or multiprocessing
+        env = {**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])}
+        code = ("import sys, raidrsim.cli; "
+                "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=120, check=True).stdout
+        assert out.strip() == "[]"
+
     @pytest.mark.parametrize("settings, clamped", [
         # a 10 us tRFC makes 8192 commands overrun the 64 ms window at any density
         (["--set", "device.trfc_table_ns=4:10000"], ["true", "true"]),

@@ -103,14 +103,20 @@ class TestMeasuredMode:
         p_hl=st.floats(0.0, 1.0),
         p_lh=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**64 - 1),
+        num_rows=st.integers(1, 100),
+        tile_pairs=st.sampled_from([1, 7, 2**15]),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_campaign_stops_at_the_last_sampled_window(self, span, rounds, p_hl, p_lh, seed):
-        # stepping the full span, as a campaign that read every window
-        # would, sees the same rows low: no window past the last sample is read
+    @settings(max_examples=100, deadline=None)
+    def test_campaign_stops_at_the_last_sampled_window(self, span, rounds, p_hl, p_lh, seed, num_rows,
+                                                       tile_pairs):
+        # stepping the full span window by window, as a campaign that read
+        # every window would, sees the same rows low: no window past the
+        # last sample is read.  The campaign's tiles hold one window (budget
+        # 1), cut between sample windows (7 pairs over a few rows) or span
+        # the campaign (2**15)
         vrt = VrtModel(enabled=True, p_high_to_low=p_hl, p_low_to_high=p_lh)
         cfg = ProfilerConfig(mode="measured", rounds=rounds, profiling_window_span=span)
-        rows = np.arange(0, 300, 3, dtype=np.int64)
+        rows = np.arange(0, 3 * num_rows, 3, dtype=np.int64)
         sample_at = set(_round_windows(span, rounds).tolist())
         prefix = rng.hash_words_vec(seed, rng.TAG_PROFILE_VRT_STEP, rows)
         low = seen = np.zeros(rows.size, dtype=bool)
@@ -118,7 +124,7 @@ class TestMeasuredMode:
             low = vrt_step(low, rng.extend_hash_vec(prefix, w), vrt)
             if w in sample_at:
                 seen = seen | low
-        assert np.array_equal(vrt_low_seen(seed, vrt, rows, cfg), seen)
+        assert np.array_equal(vrt_low_seen(seed, vrt, rows, cfg, tile_pairs), seen)
 
     def test_patterns_tested_above_universe_rejected(self):
         gt = make_gt(dpd=DpdModel(enabled=True, num_patterns=4))

@@ -12,6 +12,7 @@ from raidrsim.retention import (
     VrtModel,
     generate_ground_truth,
     vrt_step,
+    vrt_walk,
 )
 
 
@@ -245,3 +246,24 @@ def test_vrt_step_is_the_uniform_threshold_rule(data):
     low = np.repeat([False, True], len(hashes))
     u = rng.uniform01_of(h)
     assert np.array_equal(vrt_step(low, h, vrt), np.where(low, u >= p_lh, u < p_hl))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_vrt_walk_is_repeated_vrt_step(data):
+    # equal probabilities make stay == ~drop on every hash
+    p_hl = data.draw(probabilities)
+    p_lh = data.draw(st.just(p_hl) | probabilities)
+    vrt = VrtModel(enabled=True, p_high_to_low=p_hl, p_low_to_high=p_lh)
+    windows, rows = data.draw(st.integers(1, 70)), data.draw(st.integers(0, 40))
+    low = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+    h = rng.extend_hash_vec(rng.hash_words_vec(data.draw(st.integers(0, 2**64 - 1)), np.arange(rows)),
+                            np.arange(windows)[:, None])
+    before = low.copy(), h.copy()
+    walked = vrt_walk(low, h, vrt)
+    assert walked.shape == (windows, rows) and walked.dtype == bool
+    state = low
+    for t in range(windows):
+        state = vrt_step(state, h[t], vrt)
+        assert np.array_equal(walked[t], state), t
+    assert np.array_equal(low, before[0]) and np.array_equal(h, before[1])

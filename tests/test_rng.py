@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from raidrsim import rng
 from raidrsim.bloom import BloomFilter, BloomParams
@@ -30,6 +31,25 @@ def test_extend_hash_matches_full_hash():
         assert np.array_equal(
             rng.uniform01_of(ext), rng.uniform01_vec(2**64 - 5, rng.TAG_VRT_STEP, rows, window)
         )
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    rows=st.integers(0, 40),
+    windows=st.lists(st.integers(0, 2**64 - 1), max_size=70),
+)
+@settings(max_examples=60, deadline=None)
+def test_extend_hash_over_a_column_of_windows(seed, rows, windows):
+    # one call over a (windows, 1) column equals one call per window, line by line
+    prefix = rng.hash_words_vec(seed, rng.TAG_VRT_STEP, np.arange(rows, dtype=np.uint64))
+    before = prefix.tobytes()
+    column = np.array(windows, dtype=np.uint64)[:, None]
+    tile = rng.extend_hash_vec(prefix, column)
+    assert tile.shape == (len(windows), rows) and tile.dtype == np.uint64
+    for line, w in zip(tile, windows):
+        assert np.array_equal(line, rng.extend_hash_vec(prefix, w))
+    assert prefix.tobytes() == before
+    assert np.array_equal(column, np.array(windows, dtype=np.uint64)[:, None])
 
 
 def test_order_sensitivity():

@@ -27,7 +27,7 @@ from raidrsim.retention import (
     VrtModel,
     generate_ground_truth,
     generate_rows,
-    vrt_step,
+    vrt_walk,
 )
 from raidrsim.simulate import CheckpointError, RefreshSimulation, check_report_invariants, run
 
@@ -455,13 +455,14 @@ def test_vrt_trajectory_matches_standalone_ground_truth():
 
 
 def count_vrt_steps(monkeypatch):
+    """The list of the engine's vrt_walk calls, one entry each: a tile of windows stepped."""
     calls = []
 
     def counted(*a):
         calls.append(1)
-        return vrt_step(*a)
+        return vrt_walk(*a)
 
-    monkeypatch.setattr(simulate_mod, "vrt_step", counted)
+    monkeypatch.setattr(simulate_mod, "vrt_walk", counted)
     return calls
 
 
@@ -477,6 +478,9 @@ def test_checkpoint_steps_no_row(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(state, (sim._v_low, sim._v_seen, sim._v_unsafe)))
     assert sim.checkpoint() == blob
     assert report_fields(sim.report()) == report_fields(rep)
+    # the counter sees the engine step
+    RefreshSimulation(fpr_spec()).run(stop_after_window=2)
+    assert calls
 
 
 def test_vrt_rows_that_cannot_fail_hold_no_state(monkeypatch):
@@ -534,6 +538,32 @@ def test_checkpoint_after_restore_and_advance_matches_uninterrupted(first, secon
     uninterrupted = RefreshSimulation(fpr_spec())
     uninterrupted.run(stop_after_window=second)
     assert resumed.checkpoint() == uninterrupted.checkpoint()
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 64, simulate_mod._CHUNK_ROWS])
+def test_vrt_tiles_are_exact_at_their_boundaries(monkeypatch, chunk_rows):
+    # 4 VRT rows can fail, so a tile of _CHUNK_ROWS // 4 pairs is one window
+    # at 1 and 7 block rows, four windows at 64 and the whole horizon at the
+    # default.  The run stops inside a tile, where the default tiling has
+    # no boundary, and resumes from its checkpoint
+    spec = noisy_spec(horizon=133, seed=5)
+    whole = RefreshSimulation(spec)
+    rep = whole.run()
+    assert whole._v_key.size == 4 and whole._v_failures > 0
+    tile = max(1, chunk_rows // 4 // whole._v_key.size)
+    stop = min(tile + max(1, tile // 2), spec.sim.horizon_windows - 1)
+    default_at_stop = RefreshSimulation(spec)
+    default_at_stop.run(stop_after_window=stop)
+
+    monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", chunk_rows)
+    sim = RefreshSimulation(spec)
+    assert sim.run(stop_after_window=stop) is None
+    blob = sim.checkpoint()
+    assert blob == default_at_stop.checkpoint()
+    restored = RefreshSimulation.restore(blob)
+    assert report_fields(restored.run()) == report_fields(rep)
+    assert restored.checkpoint() == whole.checkpoint()
+    assert counters(rep) == counters(run_reference(*parts_of(spec)))
 
 
 def fpr_spec():
