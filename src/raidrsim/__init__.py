@@ -1,29 +1,18 @@
 """Retention-aware multi-rate DRAM refresh: bins, Bloom filters, simulation."""
 
-from .bloom import BloomFilter, BloomParams, analytic_fpr, plan_params
 from .experiment import ConfigError, ExperimentSpec, SimConfig, spec_from_flat
 from .overhead import OverheadConfig, density_sweep, refresh_energy_fraction, throughput_loss
-from .profiler import ProfilerConfig, misclassification_report, profile
-from .raidr import BinConfig, BinSet, UnbinnableRowError, build_bins
-from .retention import (
-    DeviceConfig,
-    DpdModel,
-    RetentionDistribution,
-    RetentionGroundTruth,
-    VrtModel,
-    generate_ground_truth,
-)
-from .simulate import CheckpointError, RefreshSimulation, SimReport
+from .profiler import ProfilerConfig
+from .retention import DeviceConfig, RetentionDistribution, VrtModel
+from .simulate import CheckpointError, RefreshSimulation
 
+# the README's Library section and the scripts/ experiments use these
 __all__ = [
-    "BloomFilter", "BloomParams", "analytic_fpr", "plan_params",
-    "ConfigError", "ExperimentSpec", "spec_from_flat",
+    "ConfigError", "ExperimentSpec", "SimConfig", "spec_from_flat",
     "OverheadConfig", "density_sweep", "refresh_energy_fraction", "throughput_loss",
-    "ProfilerConfig", "misclassification_report", "profile",
-    "BinConfig", "BinSet", "UnbinnableRowError", "build_bins",
-    "DeviceConfig", "DpdModel", "RetentionDistribution", "RetentionGroundTruth",
-    "VrtModel", "generate_ground_truth",
-    "CheckpointError", "RefreshSimulation", "SimConfig", "SimReport",
+    "ProfilerConfig",
+    "DeviceConfig", "RetentionDistribution", "VrtModel",
+    "CheckpointError", "RefreshSimulation",
 ]
 
 __version__ = "0.1.0"

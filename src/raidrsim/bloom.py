@@ -1,10 +1,11 @@
 """Bloom filters used to store retention bins, plus sizing tools.
 
 The hash family is enhanced double hashing: position i of a key is
-(g1 + i * g2 + C(i,3)) mod m, where g1 and g2 are independent 64-bit
-hashes of (seed, key).  The cubic term breaks the arithmetic-progression
-structure of plain double hashing, whose false-positive rate runs several
-times above the analytic value for filters a few hundred bits long.  When
+(g1 + i * g2 + C(i,3)) mod 2**64 mod m, where g1 and g2 are the hashes
+rng.hash_words(seed, 1, key) and rng.hash_words(seed, 2, key).  The
+cubic term breaks the arithmetic-progression structure of plain double
+hashing, whose false-positive rate runs several times above the
+analytic value for filters a few hundred bits long.  When
 m is a power of two, g2 is forced odd so the probe sequence walks the
 whole table; otherwise g2 is reduced mod m and bumped away from zero.
 Bits live in packed 64-bit words (bit i sits in word i // 64 at position
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import hash_words, hash_words_vec
+from .rng import hash_words_vec
 
 _MASK = (1 << 64) - 1
 
@@ -81,26 +82,6 @@ class BloomFilter:
 
     # -- hashing ---------------------------------------------------------
 
-    def _g1g2(self, key: int) -> tuple[int, int]:
-        m = self.params.m
-        seed = self.params.seed
-        g1 = hash_words(seed, 1, key)
-        g2 = hash_words(seed, 2, key)
-        if m & (m - 1) == 0:
-            g2 |= 1
-        else:
-            g2 %= m
-            if g2 == 0:
-                g2 = 1
-        return g1, g2
-
-    def _positions(self, key: int):
-        m = self.params.m
-        g1, g2 = self._g1g2(key)
-        return [
-            ((g1 + i * g2 + _probe_offset(i)) & _MASK) % m for i in range(self.params.k)
-        ]
-
     def _g2_vec(self, keys: np.ndarray) -> np.ndarray:
         m = self.params.m
         g2 = hash_words_vec(self.params.seed, 2, keys)
@@ -112,10 +93,6 @@ class BloomFilter:
         return g2
 
     # -- mutation --------------------------------------------------------
-
-    def insert(self, key: int) -> None:
-        for pos in self._positions(key):
-            self.words[pos >> 6] |= np.uint64(1 << (pos & 63))
 
     def insert_many(self, keys: np.ndarray) -> None:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
@@ -132,12 +109,6 @@ class BloomFilter:
             )
 
     # -- queries ---------------------------------------------------------
-
-    def contains(self, key: int) -> bool:
-        for pos in self._positions(key):
-            if not (int(self.words[pos >> 6]) >> (pos & 63)) & 1:
-                return False
-        return True
 
     def _bits_at(self, pos: np.ndarray) -> np.ndarray:
         """The filter's bit at each position, as bool; pos is overwritten.
@@ -159,11 +130,11 @@ class BloomFilter:
         return byte.view(bool)
 
     def contains_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized contains: probe by probe over the keys still unrejected.
+        """Whether each key is a member, probe by probe over the keys still unrejected.
 
         Probe 0 is g1 mod m (C(0,3) = 0), so g2 is hashed only for the keys
         that pass it, and each later probe sees only the survivors of the
-        one before.  Positions are those of `contains`.
+        one before.  Positions are those insert_many sets.
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         shape = keys.shape
@@ -199,8 +170,8 @@ def _mod(x: np.ndarray, m: np.uint64) -> np.ndarray:
 def _probe_positions(g1: np.ndarray, g2: np.ndarray | None, i: int, m: int) -> np.ndarray:
     """Probe i of every key, (g1 + i*g2 + C(i,3)) mod 2**64 mod m, in a new array.
 
-    The one vectorized form of `_positions`, which both insert_many and
-    contains_many use; g2 is not read for probe 0.
+    The one probe kernel, which both insert_many and contains_many use;
+    g2 is not read for probe 0.
     """
     if i == 0:
         return _mod(g1, np.uint64(m))

@@ -105,47 +105,3 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_s
             at = gt.vrt_rows[low_seen] - gt.start
             measured[at] = measured[at] * gt.vrt.low_factor
     return measured / cfg.guard_band_factor
-
-
-def profile(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int) -> np.ndarray:
-    """Guard-divided measured retention of each row of gt, campaign included.
-
-    The campaign's tiles hold at most a quarter as many pairs as gt has
-    rows, so its temporaries stay within the size of gt's own arrays.
-    """
-    low_seen = vrt_low_seen(gt.seed, gt.vrt, gt.vrt_rows, cfg, tile_pairs=gt.num_rows // 4)
-    return profile_rows(gt, cfg, seed, low_seen)
-
-
-@dataclass(frozen=True)
-class MisclassificationReport:
-    """Row counts by how the profiled bin compares to the true-minimum bin."""
-
-    unsafe: int
-    wasteful: int
-    exact: int
-
-    @property
-    def total(self) -> int:
-        return self.unsafe + self.wasteful + self.exact
-
-
-def misclassification_report(
-    measured_ms: np.ndarray, gt: RetentionGroundTruth, bin_cfg
-) -> MisclassificationReport:
-    """Compare the bins of the profile measured_ms with the bins true minima would pick.
-
-    Unsafe rows were assigned a longer refresh interval than their true
-    minimum supports; wasteful rows a shorter one.  Retentions below
-    device.trefw_ms clamp to the shortest bin here (the builder refuses
-    them instead).
-    """
-    if measured_ms.size != gt.num_rows:
-        raise ValueError("profile and ground truth cover different row counts")
-    intervals = np.asarray(bin_cfg.intervals_ms(gt.device.trefw_ms))
-    prof_iv = intervals[bin_cfg.classify(measured_ms)]
-    true_iv = intervals[bin_cfg.classify(gt.min_possible_retention())]
-    unsafe = int(np.count_nonzero(prof_iv > true_iv))
-    wasteful = int(np.count_nonzero(prof_iv < true_iv))
-    exact = int(np.count_nonzero(prof_iv == true_iv))
-    return MisclassificationReport(unsafe=unsafe, wasteful=wasteful, exact=exact)

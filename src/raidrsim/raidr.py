@@ -114,13 +114,6 @@ class BinSet:
     def total_filter_bits(self) -> int:
         return sum(f.params.m for f in self.filters)
 
-    def query(self, row: int) -> int:
-        """First filter claiming the row, shortest interval first; default if none."""
-        for b, filt in enumerate(self.filters):
-            if filt.contains(row):
-                return b
-        return self.default_bin
-
     def claims(self, rows: np.ndarray) -> list[np.ndarray]:
         """Each filter's membership mask over `rows`, shortest interval first."""
         rows = np.ascontiguousarray(rows, dtype=np.uint64)
@@ -137,26 +130,14 @@ class BinSet:
         return out
 
 
-def build_bins(
-    measured_ms: np.ndarray,
-    bin_cfg: BinConfig,
-    base_ms: float,
-    bloom_budget: float | BloomParams = 1e-3,
-    seed: int = 0,
-) -> BinSet:
-    """Insert each row into the filter of the bin holding its profiled retention.
-
-    measured_ms is the guard-divided profile of every row, and base_ms the
-    base refresh period.  bloom_budget is either a per-bin target
-    false-positive rate (filters are sized for the actual bin populations)
-    or explicit BloomParams shared by all bins.  This is bin_blocks over
-    the profile as one block.
-    """
-    return bin_blocks([(0, measured_ms)], bin_cfg, base_ms, bloom_budget, seed)
-
-
 def bin_blocks(blocks, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: int) -> BinSet:
-    """build_bins over (first row, measured retention) blocks that cover the device in row order.
+    """Bins of a profile given as (first row, measured retention) blocks that cover the device in row order.
+
+    Each row goes into the filter of the bin holding its guard-divided
+    measured retention; base_ms is the base refresh period.  bloom_budget
+    is either a per-bin target false-positive rate (filters are sized for
+    the actual bin populations) or explicit BloomParams shared by all
+    bins.  A whole profile is the one block [(0, measured)].
 
     The filters are sized from the bin counts of the whole device, so each
     filter bin's member rows are kept, per block as offsets from its first

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -147,41 +146,23 @@ class DpdModel:
             raise ValueError("worst_pattern_factor must be in (0, 1]")
 
 
-def _stay_drop(h: np.ndarray, vrt: VrtModel) -> tuple[np.ndarray, np.ndarray]:
-    """Whether a low row stays low, and whether a high row drops low, on the step hashes h.
-
-    A low row stays low unless uniform01_of(h) < p_low_to_high; a high row
-    drops low iff uniform01_of(h) < p_high_to_low.  The uniform is
-    (h >> 11) * 2**-53, so `u < p` is exactly `h >> 11 < ceil(p * 2**53)`;
-    p * 2**53 is itself exact for p in [0, 1], a power-of-two scaling.
-    """
-    k = h >> np.uint64(11)
-    stay = k >= np.uint64(math.ceil(vrt.p_low_to_high * 2.0**53))
-    drop = k < np.uint64(math.ceil(vrt.p_high_to_low * 2.0**53))
-    return stay, drop
-
-
-def vrt_step(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
-    """One transition of the retention toggle, drawn from the step hashes h (see _stay_drop).
-
-    RetentionGroundTruth.step_vrt takes one step at a time with it; the
-    engine and the profiling campaign step whole tiles through vrt_walk,
-    so the two paths check each other.
-    """
-    stay, drop = _stay_drop(h, vrt)
-    return (low & stay) | (drop & ~low)
-
-
 def vrt_walk(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
     """The toggle states after each of len(h) consecutive steps from the states low.
 
     h is a (windows, rows) array of step hashes, one window per line; the
-    result has its shape, and its line t is vrt_step applied t + 1 times.
-    With stay and drop as in vrt_step, the next state is
+    result has its shape, and its line t is the state after step t.  A low
+    row stays low unless uniform01_of(h) < p_low_to_high; a high row drops
+    low iff uniform01_of(h) < p_high_to_low.  The uniform is
+    (h >> 11) * 2**-53, so `u < p` is exactly `h >> 11 < ceil(p * 2**53)`;
+    p * 2**53 is itself exact for p in [0, 1], a power-of-two scaling.
+    With stay and drop those two tests, the next state is
     `drop ^ (low & (stay ^ drop))`: stay for a low row, drop for a high
     one.  So each window costs two in-place bool operations on one line.
+    This is the engine's and the profiling campaign's one toggle kernel.
     """
-    out, drop = _stay_drop(h, vrt)
+    k = h >> np.uint64(11)
+    out = k >= np.uint64(math.ceil(vrt.p_low_to_high * 2.0**53))  # stay
+    drop = k < np.uint64(math.ceil(vrt.p_high_to_low * 2.0**53))
     out ^= drop
     prev = low
     for line, line_drop in zip(out, drop):
@@ -191,37 +172,26 @@ def vrt_walk(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class RetentionGroundTruth:
-    """True retention state of the rows [start, start + num_rows), regenerable from config + seed.
+    """True retention of the rows [start, start + num_rows) of seed's device: an immutable record.
 
     Every stream is keyed by row index, so the ground truth of a row range
     equals the same rows of the whole device's, and the engine generates
-    the device one range at a time.  Row arguments and vrt_rows are device
-    row indices; base_retention_ms and has_vrt are indexed from start.
-
-    Mutable only through step_vrt, which a standalone caller such as the
-    reference oracle uses to walk the toggle chain; the engine keeps its
-    own toggle state and never mutates the ground truth.  The toggle state
-    is held for the affected rows only (vrt_rows_low, aligned with
-    vrt_rows), so a step costs time in the number of affected rows.
+    the device one range at a time.  vrt_rows holds the device indices of
+    the rows that carry a retention toggle, ascending; base_retention_ms
+    and has_vrt are indexed from start.  The toggle's state is not part of
+    the record: whoever steps it (the engine, the profiling campaign)
+    holds its own, drawn with vrt_walk.
     """
 
-    def __init__(self, device, vrt, dpd, seed, base_retention_ms, vrt_rows, start=0):
-        self.device = device
-        self.vrt = vrt
-        self.dpd = dpd
-        self.seed = seed
-        self.start = start
-        self.base_retention_ms = base_retention_ms
-        self.vrt_rows = vrt_rows
-        self.has_vrt = np.zeros(base_retention_ms.size, dtype=bool)
-        self.has_vrt[vrt_rows - start] = True
-        self.current_window = 0
-        self.vrt_rows_low = np.zeros(vrt_rows.size, dtype=bool)
-        # each affected row's retention in its high and low state, by the
-        # same float operations as min_possible_retention
-        self.vrt_retention_high = base_retention_ms[vrt_rows - start] * self._dpd_factor()
-        self.vrt_retention_low = self.vrt_retention_high * vrt.low_factor
+    device: DeviceConfig
+    vrt: VrtModel
+    dpd: DpdModel
+    seed: int
+    base_retention_ms: np.ndarray
+    vrt_rows: np.ndarray
+    start: int = 0
 
     @property
     def num_rows(self) -> int:
@@ -232,42 +202,26 @@ class RetentionGroundTruth:
         """The device row indices covered, as uint64 stream keys."""
         return np.arange(self.start, self.start + self.num_rows, dtype=np.uint64)
 
-    @cached_property
-    def vrt_step_prefix(self) -> np.ndarray:
-        """Hash of (seed, TAG_VRT_STEP, row) per affected row: the window-independent prefix of its steps."""
-        return rng.hash_words_vec(self.seed, rng.TAG_VRT_STEP, self.vrt_rows)
+    @property
+    def has_vrt(self) -> np.ndarray:
+        """Whether each row toggles, indexed from start."""
+        has_vrt = np.zeros(self.num_rows, dtype=bool)
+        has_vrt[self.vrt_rows - self.start] = True
+        return has_vrt
+
+    # each toggling row's retention in its high and low state, aligned with
+    # vrt_rows, by the same float operations as min_possible_retention
+
+    @property
+    def vrt_retention_high(self) -> np.ndarray:
+        return self.base_retention_ms[self.vrt_rows - self.start] * self._dpd_factor()
+
+    @property
+    def vrt_retention_low(self) -> np.ndarray:
+        return self.vrt_retention_high * self.vrt.low_factor
 
     def _dpd_factor(self) -> float:
         return self.dpd.worst_pattern_factor if self.dpd.enabled else 1.0
-
-    def step_vrt(self, window: int) -> "RetentionGroundTruth":
-        """Advance the retention toggle of affected rows into `window`.
-
-        Must be called once per window in increasing order.
-        """
-        if window != self.current_window + 1:
-            raise ValueError(
-                f"step_vrt windows must be consecutive; at {self.current_window}, got {window}"
-            )
-        if self.vrt_rows.size:
-            h = rng.extend_hash_vec(self.vrt_step_prefix, window)
-            self.vrt_rows_low = vrt_step(self.vrt_rows_low, h, self.vrt)
-        self.current_window = window
-        return self
-
-    def true_min_retention(self, row: int, window: int) -> float:
-        """Worst-case retention of `row` during `window` (ms)."""
-        if not self.start <= row < self.start + self.num_rows:
-            raise IndexError(f"row {row} out of range [{self.start}, {self.start + self.num_rows})")
-        if window != self.current_window:
-            raise ValueError(
-                f"ground truth is at window {self.current_window}, not {window}; call step_vrt in order"
-            )
-        factor = self._dpd_factor()
-        i = row - self.start
-        if self.has_vrt[i] and self.vrt_rows_low[np.searchsorted(self.vrt_rows, row)]:
-            factor *= self.vrt.low_factor
-        return float(self.base_retention_ms[i]) * factor
 
     def min_possible_retention(self) -> np.ndarray:
         """Per-row minimum over all patterns and toggle states (what a perfect profiler sees)."""
@@ -322,14 +276,3 @@ def generate_rows(
         base[weak] = draw
     return RetentionGroundTruth(device, vrt, dpd, seed, base, vrt_rows, start)
 
-
-def generate_ground_truth(
-    device: DeviceConfig,
-    dist: RetentionDistribution,
-    vrt: VrtModel,
-    dpd: DpdModel,
-    seed: int,
-) -> RetentionGroundTruth:
-    """Sample per-row retention attributes of the whole device, deterministically in all inputs."""
-    n = device.num_rows
-    return generate_rows(device, dist, vrt, dpd, seed, 0, n, draw_vrt_rows(vrt, seed, 0, n))

@@ -151,10 +151,11 @@ class SimReport:
 def profiled_blocks(spec: ExperimentSpec):
     """Yield (ground truth, measured retention) of each block of _CHUNK_ROWS rows, in row order.
 
-    Every stream is keyed by row, so the blocks are the same rows of the
-    full-array generate_ground_truth and profile.  The VRT rows are drawn
-    first, block by block, so that the profiling campaign steps them all
-    together, in tiles of windows bounded as _advance bounds its tiles.
+    Every stream is keyed by row, so each block equals the same rows of
+    the device generated and profiled as one block, which is how the
+    reference oracle builds it.  The VRT rows are drawn first, block by
+    block, so that the profiling campaign steps them all together, in
+    tiles of windows bounded as _advance bounds its tiles.
     """
     n = spec.device.num_rows
     blocks = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]

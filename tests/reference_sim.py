@@ -1,11 +1,26 @@
 """Independent brute-force step-through simulator used as a test oracle.
 
 Walks every (row, window) pair with plain Python state, re-deriving the
-refresh decision, elapsed time, and running-minimum retention directly
-from their definitions.  Shares only the primitive layers with the engine
-(hash streams, Bloom membership, profiling), which are pinned by their own
-tests; the scheduling, counting, and failure logic here is written from
-scratch so the vectorized engine has something honest to disagree with.
+refresh decision, elapsed time, running-minimum retention, each VRT row's
+toggle state and each row's queried bin directly from their definitions.
+
+It shares two things with the engine:
+- The build pass: draw_vrt_rows, generate_rows, vrt_low_seen,
+  profile_rows and bin_blocks, applied to the whole device as one block.
+  The engine runs the same pass block by block.  The tests check the
+  blocks against this one-block build, generation and the profiling
+  campaign against their scalar streams, and the filters against the
+  scalar probe sequence here; a second copy of the pass would only
+  repeat those checks.
+- rng.hash_words, the scalar splitmix64 stream (rng.uniform01 is its
+  uniform), which the vectorised hash is tested against.
+
+Everything after the build is written from scratch.  The toggle steps
+by the scalar rule next_low on rng.uniform01, the bins are queried
+through the scalar probe sequence of probes(), and a row's low retention
+is taken as min_possible_retention takes it, (base x dpd) x low_factor.
+The schedule, elapsed times, failures and profiled refreshes are plain
+loops, so the vectorised engine has something honest to disagree with.
 """
 
 from __future__ import annotations
@@ -15,9 +30,73 @@ from dataclasses import dataclass
 import numpy as np
 
 from raidrsim import rng
-from raidrsim.profiler import profile
-from raidrsim.raidr import build_bins
-from raidrsim.retention import generate_ground_truth
+from raidrsim.profiler import profile_rows, vrt_low_seen
+from raidrsim.raidr import bin_blocks
+from raidrsim.retention import draw_vrt_rows, generate_rows
+
+_MASK = (1 << 64) - 1
+
+
+# -- the build pass shared with the engine, over the whole device -----------
+
+
+def ground_truth(device, dist, vrt, dpd, seed):
+    """The ground truth of the whole device, generated as one row range."""
+    n = device.num_rows
+    return generate_rows(device, dist, vrt, dpd, seed, 0, n, draw_vrt_rows(vrt, seed, 0, n))
+
+
+def profile(gt, cfg, seed):
+    """The guard-divided profile of gt, its campaign keyed by gt.seed and its patterns by seed."""
+    low_seen = vrt_low_seen(gt.seed, gt.vrt, gt.vrt_rows, cfg, tile_pairs=max(1, gt.num_rows))
+    return profile_rows(gt, cfg, seed, low_seen)
+
+
+def build_bins(measured, bin_cfg, base_ms, bloom_budget=1e-3, seed=0):
+    """The bins of a whole profile, binned as one block."""
+    return bin_blocks([(0, measured)], bin_cfg, base_ms, bloom_budget, seed)
+
+
+# -- scalar definitions ------------------------------------------------------
+
+
+def probes(params, key: int) -> list[int]:
+    """The bit positions of key in a filter of params: enhanced double hashing.
+
+    Probe i is (g1 + i*g2 + i(i-1)(i-2)/6) mod 2**64 mod m, with g1 and g2
+    the hashes of (seed, 1, key) and (seed, 2, key).  g2 is made odd when m
+    is a power of two; otherwise it is reduced mod m, and 0 becomes 1.
+    """
+    m = params.m
+    g1 = rng.hash_words(params.seed, 1, key)
+    g2 = rng.hash_words(params.seed, 2, key)
+    if m & (m - 1) == 0:
+        g2 |= 1
+    else:
+        g2 = g2 % m or 1
+    return [((g1 + i * g2 + i * (i - 1) * (i - 2) // 6) & _MASK) % m for i in range(params.k)]
+
+
+def contains(filt, key: int) -> bool:
+    """Whether every probe of key finds its bit set; bit p is bit p % 64 of word p // 64."""
+    return all(int(filt.words[p // 64]) >> (p % 64) & 1 for p in probes(filt.params, key))
+
+
+def query(bins, row: int) -> int:
+    """The first filter that contains row, shortest interval first; the default bin if none."""
+    return next((b for b, filt in enumerate(bins.filters) if contains(filt, row)), bins.default_bin)
+
+
+def next_low(low: bool, u: float, vrt) -> bool:
+    """The toggle after a step whose uniform is u.
+
+    It leaves its state iff u is below that state's exit probability:
+    p_low_to_high when low, p_high_to_low when high.
+    """
+    return low != (u < (vrt.p_low_to_high if low else vrt.p_high_to_low))
+
+
+# -- the step-through simulation ---------------------------------------------
 
 
 @dataclass
@@ -44,7 +123,7 @@ def counters(result):
 
 def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3):
     seed = sim_cfg.seed
-    gt = generate_ground_truth(device, dist, vrt, dpd, seed)
+    gt = ground_truth(device, dist, vrt, dpd, seed)
     prof = profile(gt, profiler_cfg, rng.hash_words(seed, rng.TAG_PROFILER_SEED))
     base_ms = device.trefw_ms
     bins = build_bins(prof, bin_cfg, base_ms, bloom_budget, seed=rng.hash_words(seed, rng.TAG_FILTER_SEED))
@@ -52,10 +131,13 @@ def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_
     n = device.num_rows
     horizon = sim_cfg.horizon_windows
     mults = bins.multipliers
-    # bins are immutable once built, so the per-row query is hoisted; a
-    # separate test pins query stability across repeated calls
-    row_mult = [mults[bins.query(r)] for r in range(n)]
+    # bins are immutable once built, so the per-row query is hoisted
+    row_mult = [mults[query(bins, r)] for r in range(n)]
     prof_mult = [mults[int(bin_cfg.classify(float(m)))] for m in prof]
+    # a row's retention at its worst data pattern, and while its toggle is low
+    dpd_factor = dpd.worst_pattern_factor if dpd.enabled else 1.0
+    high_ms = [float(b) * dpd_factor for b in gt.base_retention_ms]
+    low = {int(r): False for r in gt.vrt_rows}  # toggle state, fresh (high) at window 0
 
     issued = 0
     failures = 0
@@ -66,7 +148,8 @@ def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_
 
     for w in range(horizon):
         if w > 0:
-            gt.step_vrt(w)
+            for r in low:
+                low[r] = next_low(low[r], rng.uniform01(seed, rng.TAG_VRT_STEP, r, w), vrt)
         for r in range(n):
             if w % row_mult[r] == 0:
                 issued += 1
@@ -74,7 +157,7 @@ def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_
                 runmin[r] = float("inf")
             if w % prof_mult[r] == 0:
                 profiled_refreshes += 1
-            true_ret = gt.true_min_retention(r, w)
+            true_ret = high_ms[r] * vrt.low_factor if low.get(r) else high_ms[r]
             if true_ret < runmin[r]:
                 runmin[r] = true_ret
             elapsed_ms = (w - last[r] + 1) * base_ms
@@ -88,3 +171,38 @@ def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_
         unsafe_rows=len(unsafe),
         fpr_extra_refreshes=issued - profiled_refreshes,
     )
+
+
+# -- profile against truth ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MisclassificationReport:
+    """Row counts by how the profiled bin compares to the true-minimum bin."""
+
+    unsafe: int
+    wasteful: int
+    exact: int
+
+    @property
+    def total(self) -> int:
+        return self.unsafe + self.wasteful + self.exact
+
+
+def misclassification_report(measured_ms: np.ndarray, gt, bin_cfg) -> MisclassificationReport:
+    """Compare the bins of the profile measured_ms with the bins true minima would pick.
+
+    Unsafe rows were assigned a longer refresh interval than their true
+    minimum supports; wasteful rows a shorter one.  Retentions below
+    device.trefw_ms clamp to the shortest bin here (bin_blocks refuses
+    them instead).
+    """
+    if measured_ms.size != gt.num_rows:
+        raise ValueError("profile and ground truth cover different row counts")
+    intervals = np.asarray(bin_cfg.intervals_ms(gt.device.trefw_ms))
+    prof_iv = intervals[bin_cfg.classify(measured_ms)]
+    true_iv = intervals[bin_cfg.classify(gt.min_possible_retention())]
+    unsafe = int(np.count_nonzero(prof_iv > true_iv))
+    wasteful = int(np.count_nonzero(prof_iv < true_iv))
+    exact = int(np.count_nonzero(prof_iv == true_iv))
+    return MisclassificationReport(unsafe=unsafe, wasteful=wasteful, exact=exact)

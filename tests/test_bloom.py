@@ -12,22 +12,27 @@ from raidrsim.bloom import (
     plan_params,
 )
 
+from reference_sim import contains, probes
+
 
 def fresh_keys(tag: int, n: int) -> np.ndarray:
     return rng.hash_words_vec(tag, np.arange(n, dtype=np.uint64))
+
+
+def keys_of(*keys: int) -> np.ndarray:
+    return np.array(keys, dtype=np.uint64)
 
 
 class TestParams:
     def test_empty_construction(self):
         f = BloomFilter(BloomParams(m=64, k=2, seed=7))
         assert not f.words.any()
-        assert not f.contains(123)
+        assert not f.contains_many(keys_of(123)).any()
 
     def test_minimal_size(self):
         f = BloomFilter(BloomParams(m=1, k=1, seed=0))
-        f.insert(5)
-        assert f.contains(5)
-        assert f.contains(6)  # single bit saturates
+        f.insert_many(keys_of(5))
+        assert f.contains_many(keys_of(5, 6)).all()  # single bit saturates
 
     @pytest.mark.parametrize("m,k", [(0, 2), (5, 0), (5, 65), (-1, 1)])
     def test_invalid_params(self, m, k):
@@ -38,19 +43,19 @@ class TestParams:
 class TestInsertContains:
     def test_insert_then_contains(self):
         f = BloomFilter(BloomParams(m=256, k=4, seed=1))
-        f.insert(42)
-        assert f.contains(42)
+        f.insert_many(keys_of(42))
+        assert f.contains_many(keys_of(42)).all()
 
     def test_double_insert_idempotent_bits(self):
         f = BloomFilter(BloomParams(m=256, k=4, seed=1))
-        f.insert(42)
+        f.insert_many(keys_of(42))
         before = f.words.copy()
-        f.insert(42)
+        f.insert_many(keys_of(42))
         assert np.array_equal(f.words, before)
 
     def test_popcount_bound_one_insert(self):
         f = BloomFilter(BloomParams(m=8, k=8, seed=3))
-        f.insert(99)
+        f.insert_many(keys_of(99))
         assert np.unpackbits(f.words.view(np.uint8)).sum() <= 8
 
     def test_empty_filter_all_negative(self):
@@ -58,20 +63,23 @@ class TestInsertContains:
         assert not f.contains_many(fresh_keys(1, 1000)).any()
 
     def test_insert_many_matches_scalar_inserts(self):
+        # insert_many sets exactly the bits of the scalar probe sequence, in
+        # a power-of-two filter (odd g2) and in another
         keys = fresh_keys(2, 200)
-        a = BloomFilter(BloomParams(m=1024, k=5, seed=4))
-        b = BloomFilter(BloomParams(m=1024, k=5, seed=4))
-        a.insert_many(keys)
-        for key in keys:
-            b.insert(int(key))
-        assert np.array_equal(a.words, b.words)
+        for m in (1024, 1000):
+            f = BloomFilter(BloomParams(m=m, k=5, seed=4))
+            f.insert_many(keys)
+            bits = np.zeros(m, dtype=bool)
+            for key in keys:
+                bits[probes(f.params, int(key))] = True
+            assert np.array_equal(np.unpackbits(f.words.view(np.uint8), bitorder="little")[:m].view(bool), bits)
 
     def test_contains_many_matches_scalar(self):
         f = BloomFilter(BloomParams(m=590, k=10, seed=44))
         keys = fresh_keys(3, 400)
         f.insert_many(keys[:150])
         vec = f.contains_many(keys)
-        assert [f.contains(int(k)) for k in keys] == list(vec)
+        assert [contains(f, int(k)) for k in keys] == list(vec)
 
 
 class TestAnalyticFpr:
@@ -92,8 +100,7 @@ class TestAnalyticFpr:
         hits, total = 0, 0
         for seed in range(500):
             f = BloomFilter(BloomParams(m=16, k=2, seed=seed))
-            f.insert(111)
-            f.insert(222)
+            f.insert_many(keys_of(111, 222))
             probes = rng.hash_words_vec(3, seed, np.arange(200, dtype=np.uint64))
             hits += int(f.contains_many(probes).sum())
             total += 200

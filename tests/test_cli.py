@@ -27,11 +27,11 @@ from raidrsim.experiment import (
     spec_from_flat,
 )
 from raidrsim.profiler import ProfilerConfig
-from raidrsim.raidr import BinConfig, build_bins
+from raidrsim.raidr import BinConfig
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
 from raidrsim.simulate import run
 
-from reference_sim import parts_of
+from reference_sim import build_bins, parts_of
 
 
 def run_cli(*argv):

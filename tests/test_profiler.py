@@ -5,23 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raidrsim import rng
-from raidrsim.profiler import (
-    MisclassificationReport,
-    ProfilerConfig,
-    _round_windows,
-    misclassification_report,
-    profile,
-    vrt_low_seen,
-)
+from raidrsim.profiler import ProfilerConfig, _round_windows, vrt_low_seen
 from raidrsim.raidr import BinConfig
-from raidrsim.retention import (
-    DeviceConfig,
-    DpdModel,
-    RetentionDistribution,
-    VrtModel,
-    generate_ground_truth,
-    vrt_step,
-)
+from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel, vrt_walk
+
+from reference_sim import MisclassificationReport, ground_truth, misclassification_report, next_low, profile
 
 
 def make_gt(num_rows=1000, seed=0, **kw):
@@ -32,7 +20,7 @@ def make_gt(num_rows=1000, seed=0, **kw):
         dpd=DpdModel(),
     )
     defaults.update(kw)
-    return generate_ground_truth(seed=seed, **defaults)
+    return ground_truth(seed=seed, **defaults)
 
 
 class TestOracleMode:
@@ -92,8 +80,7 @@ class TestMeasuredMode:
         for r in (int(r) for r in np.flatnonzero(gt.has_vrt)):
             low = seen = False
             for w in range(1, 8):
-                u = rng.uniform01(17, rng.TAG_PROFILE_VRT_STEP, r, w)
-                low = u >= 0.5 if low else u < 0.2
+                low = next_low(low, rng.uniform01(17, rng.TAG_PROFILE_VRT_STEP, r, w), vrt)
                 seen |= low and w % 2 == 0
             assert measured[r] == gt.base_retention_ms[r] * (0.5 if seen else 1.0)
 
@@ -121,7 +108,7 @@ class TestMeasuredMode:
         prefix = rng.hash_words_vec(seed, rng.TAG_PROFILE_VRT_STEP, rows)
         low = seen = np.zeros(rows.size, dtype=bool)
         for w in range(1, span):
-            low = vrt_step(low, rng.extend_hash_vec(prefix, w), vrt)
+            low = vrt_walk(low, rng.extend_hash_vec(prefix, np.array([[w]])), vrt)[0]
             if w in sample_at:
                 seen = seen | low
         assert np.array_equal(vrt_low_seen(seed, vrt, rows, cfg, tile_pairs), seen)

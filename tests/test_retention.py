@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,15 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raidrsim import rng
-from raidrsim.retention import (
-    DeviceConfig,
-    DpdModel,
-    RetentionDistribution,
-    VrtModel,
-    generate_ground_truth,
-    vrt_step,
-    vrt_walk,
-)
+from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel, vrt_walk
+
+from reference_sim import ground_truth, next_low
 
 
 def make_gt(num_rows=1000, seed=0, **kw):
@@ -24,7 +19,7 @@ def make_gt(num_rows=1000, seed=0, **kw):
         dpd=DpdModel(),
     )
     defaults.update(kw)
-    return generate_ground_truth(seed=seed, **defaults)
+    return ground_truth(seed=seed, **defaults)
 
 
 class TestDeviceConfig:
@@ -103,36 +98,33 @@ class TestGeneration:
 
 
 class TestTrueMinRetention:
+    """The record's retentions, which the engine reads, against their definition.
+
+    A row's retention is its base at its worst data pattern, times
+    low_factor while its toggle is low.
+    """
+
     def test_no_noise_equals_base(self):
         gt = make_gt()
-        for row in (0, 5, 999):
-            assert gt.true_min_retention(row, 0) == float(gt.base_retention_ms[row])
+        assert np.array_equal(gt.min_possible_retention(), gt.base_retention_ms)
+        assert gt.vrt_rows.size == gt.vrt_retention_low.size == 0 and not gt.has_vrt.any()
 
     def test_vrt_low_halves_dpd_adjusted_base(self):
         vrt = VrtModel(enabled=True, affected_fraction=1.0, low_factor=0.5, p_high_to_low=1.0, p_low_to_high=1.0)
         dpd = DpdModel(enabled=True, worst_pattern_factor=0.8)
         gt = make_gt(vrt=vrt, dpd=dpd, num_rows=10)
         base0 = float(gt.base_retention_ms[0])
-        assert gt.true_min_retention(0, 0) == base0 * 0.8
-        gt.step_vrt(1)  # p_high_to_low = 1: everyone drops low
-        assert gt.true_min_retention(0, 1) == base0 * 0.8 * 0.5
-
-    def test_row_out_of_range(self):
-        gt = make_gt(num_rows=10)
-        with pytest.raises(IndexError):
-            gt.true_min_retention(10, 0)
-
-    def test_window_mismatch_rejected(self):
-        gt = make_gt(num_rows=10)
-        with pytest.raises(ValueError, match="window"):
-            gt.true_min_retention(0, 3)
+        assert gt.vrt_retention_high[0] == base0 * 0.8
+        assert gt.vrt_retention_low[0] == gt.min_possible_retention()[0] == base0 * 0.8 * 0.5
 
     def test_constant_over_windows_without_noise(self):
+        # the record holds no toggle state and cannot be changed, so without
+        # VRT every row's retention is its base in every window
         gt = make_gt(num_rows=50)
-        r0 = [gt.true_min_retention(r, 0) for r in range(50)]
-        for w in range(1, 20):
-            gt.step_vrt(w)
-        assert [gt.true_min_retention(r, 19) for r in range(50)] == r0
+        assert gt.vrt_rows.size == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gt.start = 1
+        assert np.array_equal(gt.min_possible_retention(), gt.base_retention_ms)
 
     def test_retention_never_below_global_floor(self):
         vrt = VrtModel(enabled=True, affected_fraction=0.5, low_factor=0.5, p_high_to_low=0.5, p_low_to_high=0.5)
@@ -140,78 +132,75 @@ class TestTrueMinRetention:
         dist = RetentionDistribution(weak_fraction=0.5)
         gt = make_gt(vrt=vrt, dpd=dpd, dist=dist, num_rows=2000, seed=11)
         floor = 64.0 * 0.5 * 0.7
-        for w in range(1, 30):
-            gt.step_vrt(w)
-            assert min(gt.true_min_retention(r, w) for r in range(gt.num_rows)) >= floor - 1e-9
+        assert gt.vrt_rows.size > 0
+        assert gt.min_possible_retention().min() >= floor - 1e-9
+        assert gt.vrt_retention_low.min() >= floor - 1e-9
+        assert np.array_equal(gt.vrt_retention_low, gt.min_possible_retention()[gt.vrt_rows])
 
 
-def make_all_vrt_gt(num_rows, seed=0, **vrt_kw):
-    """Ground truth in which every row toggles, so vrt_rows_low[r] is row r's state."""
-    gt = make_gt(vrt=VrtModel(enabled=True, affected_fraction=1.0, **vrt_kw), num_rows=num_rows, seed=seed)
-    assert np.array_equal(gt.vrt_rows, np.arange(num_rows))
-    return gt
+def walk(num_rows, windows, seed=0, tile=100, **vrt_kw):
+    """Every row's toggle state at windows 1..windows, from the fresh (high) state, one tile of windows at a time.
+
+    Yields (first window of the tile, the tile's states); the states are
+    drawn with vrt_walk from the stream TAG_VRT_STEP of rows 0..num_rows-1.
+    """
+    vrt = VrtModel(enabled=True, affected_fraction=1.0, **vrt_kw)
+    prefix = rng.hash_words_vec(seed, rng.TAG_VRT_STEP, np.arange(num_rows))
+    low = np.zeros(num_rows, dtype=bool)
+    for w0 in range(1, windows + 1, tile):
+        lows = vrt_walk(low, rng.extend_hash_vec(prefix, np.arange(w0, min(w0 + tile, windows + 1))[:, None]), vrt)
+        yield w0, lows
+        low = lows[-1]
+
+
+def occupancy(num_rows, windows, burn_in, **kw):
+    """The mean share of rows low over windows burn_in + 1..windows."""
+    total = 0
+    for w0, lows in walk(num_rows, windows, **kw):
+        total += int(np.count_nonzero(lows[max(0, burn_in + 1 - w0):]))
+    return total / (num_rows * (windows - burn_in))
 
 
 class TestVrtChain:
     def test_absorbing_high(self):
-        gt = make_all_vrt_gt(500, p_high_to_low=0.0, p_low_to_high=0.5)
-        for w in range(1, 50):
-            gt.step_vrt(w)
-            assert not gt.vrt_rows_low.any()
+        for _, lows in walk(500, 49, p_high_to_low=0.0, p_low_to_high=0.5):
+            assert not lows.any()
 
     def test_deterministic_alternation(self):
-        gt = make_all_vrt_gt(100, p_high_to_low=1.0, p_low_to_high=1.0)
-        for w in range(1, 9):
-            gt.step_vrt(w)
+        lows = np.concatenate([lows for _, lows in walk(100, 8, tile=3, p_high_to_low=1.0, p_low_to_high=1.0)])
+        for w, line in enumerate(lows, start=1):
             expected = w % 2 == 1
-            assert gt.vrt_rows_low.all() == expected and gt.vrt_rows_low.any() == expected
+            assert line.all() == expected and line.any() == expected
 
     def test_steps_follow_the_scalar_row_window_stream(self):
-        # window w draws uniform01(seed, TAG_VRT_STEP, row, w) for each row
+        # window w draws uniform01(seed, TAG_VRT_STEP, row, w) for each row;
+        # the scalar rule steps each row alone, as a Python bool
         vrt = VrtModel(enabled=True, affected_fraction=0.5, p_high_to_low=0.3, p_low_to_high=0.4)
         gt = make_gt(vrt=vrt, num_rows=200, seed=13)
         rows = [int(r) for r in gt.vrt_rows]
         assert rows == np.flatnonzero(gt.has_vrt).tolist()
+        prefix = rng.hash_words_vec(13, rng.TAG_VRT_STEP, gt.vrt_rows)
+        lows = vrt_walk(np.zeros(len(rows), dtype=bool), rng.extend_hash_vec(prefix, np.arange(1, 7)[:, None]), vrt)
         low = {r: False for r in rows}
-        for w in range(1, 7):
-            gt.step_vrt(w)
+        for w, line in enumerate(lows, start=1):
             for r in rows:
-                u = rng.uniform01(13, rng.TAG_VRT_STEP, r, w)
-                low[r] = u >= 0.4 if low[r] else u < 0.3
-            assert gt.vrt_rows_low.tolist() == [low[r] for r in rows]
-
-    def test_out_of_order_step_rejected(self):
-        gt = make_gt(num_rows=10)
-        with pytest.raises(ValueError, match="consecutive"):
-            gt.step_vrt(5)
+                low[r] = next_low(low[r], rng.uniform01(13, rng.TAG_VRT_STEP, r, w), vrt)
+            assert line.tolist() == [low[r] for r in rows]
 
     def test_stationary_occupancy_ensemble(self):
-        # two-state chain with p=q=0.1: stationary low occupancy 1/2
-        gt = make_all_vrt_gt(10_000, seed=21, p_high_to_low=0.1, p_low_to_high=0.1)
-        occ = []
-        for w in range(1, 10_001):
-            gt.step_vrt(w)
-            if w > 100:  # discard burn-in from the all-high start
-                occ.append(gt.vrt_rows_low.mean())
-        assert abs(float(np.mean(occ)) - 0.5) < 0.025
+        # two-state chain with p=q=0.1: stationary low occupancy 1/2; the
+        # first 100 windows are burn-in from the all-high start
+        occ = occupancy(10_000, 10_000, 100, seed=21, p_high_to_low=0.1, p_low_to_high=0.1)
+        assert abs(occ - 0.5) < 0.025
 
     def test_stationary_occupancy_single_row_time_average(self):
-        gt = make_all_vrt_gt(1, seed=33, p_high_to_low=0.1, p_low_to_high=0.1)
-        low_windows = 0
-        for w in range(1, 10_001):
-            gt.step_vrt(w)
-            low_windows += int(gt.vrt_rows_low[0])
-        assert abs(low_windows / 10_000 - 0.5) < 0.05
+        occ = occupancy(1, 10_000, 0, seed=33, tile=10_000, p_high_to_low=0.1, p_low_to_high=0.1)
+        assert abs(occ - 0.5) < 0.05
 
     def test_asymmetric_stationary(self):
         p, q = 0.3, 0.1  # stationary low occupancy p/(p+q) = 0.75
-        gt = make_all_vrt_gt(5000, seed=8, p_high_to_low=p, p_low_to_high=q)
-        occ = []
-        for w in range(1, 2001):
-            gt.step_vrt(w)
-            if w > 200:
-                occ.append(gt.vrt_rows_low.mean())
-        assert abs(float(np.mean(occ)) - 0.75) < 0.75 * 0.05
+        occ = occupancy(5000, 2000, 200, seed=8, p_high_to_low=p, p_low_to_high=q)
+        assert abs(occ - 0.75) < 0.75 * 0.05
 
 
 def _ulp_neighbours(p):
@@ -235,17 +224,22 @@ def hashes_near(draw, p):
     return (k << 11) | draw(st.integers(0, 2**11 - 1))
 
 
+def uniform_of(h: int) -> float:
+    """The uniform of the 64-bit hash h, as rng.uniform01 takes it."""
+    return (h >> 11) * 2.0**-53
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_vrt_step_is_the_uniform_threshold_rule(data):
+    # one step of vrt_walk from each state is the scalar rule on the uniform
     p_hl, p_lh = data.draw(probabilities), data.draw(probabilities)
     vrt = VrtModel(enabled=True, p_high_to_low=p_hl, p_low_to_high=p_lh)
     hashes = [data.draw(hashes_near(p)) for p in (p_hl, p_lh) for _ in range(3)]
     hashes += data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=8))
-    h = np.array(hashes * 2, dtype=np.uint64)
-    low = np.repeat([False, True], len(hashes))
-    u = rng.uniform01_of(h)
-    assert np.array_equal(vrt_step(low, h, vrt), np.where(low, u >= p_lh, u < p_hl))
+    low = [False] * len(hashes) + [True] * len(hashes)
+    stepped = vrt_walk(np.array(low), np.array([hashes * 2], dtype=np.uint64), vrt)
+    assert stepped.tolist() == [[next_low(lo, uniform_of(h), vrt) for lo, h in zip(low, hashes * 2)]]
 
 
 @given(st.data())
@@ -262,8 +256,8 @@ def test_vrt_walk_is_repeated_vrt_step(data):
     before = low.copy(), h.copy()
     walked = vrt_walk(low, h, vrt)
     assert walked.shape == (windows, rows) and walked.dtype == bool
-    state = low
+    state = low.tolist()
     for t in range(windows):
-        state = vrt_step(state, h[t], vrt)
-        assert np.array_equal(walked[t], state), t
+        state = [next_low(lo, uniform_of(int(x)), vrt) for lo, x in zip(state, h[t])]
+        assert walked[t].tolist() == state, t
     assert np.array_equal(low, before[0]) and np.array_equal(h, before[1])

@@ -10,14 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from raidrsim import rng
 from raidrsim import simulate as simulate_mod
 from raidrsim.bloom import BloomParams
 from raidrsim.experiment import ExperimentSpec, SimConfig
-from raidrsim.profiler import ProfilerConfig, profile
-from raidrsim.raidr import BinConfig, UnbinnableRowError, build_bins
+from raidrsim.profiler import ProfilerConfig
+from raidrsim.raidr import BinConfig, UnbinnableRowError
 from raidrsim.retention import (
     DIST_LOGNORMAL_TAIL,
     DIST_TWO_POPULATION,
@@ -25,13 +25,12 @@ from raidrsim.retention import (
     DpdModel,
     RetentionDistribution,
     VrtModel,
-    generate_ground_truth,
     generate_rows,
     vrt_walk,
 )
 from raidrsim.simulate import CheckpointError, RefreshSimulation, check_report_invariants, run
 
-from reference_sim import counters, parts_of, run_reference
+from reference_sim import build_bins, counters, ground_truth, next_low, parts_of, profile, run_reference
 
 
 def quiet_spec(num_rows=2000, horizon=64, seed=0):
@@ -403,6 +402,15 @@ class TestDeterminismAndCheckpoint:
             sim.report()
 
 
+def toggle_states(spec, rows, windows):
+    """Each of rows' toggle state at window `windows`, stepped by the scalar rule from the fresh (high) state."""
+    low = np.zeros(len(rows), dtype=bool)
+    for w in range(1, windows + 1):
+        u = rng.uniform01_vec(spec.seed, rng.TAG_VRT_STEP, np.asarray(rows), w)
+        low = np.array([next_low(bool(lo), float(x), spec.vrt) for lo, x in zip(low, u)], dtype=bool)
+    return low
+
+
 def every_vrt_row_at_window_9():
     """A checkpoint payload at window 9 without its flags, the ground truth,
     and every VRT row's toggle state at window 8, in which every row is refreshed."""
@@ -411,14 +419,12 @@ def every_vrt_row_at_window_9():
     assert all(8 % m == 0 for m in sim.bins.multipliers)
     payload = sim.checkpoint()[HEADER_SIZE:]
     gt = ground_truth_of(sim)
-    for w in range(1, 9):
-        gt.step_vrt(w)
-    return payload[:state_offset(payload)], gt, gt.vrt_rows_low
+    return payload[:state_offset(payload)], gt, toggle_states(sim.spec, gt.vrt_rows, 8)
 
 
 def ground_truth_of_spec(spec):
     """The ground truth of the spec's device, generated as one full-length array."""
-    return generate_ground_truth(spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed)
+    return ground_truth(spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed)
 
 
 def ground_truth_of(sim):
@@ -448,10 +454,9 @@ def test_vrt_trajectory_matches_standalone_ground_truth():
     assert 0 < can_fail.size < gt.vrt_rows.size
     sim.run()
     assert not hasattr(sim, "gt")
-    for w in range(1, 12):
-        gt.step_vrt(w)
-    assert gt.vrt_rows_low[can_fail].any()
-    assert np.array_equal(gt.vrt_rows_low[can_fail], sim._v_low)
+    low = toggle_states(sim.spec, gt.vrt_rows, 11)
+    assert low[can_fail].any()
+    assert np.array_equal(low[can_fail], sim._v_low)
 
 
 def count_vrt_steps(monkeypatch):
@@ -522,7 +527,7 @@ def test_partition_steps_exactly_the_rows_that_can_fail():
     # the engine holds state for exactly the rows that can fail, and every
     # one of them fails
     assert can_fail.size > 10
-    assert np.array_equal(sim._v_prefix, gt.vrt_step_prefix[can_fail])
+    assert np.array_equal(sim._v_prefix, rng.hash_words_vec(spec.seed, rng.TAG_VRT_STEP, gt.vrt_rows[can_fail]))
     rep = sim.run()
     assert sim._v_unsafe.all()
     assert rep.unsafe_rows == can_fail.size
@@ -777,6 +782,9 @@ def small_vrt_runs(draw):
     that every row's lowest retention, after the guard band, stays at or
     above the base, so no draw is unbinnable; a weak band one ulp wide
     puts weak rows exactly on it, so elapsed times tie with retentions.
+    Each toggle probability is 0, 1, a mid-range value such as 0.25, or
+    any float in [0, 1]; the mid-range values make the two directions of
+    the toggle differ in most draws.
     """
     base_ms = draw(st.sampled_from([64.0, 48.0, 37.5]))
     low_factor = draw(st.sampled_from([1.0, 0.8, 0.5, 0.45, 0.3]))
@@ -791,7 +799,7 @@ def small_vrt_runs(draw):
         weak_high_ms=floor + width if width else math.nextafter(floor, math.inf),
         strong_value_ms=2560.0,
     )
-    probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | st.sampled_from([0.1, 0.25, 0.5])
     vrt = VrtModel(enabled=True, affected_fraction=draw(st.sampled_from([0.3, 1.0])),
                    low_factor=low_factor, p_high_to_low=draw(probability),
                    p_low_to_high=draw(probability))
@@ -815,6 +823,15 @@ def small_vrt_runs(draw):
 
 
 @given(small_vrt_runs())
+# a toggle that drops low at a quarter of its steps and never rises: every
+# row is binned by a campaign that sees only window 0, and some fail
+@example((ExperimentSpec(
+    seed=0, device=DeviceConfig.from_rows(8),
+    dist=RetentionDistribution(weak_fraction=0.7, floor_ms=128.0, weak_high_ms=math.nextafter(128.0, math.inf)),
+    vrt=VrtModel(enabled=True, affected_fraction=1.0, low_factor=0.8, p_high_to_low=0.25, p_low_to_high=0.0),
+    profiler=ProfilerConfig(mode="measured", patterns_tested=1, rounds=1, profiling_window_span=1),
+    bins=BinConfig(thresholds_ms=(128.0,)), sim=SimConfig(horizon_windows=6),
+), 0, 1))
 @settings(max_examples=100, deadline=None)
 def test_vrt_engine_matches_oracle_across_checkpoint(drawn):
     # the engine works in blocks of 1 to 50 rows, from one row per block to
