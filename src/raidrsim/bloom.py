@@ -15,7 +15,9 @@ Batch queries exit early per key: probe 0 needs only g1, and each later
 probe runs over just the keys every earlier probe found set.  At the
 planned fill about half the keys survive each probe, so a batch costs
 about 2n probes and one g2 hash per surviving key instead of k*n probes
-and two hashes per key.
+and two hashes per key.  The survivors of the last probe are the batch's
+answer: claimed() returns their offsets, which stay ascending, and
+contains_many() is its mask form.
 
 What a probe costs is the numpy passes it makes, not their number of
 calls, so each step is one cheap pass over an array the kernel owns.  A
@@ -129,17 +131,14 @@ class BloomFilter:
         byte &= np.uint8(1)
         return byte.view(bool)
 
-    def contains_many(self, keys: np.ndarray) -> np.ndarray:
-        """Whether each key is a member, probe by probe over the keys still unrejected.
+    def claimed(self, keys: np.ndarray) -> np.ndarray:
+        """The flat offsets of the keys that are members, ascending, probe by probe over the keys still unrejected.
 
         Probe 0 is g1 mod m (C(0,3) = 0), so g2 is hashed only for the keys
         that pass it, and each later probe sees only the survivors of the
         one before.  Positions are those insert_many sets.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        shape = keys.shape
-        keys = keys.reshape(-1)
-        hit = np.zeros(keys.size, dtype=bool)
+        keys = np.ascontiguousarray(keys, dtype=np.uint64).reshape(-1)
         m = self.params.m
         g1 = hash_words_vec(self.params.seed, 1, keys)
         live = np.flatnonzero(self._bits_at(_probe_positions(g1, None, 0, m)))
@@ -151,8 +150,13 @@ class BloomFilter:
                 live, g1, g2 = live[keep], g1[keep], g2[keep]
                 if not live.size:
                     break
-        hit[live] = True
-        return hit.reshape(shape)
+        return live
+
+    def contains_many(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each key is a member: the mask form of claimed()."""
+        hit = np.zeros(np.shape(keys), dtype=bool)
+        hit.reshape(-1)[self.claimed(keys)] = True
+        return hit
 
 
 def _mod(x: np.ndarray, m: np.uint64) -> np.ndarray:

@@ -177,8 +177,9 @@ def cmd_profile(args) -> int:
     with open(path, "w") as fh:
         fh.write(_csv_comment(spec) + "\n")
         fh.write("row_index,measured_retention_ms,assigned_bin\n")
-        for gt, measured in profiled_blocks(spec):
+        for gt, sparse in profiled_blocks(spec):
             rows = range(gt.start, gt.start + gt.num_rows)
+            measured = sparse.dense()
             bins = spec.bins.classify(measured)
             fh.write("".join([f"{i},{m!r},{b}\n" for i, m, b in zip(rows, measured.tolist(), bins.tolist())]))
     print(f"profiled {spec.device.num_rows} rows ({spec.profiler.mode} mode) -> {path}")

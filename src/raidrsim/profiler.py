@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .retention import RetentionGroundTruth, VrtModel, vrt_walk
+from .retention import RetentionGroundTruth, SparseRows, VrtModel, union_rows, vrt_walk
 
 MODE_ORACLE = "oracle"
 MODE_MEASURED = "measured"
@@ -79,29 +79,51 @@ def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig
     return seen
 
 
-def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_seen) -> np.ndarray:
-    """Guard-divided measured retention of each row of gt, a range of the device.
+def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_seen, bins=None) -> SparseRows:
+    """Guard-divided measured retention of each row of gt, a range of the device, as sparse rows.
 
     low_seen is vrt_low_seen of gt.vrt_rows, passed in so that a blocked
     caller runs the campaign once for all its blocks.  Oracle mode ignores
     the campaign parameters (patterns, rounds, span); measured mode
     validates patterns_tested against the pattern universe.
+
+    Every weak or toggling row holds its own value.  The plain rows share
+    one, except in measured mode with DPD, where a plain row whose worst
+    pattern was tested holds the covered value instead of the missed one.
+    Coverage is drawn at every plain row unless bins, a BinConfig, is
+    given and both values fall in the same bin at or above the base period
+    device.trefw_ms: then every plain row holds the missed value, and the
+    profile bins every row as the exact one does.
     """
+    guard = cfg.guard_band_factor
     if cfg.mode == MODE_ORACLE:
-        measured = gt.min_possible_retention()
+        true_min = gt.min_possible()
+        return SparseRows(gt.start, gt.num_rows, true_min.plain / guard, true_min.at, true_min.values / guard)
+    if cfg.patterns_tested > gt.dpd.num_patterns:
+        raise ValueError(
+            f"patterns_tested {cfg.patterns_tested} exceeds num_patterns {gt.dpd.num_patterns}"
+        )
+    vrt_at = gt.vrt_rows - gt.start
+    at = union_rows(gt.base.at, vrt_at)
+    plain = gt.base.plain
+    if gt.dpd.enabled:
+        # membership of the row's worst pattern in a uniform distinct
+        # sample of patterns_tested patterns: exact marginal s/N
+        f = gt.dpd.worst_pattern_factor
+        p_cover = cfg.patterns_tested / gt.dpd.num_patterns
+        missed, covered = plain / guard, (plain * f) / guard
+        if bins is None or bins.classify(missed) != bins.classify(covered) or covered < gt.device.trefw_ms:
+            every_row = rng.bernoulli_vec(p_cover, seed, rng.TAG_PROFILE_PATTERNS, gt.rows)
+            at = union_rows(at, np.flatnonzero(every_row))
+            covered_at = every_row[at]
+        else:
+            keys = (at + gt.start).astype(np.uint64)
+            covered_at = rng.bernoulli_vec(p_cover, seed, rng.TAG_PROFILE_PATTERNS, keys)
+        measured = gt.base.take(at)
+        measured = np.where(covered_at, measured * f, measured)
     else:
-        if cfg.patterns_tested > gt.dpd.num_patterns:
-            raise ValueError(
-                f"patterns_tested {cfg.patterns_tested} exceeds num_patterns {gt.dpd.num_patterns}"
-            )
-        measured = gt.base_retention_ms.copy()
-        if gt.dpd.enabled:
-            # membership of the row's worst pattern in a uniform distinct
-            # sample of patterns_tested patterns: exact marginal s/N
-            p_cover = cfg.patterns_tested / gt.dpd.num_patterns
-            covered = rng.uniform01_vec(seed, rng.TAG_PROFILE_PATTERNS, gt.rows) < p_cover
-            measured = np.where(covered, measured * gt.dpd.worst_pattern_factor, measured)
-        if gt.vrt.enabled:
-            at = gt.vrt_rows[low_seen] - gt.start
-            measured[at] = measured[at] * gt.vrt.low_factor
-    return measured / cfg.guard_band_factor
+        measured = gt.base.take(at)
+    if gt.vrt.enabled:
+        i = np.searchsorted(at, vrt_at[low_seen])
+        measured[i] = measured[i] * gt.vrt.low_factor
+    return SparseRows(gt.start, gt.num_rows, plain / guard, at, measured / guard)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import rng
 from .bloom import BloomFilter, BloomParams, plan_params
+from .retention import RowBuffer, locate_rows, union_rows
 
 
 class UnbinnableRowError(RuntimeError):
@@ -115,53 +116,79 @@ class BinSet:
         return sum(f.params.m for f in self.filters)
 
     def claims(self, rows: np.ndarray) -> list[np.ndarray]:
-        """Each filter's membership mask over `rows`, shortest interval first."""
+        """Each filter's claimed offsets into `rows`, ascending, shortest interval first."""
         rows = np.ascontiguousarray(rows, dtype=np.uint64)
-        return [filt.contains_many(rows) for filt in self.filters]
+        return [filt.claimed(rows) for filt in self.filters]
 
-    def first_claims(self, claims: list[np.ndarray], shape) -> np.ndarray:
-        """Bin per row from claims(): the first claiming filter, default if none.
+    def first_claims(self, claims: list[np.ndarray], at: np.ndarray) -> np.ndarray:
+        """Bin of each of the offsets `at` from claims(): the first claiming filter, default if none.
 
         The bins are in the smallest unsigned type that holds the default bin.
         """
-        out = np.full(shape, self.default_bin, dtype=np.min_scalar_type(self.default_bin))
+        out = np.full(np.shape(at), self.default_bin, dtype=np.min_scalar_type(self.default_bin))
         for b in range(len(claims) - 1, -1, -1):
-            out[claims[b]] = b
+            out[locate_rows(claims[b], at)[1]] = b
+        return out
+
+    def queried(self, claims: list[np.ndarray], num_rows: int) -> np.ndarray:
+        """Rows queried to each bin, default last, of the num_rows keys that claims() took.
+
+        A filter's rows are its claims that no earlier filter made; the
+        default bin's are the rest.
+        """
+        out = np.zeros(len(claims) + 1, dtype=np.int64)
+        taken = np.zeros(0, dtype=np.intp)
+        for b, claimed in enumerate(claims):
+            out[b] = claimed.size - np.count_nonzero(locate_rows(taken, claimed)[1])
+            taken = union_rows(taken, claimed)
+        out[-1] = num_rows - taken.size
         return out
 
 
 def bin_blocks(blocks, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: int) -> BinSet:
-    """Bins of a profile given as (first row, measured retention) blocks that cover the device in row order.
+    """Bins of a profile given as SparseRows blocks that cover the device in row order.
 
     Each row goes into the filter of the bin holding its guard-divided
     measured retention; base_ms is the base refresh period.  bloom_budget
     is either a per-bin target false-positive rate (filters are sized for
     the actual bin populations) or explicit BloomParams shared by all
-    bins.  A whole profile is the one block [(0, measured)].
+    bins.  A whole profile is one block.
 
-    The filters are sized from the bin counts of the whole device, so each
-    filter bin's member rows are kept, per block as offsets from its first
-    row in the smallest unsigned type that holds them, until the last block
-    is in; then each filter gets its rows one block at a time.  The rows of
-    the default bin are only counted.  Beyond the filter bins' rows, memory
-    is bounded by the largest block.
+    A block's plain value is classified once and its plain rows counted
+    in its bin.  The filters are sized from the bin counts of the whole
+    device, so each filter bin's member rows are kept, in one RowBuffer
+    per bin in the smallest unsigned type that holds them, until the last
+    block is in; then each filter gets its rows, as many at a time as the
+    largest block holds.  The rows of the default bin are only counted.
+    Beyond the filter bins' rows, memory is bounded by the largest block.
     """
     bin_cfg.multipliers(base_ms)  # rejects a threshold that is not a whole multiple of the base
     nbins = bin_cfg.num_filter_bins
     counts = np.zeros(nbins + 1, dtype=np.int64)
-    members = []  # (first row, each filter bin's member offsets) per block
+    members = [RowBuffer() for _ in range(nbins)]
+    block_rows = 1
     first_below, n_below = None, 0
-    for start, measured in blocks:
-        below = np.flatnonzero(measured < base_ms)
-        if below.size and first_below is None:
-            first_below = (start + int(below[0]), float(measured[below[0]]))
+    for block in blocks:
+        below = np.flatnonzero(block.values < base_ms)
+        first = [(int(block.at[below[0]]), float(block.values[below[0]]))] if below.size else []
         n_below += below.size
-        idx = bin_cfg.classify(measured)
+        if block.num_plain and block.plain < base_ms:
+            first.append((block.first_plain(), float(block.plain)))
+            n_below += block.num_plain
+        if first and first_below is None:
+            offset, value = min(first)
+            first_below = (block.start + offset, value)
+        idx = bin_cfg.classify(block.values)
         counts += np.bincount(idx, minlength=nbins + 1)
-        binned = np.flatnonzero(idx < nbins)
-        binned_idx = idx[binned]
-        binned = binned.astype(np.min_scalar_type(max(measured.size - 1, 0)))
-        members.append((start, [binned[binned_idx == b] for b in range(nbins)]))
+        plain_bin = bin_cfg.classify(block.plain)
+        counts[plain_bin] += block.num_plain
+        block_rows = max(block_rows, block.num_rows)
+        row_type = np.min_scalar_type(block.start + block.num_rows - 1)
+        for b, rows in enumerate(members):
+            offsets = block.at[idx == b]
+            if b == plain_bin and block.num_plain:
+                offsets = union_rows(offsets, block.plain_rows())
+            rows.extend((offsets + block.start).astype(row_type))
     if n_below:
         raise UnbinnableRowError(
             row=first_below[0],
@@ -181,9 +208,10 @@ def bin_blocks(blocks, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: i
                 seed=rng.hash_words(seed, rng.TAG_FILTER_SEED, b),
             )
         filters.append(BloomFilter(params))
-    for start, offsets in members:
-        for filt, rows in zip(filters, offsets):
-            filt.insert_many(rows.astype(np.uint64) + np.uint64(start))
+    for filt, rows in zip(filters, members):
+        rows = rows.array()
+        for lo in range(0, rows.size, block_rows):
+            filt.insert_many(rows[lo:lo + block_rows])
     return BinSet(bin_cfg=bin_cfg, base_ms=base_ms, filters=filters, counts=tuple(int(c) for c in counts))
 
 

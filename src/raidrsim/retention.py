@@ -13,7 +13,6 @@ bit-identical across runs, and any range of rows can be generated alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,17 +151,15 @@ def vrt_walk(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
     h is a (windows, rows) array of step hashes, one window per line; the
     result has its shape, and its line t is the state after step t.  A low
     row stays low unless uniform01_of(h) < p_low_to_high; a high row drops
-    low iff uniform01_of(h) < p_high_to_low.  The uniform is
-    (h >> 11) * 2**-53, so `u < p` is exactly `h >> 11 < ceil(p * 2**53)`;
-    p * 2**53 is itself exact for p in [0, 1], a power-of-two scaling.
-    With stay and drop those two tests, the next state is
-    `drop ^ (low & (stay ^ drop))`: stay for a low row, drop for a high
-    one.  So each window costs two in-place bool operations on one line.
+    low iff uniform01_of(h) < p_high_to_low, both compared on h >> 11 (see
+    rng.uniform_threshold).  With stay and drop those two tests, the next
+    state is `drop ^ (low & (stay ^ drop))`: stay for a low row, drop for a
+    high one.  So each window costs two in-place bool operations on one line.
     This is the engine's and the profiling campaign's one toggle kernel.
     """
     k = h >> np.uint64(11)
-    out = k >= np.uint64(math.ceil(vrt.p_low_to_high * 2.0**53))  # stay
-    drop = k < np.uint64(math.ceil(vrt.p_high_to_low * 2.0**53))
+    out = k >= rng.uniform_threshold(vrt.p_low_to_high)  # stay
+    drop = k < rng.uniform_threshold(vrt.p_high_to_low)
     out ^= drop
     prev = low
     for line, line_drop in zip(out, drop):
@@ -172,35 +169,143 @@ def vrt_walk(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
     return out
 
 
+def union_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ascending distinct elements of the ascending arrays a and b.
+
+    A stable sort of the two runs is timsort's linear merge.
+    """
+    out = np.concatenate([a, b])
+    out.sort(kind="stable")
+    if out.size:
+        distinct = np.empty(out.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(out[1:], out[:-1], out=distinct[1:])
+        out = out[distinct]
+    return out
+
+
+def locate_rows(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each element of x's position in the ascending array rows, and whether it is there."""
+    if not rows.size:
+        return np.zeros(np.shape(x), dtype=np.intp), np.zeros(np.shape(x), dtype=bool)
+    i = np.searchsorted(rows, x)
+    np.minimum(i, rows.size - 1, out=i)
+    return i, rows[i] == x
+
+
+class RowBuffer:
+    """An append-only array that doubles its capacity as it grows.
+
+    The build pass keeps a few rows of each block of temporaries.  One
+    buffer per kind, instead of one small array per block, keeps those
+    rows from splitting the heap between the blocks' freed pages.  The
+    element type widens to hold whatever is appended.
+    """
+
+    def __init__(self, dtype=np.uint8):
+        self._data = np.zeros(0, dtype=dtype)
+        self.size = 0
+
+    def extend(self, values: np.ndarray) -> None:
+        end = self.size + values.size
+        dtype = np.promote_types(self._data.dtype, values.dtype)
+        if end > self._data.size or dtype != self._data.dtype:
+            data = np.empty(max(end, 2 * self._data.size), dtype=dtype)
+            data[:self.size] = self._data[:self.size]
+            self._data = data
+        self._data[self.size:end] = values
+        self.size = end
+
+    def array(self) -> np.ndarray:
+        return self._data[:self.size]
+
+
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """One value per row of [start, start + num_rows): plain at every row but the offsets `at`.
+
+    at holds offsets from start, ascending and distinct, and values their
+    own values.  Few rows of a device differ from a plain row (one that is
+    neither weak nor toggles), so the engine's build pass carries a block
+    of rows in this form; dense() is the one expansion to every row's
+    value, which `raidrsim profile` and the reference oracle use.
+    """
+
+    start: int
+    num_rows: int
+    plain: float
+    at: np.ndarray
+    values: np.ndarray
+
+    @property
+    def num_plain(self) -> int:
+        return self.num_rows - self.at.size
+
+    def dense(self) -> np.ndarray:
+        out = np.full(self.num_rows, self.plain)
+        out[self.at] = self.values
+        return out
+
+    def take(self, offsets: np.ndarray) -> np.ndarray:
+        """The values of the rows at the given offsets from start."""
+        out = np.full(np.size(offsets), self.plain)
+        i, own = locate_rows(self.at, offsets)
+        out[own] = self.values[i[own]]
+        return out
+
+    def first_plain(self) -> int:
+        """The offset of the first plain row; at.size if there is none."""
+        # at[i] >= i, and at[i] > i first where row i is plain
+        gaps = np.flatnonzero(self.at != np.arange(self.at.size))
+        return int(gaps[0]) if gaps.size else self.at.size
+
+    def plain_rows(self) -> np.ndarray:
+        """The offsets of the plain rows, ascending."""
+        plain = np.ones(self.num_rows, dtype=bool)
+        plain[self.at] = False
+        return np.flatnonzero(plain)
+
+
 @dataclass(frozen=True, eq=False)
 class RetentionGroundTruth:
-    """True retention of the rows [start, start + num_rows) of seed's device: an immutable record.
+    """True retention of the rows [base.start, base.start + base.num_rows) of seed's device: an immutable record.
 
     Every stream is keyed by row index, so the ground truth of a row range
     equals the same rows of the whole device's, and the engine generates
-    the device one range at a time.  vrt_rows holds the device indices of
-    the rows that carry a retention toggle, ascending; base_retention_ms
-    and has_vrt are indexed from start.  The toggle's state is not part of
-    the record: whoever steps it (the engine, the profiling campaign)
-    holds its own, drawn with vrt_walk.
+    the device one range at a time.  It is sparse: base holds the base
+    retention of the weak rows and strong_value_ms as the plain value, and
+    vrt_rows the device indices of the rows that carry a retention toggle,
+    ascending.  A plain row (neither weak nor toggling) has the true
+    retention strong_value_ms times the DPD factor.  base_retention_ms and
+    min_possible_retention expand it with SparseRows.dense, for whoever
+    needs every row.  The toggle's state is
+    not part of the record: whoever steps it (the engine, the profiling
+    campaign) holds its own, drawn with vrt_walk.
     """
 
     device: DeviceConfig
     vrt: VrtModel
     dpd: DpdModel
     seed: int
-    base_retention_ms: np.ndarray
+    base: SparseRows
     vrt_rows: np.ndarray
-    start: int = 0
+
+    @property
+    def start(self) -> int:
+        return self.base.start
 
     @property
     def num_rows(self) -> int:
-        return self.base_retention_ms.size
+        return self.base.num_rows
 
     @property
     def rows(self) -> np.ndarray:
         """The device row indices covered, as uint64 stream keys."""
         return np.arange(self.start, self.start + self.num_rows, dtype=np.uint64)
+
+    @property
+    def base_retention_ms(self) -> np.ndarray:
+        return self.base.dense()
 
     @property
     def has_vrt(self) -> np.ndarray:
@@ -210,11 +315,11 @@ class RetentionGroundTruth:
         return has_vrt
 
     # each toggling row's retention in its high and low state, aligned with
-    # vrt_rows, by the same float operations as min_possible_retention
+    # vrt_rows, by the same float operations as min_possible
 
     @property
     def vrt_retention_high(self) -> np.ndarray:
-        return self.base_retention_ms[self.vrt_rows - self.start] * self._dpd_factor()
+        return self.base.take(self.vrt_rows - self.start) * self._dpd_factor()
 
     @property
     def vrt_retention_low(self) -> np.ndarray:
@@ -223,12 +328,21 @@ class RetentionGroundTruth:
     def _dpd_factor(self) -> float:
         return self.dpd.worst_pattern_factor if self.dpd.enabled else 1.0
 
+    def min_possible(self) -> SparseRows:
+        """Per-row minimum over all patterns and toggle states (what a perfect profiler sees).
+
+        Every weak or toggling row holds its own value.
+        """
+        vrt_at = self.vrt_rows - self.start
+        at = union_rows(self.base.at, vrt_at)
+        values = self.base.take(at) * self._dpd_factor()
+        if vrt_at.size:
+            i = np.searchsorted(at, vrt_at)
+            values[i] = values[i] * self.vrt.low_factor
+        return SparseRows(self.start, self.num_rows, self.base.plain * self._dpd_factor(), at, values)
+
     def min_possible_retention(self) -> np.ndarray:
-        """Per-row minimum over all patterns and toggle states (what a perfect profiler sees)."""
-        out = self.base_retention_ms * self._dpd_factor()
-        if self.vrt.enabled:
-            out = np.where(self.has_vrt, out * self.vrt.low_factor, out)
-        return out
+        return self.min_possible().dense()
 
 
 def draw_vrt_rows(vrt: VrtModel, seed: int, start: int, stop: int) -> np.ndarray:
@@ -236,7 +350,7 @@ def draw_vrt_rows(vrt: VrtModel, seed: int, start: int, stop: int) -> np.ndarray
     if not vrt.enabled:
         return np.zeros(0, dtype=np.int64)
     rows = np.arange(start, stop, dtype=np.uint64)
-    return start + np.flatnonzero(rng.uniform01_vec(seed, rng.TAG_VRT_FLAG, rows) < vrt.affected_fraction)
+    return start + np.flatnonzero(rng.bernoulli_vec(vrt.affected_fraction, seed, rng.TAG_VRT_FLAG, rows))
 
 
 def generate_rows(
@@ -254,6 +368,7 @@ def generate_rows(
     Weak rows are selected by independent per-row Bernoulli draws, so the
     weak count is binomial around weak_fraction * num_rows.  The tail law
     is drawn at the weak rows alone; each draw is a function of its row.
+    Every other row's base is strong_value_ms, held once.
     """
     if dist.floor_ms < device.trefw_ms:
         raise ValueError(
@@ -261,18 +376,15 @@ def generate_rows(
             "unrefreshable at the base rate"
         )
     rows = np.arange(start, stop, dtype=np.uint64)
-    weak = np.flatnonzero(rng.uniform01_vec(seed, rng.TAG_WEAK_SELECT, rows) < dist.weak_fraction)
-    base = np.full(rows.size, float(dist.strong_value_ms))
-    if weak.size:
-        at = rows[weak]
-        if dist.kind == DIST_TWO_POPULATION:
-            u = rng.uniform01_vec(seed, rng.TAG_BASE_RETENTION, at)
-            draw = dist.floor_ms + u * (dist.weak_high_ms - dist.floor_ms)
-        else:
-            z = rng.standard_normal_vec(seed, rng.TAG_BASE_RETENTION, at)
-            draw = dist.lognormal_median_ms * np.exp(dist.lognormal_sigma * z)
-            # clip into the supported band; mass piles at the edges by design
-            draw = np.clip(draw, dist.floor_ms, np.nextafter(dist.weak_high_ms, 0.0))
-        base[weak] = draw
-    return RetentionGroundTruth(device, vrt, dpd, seed, base, vrt_rows, start)
-
+    weak = np.flatnonzero(rng.bernoulli_vec(dist.weak_fraction, seed, rng.TAG_WEAK_SELECT, rows))
+    at = rows[weak]
+    if dist.kind == DIST_TWO_POPULATION:
+        u = rng.uniform01_vec(seed, rng.TAG_BASE_RETENTION, at)
+        draw = dist.floor_ms + u * (dist.weak_high_ms - dist.floor_ms)
+    else:
+        z = rng.standard_normal_vec(seed, rng.TAG_BASE_RETENTION, at)
+        draw = dist.lognormal_median_ms * np.exp(dist.lognormal_sigma * z)
+        # clip into the supported band; mass piles at the edges by design
+        draw = np.clip(draw, dist.floor_ms, np.nextafter(dist.weak_high_ms, 0.0))
+    base = SparseRows(start, rows.size, float(dist.strong_value_ms), weak, draw)
+    return RetentionGroundTruth(device, vrt, dpd, seed, base, vrt_rows)

@@ -8,6 +8,8 @@ vectorized paths produce bit-identical results.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -126,6 +128,22 @@ def uniform01_of(h: np.ndarray) -> np.ndarray:
 
 def uniform01_vec(*words) -> np.ndarray:
     return uniform01_of(hash_words_vec(*words))
+
+
+def uniform_threshold(p: float) -> np.uint64:
+    """The k for which uniform01_of(h) < p exactly when h >> 11 < k.
+
+    The uniform is (h >> 11) * 2**-53, and p * 2**53 is exact for p in
+    [0, 1], a power-of-two scaling, so `u < p` is `h >> 11 < ceil(p * 2**53)`.
+    """
+    return np.uint64(math.ceil(p * 2.0**53))
+
+
+def bernoulli_vec(p: float, *words) -> np.ndarray:
+    """uniform01_vec(*words) < p, compared on the integers without forming the uniform."""
+    h = hash_words_vec(*words)
+    h >>= np.uint64(11)
+    return h < uniform_threshold(p)
 
 
 def standard_normal_vec(*words) -> np.ndarray:

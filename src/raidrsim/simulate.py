@@ -9,20 +9,31 @@ window.
 Both paths are validated to match a brute-force step-through row by row.
 
 The engine is built in two passes over blocks of _CHUNK_ROWS rows, so its
-memory is set by one block, not by the device.  Pass 1 generates and
-profiles one block at a time; every stream is keyed by row, so a block
-equals the same rows of the full-array ground truth and profile.  Of each
-block it keeps only the rows that need state: each filter bin's member
-rows, the rows that can fail without VRT with the closed form's jmin,
-and the sparse data of the VRT rows.  The bin counts then size the
-filters, which take their rows block by block.  keep_block_pages, which
-the CLI calls, has malloc reuse each block's pages for the next.  Pass 2
-gives everything fixed per row once the bins exist (the queried bin,
-refresh counts, the closed-form failures and each filter's claim count),
-querying each filter once per row.  It never reads the profile: a Bloom
-filter has no false negatives, so the bin counts turn the claim counts
-into the per-filter FPRs and fix the refreshes the profiled schedule
-would issue.
+memory is set by one block, not by the device.  Both passes are sparse:
+they touch a row's own data only where it differs from a plain row, one
+that is neither weak nor VRT.  All plain rows share one true retention,
+strong_value_ms times the DPD factor, and one profiled value, or two in
+measured mode with DPD (whether the campaign tested the worst pattern).
+Pass 1 generates and profiles one block at a time, as SparseRows: the
+weak rows' base draws, the VRT rows and the plain value.  Every stream is
+keyed by row, so a block equals the same rows of the full-array ground
+truth and profile.  Each plain value is classified once and its rows
+counted in its bin; a plain row's pattern coverage is drawn only where
+it changes the row's bin or takes it under the base period.  Of each
+block the engine keeps only the rows that need state: each filter bin's
+member rows, the weak rows that can fail without VRT with the closed
+form's jmin, and the sparse data of the VRT rows, each kind in one
+growing buffer.  The bin counts then size the filters.
+keep_block_pages, which the CLI calls, has malloc reuse each block's
+pages for the next.  Pass 2 gives everything fixed per row once the bins
+exist (refresh counts, the closed-form failures and each filter's claim
+count), querying each filter once per row.  A query returns the offsets
+it claims; they give the rows queried to each bin, the default bin
+taking the rest, and the near and VRT rows look their bins up in them.
+The plain rows share one jmin, so their static failures are counted per
+bin.  Pass 2 never reads the profile: a Bloom filter has no false
+negatives, so the bin counts turn the claim counts into the per-filter
+FPRs and fix the refreshes the profiled schedule would issue.
 
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
@@ -49,6 +60,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -60,7 +72,7 @@ from .bloom import BloomParams
 from .experiment import ExperimentSpec, config_sha256, config_text, parse_config_text, spec_from_flat
 from .profiler import MODE_ORACLE, profile_rows, vrt_low_seen
 from .raidr import BinSet, bin_blocks, refreshes_in_horizon
-from .retention import draw_vrt_rows, generate_rows, vrt_walk
+from .retention import RowBuffer, draw_vrt_rows, generate_rows, vrt_walk
 
 _CHECKPOINT_MAGIC = b"RSIM"
 _CHECKPOINT_VERSION = 4
@@ -148,14 +160,16 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def profiled_blocks(spec: ExperimentSpec):
-    """Yield (ground truth, measured retention) of each block of _CHUNK_ROWS rows, in row order.
+def profiled_blocks(spec: ExperimentSpec, bins=None):
+    """Yield (ground truth, measured retention) of each block of _CHUNK_ROWS rows, in row order, as sparse rows.
 
     Every stream is keyed by row, so each block equals the same rows of
     the device generated and profiled as one block, which is how the
     reference oracle builds it.  The VRT rows are drawn first, block by
     block, so that the profiling campaign steps them all together, in
-    tiles of windows bounded as _advance bounds its tiles.
+    tiles of windows bounded as _advance bounds its tiles.  bins is
+    profile_rows': given a BinConfig, the profile is exact up to each
+    row's bin.
     """
     n = spec.device.num_rows
     blocks = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
@@ -165,7 +179,16 @@ def profiled_blocks(spec: ExperimentSpec):
     for lo, hi in blocks:
         a, b = np.searchsorted(vrt_rows, (lo, hi))
         gt = generate_rows(spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed, lo, hi, vrt_rows[a:b])
-        yield gt, profile_rows(gt, spec.profiler, profiler_seed, low_seen[a:b])
+        yield gt, profile_rows(gt, spec.profiler, profiler_seed, low_seen[a:b], bins)
+
+
+def _static_failures(horizon: int, m, j):
+    """Failures over the horizon of a row refreshed every m windows whose retention runs out j windows past a refresh.
+
+    Window w is (w % m) + 1 windows past the row's last refresh, so of
+    every m windows the last m - j + 1 fail; none if j > m.
+    """
+    return np.where(j <= m, (horizon // m) * (m - j + 1) + np.maximum(0, horizon % m - j + 1), 0)
 
 
 class RefreshSimulation:
@@ -179,44 +202,53 @@ class RefreshSimulation:
         t0 = time.perf_counter()
         # a row whose retention never toggles fails in every window at least
         # jmin windows past its last refresh, so only rows with jmin <= m can
-        # fail at all.  jmin is kept only for the rows below jmin_cap, one
-        # past the largest multiplier, and never for a VRT row
-        jmin_cap = max(spec.bins.multipliers(self.device.trefw_ms)) + 1
-        near_rows, vrt_rows, vrt_high_ms, vrt_low_ms = [], [], [], []
+        # fail at all; jmin_cap is one past the largest multiplier.  The
+        # plain rows share one jmin, so jmin is kept per row only for weak
+        # rows, never for a VRT row
+        trefw_ms = self.device.trefw_ms
+        jmin_cap = max(spec.bins.multipliers(trefw_ms)) + 1
+        row_type = np.min_scalar_type(self.device.num_rows - 1)
+        jmin_type = np.min_scalar_type(jmin_cap)
+        near_rows, near_jmin = RowBuffer(row_type), RowBuffer(jmin_type)
+        vrt_rows, vrt_high_ms = RowBuffer(row_type), RowBuffer(np.float64)
+        plain_jmin = jmin_cap
 
         def binned_blocks():
-            # pass 1: of each block, only its rows below jmin_cap with their
-            # jmin, the VRT rows and their retentions outlive it, besides
-            # the filter bins' rows that bin_blocks keeps
-            for gt, measured in profiled_blocks(spec):
-                lo = gt.start
-                block_jmin = np.floor(gt.min_possible_retention() / self.device.trefw_ms) + 1
-                block_jmin[gt.vrt_rows - lo] = jmin_cap
-                near = np.flatnonzero(block_jmin < jmin_cap)
-                near_rows.append((
-                    near.astype(np.min_scalar_type(gt.num_rows - 1)),
-                    block_jmin[near].astype(np.min_scalar_type(jmin_cap)),
-                ))
-                vrt_rows.append(gt.vrt_rows)
-                vrt_high_ms.append(gt.vrt_retention_high)
-                vrt_low_ms.append(gt.vrt_retention_low)
-                yield lo, measured
+            # pass 1: of each block, only its near rows with their jmin and
+            # its VRT rows with their retentions outlive it, besides the
+            # filter bins' rows that bin_blocks keeps
+            nonlocal plain_jmin
+            for gt, measured in profiled_blocks(spec, spec.bins):
+                true_min = gt.min_possible()
+                plain_jmin = math.floor(true_min.plain / trefw_ms) + 1
+                jmin = np.floor(true_min.values / trefw_ms) + 1
+                # the near rows: the weak rows without VRT that can fail.  A
+                # weak row's base is below strong_value_ms, so its jmin is at
+                # most plain_jmin, and where plain rows can fail every weak
+                # row is near
+                near = jmin < jmin_cap
+                near[np.searchsorted(true_min.at, gt.vrt_rows - gt.start)] = False
+                near_rows.extend((true_min.at[near] + gt.start).astype(row_type))
+                near_jmin.extend(jmin[near].astype(jmin_type))
+                vrt_rows.extend(gt.vrt_rows.astype(row_type))
+                vrt_high_ms.extend(gt.vrt_retention_high)
+                yield measured
 
         self.bins: BinSet = bin_blocks(
-            binned_blocks(), spec.bins, self.device.trefw_ms, spec.bloom_budget,
+            binned_blocks(), spec.bins, trefw_ms, spec.bloom_budget,
             seed=rng.hash_words(spec.seed, rng.TAG_FILTER_SEED),
         )
-        vrt_rows = np.concatenate(vrt_rows)
-        self._scan_rows(near_rows, vrt_rows)
+        vrt_rows, vrt_high_ms = vrt_rows.array(), vrt_high_ms.array()
+        self._scan_rows(near_rows.array(), near_jmin.array(), vrt_rows, plain_jmin)
+        vrt_low_ms = vrt_high_ms * spec.vrt.low_factor  # as gt.vrt_retention_low
         # a row fails only past its low retention, and its elapsed time
         # peaks at m * trefw_ms, computed as _advance computes it.  Only
         # these rows are stepped, so the inputs of a step are gathered once
-        vrt_low_ms = np.concatenate(vrt_low_ms)
-        longest_gap_ms = self._v_mults[self._v_key] * self.device.trefw_ms
+        longest_gap_ms = self._v_mults[self._v_key] * trefw_ms
         can_fail = np.flatnonzero(longest_gap_ms > vrt_low_ms)
         self._v_key = self._v_key[can_fail]
         self._v_prefix = rng.hash_words_vec(spec.seed, rng.TAG_VRT_STEP, vrt_rows[can_fail])
-        self._v_high_ms = np.concatenate(vrt_high_ms)[can_fail]
+        self._v_high_ms = vrt_high_ms[can_fail]
         self._v_low_ms = vrt_low_ms[can_fail]
         # their toggle state, and whether each held its low state at any
         # window since its last refresh: its running minimum retention is
@@ -229,59 +261,69 @@ class RefreshSimulation:
         self._window = 0
         self._wall = time.perf_counter() - t0
 
-    def _scan_rows(self, near_rows: list, vrt_rows: np.ndarray) -> None:
+    def _scan_rows(self, near_rows: np.ndarray, near_jmin: np.ndarray, vrt_rows: np.ndarray,
+                   plain_jmin: int) -> None:
         """Sum every per-row quantity the built bins fix, in one blocked pass.
 
-        Each filter meets each row once; its claim mask gives the queried
-        bin and its claim count.  Refreshes are tallied per queried bin:
-        the rows each bin answers, times that bin's refreshes in the
-        horizon.  Each filter holds exactly its bin's profiled rows and has
-        no false negatives, so bins.counts gives the false positives and
-        the profiled schedule's refreshes.  A non-VRT row's static failures
-        follow from its queried multiplier and its jmin.  Only a row with
-        jmin at most the largest multiplier can fail, so pass 1 kept, per
-        block, just those rows, as offsets from the block's first row, and
-        their jmin: near_rows.  Every stream is keyed by row index, so the
-        blocking is exact.
+        Each filter meets each row once and returns the offsets it claims
+        in the block.  They give its claim count, and, taken shortest
+        interval first, the rows queried to each bin; the default bin gets
+        the rest.  Refreshes are tallied per queried bin: the rows each
+        bin answers, times that bin's refreshes in the horizon.  Each
+        filter holds exactly its bin's profiled rows and has no false
+        negatives, so bins.counts gives the false positives and the
+        profiled schedule's refreshes.  The near rows (device indices,
+        ascending, with their jmin) and the VRT rows look up their bins in
+        the claims.  A non-VRT row's static failures follow from its
+        queried multiplier and its jmin; the plain rows share plain_jmin,
+        so theirs are counted per bin, from the rows queried to it that
+        are neither near nor VRT.  Where plain rows can fail, every weak
+        row is near, so those are exactly the plain rows; where they
+        cannot, no bin's multiplier reaches plain_jmin.  Every stream is
+        keyed by row index, so the blocking is exact.
         """
         horizon = self.horizon
         bins = self.bins
         mult_table = np.asarray(bins.multipliers, dtype=np.int64)
         queried = np.zeros(mult_table.size, dtype=np.int64)
+        plain_queried = np.zeros(mult_table.size, dtype=np.int64)
         static_failures = static_unsafe = 0
         claimed = [0] * len(bins.filters)
-        v_mult = []
-        for lo, (near, near_jmin) in zip(range(0, self.device.num_rows, _CHUNK_ROWS), near_rows):
-            hi = min(lo + _CHUNK_ROWS, self.device.num_rows)
-            rows = np.arange(lo, hi, dtype=np.uint64)
-            claims = bins.claims(rows)
-            q = bins.first_claims(claims, rows.shape)
-            queried += np.bincount(q, minlength=mult_table.size)
-            for b, mask in enumerate(claims):
-                claimed[b] += int(np.count_nonzero(mask))
+        v_bin = np.empty(vrt_rows.size, dtype=np.min_scalar_type(bins.default_bin))
+        n = self.device.num_rows
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            claims = bins.claims(np.arange(lo, hi, dtype=np.uint64))
+            block_queried = bins.queried(claims, hi - lo)
+            queried += block_queried
+            plain_queried += block_queried
+            for b, rows in enumerate(claims):
+                claimed[b] += rows.size
 
-            m, j = mult_table[q[near]], near_jmin.astype(np.int64)
-            at_risk = j <= m
-            m, j = m[at_risk], j[at_risk]
-            fails = (horizon // m) * (m - j + 1) + np.maximum(0, horizon % m - j + 1)
+            a, b = np.searchsorted(near_rows, (lo, hi))
+            q = bins.first_claims(claims, near_rows[a:b].astype(np.intp) - lo)
+            plain_queried -= np.bincount(q, minlength=mult_table.size)
+            fails = _static_failures(horizon, mult_table[q], near_jmin[a:b].astype(np.int64))
             static_failures += int(fails.sum())
             static_unsafe += int(np.count_nonzero(fails))
             a, b = np.searchsorted(vrt_rows, (lo, hi))
-            v_mult.append(mult_table[q[vrt_rows[a:b] - lo]])
+            v_bin[a:b] = bins.first_claims(claims, vrt_rows[a:b].astype(np.intp) - lo)
+            plain_queried -= np.bincount(v_bin[a:b], minlength=mult_table.size)
+
+        fails = _static_failures(horizon, mult_table, plain_jmin)
+        self._static_failures = static_failures + int(plain_queried @ fails)
+        self._static_unsafe = static_unsafe + int(plain_queried[fails > 0].sum())
 
         counts = bins.counts
         issued = sum(int(c) * refreshes_in_horizon(horizon, m) for c, m in zip(queried, bins.multipliers))
         self.refreshes_issued = issued
         profiled_issued = sum(c * refreshes_in_horizon(horizon, m) for c, m in zip(counts, bins.multipliers))
         self.fpr_extra_refreshes = issued - profiled_issued
-        self._static_failures = static_failures
-        self._static_unsafe = static_unsafe
         # a filter's FPR is its claims beyond its own rows over the rows
         # profiled outside it; on Python ints the quotient is correctly rounded
-        n = self.device.num_rows
         self.filter_fprs = [(k - c) / (n - c) if n > c else 0.0 for k, c in zip(claimed, counts)]
         # the VRT rows' distinct multipliers, and each row's index into them
-        self._v_mults, self._v_key = np.unique(np.concatenate(v_mult), return_inverse=True)
+        self._v_mults, self._v_key = np.unique(mult_table[v_bin], return_inverse=True)
 
     # -- stepping ----------------------------------------------------------
 

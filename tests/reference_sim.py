@@ -6,8 +6,13 @@ toggle state and each row's queried bin directly from their definitions.
 
 It shares two things with the engine:
 - The build pass: draw_vrt_rows, generate_rows, vrt_low_seen,
-  profile_rows and bin_blocks, applied to the whole device as one block.
-  The engine runs the same pass block by block.  The tests check the
+  profile_rows and bin_blocks, applied to the whole device as one block,
+  and SparseRows.dense, the one expansion of the pass's sparse ground
+  truth and profile to every row's value, which `raidrsim profile` uses
+  too.  The engine runs the same pass block by block and never expands
+  it: it profiles plain rows exactly only up to their bin and counts
+  their static failures per bin, so this oracle's exact profile and
+  per-row loops check those shortcuts.  The tests check the
   blocks against this one-block build, generation and the profiling
   campaign against their scalar streams, and the filters against the
   scalar probe sequence here; a second copy of the pass would only
@@ -25,6 +30,7 @@ loops, so the vectorised engine has something honest to disagree with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +38,7 @@ import numpy as np
 from raidrsim import rng
 from raidrsim.profiler import profile_rows, vrt_low_seen
 from raidrsim.raidr import bin_blocks
-from raidrsim.retention import draw_vrt_rows, generate_rows
+from raidrsim.retention import SparseRows, draw_vrt_rows, generate_rows
 
 _MASK = (1 << 64) - 1
 
@@ -46,15 +52,24 @@ def ground_truth(device, dist, vrt, dpd, seed):
     return generate_rows(device, dist, vrt, dpd, seed, 0, n, draw_vrt_rows(vrt, seed, 0, n))
 
 
-def profile(gt, cfg, seed):
-    """The guard-divided profile of gt, its campaign keyed by gt.seed and its patterns by seed."""
+def sparse_profile(gt, cfg, seed):
+    """The guard-divided profile of gt, exact at every row.
+
+    Its campaign is keyed by gt.seed and its patterns by seed.
+    """
     low_seen = vrt_low_seen(gt.seed, gt.vrt, gt.vrt_rows, cfg, tile_pairs=max(1, gt.num_rows))
     return profile_rows(gt, cfg, seed, low_seen)
 
 
+def profile(gt, cfg, seed):
+    """sparse_profile of gt, one value per row."""
+    return sparse_profile(gt, cfg, seed).dense()
+
+
 def build_bins(measured, bin_cfg, base_ms, bloom_budget=1e-3, seed=0):
-    """The bins of a whole profile, binned as one block."""
-    return bin_blocks([(0, measured)], bin_cfg, base_ms, bloom_budget, seed)
+    """The bins of a whole profile, one value per row, binned as one block in which every row has its own value."""
+    n = np.size(measured)
+    return bin_blocks([SparseRows(0, n, math.inf, np.arange(n), measured)], bin_cfg, base_ms, bloom_budget, seed)
 
 
 # -- scalar definitions ------------------------------------------------------
@@ -124,9 +139,10 @@ def counters(result):
 def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3):
     seed = sim_cfg.seed
     gt = ground_truth(device, dist, vrt, dpd, seed)
-    prof = profile(gt, profiler_cfg, rng.hash_words(seed, rng.TAG_PROFILER_SEED))
+    sparse = sparse_profile(gt, profiler_cfg, rng.hash_words(seed, rng.TAG_PROFILER_SEED))
     base_ms = device.trefw_ms
-    bins = build_bins(prof, bin_cfg, base_ms, bloom_budget, seed=rng.hash_words(seed, rng.TAG_FILTER_SEED))
+    bins = bin_blocks([sparse], bin_cfg, base_ms, bloom_budget, seed=rng.hash_words(seed, rng.TAG_FILTER_SEED))
+    prof = sparse.dense()
 
     n = device.num_rows
     horizon = sim_cfg.horizon_windows

@@ -122,21 +122,41 @@ small_params_st = st.builds(
 )
 
 
-@given(
-    small_params_st,
-    # inserted keys: from an empty filter to one with every bit set
-    st.one_of(st.integers(min_value=0, max_value=100), st.just(2000)),
-    st.integers(min_value=0, max_value=200),
-    st.integers(min_value=0, max_value=2**64 - 1),
-)
-@example(BloomParams(m=1, k=1), 0, 0, 0)  # empty keys
-@example(BloomParams(m=2**20, k=5, seed=1), 2000, 200, 7)
-@example(BloomParams(m=2**20 - 3, k=5, seed=1), 2000, 200, 7)
-@settings(max_examples=150, deadline=None)
-def test_contains_many_matches_scalar_contains(params, n_inserted, n_probes, probe_seed):
+def probe_cases(test):
+    """Draw a filter, how many keys it holds, how many fresh keys to probe and their seed."""
+    test = settings(max_examples=150, deadline=None)(test)
+    test = example(BloomParams(m=2**20 - 3, k=5, seed=1), 2000, 200, 7)(test)
+    test = example(BloomParams(m=2**20, k=5, seed=1), 2000, 200, 7)(test)
+    test = example(BloomParams(m=1, k=1), 0, 0, 0)(test)  # empty keys
+    return given(
+        small_params_st,
+        # inserted keys: from an empty filter to one with every bit set
+        st.one_of(st.integers(min_value=0, max_value=100), st.just(2000)),
+        st.integers(min_value=0, max_value=200),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )(test)
+
+
+def filter_and_probes(params, n_inserted, n_probes, probe_seed):
+    """A filter of params holding n_inserted keys, and fresh probe keys followed by up to 16 inserted ones."""
     f = BloomFilter(params)
     inserted = rng.hash_words_vec(params.seed, np.arange(n_inserted, dtype=np.uint64))
     f.insert_many(inserted)
     probes = rng.hash_words_vec(probe_seed, np.arange(n_probes, dtype=np.uint64))
-    keys = np.concatenate([probes, inserted[:16]])
+    return f, np.concatenate([probes, inserted[:16]])
+
+
+@probe_cases
+def test_contains_many_matches_scalar_contains(params, n_inserted, n_probes, probe_seed):
+    f, keys = filter_and_probes(params, n_inserted, n_probes, probe_seed)
     assert f.contains_many(keys).tolist() == [contains(f, int(key)) for key in keys]
+
+
+@probe_cases
+def test_claimed_offsets_are_the_scalar_members(params, n_inserted, n_probes, probe_seed):
+    # the offsets form the engine queries: ascending positions of the keys
+    # whose every scalar probe finds its bit set
+    f, keys = filter_and_probes(params, n_inserted, n_probes, probe_seed)
+    claimed = f.claimed(keys)
+    assert claimed.dtype == np.intp
+    assert claimed.tolist() == [i for i, key in enumerate(keys) if contains(f, int(key))]

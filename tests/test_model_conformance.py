@@ -3,7 +3,8 @@
 The exactness tests compare the engine with an oracle that shares its
 streams and its build pass, so they cannot see a stream that is wrong in
 distribution.  These checks compare sampled statistics with exact
-probabilities instead.  The seeds were fixed before the first run, and
+probabilities instead: the rows the generator selects, and the rows the
+profiling campaign misses.  The seeds were fixed before the first run, and
 each bound is 5 sigma: a failure is a finding about the model or its
 streams, not a reason to re-seed.
 """
@@ -14,7 +15,15 @@ import numpy as np
 import pytest
 
 from raidrsim.profiler import ProfilerConfig, _round_windows, vrt_low_seen
-from raidrsim.retention import VrtModel
+from raidrsim.retention import (
+    DeviceConfig,
+    DpdModel,
+    RetentionDistribution,
+    VrtModel,
+    draw_vrt_rows,
+    generate_rows,
+    locate_rows,
+)
 
 SEEDS = (5, 6)
 SIGMAS = 5.0
@@ -55,3 +64,27 @@ def test_campaign_miss_fraction_matches_the_chain(vrt, cfg):
     for seed in SEEDS:
         misses = n - int(np.count_nonzero(vrt_low_seen(seed, vrt, rows, cfg, tile_pairs=1 << 20)))
         assert abs(misses - n * p) < SIGMAS * sigma, (seed, misses, n * p)
+
+
+def within_binomial(count: int, n: int, p: float) -> bool:
+    return abs(count - n * p) < SIGMAS * math.sqrt(n * p * (1 - p))
+
+
+@pytest.mark.parametrize("weak_fraction, affected_fraction", [
+    (1e-3, 0.02),  # dense-64gb's weak fraction and the benchmark's VRT share
+    (0.3, 0.5),
+])
+def test_weak_and_vrt_row_counts_are_binomial(weak_fraction, affected_fraction):
+    # one Bernoulli draw per row selects the weak rows, and one the VRT
+    # rows, on independent streams: each count, and that of the rows that
+    # are both, is binomial
+    n = 1_000_000
+    dist = RetentionDistribution(weak_fraction=weak_fraction)
+    vrt = VrtModel(enabled=True, affected_fraction=affected_fraction)
+    for seed in SEEDS:
+        vrt_rows = draw_vrt_rows(vrt, seed, 0, n)
+        gt = generate_rows(DeviceConfig.from_rows(n), dist, vrt, DpdModel(), seed, 0, n, vrt_rows)
+        both = int(np.count_nonzero(locate_rows(gt.base.at, vrt_rows)[1]))
+        for count, p in ((gt.base.at.size, weak_fraction), (vrt_rows.size, affected_fraction),
+                         (both, weak_fraction * affected_fraction)):
+            assert within_binomial(count, n, p), (seed, count, n * p)

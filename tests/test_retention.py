@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raidrsim import rng
-from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel, vrt_walk
+from raidrsim.retention import (
+    DeviceConfig,
+    DpdModel,
+    RetentionDistribution,
+    RowBuffer,
+    SparseRows,
+    VrtModel,
+    locate_rows,
+    union_rows,
+    vrt_walk,
+)
 
 from reference_sim import ground_truth, next_low
 
@@ -261,3 +271,58 @@ def test_vrt_walk_is_repeated_vrt_step(data):
         state = [next_low(lo, uniform_of(int(x)), vrt) for lo, x in zip(state, h[t])]
         assert walked[t].tolist() == state, t
     assert np.array_equal(low, before[0]) and np.array_equal(h, before[1])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bernoulli_is_the_uniform_below_p(data):
+    # the weak, VRT and pattern selections compare on the integers
+    p = data.draw(probabilities)
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    keys = data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    drawn = rng.bernoulli_vec(p, seed, 3, np.array(keys, dtype=np.uint64))
+    assert drawn.tolist() == [rng.uniform01(seed, 3, k) < p for k in keys]
+
+
+@st.composite
+def sparse_rows(draw):
+    """SparseRows of up to 40 rows, with any subset of them holding its own value."""
+    n = draw(st.integers(0, 40))
+    at = sorted(draw(st.sets(st.integers(0, n - 1)))) if n else []
+    values = draw(st.lists(st.floats(1.0, 1000.0), min_size=len(at), max_size=len(at)))
+    return SparseRows(draw(st.integers(0, 10**6)), n, 2560.0, np.array(at, dtype=np.intp), np.array(values))
+
+
+@given(sparse_rows(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_rows_against_their_dense_form(rows, data):
+    own = dict(zip(rows.at.tolist(), rows.values.tolist()))
+    plain = [i for i in range(rows.num_rows) if i not in own]
+    dense = rows.dense()
+    assert dense.tolist() == [own.get(i, 2560.0) for i in range(rows.num_rows)]
+    assert rows.num_plain == len(plain)
+    assert rows.plain_rows().tolist() == plain
+    assert rows.first_plain() == (plain[0] if plain else rows.num_rows)
+    offsets = data.draw(st.lists(st.integers(0, rows.num_rows - 1))) if rows.num_rows else []
+    assert rows.take(np.array(offsets, dtype=np.intp)).tolist() == [dense[i] for i in offsets]
+
+
+@given(st.lists(st.sets(st.integers(0, 200)), min_size=2, max_size=2), st.lists(st.integers(-5, 205)))
+@settings(max_examples=150, deadline=None)
+def test_row_set_operations(pair, probes):
+    a, b = (np.array(sorted(rows), dtype=np.intp) for rows in pair)
+    assert union_rows(a, b).tolist() == sorted(pair[0] | pair[1])
+    i, found = locate_rows(a, np.array(probes, dtype=np.intp))
+    assert found.tolist() == [x in pair[0] for x in probes]
+    assert np.array_equal(a[i[found]], np.array(probes, dtype=np.intp)[found])
+
+
+@given(st.lists(st.lists(st.integers(0, 2**40), max_size=30), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_row_buffer_is_the_concatenation(pieces):
+    # pieces arrive in the smallest type that holds them, so the buffer widens
+    buffer = RowBuffer()
+    for piece in pieces:
+        buffer.extend(np.array(piece, dtype=np.min_scalar_type(max(piece, default=0))))
+    assert buffer.array().tolist() == [x for piece in pieces for x in piece]
+    assert buffer.size == sum(map(len, pieces))

@@ -134,7 +134,7 @@ class TestInvariants:
         rep = sim.run()
         rows = np.arange(60_000, dtype=np.uint64)
         mult = np.asarray(sim.bins.multipliers)
-        q = mult[sim.bins.first_claims(sim.bins.claims(rows), rows.shape)]
+        q = mult[sim.bins.first_claims(sim.bins.claims(rows), np.arange(rows.size))]
         p = mult[sim.bins.bin_cfg.classify(profile_of(sim))]
         expected = int((-(-64 // q) - (-(-64 // p))).sum())
         assert rep.fpr_extra_refreshes == expected
@@ -436,7 +436,7 @@ def vrt_longest_gap_ms(sim, gt):
     """Each VRT row's longest refresh gap, m * trefw_ms, at the bin its filters give it."""
     rows = gt.vrt_rows.astype(np.uint64)
     bins = sim.bins
-    mult = np.asarray(bins.multipliers)[bins.first_claims(bins.claims(rows), rows.shape)]
+    mult = np.asarray(bins.multipliers)[bins.first_claims(bins.claims(rows), np.arange(rows.size))]
     return mult * sim.device.trefw_ms
 
 
@@ -643,7 +643,7 @@ def test_row_blocks_equal_the_full_arrays(monkeypatch, kind, mode):
         assert np.array_equal(np.concatenate([getattr(b, name) for b, _ in blocks]), getattr(gt, name)), name
     assert np.array_equal(np.concatenate([b.min_possible_retention() for b, _ in blocks]),
                           gt.min_possible_retention())
-    assert np.array_equal(np.concatenate([m for _, m in blocks]), measured)
+    assert np.array_equal(np.concatenate([m.dense() for _, m in blocks]), measured)
     # only the oracle sees every row's true minimum
     assert np.array_equal(measured, gt.min_possible_retention()) == (mode == "oracle")
 
@@ -711,24 +711,25 @@ def guard_sweep_law_spec(num_rows):
 
 def test_engine_pass_memory_is_bounded(monkeypatch):
     # the whole build works in blocks: beyond one block it keeps only the
-    # rows that need state (those that can fail statically, the filter
-    # bins' rows and the VRT rows), so where few rows are binned a row added
-    # to the device adds at most 1 B to the peak, with oracle profiling and
-    # with measured VRT+DPD profiling alike.  Where a fifth of the rows is
-    # binned, the sparse state stays within the 4 B bound of the two per-row
-    # arrays it replaced
+    # rows that need state (the weak rows that can fail statically, the
+    # filter bins' rows and the VRT rows), and a plain row keeps none.  So
+    # where a thousandth of the rows is weak and no plain row is binned, a
+    # row added to the device adds at most a tenth of a byte to the peak.
+    # With 1% weak and 1% VRT rows under measured VRT+DPD profiling, at
+    # most 1 B; where a fifth of the rows is binned, at most 2 B, half the
+    # 4 B of the two per-row arrays the sparse state replaced
     monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 1 << 12)
     for spec_of, per_row_bound in (
-        (lambda n: quiet_spec(num_rows=n, horizon=64, seed=3), 1),
+        (lambda n: quiet_spec(num_rows=n, horizon=64, seed=3), 0.1),
         (lambda n: dataclasses.replace(noisy_spec(num_rows=n, horizon=64, seed=3),
                                        dist=RetentionDistribution(weak_fraction=0.01, floor_ms=160.0),
                                        vrt=VrtModel(enabled=True, affected_fraction=0.01)), 1),
-        (guard_sweep_law_spec, 4),
+        (guard_sweep_law_spec, 2),
     ):
         RefreshSimulation(spec_of(1 << 12))  # one-time caches and imports
         small, large = engine_build_peak(1 << 18, spec_of), engine_build_peak(1 << 19, spec_of)
         assert (large - small) / (1 << 18) <= per_row_bound
-        assert large / (1 << 19) <= 8
+        assert large / (1 << 19) <= 4
 
 
 def test_wall_time_covers_engine_set_up(monkeypatch):
@@ -845,3 +846,150 @@ def test_vrt_engine_matches_oracle_across_checkpoint(drawn):
     assert counters(restored.run()) == counters(run_reference(*parts_of(spec)))
     sim.run()
     assert restored.checkpoint() == sim.checkpoint()
+
+
+def engine_against_oracle(spec, block_rows):
+    """Build and run the engine in blocks of block_rows rows: its counters, or its error, must be the oracle's.
+
+    An UnbinnableRowError must name the first row of the exact profile under the base
+    period, that row's value and the count of such rows.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate_mod, "_CHUNK_ROWS", block_rows)
+        try:
+            want = counters(run_reference(*parts_of(spec)))
+        except UnbinnableRowError:
+            prof = profile_of_spec(spec, ground_truth_of_spec(spec))
+            bad = np.flatnonzero(prof < spec.device.trefw_ms)
+            with pytest.raises(UnbinnableRowError) as err:
+                RefreshSimulation(spec)
+            assert (err.value.row, err.value.measured_ms, err.value.count) == (bad[0], prof[bad[0]], bad.size)
+            return err.value
+        sim = RefreshSimulation(spec)
+        rep = sim.run()
+    assert counters(rep) == want
+    return sim
+
+
+def plain_spec(num_rows=40, strong=300.0, factor=0.25, mode="measured", weak_fraction=0.0, weak_ms=(80.0, 88.0),
+               vrt=VrtModel(), seed=11):
+    """A run whose plain rows have base strong and DPD factor factor, tested at one pattern of four.
+
+    Its weak rows lie in weak_ms, by default [80, 88) ms, which stays at or
+    above the 64 ms base period at a factor of 0.8 or more.
+    """
+    return ExperimentSpec(
+        seed=seed, device=DeviceConfig.from_rows(num_rows),
+        dist=RetentionDistribution(weak_fraction=weak_fraction, floor_ms=weak_ms[0], weak_high_ms=weak_ms[1],
+                                   strong_value_ms=strong),
+        vrt=vrt, dpd=DpdModel(enabled=True, num_patterns=4, worst_pattern_factor=factor),
+        profiler=ProfilerConfig(mode=mode, patterns_tested=1, rounds=2, profiling_window_span=4),
+        sim=SimConfig(horizon_windows=23),
+    )
+
+
+def test_plain_rows_that_can_fail_match_oracle():
+    # no weak and no VRT row: every failure is a plain row's.  Their true
+    # retention, 300 * 0.25 = 75 ms, fails two windows past a refresh;
+    # those the campaign tested bin at 75 ms, the rest at 300 ms in the
+    # default bin, and fail there
+    sim = engine_against_oracle(plain_spec(), 7)
+    rep = sim.report()
+    assert rep.retention_failures > 0 and 0 < rep.unsafe_rows < 40
+    assert sim.bins.counts[0] == 40 - sim.bins.counts[2] > 0
+
+
+def test_plain_rows_that_can_fail_beside_weak_and_vrt_rows_match_oracle():
+    # plain rows at 600 * 0.4 = 240 ms fail four windows past a refresh,
+    # so those binned at 600 ms in the 256 ms default bin fail; so do weak
+    # rows at 400 to 500 ms and VRT rows binned there.  Each row's failures
+    # count once, as a plain row's or as its own
+    vrt = VrtModel(enabled=True, affected_fraction=0.3, low_factor=0.8, p_high_to_low=0.25)
+    spec = plain_spec(strong=600.0, factor=0.4, weak_fraction=0.3, weak_ms=(400.0, 500.0), vrt=vrt)
+    for block_rows in (7, 40):
+        assert engine_against_oracle(spec, block_rows).report().retention_failures > 0
+
+
+def test_plain_rows_in_a_filter_bin_match_oracle():
+    # 200 * 0.8 = 160 ms and 200 ms both fall in the 128 ms bin: coverage
+    # changes no plain row's bin, and the bin's filter holds every plain row
+    for mode in ("oracle", "measured"):
+        sim = engine_against_oracle(plain_spec(strong=200.0, factor=0.8, mode=mode, weak_fraction=0.3), 7)
+        assert sim.bins.counts[1] >= 40 - np.count_nonzero(ground_truth_of(sim).base_retention_ms < 200.0)
+        assert sim.bins.counts[2] == 0
+
+
+@pytest.mark.parametrize("mode", ["oracle", "measured"])
+def test_plain_rows_below_the_base_period_are_reported_as_the_oracle_reports(mode):
+    # 100 * 0.5 = 50 ms is under the 64 ms base, and so is every weak row
+    # at 40 to 44 ms: under the oracle every row is unbinnable, in measured
+    # mode every covered row.  The first of them is a plain row
+    err = engine_against_oracle(plain_spec(strong=100.0, factor=0.5, mode=mode, weak_fraction=0.1), 7)
+    assert isinstance(err, UnbinnableRowError)
+    assert err.measured_ms == 50.0
+    assert (err.count == 40) == (mode == "oracle")
+
+
+@pytest.mark.parametrize("weak_fraction, vrt", [
+    (0.0, VrtModel()),  # no weak rows
+    (1.0, VrtModel()),  # no plain rows: all weak
+    (0.3, VrtModel(enabled=True, affected_fraction=1.0, low_factor=0.8, p_high_to_low=0.25)),  # all VRT
+])
+def test_devices_without_weak_or_plain_rows_match_oracle(weak_fraction, vrt):
+    spec = plain_spec(strong=200.0, factor=0.8, weak_fraction=weak_fraction, vrt=vrt)
+    gt = ground_truth_of_spec(spec)
+    plain = np.ones(gt.num_rows, dtype=bool)
+    plain[gt.base.at] = False
+    plain[gt.vrt_rows] = False
+    assert np.count_nonzero(plain) == (40 if weak_fraction == 0.0 else 0)
+    engine_against_oracle(spec, 7)
+
+
+@st.composite
+def plain_row_runs(draw):
+    """The spec of a small run whose plain rows (neither weak nor VRT) land anywhere, and a block size.
+
+    The plain rows' true retention, strong_value_ms at the worst pattern,
+    is drawn in base periods from under the base period to past the last
+    threshold, and the guard band and the tested patterns move their
+    profiled values: plain rows that can fail, plain rows in a filter bin,
+    covered and missed plain rows in different bins, and plain rows too
+    short to bin.  The weak fraction is 0, 0.3 or 1, and the VRT rows
+    none, some or all, so some devices have no weak rows and some no plain
+    rows; most draws have both, and most profile in measured mode.
+    """
+    base_ms = draw(st.sampled_from([64.0, 48.0]))
+    mults = sorted(draw(st.permutations([2, 3, 4, 6]))[:draw(st.integers(0, 3))])
+    bins = BinConfig(thresholds_ms=tuple(base_ms * m for m in mults))
+    max_mult = bins.multipliers(base_ms)[-1]
+    dpd = DpdModel(enabled=draw(st.booleans()), num_patterns=4,
+                   worst_pattern_factor=draw(st.sampled_from([0.25, 0.5, 0.8, 1.0])))
+    floor = base_ms * draw(st.sampled_from([1.0, 1.5, 2.0, 5.0]))
+    weak_high = floor + draw(st.sampled_from([8.0, 100.0, 300.0]))
+    plain_periods = draw(st.floats(0.5, max_mult + 1.5))
+    dpd_factor = dpd.worst_pattern_factor if dpd.enabled else 1.0
+    dist = RetentionDistribution(
+        kind=draw(st.sampled_from([DIST_TWO_POPULATION, DIST_LOGNORMAL_TAIL])),
+        weak_fraction=draw(st.sampled_from([0.0, 0.3, 0.3, 1.0])), floor_ms=floor, weak_high_ms=weak_high,
+        strong_value_ms=max(weak_high, base_ms * plain_periods / dpd_factor),
+        lognormal_median_ms=floor + 4.0,
+    )
+    vrt = VrtModel(enabled=draw(st.booleans()), affected_fraction=draw(st.sampled_from([0.3, 0.3, 1.0])),
+                   low_factor=draw(st.sampled_from([0.5, 0.8])), p_high_to_low=0.25, p_low_to_high=0.5)
+    profiler = ProfilerConfig(mode=draw(st.sampled_from(["oracle", "measured", "measured"])),
+                              patterns_tested=draw(st.integers(1, 4)), rounds=2,
+                              guard_band_factor=draw(st.sampled_from([1.0, 1.25, 2.0])),
+                              profiling_window_span=4)
+    spec = ExperimentSpec(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        device=DeviceConfig.from_rows(draw(st.integers(1, 40)), trefw_ms=base_ms), dist=dist, vrt=vrt, dpd=dpd, profiler=profiler, bins=bins,
+        sim=SimConfig(horizon_windows=draw(st.integers(max_mult, 3 * max_mult + 5))),
+        bloom_target_fpr=draw(st.sampled_from([1e-3, 0.3])),
+    )
+    return spec, draw(st.integers(1, 16))
+
+
+@given(plain_row_runs())
+@settings(max_examples=300, deadline=None)
+def test_sparse_rows_match_oracle(drawn):
+    engine_against_oracle(*drawn)
