@@ -16,8 +16,7 @@ probe runs over just the keys every earlier probe found set.  At the
 planned fill about half the keys survive each probe, so a batch costs
 about 2n probes and one g2 hash per surviving key instead of k*n probes
 and two hashes per key.  The survivors of the last probe are the batch's
-answer: claimed() returns their offsets, which stay ascending, and
-contains_many() is its mask form.
+answer: claimed() returns their offsets, which stay ascending.
 
 What a probe costs is the numpy passes it makes, not their number of
 calls, so each step is one cheap pass over an array the kernel owns.  A
@@ -152,12 +151,6 @@ class BloomFilter:
                     break
         return live
 
-    def contains_many(self, keys: np.ndarray) -> np.ndarray:
-        """Whether each key is a member: the mask form of claimed()."""
-        hit = np.zeros(np.shape(keys), dtype=bool)
-        hit.reshape(-1)[self.claimed(keys)] = True
-        return hit
-
 
 def _mod(x: np.ndarray, m: np.uint64) -> np.ndarray:
     """x % m for a uint64 array x, computed as x - (x // m) * m in one new array.
@@ -174,7 +167,7 @@ def _mod(x: np.ndarray, m: np.uint64) -> np.ndarray:
 def _probe_positions(g1: np.ndarray, g2: np.ndarray | None, i: int, m: int) -> np.ndarray:
     """Probe i of every key, (g1 + i*g2 + C(i,3)) mod 2**64 mod m, in a new array.
 
-    The one probe kernel, which both insert_many and contains_many use;
+    The one probe kernel, which both insert_many and claimed use;
     g2 is not read for probe 0.
     """
     if i == 0:
@@ -212,7 +205,9 @@ def plan_params(
     """Smallest m (with k = round(m/n * ln 2)) whose analytic FPR meets target_fpr.
 
     Starts from the closed-form optimum m = ceil(-n ln p / (ln 2)^2) and
-    searches locally, since rounding k perturbs the exact boundary.
+    searches locally, since rounding k perturbs the exact boundary.  The C
+    library's math functions give the FPRs: m is platform-dependent only
+    where an FPR lands within an ulp of target_fpr.
     """
     if not 0.0 < target_fpr < 1.0:
         raise ValueError("target_fpr must be in (0, 1)")

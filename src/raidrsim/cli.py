@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: simulate, sweep, profile, overhead, selftest.
-Exit codes: 0 success, 2 configuration error, 3 invariant violation,
-4 I/O error.  Any other exception is a fault in raidrsim itself and
-escapes with its traceback (exit 1), whatever its type.
+Exit codes: 0 success, 2 configuration error (a Bloom FPR target that no
+filter within the planner's bit ceiling meets included), 3 invariant
+violation, 4 I/O error.  Any other exception is a fault in raidrsim
+itself and escapes with its traceback (exit 1), whatever its type.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import overhead as overhead_mod
+from .bloom import PlanUnsatisfiableError
 from .experiment import (
     ConfigError,
     ExperimentSpec,
@@ -272,7 +274,7 @@ def main(argv=None) -> int:
     keep_block_pages()
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, PlanUnsatisfiableError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UnbinnableRowError as exc:

@@ -82,12 +82,12 @@ def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig
 def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_seen, bins=None) -> SparseRows:
     """Guard-divided measured retention of each row of gt, a range of the device, as sparse rows.
 
-    low_seen is vrt_low_seen of gt.vrt_rows, passed in so that a blocked
-    caller runs the campaign once for all its blocks.  Oracle mode ignores
-    the campaign parameters (patterns, rounds, span); measured mode
-    validates patterns_tested against the pattern universe.
+    low_seen is vrt_low_seen of gt's toggling rows, in row order, passed in
+    so that a blocked caller runs the campaign once for all its blocks.
+    Oracle mode ignores the campaign parameters (patterns, rounds, span);
+    measured mode validates patterns_tested against the pattern universe.
 
-    Every weak or toggling row holds its own value.  The plain rows share
+    Every row of gt.base.at holds its own value.  The plain rows share
     one, except in measured mode with DPD, where a plain row whose worst
     pattern was tested holds the covered value instead of the missed one.
     Coverage is drawn at every plain row unless bins, a BinConfig, is
@@ -103,8 +103,8 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_s
         raise ValueError(
             f"patterns_tested {cfg.patterns_tested} exceeds num_patterns {gt.dpd.num_patterns}"
         )
-    vrt_at = gt.vrt_rows - gt.start
-    at = union_rows(gt.base.at, vrt_at)
+    at, measured = gt.base.at, gt.base.values
+    toggling = np.flatnonzero(gt.toggles)  # their positions in at
     plain = gt.base.plain
     if gt.dpd.enabled:
         # membership of the row's worst pattern in a uniform distinct
@@ -113,17 +113,20 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_s
         p_cover = cfg.patterns_tested / gt.dpd.num_patterns
         missed, covered = plain / guard, (plain * f) / guard
         if bins is None or bins.classify(missed) != bins.classify(covered) or covered < gt.device.trefw_ms:
-            every_row = rng.bernoulli_vec(p_cover, seed, rng.TAG_PROFILE_PATTERNS, gt.rows)
+            rows = np.arange(gt.start, gt.start + gt.num_rows, dtype=np.uint64)
+            every_row = rng.bernoulli_vec(p_cover, seed, rng.TAG_PROFILE_PATTERNS, rows)
             at = union_rows(at, np.flatnonzero(every_row))
+            own = np.searchsorted(at, gt.base.at)
+            measured = np.full(at.size, plain)
+            measured[own] = gt.base.values
+            toggling = own[toggling]
             covered_at = every_row[at]
         else:
             keys = (at + gt.start).astype(np.uint64)
             covered_at = rng.bernoulli_vec(p_cover, seed, rng.TAG_PROFILE_PATTERNS, keys)
-        measured = gt.base.take(at)
         measured = np.where(covered_at, measured * f, measured)
     else:
-        measured = gt.base.take(at)
-    if gt.vrt.enabled:
-        i = np.searchsorted(at, vrt_at[low_seen])
-        measured[i] = measured[i] * gt.vrt.low_factor
+        measured = measured.copy()
+    i = toggling[low_seen]
+    measured[i] = measured[i] * gt.vrt.low_factor
     return SparseRows(gt.start, gt.num_rows, plain / guard, at, measured / guard)

@@ -246,13 +246,6 @@ class SparseRows:
         out[self.at] = self.values
         return out
 
-    def take(self, offsets: np.ndarray) -> np.ndarray:
-        """The values of the rows at the given offsets from start."""
-        out = np.full(np.size(offsets), self.plain)
-        i, own = locate_rows(self.at, offsets)
-        out[own] = self.values[i[own]]
-        return out
-
     def first_plain(self) -> int:
         """The offset of the first plain row; at.size if there is none."""
         # at[i] >= i, and at[i] > i first where row i is plain
@@ -272,15 +265,13 @@ class RetentionGroundTruth:
 
     Every stream is keyed by row index, so the ground truth of a row range
     equals the same rows of the whole device's, and the engine generates
-    the device one range at a time.  It is sparse: base holds the base
-    retention of the weak rows and strong_value_ms as the plain value, and
-    vrt_rows the device indices of the rows that carry a retention toggle,
-    ascending.  A plain row (neither weak nor toggling) has the true
-    retention strong_value_ms times the DPD factor.  base_retention_ms and
-    min_possible_retention expand it with SparseRows.dense, for whoever
-    needs every row.  The toggle's state is
-    not part of the record: whoever steps it (the engine, the profiling
-    campaign) holds its own, drawn with vrt_walk.
+    the device one range at a time.  It is sparse: base.at holds the own
+    rows, each weak or toggling row, with its base retention (the plain
+    value, strong_value_ms, for a toggling row that is not weak), and
+    toggles, aligned with base.at, marks the toggling ones.  A plain row
+    has the true retention strong_value_ms times the DPD factor.  The
+    toggle's state is not part of the record: whoever steps it (the
+    engine, the profiling campaign) holds its own, drawn with vrt_walk.
     """
 
     device: DeviceConfig
@@ -288,7 +279,7 @@ class RetentionGroundTruth:
     dpd: DpdModel
     seed: int
     base: SparseRows
-    vrt_rows: np.ndarray
+    toggles: np.ndarray
 
     @property
     def start(self) -> int:
@@ -299,50 +290,19 @@ class RetentionGroundTruth:
         return self.base.num_rows
 
     @property
-    def rows(self) -> np.ndarray:
-        """The device row indices covered, as uint64 stream keys."""
-        return np.arange(self.start, self.start + self.num_rows, dtype=np.uint64)
-
-    @property
-    def base_retention_ms(self) -> np.ndarray:
-        return self.base.dense()
-
-    @property
-    def has_vrt(self) -> np.ndarray:
-        """Whether each row toggles, indexed from start."""
-        has_vrt = np.zeros(self.num_rows, dtype=bool)
-        has_vrt[self.vrt_rows - self.start] = True
-        return has_vrt
-
-    # each toggling row's retention in its high and low state, aligned with
-    # vrt_rows, by the same float operations as min_possible
-
-    @property
     def vrt_retention_high(self) -> np.ndarray:
-        return self.base.take(self.vrt_rows - self.start) * self._dpd_factor()
-
-    @property
-    def vrt_retention_low(self) -> np.ndarray:
-        return self.vrt_retention_high * self.vrt.low_factor
+        """Each toggling row's retention in its high state, in row order, by min_possible's float operations."""
+        return self.base.values[self.toggles] * self._dpd_factor()
 
     def _dpd_factor(self) -> float:
         return self.dpd.worst_pattern_factor if self.dpd.enabled else 1.0
 
     def min_possible(self) -> SparseRows:
-        """Per-row minimum over all patterns and toggle states (what a perfect profiler sees).
-
-        Every weak or toggling row holds its own value.
-        """
-        vrt_at = self.vrt_rows - self.start
-        at = union_rows(self.base.at, vrt_at)
-        values = self.base.take(at) * self._dpd_factor()
-        if vrt_at.size:
-            i = np.searchsorted(at, vrt_at)
-            values[i] = values[i] * self.vrt.low_factor
-        return SparseRows(self.start, self.num_rows, self.base.plain * self._dpd_factor(), at, values)
-
-    def min_possible_retention(self) -> np.ndarray:
-        return self.min_possible().dense()
+        """Per-row minimum over all patterns and toggle states (what a perfect profiler sees)."""
+        f = self._dpd_factor()
+        values = self.base.values * f
+        values[self.toggles] *= self.vrt.low_factor
+        return SparseRows(self.start, self.num_rows, self.base.plain * f, self.base.at, values)
 
 
 def draw_vrt_rows(vrt: VrtModel, seed: int, start: int, stop: int) -> np.ndarray:
@@ -368,7 +328,8 @@ def generate_rows(
     Weak rows are selected by independent per-row Bernoulli draws, so the
     weak count is binomial around weak_fraction * num_rows.  The tail law
     is drawn at the weak rows alone; each draw is a function of its row.
-    Every other row's base is strong_value_ms, held once.
+    The weak and toggling rows are the record's own rows, decided here
+    once; every other row's base is strong_value_ms, held once.
     """
     if dist.floor_ms < device.trefw_ms:
         raise ValueError(
@@ -377,14 +338,17 @@ def generate_rows(
         )
     rows = np.arange(start, stop, dtype=np.uint64)
     weak = np.flatnonzero(rng.bernoulli_vec(dist.weak_fraction, seed, rng.TAG_WEAK_SELECT, rows))
-    at = rows[weak]
     if dist.kind == DIST_TWO_POPULATION:
-        u = rng.uniform01_vec(seed, rng.TAG_BASE_RETENTION, at)
+        u = rng.uniform01_vec(seed, rng.TAG_BASE_RETENTION, rows[weak])
         draw = dist.floor_ms + u * (dist.weak_high_ms - dist.floor_ms)
     else:
-        z = rng.standard_normal_vec(seed, rng.TAG_BASE_RETENTION, at)
+        z = rng.standard_normal_vec(seed, rng.TAG_BASE_RETENTION, rows[weak])
         draw = dist.lognormal_median_ms * np.exp(dist.lognormal_sigma * z)
         # clip into the supported band; mass piles at the edges by design
         draw = np.clip(draw, dist.floor_ms, np.nextafter(dist.weak_high_ms, 0.0))
-    base = SparseRows(start, rows.size, float(dist.strong_value_ms), weak, draw)
-    return RetentionGroundTruth(device, vrt, dpd, seed, base, vrt_rows)
+    vrt_at = vrt_rows - start
+    at = union_rows(weak, vrt_at)
+    values = np.full(at.size, float(dist.strong_value_ms))
+    values[np.searchsorted(at, weak)] = draw
+    base = SparseRows(start, rows.size, float(dist.strong_value_ms), at, values)
+    return RetentionGroundTruth(device, vrt, dpd, seed, base, locate_rows(vrt_at, at)[1])

@@ -1,9 +1,11 @@
 """Counter-based deterministic random streams.
 
 Every draw is a pure function of (seed, purpose tag, coordinates), so values
-are reproducible across runs and platforms and do not depend on the order in
-which rows are visited.  The mixer is the splitmix64 finalizer; scalar and
-vectorized paths produce bit-identical results.
+are reproducible across runs and do not depend on the order in which rows
+are visited.  The mixer is the splitmix64 finalizer; scalar and vectorized
+paths produce bit-identical results.  The hashes and uniforms are the same
+bits on every platform; the normal deviates are not: np.log1p and np.cos
+return last bits that depend on numpy's version and CPU dispatch.
 """
 
 from __future__ import annotations

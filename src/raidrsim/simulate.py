@@ -15,25 +15,26 @@ that is neither weak nor VRT.  All plain rows share one true retention,
 strong_value_ms times the DPD factor, and one profiled value, or two in
 measured mode with DPD (whether the campaign tested the worst pattern).
 Pass 1 generates and profiles one block at a time, as SparseRows: the
-weak rows' base draws, the VRT rows and the plain value.  Every stream is
-keyed by row, so a block equals the same rows of the full-array ground
-truth and profile.  Each plain value is classified once and its rows
-counted in its bin; a plain row's pattern coverage is drawn only where
-it changes the row's bin or takes it under the base period.  Of each
-block the engine keeps only the rows that need state: each filter bin's
-member rows, the weak rows that can fail without VRT with the closed
-form's jmin, and the sparse data of the VRT rows, each kind in one
-growing buffer.  The bin counts then size the filters.
-keep_block_pages, which the CLI calls, has malloc reuse each block's
-pages for the next.  Pass 2 gives everything fixed per row once the bins
-exist (refresh counts, the closed-form failures and each filter's claim
-count), querying each filter once per row.  A query returns the offsets
-it claims; they give the rows queried to each bin, the default bin
-taking the rest, and the near and VRT rows look their bins up in them.
-The plain rows share one jmin, so their static failures are counted per
-bin.  Pass 2 never reads the profile: a Bloom filter has no false
-negatives, so the bin counts turn the claim counts into the per-filter
-FPRs and fix the refreshes the profiled schedule would issue.
+block's own rows, its weak and VRT rows, which generate_rows decides once,
+and the plain value.  Every stream is keyed by row, so a block equals the
+same rows of the full-array ground truth and profile.  Each plain value is
+classified once and its rows counted in its bin; a plain row's pattern
+coverage is drawn only where it changes the row's bin or takes it under
+the base period.  Of each block the engine keeps, each kind in one
+growing buffer, each filter bin's member rows and one set of state rows
+with their jmin, the windows past a refresh at which a row without VRT
+starts to fail: the weak rows without VRT that can fail, and every VRT
+row, with its high retention, at a jmin past every multiplier.  The bin
+counts then size the filters.  keep_block_pages, which the CLI calls,
+has malloc reuse each block's pages for the next.  Pass 2 gives
+everything fixed per row once the bins exist (refresh counts, the
+closed-form failures and each filter's claim count), querying each filter
+once per row.  A query returns the offsets it claims; they give the rows
+queried to each bin, the default bin taking the rest, and the bins of the
+state rows.  The plain rows share one jmin, so their static failures are
+counted per bin.  Pass 2 never reads the profile: a Bloom filter has no
+false negatives, so the bin counts turn the claim counts into the
+per-filter FPRs and fix the refreshes the profiled schedule would issue.
 
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
@@ -203,34 +204,33 @@ class RefreshSimulation:
         # a row whose retention never toggles fails in every window at least
         # jmin windows past its last refresh, so only rows with jmin <= m can
         # fail at all; jmin_cap is one past the largest multiplier.  The
-        # plain rows share one jmin, so jmin is kept per row only for weak
-        # rows, never for a VRT row
+        # plain rows share one jmin, so jmin is kept per row only for the
+        # state rows: the near rows, weak rows without VRT that can fail,
+        # and the VRT rows, exactly the state rows at jmin_cap
         trefw_ms = self.device.trefw_ms
         jmin_cap = max(spec.bins.multipliers(trefw_ms)) + 1
         row_type = np.min_scalar_type(self.device.num_rows - 1)
         jmin_type = np.min_scalar_type(jmin_cap)
-        near_rows, near_jmin = RowBuffer(row_type), RowBuffer(jmin_type)
-        vrt_rows, vrt_high_ms = RowBuffer(row_type), RowBuffer(np.float64)
+        state_rows, state_jmin = RowBuffer(row_type), RowBuffer(jmin_type)
+        vrt_high_ms = RowBuffer(np.float64)
         plain_jmin = jmin_cap
 
         def binned_blocks():
-            # pass 1: of each block, only its near rows with their jmin and
-            # its VRT rows with their retentions outlive it, besides the
-            # filter bins' rows that bin_blocks keeps
+            # pass 1: of each block, only its state rows with their jmin and
+            # its VRT rows' high retentions outlive it, besides the filter
+            # bins' rows that bin_blocks keeps
             nonlocal plain_jmin
             for gt, measured in profiled_blocks(spec, spec.bins):
                 true_min = gt.min_possible()
                 plain_jmin = math.floor(true_min.plain / trefw_ms) + 1
                 jmin = np.floor(true_min.values / trefw_ms) + 1
-                # the near rows: the weak rows without VRT that can fail.  A
-                # weak row's base is below strong_value_ms, so its jmin is at
-                # most plain_jmin, and where plain rows can fail every weak
-                # row is near
-                near = jmin < jmin_cap
-                near[np.searchsorted(true_min.at, gt.vrt_rows - gt.start)] = False
-                near_rows.extend((true_min.at[near] + gt.start).astype(row_type))
-                near_jmin.extend(jmin[near].astype(jmin_type))
-                vrt_rows.extend(gt.vrt_rows.astype(row_type))
+                jmin[gt.toggles] = jmin_cap
+                # a weak row's base is below strong_value_ms, so its jmin is
+                # at most plain_jmin, and where plain rows can fail every
+                # weak row is near
+                keep = (jmin < jmin_cap) | gt.toggles
+                state_rows.extend((true_min.at[keep] + gt.start).astype(row_type))
+                state_jmin.extend(jmin[keep].astype(jmin_type))
                 vrt_high_ms.extend(gt.vrt_retention_high)
                 yield measured
 
@@ -238,9 +238,10 @@ class RefreshSimulation:
             binned_blocks(), spec.bins, trefw_ms, spec.bloom_budget,
             seed=rng.hash_words(spec.seed, rng.TAG_FILTER_SEED),
         )
-        vrt_rows, vrt_high_ms = vrt_rows.array(), vrt_high_ms.array()
-        self._scan_rows(near_rows.array(), near_jmin.array(), vrt_rows, plain_jmin)
-        vrt_low_ms = vrt_high_ms * spec.vrt.low_factor  # as gt.vrt_retention_low
+        state_rows, state_jmin, vrt_high_ms = state_rows.array(), state_jmin.array(), vrt_high_ms.array()
+        self._scan_rows(state_rows, state_jmin, jmin_cap, plain_jmin)
+        vrt_rows = state_rows[state_jmin == jmin_cap]
+        vrt_low_ms = vrt_high_ms * spec.vrt.low_factor  # as min_possible takes it
         # a row fails only past its low retention, and its elapsed time
         # peaks at m * trefw_ms, computed as _advance computes it.  Only
         # these rows are stepped, so the inputs of a step are gathered once
@@ -261,7 +262,7 @@ class RefreshSimulation:
         self._window = 0
         self._wall = time.perf_counter() - t0
 
-    def _scan_rows(self, near_rows: np.ndarray, near_jmin: np.ndarray, vrt_rows: np.ndarray,
+    def _scan_rows(self, state_rows: np.ndarray, state_jmin: np.ndarray, jmin_cap: int,
                    plain_jmin: int) -> None:
         """Sum every per-row quantity the built bins fix, in one blocked pass.
 
@@ -272,15 +273,15 @@ class RefreshSimulation:
         bin answers, times that bin's refreshes in the horizon.  Each
         filter holds exactly its bin's profiled rows and has no false
         negatives, so bins.counts gives the false positives and the
-        profiled schedule's refreshes.  The near rows (device indices,
-        ascending, with their jmin) and the VRT rows look up their bins in
-        the claims.  A non-VRT row's static failures follow from its
-        queried multiplier and its jmin; the plain rows share plain_jmin,
-        so theirs are counted per bin, from the rows queried to it that
-        are neither near nor VRT.  Where plain rows can fail, every weak
-        row is near, so those are exactly the plain rows; where they
-        cannot, no bin's multiplier reaches plain_jmin.  Every stream is
-        keyed by row index, so the blocking is exact.
+        profiled schedule's refreshes.  The state rows (device indices,
+        ascending, with their jmin) look up their bins in the claims, once
+        per block.  Their static failures follow from their queried
+        multiplier and jmin, none at jmin_cap, where the VRT rows are.  The
+        plain rows share plain_jmin, so theirs are counted per bin, from the
+        rows queried to it that are not state rows.  Where plain rows can
+        fail, every weak row is near, so those are exactly the plain rows;
+        where they cannot, no bin's multiplier reaches plain_jmin.  Every
+        stream is keyed by row index, so the blocking is exact.
         """
         horizon = self.horizon
         bins = self.bins
@@ -289,7 +290,7 @@ class RefreshSimulation:
         plain_queried = np.zeros(mult_table.size, dtype=np.int64)
         static_failures = static_unsafe = 0
         claimed = [0] * len(bins.filters)
-        v_bin = np.empty(vrt_rows.size, dtype=np.min_scalar_type(bins.default_bin))
+        v_bins = RowBuffer()
         n = self.device.num_rows
         for lo in range(0, n, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, n)
@@ -300,15 +301,14 @@ class RefreshSimulation:
             for b, rows in enumerate(claims):
                 claimed[b] += rows.size
 
-            a, b = np.searchsorted(near_rows, (lo, hi))
-            q = bins.first_claims(claims, near_rows[a:b].astype(np.intp) - lo)
+            a, b = np.searchsorted(state_rows, (lo, hi))
+            q = bins.first_claims(claims, state_rows[a:b].astype(np.intp) - lo)
+            jmin = state_jmin[a:b].astype(np.int64)
             plain_queried -= np.bincount(q, minlength=mult_table.size)
-            fails = _static_failures(horizon, mult_table[q], near_jmin[a:b].astype(np.int64))
+            fails = _static_failures(horizon, mult_table[q], jmin)
             static_failures += int(fails.sum())
             static_unsafe += int(np.count_nonzero(fails))
-            a, b = np.searchsorted(vrt_rows, (lo, hi))
-            v_bin[a:b] = bins.first_claims(claims, vrt_rows[a:b].astype(np.intp) - lo)
-            plain_queried -= np.bincount(v_bin[a:b], minlength=mult_table.size)
+            v_bins.extend(q[jmin == jmin_cap])
 
         fails = _static_failures(horizon, mult_table, plain_jmin)
         self._static_failures = static_failures + int(plain_queried @ fails)
@@ -323,7 +323,7 @@ class RefreshSimulation:
         # profiled outside it; on Python ints the quotient is correctly rounded
         self.filter_fprs = [(k - c) / (n - c) if n > c else 0.0 for k, c in zip(claimed, counts)]
         # the VRT rows' distinct multipliers, and each row's index into them
-        self._v_mults, self._v_key = np.unique(mult_table[v_bin], return_inverse=True)
+        self._v_mults, self._v_key = np.unique(mult_table[v_bins.array()], return_inverse=True)
 
     # -- stepping ----------------------------------------------------------
 

@@ -20,10 +20,13 @@ It shares two things with the engine:
 - rng.hash_words, the scalar splitmix64 stream (rng.uniform01 is its
   uniform), which the vectorised hash is tested against.
 
-Everything after the build is written from scratch.  The toggle steps
-by the scalar rule next_low on rng.uniform01, the bins are queried
-through the scalar probe sequence of probes(), and a row's low retention
-is taken as min_possible_retention takes it, (base x dpd) x low_factor.
+Everything after the build is written from scratch.  The VRT rows come
+from the oracle's own draw_vrt_rows call (vrt_rows_of), not from the
+record's toggles flags.  Each row's base retention comes from the
+expanded record, SparseRows.dense.  The toggle steps by the scalar rule
+next_low on rng.uniform01.  The bins are queried through the scalar
+probe sequence of probes().  A row's low retention is taken as
+RetentionGroundTruth.min_possible takes it, (base x dpd) x low_factor.
 The schedule, elapsed times, failures and profiled refreshes are plain
 loops, so the vectorised engine has something honest to disagree with.
 """
@@ -52,12 +55,17 @@ def ground_truth(device, dist, vrt, dpd, seed):
     return generate_rows(device, dist, vrt, dpd, seed, 0, n, draw_vrt_rows(vrt, seed, 0, n))
 
 
+def vrt_rows_of(gt):
+    """The device indices of gt's toggling rows, drawn afresh from their stream."""
+    return draw_vrt_rows(gt.vrt, gt.seed, gt.start, gt.start + gt.num_rows)
+
+
 def sparse_profile(gt, cfg, seed):
     """The guard-divided profile of gt, exact at every row.
 
     Its campaign is keyed by gt.seed and its patterns by seed.
     """
-    low_seen = vrt_low_seen(gt.seed, gt.vrt, gt.vrt_rows, cfg, tile_pairs=max(1, gt.num_rows))
+    low_seen = vrt_low_seen(gt.seed, gt.vrt, vrt_rows_of(gt), cfg, tile_pairs=max(1, gt.num_rows))
     return profile_rows(gt, cfg, seed, low_seen)
 
 
@@ -152,8 +160,8 @@ def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_
     prof_mult = [mults[int(bin_cfg.classify(float(m)))] for m in prof]
     # a row's retention at its worst data pattern, and while its toggle is low
     dpd_factor = dpd.worst_pattern_factor if dpd.enabled else 1.0
-    high_ms = [float(b) * dpd_factor for b in gt.base_retention_ms]
-    low = {int(r): False for r in gt.vrt_rows}  # toggle state, fresh (high) at window 0
+    high_ms = [float(b) * dpd_factor for b in gt.base.dense()]
+    low = {int(r): False for r in vrt_rows_of(gt)}  # toggle state, fresh (high) at window 0
 
     issued = 0
     failures = 0
@@ -217,7 +225,7 @@ def misclassification_report(measured_ms: np.ndarray, gt, bin_cfg) -> Misclassif
         raise ValueError("profile and ground truth cover different row counts")
     intervals = np.asarray(bin_cfg.intervals_ms(gt.device.trefw_ms))
     prof_iv = intervals[bin_cfg.classify(measured_ms)]
-    true_iv = intervals[bin_cfg.classify(gt.min_possible_retention())]
+    true_iv = intervals[bin_cfg.classify(gt.min_possible().dense())]
     unsafe = int(np.count_nonzero(prof_iv > true_iv))
     wasteful = int(np.count_nonzero(prof_iv < true_iv))
     exact = int(np.count_nonzero(prof_iv == true_iv))

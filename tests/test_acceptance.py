@@ -123,7 +123,7 @@ def test_c5_bloom_calibration_grid():
             filt = BloomFilter(BloomParams(m=m, k=k, seed=1000 + k))
             filt.insert_many(rng.hash_words_vec(10, k, np.arange(n, dtype=np.uint64)))
             probes = rng.hash_words_vec(11, k, np.arange(probes_n, dtype=np.uint64))
-            measured = float(filt.contains_many(probes).mean())
+            measured = filt.claimed(probes).size / probes.size
             assert abs(measured - expected) <= 0.20 * expected, (k, fill, measured, expected)
 
     # zero false negatives over 1e5 randomized insert/probe trials
@@ -132,7 +132,7 @@ def test_c5_bloom_calibration_grid():
         keys = rng.hash_words_vec(20, seed, np.arange(10_000, dtype=np.uint64))
         filt = BloomFilter(BloomParams(m=1 << 17, k=7, seed=seed))
         filt.insert_many(keys)
-        assert bool(filt.contains_many(keys).all())
+        assert filt.claimed(keys).size == keys.size
         trials += keys.size
     assert trials >= 100_000
     _passed(5, "bloom FPR calibrated within 20%; no false negatives in 1e5 trials")

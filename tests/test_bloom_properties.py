@@ -21,7 +21,7 @@ def insert(f: BloomFilter, *keys: int) -> None:
 
 
 def member(f: BloomFilter, key: int) -> bool:
-    return bool(f.contains_many(np.array([key], dtype=np.uint64))[0])
+    return f.claimed(np.array([key], dtype=np.uint64)).size == 1
 
 
 @given(params_st, keys_st)
@@ -29,7 +29,7 @@ def member(f: BloomFilter, key: int) -> bool:
 def test_no_false_negatives(params, keys):
     f = BloomFilter(params)
     insert(f, *keys)
-    assert f.contains_many(np.array(keys, dtype=np.uint64)).all()
+    assert f.claimed(np.array(keys, dtype=np.uint64)).size == len(keys)
 
 
 @given(params_st, keys_st, st.integers(min_value=0, max_value=2**64 - 1))
@@ -148,8 +148,14 @@ def filter_and_probes(params, n_inserted, n_probes, probe_seed):
 
 @probe_cases
 def test_contains_many_matches_scalar_contains(params, n_inserted, n_probes, probe_seed):
+    # membership as a mask over the keys: a batch claimed() and one claimed()
+    # per key both agree with the scalar contains
     f, keys = filter_and_probes(params, n_inserted, n_probes, probe_seed)
-    assert f.contains_many(keys).tolist() == [contains(f, int(key)) for key in keys]
+    mask = np.zeros(keys.size, dtype=bool)
+    mask[f.claimed(keys)] = True
+    expected = [contains(f, int(key)) for key in keys]
+    assert mask.tolist() == expected
+    assert [member(f, int(key)) for key in keys] == expected
 
 
 @probe_cases

@@ -319,6 +319,26 @@ def test_unexpected_value_error_is_not_a_config_error(tmp_path, monkeypatch, cap
     assert "config error" not in capsys.readouterr().err
 
 
+# 20,000 rows, half weak: no filter of at most 2**32 bits holds bin 0's
+# 3,300 or so rows at an FPR of 1e-300
+UNREACHABLE_FPR = ["--set", "device.density_bits=163840000", "--set", "dist.weak_fraction=0.5",
+                   "--set", "bloom.target_fpr=1e-300"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate",),
+    ("sweep", "--axis", "bloom.target_fpr", "--values", "1e-3,1e-300"),
+    ("sweep", "--axis", "bloom.target_fpr", "--values", "1e-3,1e-300", "--jobs", "2"),
+], ids=["simulate", "sweep", "sweep-jobs-2"])
+def test_unreachable_fpr_target_exits_2(tmp_path, capsys, argv):
+    # a budget no filter can meet is a bad config, not a fault in raidrsim;
+    # under --jobs 2 the error crosses the process pool
+    assert run_cli(*argv, *UNREACHABLE_FPR, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"config error: no filter below 4294967296 bits meets fpr 1e-300 at n=\d+\n", err)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bloom", [
     {},
     {"bloom.target_fpr": "0.25"},

@@ -4,8 +4,9 @@ The exactness tests compare the engine with an oracle that shares its
 streams and its build pass, so they cannot see a stream that is wrong in
 distribution.  These checks compare sampled statistics with exact
 probabilities instead: the rows the generator selects, and the rows the
-profiling campaign misses.  The seeds were fixed before the first run, and
-each bound is 5 sigma: a failure is a finding about the model or its
+profiling campaign misses, and the values the weak law draws.  The seeds
+were fixed before the first run, and each bound is 5 sigma or a tail
+probability below 1e-7: a failure is a finding about the model or its
 streams, not a reason to re-seed.
 """
 
@@ -84,7 +85,32 @@ def test_weak_and_vrt_row_counts_are_binomial(weak_fraction, affected_fraction):
     for seed in SEEDS:
         vrt_rows = draw_vrt_rows(vrt, seed, 0, n)
         gt = generate_rows(DeviceConfig.from_rows(n), dist, vrt, DpdModel(), seed, 0, n, vrt_rows)
-        both = int(np.count_nonzero(locate_rows(gt.base.at, vrt_rows)[1]))
-        for count, p in ((gt.base.at.size, weak_fraction), (vrt_rows.size, affected_fraction),
+        # base.at holds the VRT rows too; the weak law's support lies below
+        # strong_value_ms, the plain value
+        weak = gt.base.at[gt.base.values < gt.base.plain]
+        both = int(np.count_nonzero(locate_rows(weak, vrt_rows)[1]))
+        for count, p in ((weak.size, weak_fraction), (vrt_rows.size, affected_fraction),
                          (both, weak_fraction * affected_fraction)):
             assert within_binomial(count, n, p), (seed, count, n * p)
+
+
+# the Kolmogorov limit law's tail at x, 2 * sum (-1)^(k-1) exp(-2 k^2 x^2),
+# is about 9.9e-8 at 2.9
+KS_BOUND = 2.9
+
+
+def test_two_population_weak_values_are_uniform():
+    # the weak rows' base retentions against uniform on [floor_ms,
+    # weak_high_ms), by the Kolmogorov-Smirnov statistic of the sample
+    n = 1_000_000
+    dist = RetentionDistribution(weak_fraction=0.3, floor_ms=64.0, weak_high_ms=256.0)
+    vrt = VrtModel(enabled=True, affected_fraction=0.02)
+    for seed in SEEDS:
+        gt = generate_rows(DeviceConfig.from_rows(n), dist, vrt, DpdModel(), seed, 0, n,
+                           draw_vrt_rows(vrt, seed, 0, n))
+        x = np.sort(gt.base.values[gt.base.values < gt.base.plain])
+        cdf = (x - dist.floor_ms) / (dist.weak_high_ms - dist.floor_ms)
+        i = np.arange(1, x.size + 1)
+        d = max(float(np.max(i / x.size - cdf)), float(np.max(cdf - (i - 1) / x.size)))
+        assert x[0] >= dist.floor_ms and x[-1] < dist.weak_high_ms
+        assert math.sqrt(x.size) * d < KS_BOUND, (seed, x.size, d)

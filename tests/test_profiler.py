@@ -9,7 +9,9 @@ from raidrsim.profiler import ProfilerConfig, _round_windows, vrt_low_seen
 from raidrsim.raidr import BinConfig
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel, vrt_walk
 
-from reference_sim import MisclassificationReport, ground_truth, misclassification_report, next_low, profile
+from reference_sim import (
+    MisclassificationReport, ground_truth, misclassification_report, next_low, profile, vrt_rows_of,
+)
 
 
 def make_gt(num_rows=1000, seed=0, **kw):
@@ -27,7 +29,7 @@ class TestOracleMode:
     def test_no_noise_equals_base(self):
         gt = make_gt()
         prof = profile(gt, ProfilerConfig(mode="oracle"), seed=1)
-        assert np.array_equal(prof, gt.base_retention_ms)
+        assert np.array_equal(prof, gt.base.dense())
         assert prof.shape == (gt.num_rows,)
 
     def test_sees_vrt_and_dpd_minima(self):
@@ -36,7 +38,7 @@ class TestOracleMode:
             dpd=DpdModel(enabled=True, worst_pattern_factor=0.8),
         )
         prof = profile(gt, ProfilerConfig(mode="oracle"), seed=1)
-        assert np.allclose(prof, gt.base_retention_ms * 0.8 * 0.5)
+        assert np.allclose(prof, gt.base.dense() * 0.8 * 0.5)
 
     def test_guard_band_divides(self):
         gt = make_gt()
@@ -77,12 +79,12 @@ class TestMeasuredMode:
         gt = make_gt(num_rows=200, seed=17, vrt=vrt)
         cfg = ProfilerConfig(mode="measured", rounds=4, profiling_window_span=8)
         measured = profile(gt, cfg, seed=5)
-        for r in (int(r) for r in np.flatnonzero(gt.has_vrt)):
+        for r in vrt_rows_of(gt).tolist():
             low = seen = False
             for w in range(1, 8):
                 low = next_low(low, rng.uniform01(17, rng.TAG_PROFILE_VRT_STEP, r, w), vrt)
                 seen |= low and w % 2 == 0
-            assert measured[r] == gt.base_retention_ms[r] * (0.5 if seen else 1.0)
+            assert measured[r] == gt.base.dense()[r] * (0.5 if seen else 1.0)
 
     @given(
         span=st.integers(1, 80),
@@ -128,7 +130,7 @@ class TestMeasuredMode:
             seed=13,
         )
         prof = profile(gt, ProfilerConfig(mode="measured", patterns_tested=1), seed=13)
-        true_min = gt.min_possible_retention()
+        true_min = gt.min_possible().dense()
         overestimated = int(np.count_nonzero(prof > true_min + 1e-12))
         expected = n * 7 / 8
         sigma = math.sqrt(n * (7 / 8) * (1 / 8))
@@ -146,7 +148,7 @@ class TestMeasuredMode:
             ProfilerConfig(mode="measured", patterns_tested=4, rounds=3, profiling_window_span=8),
         ):
             prof = profile(gt, cfg, seed=3)
-            assert np.all(prof <= gt.base_retention_ms + 1e-12)
+            assert np.all(prof <= gt.base.dense() + 1e-12)
 
     def test_guard_band_monotone_per_row(self):
         gt = make_gt(
@@ -184,7 +186,7 @@ class TestMisclassification:
         prof = profile(gt, ProfilerConfig(mode="oracle", guard_band_factor=guard), seed=4)
         rep = misclassification_report(prof, gt, BinConfig())
         assert rep.unsafe == 0
-        true_bin0 = int(np.count_nonzero(gt.min_possible_retention() < 128.0))
+        true_bin0 = int(np.count_nonzero(gt.min_possible().dense() < 128.0))
         assert rep.wasteful == gt.num_rows - true_bin0
         assert rep.exact == true_bin0
 
@@ -220,7 +222,7 @@ class TestMisclassification:
         for trefw_ms in (64.0, 32.0):
             gt = make_gt(device=DeviceConfig.from_rows(1000, trefw_ms=trefw_ms), dist=weak, seed=6)
             rep = misclassification_report(profile(gt, guard, seed=6), gt, bins)
-            demoted = int(np.count_nonzero(gt.min_possible_retention() < 128.0))
+            demoted = int(np.count_nonzero(gt.min_possible().dense() < 128.0))
             assert 0 < demoted < gt.num_rows
             assert rep.unsafe == 0
             assert rep.wasteful == (demoted if trefw_ms == 32.0 else 0)

@@ -30,7 +30,9 @@ from raidrsim.retention import (
 )
 from raidrsim.simulate import CheckpointError, RefreshSimulation, check_report_invariants, run
 
-from reference_sim import build_bins, counters, ground_truth, next_low, parts_of, profile, run_reference
+from reference_sim import (
+    build_bins, counters, ground_truth, next_low, parts_of, profile, run_reference, vrt_rows_of,
+)
 
 
 def quiet_spec(num_rows=2000, horizon=64, seed=0):
@@ -297,7 +299,7 @@ class TestDeterminismAndCheckpoint:
         assert sim._v_prefix.tobytes() not in blob
         restored = RefreshSimulation.restore(blob)
         gt = ground_truth_of(restored)
-        rows = gt.vrt_rows[vrt_rows_that_can_fail(restored, gt)].astype(np.uint64)
+        rows = vrt_rows_of(gt)[vrt_rows_that_can_fail(restored, gt)].astype(np.uint64)
         assert np.array_equal(restored._v_prefix, rng.hash_words_vec(59, rng.TAG_VRT_STEP, rows))
         assert restored.run().to_text() == report_of(noisy_spec(seed=59, horizon=40)).to_text()
 
@@ -344,9 +346,10 @@ class TestDeterminismAndCheckpoint:
         # version 2 stored 18 bytes per VRT row: vrt_low u1, v_last i8 (the
         # last refresh window, 8 for every row here), v_runmin f8, v_unsafe u1
         payload, gt, low = every_vrt_row_at_window_9()
-        n = gt.vrt_rows.size
+        n = low.size
         v_last = np.full(n, 8, dtype="<i8")
-        v_runmin = np.where(low, gt.vrt_retention_low, gt.vrt_retention_high).astype("<f8")
+        high_ms, low_ms = vrt_retentions_ms(gt)
+        v_runmin = np.where(low, low_ms, high_ms).astype("<f8")
         flags = low.astype(np.uint8).tobytes()
         v2 = payload + flags + v_last.tobytes() + v_runmin.tobytes() + bytes(n)
         with pytest.raises(CheckpointError, match="version 2"):
@@ -357,7 +360,7 @@ class TestDeterminismAndCheckpoint:
         # the rows that cannot fail; seen equals vrt_low after the refresh
         payload, gt, low = every_vrt_row_at_window_9()
         flags = low.astype(np.uint8).tobytes()
-        v3 = payload + flags + flags + bytes(gt.vrt_rows.size)
+        v3 = payload + flags + flags + bytes(low.size)
         with pytest.raises(CheckpointError, match="version 3"):
             RefreshSimulation.restore(signed(v3, version=3))
 
@@ -383,7 +386,7 @@ class TestDeterminismAndCheckpoint:
         m = max(sim.bins.multipliers)
         gt = ground_truth_of(sim)
         can_fail = vrt_rows_that_can_fail(sim, gt)
-        assert m > 1 and 0 < can_fail.size < gt.vrt_rows.size
+        assert m > 1 and 0 < can_fail.size < vrt_rows_of(gt).size
         uninterrupted = report_of(spec).to_text()
         for window in (0, 1, m - 1, m, 40):
             sim = RefreshSimulation(spec)
@@ -419,7 +422,7 @@ def every_vrt_row_at_window_9():
     assert all(8 % m == 0 for m in sim.bins.multipliers)
     payload = sim.checkpoint()[HEADER_SIZE:]
     gt = ground_truth_of(sim)
-    return payload[:state_offset(payload)], gt, toggle_states(sim.spec, gt.vrt_rows, 8)
+    return payload[:state_offset(payload)], gt, toggle_states(sim.spec, vrt_rows_of(gt), 8)
 
 
 def ground_truth_of_spec(spec):
@@ -432,17 +435,23 @@ def ground_truth_of(sim):
     return ground_truth_of_spec(sim.spec)
 
 
+def vrt_retentions_ms(gt):
+    """Each VRT row's retention in its high and low state: its base at its worst pattern, times low_factor when low."""
+    high_ms = gt.base.dense()[vrt_rows_of(gt)] * (gt.dpd.worst_pattern_factor if gt.dpd.enabled else 1.0)
+    return high_ms, high_ms * gt.vrt.low_factor
+
+
 def vrt_longest_gap_ms(sim, gt):
     """Each VRT row's longest refresh gap, m * trefw_ms, at the bin its filters give it."""
-    rows = gt.vrt_rows.astype(np.uint64)
+    rows = vrt_rows_of(gt).astype(np.uint64)
     bins = sim.bins
     mult = np.asarray(bins.multipliers)[bins.first_claims(bins.claims(rows), np.arange(rows.size))]
     return mult * sim.device.trefw_ms
 
 
 def vrt_rows_that_can_fail(sim, gt):
-    """Positions among gt.vrt_rows whose longest refresh gap exceeds their low retention."""
-    return np.flatnonzero(vrt_longest_gap_ms(sim, gt) > gt.vrt_retention_low)
+    """Positions among gt's VRT rows whose longest refresh gap exceeds their low retention."""
+    return np.flatnonzero(vrt_longest_gap_ms(sim, gt) > vrt_retentions_ms(gt)[1])
 
 
 def test_vrt_trajectory_matches_standalone_ground_truth():
@@ -451,10 +460,10 @@ def test_vrt_trajectory_matches_standalone_ground_truth():
     sim = RefreshSimulation(noisy_spec(seed=53, horizon=12))
     gt = ground_truth_of(sim)
     can_fail = vrt_rows_that_can_fail(sim, gt)
-    assert 0 < can_fail.size < gt.vrt_rows.size
+    assert 0 < can_fail.size < vrt_rows_of(gt).size
     sim.run()
     assert not hasattr(sim, "gt")
-    low = toggle_states(sim.spec, gt.vrt_rows, 11)
+    low = toggle_states(sim.spec, vrt_rows_of(gt), 11)
     assert low[can_fail].any()
     assert np.array_equal(low[can_fail], sim._v_low)
 
@@ -496,7 +505,7 @@ def test_vrt_rows_that_cannot_fail_hold_no_state(monkeypatch):
     calls = count_vrt_steps(monkeypatch)
     sim = RefreshSimulation(spec)
     gt = ground_truth_of(sim)
-    assert gt.vrt_rows.size > 0 and vrt_rows_that_can_fail(sim, gt).size == 0
+    assert vrt_rows_of(gt).size > 0 and vrt_rows_that_can_fail(sim, gt).size == 0
     rep = sim.run()
     blob = sim.checkpoint()
     assert not calls
@@ -522,12 +531,12 @@ def test_partition_steps_exactly_the_rows_that_can_fail():
     )
     sim = RefreshSimulation(spec)
     gt = ground_truth_of(sim)
-    assert np.count_nonzero(vrt_longest_gap_ms(sim, gt) == gt.vrt_retention_low) > 10
+    assert np.count_nonzero(vrt_longest_gap_ms(sim, gt) == vrt_retentions_ms(gt)[1]) > 10
     can_fail = vrt_rows_that_can_fail(sim, gt)
     # the engine holds state for exactly the rows that can fail, and every
     # one of them fails
     assert can_fail.size > 10
-    assert np.array_equal(sim._v_prefix, rng.hash_words_vec(spec.seed, rng.TAG_VRT_STEP, gt.vrt_rows[can_fail]))
+    assert np.array_equal(sim._v_prefix, rng.hash_words_vec(spec.seed, rng.TAG_VRT_STEP, vrt_rows_of(gt)[can_fail]))
     rep = sim.run()
     assert sim._v_unsafe.all()
     assert rep.unsafe_rows == can_fail.size
@@ -597,7 +606,7 @@ def independent_filter_fprs(sim):
     idx = sim.spec.bins.classify(profile_of(sim))
     rows = np.arange(sim.device.num_rows, dtype=np.uint64)
     return [
-        float(filt.contains_many(rows[idx != b]).mean()) if np.any(idx != b) else 0.0
+        filt.claimed(rows[idx != b]).size / np.count_nonzero(idx != b) if np.any(idx != b) else 0.0
         for b, filt in enumerate(sim.bins.filters)
     ]
 
@@ -638,14 +647,15 @@ def test_row_blocks_equal_the_full_arrays(monkeypatch, kind, mode):
     monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 7)
     blocks = list(simulate_mod.profiled_blocks(spec))
     assert [b.start for b, _ in blocks] == list(range(0, 200, 7))
-    assert sum(b.vrt_rows.size > 0 for b, _ in blocks) > 10
-    for name in ("base_retention_ms", "has_vrt", "vrt_rows", "vrt_retention_high", "vrt_retention_low"):
-        assert np.array_equal(np.concatenate([getattr(b, name) for b, _ in blocks]), getattr(gt, name)), name
-    assert np.array_equal(np.concatenate([b.min_possible_retention() for b, _ in blocks]),
-                          gt.min_possible_retention())
+    assert sum(b.toggles.any() for b, _ in blocks) > 10
+    assert np.array_equal(gt.base.at[gt.toggles], vrt_rows_of(gt))
+    for name, of in (("base", lambda g: g.base.dense()), ("vrt_rows", lambda g: g.base.at[g.toggles] + g.start),
+                     ("vrt_retention_high", lambda g: g.vrt_retention_high),
+                     ("min_possible", lambda g: g.min_possible().dense())):
+        assert np.array_equal(np.concatenate([of(b) for b, _ in blocks]), of(gt)), name
     assert np.array_equal(np.concatenate([m.dense() for _, m in blocks]), measured)
     # only the oracle sees every row's true minimum
-    assert np.array_equal(measured, gt.min_possible_retention()) == (mode == "oracle")
+    assert np.array_equal(measured, gt.min_possible().dense()) == (mode == "oracle")
 
     blocked = RefreshSimulation(spec)
     assert report_fields(blocked.run()) == report_fields(rep)
@@ -915,7 +925,7 @@ def test_plain_rows_in_a_filter_bin_match_oracle():
     # changes no plain row's bin, and the bin's filter holds every plain row
     for mode in ("oracle", "measured"):
         sim = engine_against_oracle(plain_spec(strong=200.0, factor=0.8, mode=mode, weak_fraction=0.3), 7)
-        assert sim.bins.counts[1] >= 40 - np.count_nonzero(ground_truth_of(sim).base_retention_ms < 200.0)
+        assert sim.bins.counts[1] >= 40 - np.count_nonzero(ground_truth_of(sim).base.dense() < 200.0)
         assert sim.bins.counts[2] == 0
 
 
@@ -940,7 +950,7 @@ def test_devices_without_weak_or_plain_rows_match_oracle(weak_fraction, vrt):
     gt = ground_truth_of_spec(spec)
     plain = np.ones(gt.num_rows, dtype=bool)
     plain[gt.base.at] = False
-    plain[gt.vrt_rows] = False
+    plain[vrt_rows_of(gt)] = False
     assert np.count_nonzero(plain) == (40 if weak_fraction == 0.0 else 0)
     engine_against_oracle(spec, 7)
 
