@@ -1,0 +1,203 @@
+"""A catalogue of named mutants of raidrsim, each with the tests that must kill it.
+
+A mutant replaces one exact text in one file with another.  For each
+mutant the script copies src/ and tests/ to a temporary directory, applies
+the mutant there and runs only its named tests, with a fixed Hypothesis
+seed.  The mutant is killed when they fail.
+
+    python scripts/mutants.py            # every mutant
+    python scripts/mutants.py NAME ...   # the named ones
+    python scripts/mutants.py --list
+
+It exits 1 if a mutant survives, if its old text does not occur exactly
+once, or if its tests cannot be run; 0 if every mutant is killed.  A check
+added to the tests should come with a mutant here that it kills.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root, under one of COPIED
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+ACROSS_CHECKPOINT = "tests/test_simulate.py::test_vrt_engine_matches_oracle_across_checkpoint"
+
+MUTANTS = (
+    Mutant(
+        "bin-map-later-filter-wins",
+        "src/raidrsim/raidr.py",
+        "        for b in range(len(claims) - 1, -1, -1):\n            out[claims[b]] = b\n",
+        "        for b in range(len(claims)):\n            out[claims[b]] = b\n",
+        ("tests/test_raidr.py::TestQueryOrder::test_first_claims_matches_scalar",),
+    ),
+    Mutant(
+        "queried-counts-every-claim",
+        "src/raidrsim/simulate.py",
+        "queried[b] += np.count_nonzero(bin_of[rows] == b)",
+        "queried[b] += rows.size",
+        ("tests/test_simulate.py::TestAgainstReferenceOracle::test_noisy_configs_exact",),
+    ),
+    Mutant(
+        "plain-members-keep-other-bins",
+        "src/raidrsim/raidr.py",
+        "held[block.at[idx != b]] = False",
+        "held[block.at[idx == b]] = True",
+        ("tests/test_raidr.py::test_sparse_blocks_build_the_filters_of_their_dense_form",),
+    ),
+    Mutant(
+        "toggles-from-weak-rows",
+        "src/raidrsim/retention.py",
+        "toggles[np.searchsorted(at, vrt_at)] = True",
+        "toggles[np.searchsorted(at, weak)] = True",
+        ("tests/test_retention.py::TestTrueMinRetention::test_own_rows_are_the_weak_and_vrt_rows",),
+    ),
+    Mutant(
+        "mod-by-float-division",
+        "src/raidrsim/bloom.py",
+        "    r = x // m\n",
+        "    r = (x / m).astype(np.uint64)\n",
+        ("tests/test_bloom_properties.py::test_remainder_matches_mod",
+         "tests/test_bloom_properties.py::test_remainder_matches_mod_for_random_m"),
+    ),
+    Mutant(
+        "hash-caller-array-in-place",
+        "src/raidrsim/rng.py",
+        "x = w.astype(np.uint64)  # a copy, even of a uint64 array",
+        "x = w.astype(np.uint64, copy=False)",
+        ("tests/test_rng.py::test_kernels_leave_their_inputs_unchanged",),
+    ),
+    Mutant(
+        "seen-carry-dropped",
+        "src/raidrsim/simulate.py",
+        "low, seen = lows[-1], seen.copy()",
+        "low, seen = lows[-1], np.zeros_like(seen)",
+        ("tests/test_simulate.py::test_vrt_tiles_are_exact_at_their_boundaries",),
+    ),
+    Mutant(
+        "window-0-stepped",
+        "src/raidrsim/simulate.py",
+        "stepped = windows[windows > 0]",
+        "stepped = windows[windows >= 0]",
+        (ACROSS_CHECKPOINT,),
+    ),
+    Mutant(
+        "campaign-stops-a-window-early",
+        "src/raidrsim/profiler.py",
+        "windows = np.arange(w0, min(w0 + tile, last + 1))",
+        "windows = np.arange(w0, min(w0 + tile, last))",
+        ("tests/test_profiler.py::TestMeasuredMode::test_campaign_stops_at_the_last_sampled_window",),
+    ),
+    Mutant(
+        "stay-taken-from-p-high-to-low",
+        "src/raidrsim/retention.py",
+        "out = k >= rng.uniform_threshold(vrt.p_low_to_high)  # stay",
+        "out = k >= rng.uniform_threshold(vrt.p_high_to_low)  # stay",
+        (ACROSS_CHECKPOINT,),
+    ),
+    Mutant(
+        "threshold-within-1e-9-of-a-multiple",
+        "src/raidrsim/raidr.py",
+        "if m < 1 or m * base_ms != iv:",
+        "if m < 1 or abs(m * base_ms - iv) > 1e-9 * iv:",
+        ("tests/test_cli.py::test_threshold_a_hair_under_a_multiple_exits_2",),
+    ),
+    Mutant(
+        "adapter-swaps-budget-and-bins",
+        "src/raidrsim/simulate.py",
+        "def run(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3) -> SimReport:",
+        "def run(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bloom_budget, bin_cfg=1e-3) -> SimReport:",
+        ("tests/test_cli.py::test_library_report_equals_cli_artifact",),
+    ),
+    Mutant(
+        "checker-skips-oracle-safety",
+        "src/raidrsim/simulate.py",
+        "if spec.profiler.mode == MODE_ORACLE and report.retention_failures:",
+        "if False:",
+        ("tests/test_simulate.py::TestInvariants::test_invariant_checker_flags_oracle_failures",),
+    ),
+    # an oracle profile then misses the low state, and the row-by-row
+    # safety inclusion of the oracle check sees its rows fail
+    Mutant(
+        "min-possible-ignores-low-factor",
+        "src/raidrsim/retention.py",
+        "values[self.toggles] *= self.vrt.low_factor",
+        "values[self.toggles] *= 1.0",
+        (ACROSS_CHECKPOINT,),
+    ),
+)
+
+
+def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
+    return (root / mutant.path).read_text().count(mutant.old)
+
+
+def run_mutant(mutant: Mutant) -> str:
+    """'killed', 'survived', or why the mutant's tests could not run."""
+    if occurrences(mutant) != 1:
+        return f"stale: the old text occurs {occurrences(mutant)} times in {mutant.path}"
+    with tempfile.TemporaryDirectory(prefix="raidrsim-mutant-") as tmp:
+        work = Path(tmp)
+        for name in COPIED:
+            shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__"))
+        target = work / mutant.path
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--rootdir", str(work),
+             "--hypothesis-seed=0", *mutant.tests],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+    # pytest exits 1 when a test fails; any other non-zero code means the
+    # tests did not run as named
+    if done.returncode == 1:
+        return "killed"
+    if done.returncode == 0:
+        return "survived"
+    return f"error: pytest exited {done.returncode}: {done.stdout.strip().splitlines()[-1:]}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] or list(MUTANTS)
+    if args.list:
+        for m in chosen:
+            print(f"{m.name}  {m.path}  {' '.join(m.tests)}")
+        return 0
+    failed = 0
+    for m in chosen:
+        t0 = time.perf_counter()
+        outcome = run_mutant(m)
+        failed += outcome != "killed"
+        print(f"{outcome:8s}  {m.name}  ({time.perf_counter() - t0:.1f} s)", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -73,8 +73,8 @@ def write_bins_csv(path: Path, spec: ExperimentSpec, sim: RefreshSimulation) -> 
 
 def cmd_simulate(args) -> int:
     spec = _build_spec(args)
-    out = _ensure_outdir(args)
     sim = RefreshSimulation(spec)
+    out = _ensure_outdir(args)  # once the engine, which may reject the config, is built
     report = sim.run()
     _write_text(out / "simreport.txt", report.to_text())
     write_bins_csv(out / "bins.csv", spec, sim)
@@ -127,14 +127,13 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    # every point is validated before any output exists
+    # every point is validated and run before any output exists
     payloads = []
     for i, v in enumerate(values):
         spec = spec_from_flat({**flat, args.axis: v})
         if args.axis != "seed":  # an explicit seed axis overrides the derived per-point seed
             spec = spec.with_seed(spec.sweep_seed(i))
         payloads.append((i, args.axis, v, spec))
-    out = _ensure_outdir(args)
 
     if args.jobs > 1:
         # imported here, so that no other command starts by loading multiprocessing
@@ -145,6 +144,7 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_point(p) for p in payloads]
     results.sort(key=lambda r: r[0])
+    out = _ensure_outdir(args)
 
     lines = [_csv_comment(base_spec), ",".join(results[0][1])]  # the columns are the row's keys
     for index, row, report_text in results:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .retention import RetentionGroundTruth, SparseRows, VrtModel, union_rows, vrt_walk
+from .retention import RetentionGroundTruth, SparseRows, VrtModel, vrt_walk
 
 MODE_ORACLE = "oracle"
 MODE_MEASURED = "measured"
@@ -115,7 +115,9 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_s
         if bins is None or bins.classify(missed) != bins.classify(covered) or covered < gt.device.trefw_ms:
             rows = np.arange(gt.start, gt.start + gt.num_rows, dtype=np.uint64)
             every_row = rng.bernoulli_vec(p_cover, seed, rng.TAG_PROFILE_PATTERNS, rows)
-            at = union_rows(at, np.flatnonzero(every_row))
+            held = every_row.copy()
+            held[at] = True
+            at = np.flatnonzero(held)
             own = np.searchsorted(at, gt.base.at)
             measured = np.full(at.size, plain)
             measured[own] = gt.base.values

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .bloom import BloomFilter, BloomParams, plan_params
-from .retention import RowBuffer, locate_rows, union_rows
+from .retention import RowBuffer
 
 
 class UnbinnableRowError(RuntimeError):
@@ -120,28 +120,15 @@ class BinSet:
         rows = np.ascontiguousarray(rows, dtype=np.uint64)
         return [filt.claimed(rows) for filt in self.filters]
 
-    def first_claims(self, claims: list[np.ndarray], at: np.ndarray) -> np.ndarray:
-        """Bin of each of the offsets `at` from claims(): the first claiming filter, default if none.
+    def first_claims(self, claims: list[np.ndarray], num_rows: int) -> np.ndarray:
+        """The bin map of the num_rows keys that claims() took: each key's first claiming filter, default if none.
 
-        The bins are in the smallest unsigned type that holds the default bin.
+        Claims are written from the last filter to the first, so the shortest
+        interval wins, in the smallest unsigned type that holds the default bin.
         """
-        out = np.full(np.shape(at), self.default_bin, dtype=np.min_scalar_type(self.default_bin))
+        out = np.full(num_rows, self.default_bin, dtype=np.min_scalar_type(self.default_bin))
         for b in range(len(claims) - 1, -1, -1):
-            out[locate_rows(claims[b], at)[1]] = b
-        return out
-
-    def queried(self, claims: list[np.ndarray], num_rows: int) -> np.ndarray:
-        """Rows queried to each bin, default last, of the num_rows keys that claims() took.
-
-        A filter's rows are its claims that no earlier filter made; the
-        default bin's are the rest.
-        """
-        out = np.zeros(len(claims) + 1, dtype=np.int64)
-        taken = np.zeros(0, dtype=np.intp)
-        for b, claimed in enumerate(claims):
-            out[b] = claimed.size - np.count_nonzero(locate_rows(taken, claimed)[1])
-            taken = union_rows(taken, claimed)
-        out[-1] = num_rows - taken.size
+            out[claims[b]] = b
         return out
 
 
@@ -186,8 +173,10 @@ def bin_blocks(blocks, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: i
         row_type = np.min_scalar_type(block.start + block.num_rows - 1)
         for b, rows in enumerate(members):
             offsets = block.at[idx == b]
-            if b == plain_bin and block.num_plain:
-                offsets = union_rows(offsets, block.plain_rows())
+            if b == plain_bin:  # every row but the own rows of other bins
+                held = np.ones(block.num_rows, dtype=bool)
+                held[block.at[idx != b]] = False
+                offsets = np.flatnonzero(held)
             rows.extend((offsets + block.start).astype(row_type))
     if n_below:
         raise UnbinnableRowError(

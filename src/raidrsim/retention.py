@@ -169,30 +169,6 @@ def vrt_walk(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
     return out
 
 
-def union_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The ascending distinct elements of the ascending arrays a and b.
-
-    A stable sort of the two runs is timsort's linear merge.
-    """
-    out = np.concatenate([a, b])
-    out.sort(kind="stable")
-    if out.size:
-        distinct = np.empty(out.size, dtype=bool)
-        distinct[0] = True
-        np.not_equal(out[1:], out[:-1], out=distinct[1:])
-        out = out[distinct]
-    return out
-
-
-def locate_rows(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each element of x's position in the ascending array rows, and whether it is there."""
-    if not rows.size:
-        return np.zeros(np.shape(x), dtype=np.intp), np.zeros(np.shape(x), dtype=bool)
-    i = np.searchsorted(rows, x)
-    np.minimum(i, rows.size - 1, out=i)
-    return i, rows[i] == x
-
-
 class RowBuffer:
     """An append-only array that doubles its capacity as it grows.
 
@@ -251,12 +227,6 @@ class SparseRows:
         # at[i] >= i, and at[i] > i first where row i is plain
         gaps = np.flatnonzero(self.at != np.arange(self.at.size))
         return int(gaps[0]) if gaps.size else self.at.size
-
-    def plain_rows(self) -> np.ndarray:
-        """The offsets of the plain rows, ascending."""
-        plain = np.ones(self.num_rows, dtype=bool)
-        plain[self.at] = False
-        return np.flatnonzero(plain)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +307,8 @@ def generate_rows(
             "unrefreshable at the base rate"
         )
     rows = np.arange(start, stop, dtype=np.uint64)
-    weak = np.flatnonzero(rng.bernoulli_vec(dist.weak_fraction, seed, rng.TAG_WEAK_SELECT, rows))
+    own = rng.bernoulli_vec(dist.weak_fraction, seed, rng.TAG_WEAK_SELECT, rows)
+    weak = np.flatnonzero(own)
     if dist.kind == DIST_TWO_POPULATION:
         u = rng.uniform01_vec(seed, rng.TAG_BASE_RETENTION, rows[weak])
         draw = dist.floor_ms + u * (dist.weak_high_ms - dist.floor_ms)
@@ -347,8 +318,11 @@ def generate_rows(
         # clip into the supported band; mass piles at the edges by design
         draw = np.clip(draw, dist.floor_ms, np.nextafter(dist.weak_high_ms, 0.0))
     vrt_at = vrt_rows - start
-    at = union_rows(weak, vrt_at)
+    own[vrt_at] = True
+    at = np.flatnonzero(own)
     values = np.full(at.size, float(dist.strong_value_ms))
     values[np.searchsorted(at, weak)] = draw
+    toggles = np.zeros(at.size, dtype=bool)
+    toggles[np.searchsorted(at, vrt_at)] = True
     base = SparseRows(start, rows.size, float(dist.strong_value_ms), at, values)
-    return RetentionGroundTruth(device, vrt, dpd, seed, base, locate_rows(vrt_at, at)[1])
+    return RetentionGroundTruth(device, vrt, dpd, seed, base, toggles)

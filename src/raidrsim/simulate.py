@@ -9,32 +9,29 @@ window.
 Both paths are validated to match a brute-force step-through row by row.
 
 The engine is built in two passes over blocks of _CHUNK_ROWS rows, so its
-memory is set by one block, not by the device.  Both passes are sparse:
-they touch a row's own data only where it differs from a plain row, one
-that is neither weak nor VRT.  All plain rows share one true retention,
+memory is set by one block, not by the device.  Both passes are sparse: they
+touch a row's own data only where it differs from a plain row, one that is
+neither weak nor VRT.  All plain rows share one true retention,
 strong_value_ms times the DPD factor, and one profiled value, or two in
 measured mode with DPD (whether the campaign tested the worst pattern).
 Pass 1 generates and profiles one block at a time, as SparseRows: the
 block's own rows, its weak and VRT rows, which generate_rows decides once,
-and the plain value.  Every stream is keyed by row, so a block equals the
-same rows of the full-array ground truth and profile.  Each plain value is
-classified once and its rows counted in its bin; a plain row's pattern
-coverage is drawn only where it changes the row's bin or takes it under
-the base period.  Of each block the engine keeps, each kind in one
-growing buffer, each filter bin's member rows and one set of state rows
-with their jmin, the windows past a refresh at which a row without VRT
-starts to fail: the weak rows without VRT that can fail, and every VRT
-row, with its high retention, at a jmin past every multiplier.  The bin
-counts then size the filters.  keep_block_pages, which the CLI calls,
-has malloc reuse each block's pages for the next.  Pass 2 gives
-everything fixed per row once the bins exist (refresh counts, the
-closed-form failures and each filter's claim count), querying each filter
-once per row.  A query returns the offsets it claims; they give the rows
-queried to each bin, the default bin taking the rest, and the bins of the
-state rows.  The plain rows share one jmin, so their static failures are
-counted per bin.  Pass 2 never reads the profile: a Bloom filter has no
-false negatives, so the bin counts turn the claim counts into the
-per-filter FPRs and fix the refreshes the profiled schedule would issue.
+and the plain value.  Each plain value is classified once and its rows
+counted in its bin; a plain row's pattern coverage is drawn only where it
+changes the row's bin or takes it under the base period.  Of each block the
+engine keeps, each kind in one growing buffer, each filter bin's member rows
+and one set of state rows with their jmin, the windows past a refresh at
+which a row without VRT starts to fail: the weak rows without VRT that can
+fail, and every VRT row, with its high retention, at a jmin past every
+multiplier.  The bin counts then size the filters.  Pass 2 gives everything
+fixed per row once the bins exist (refresh counts, the closed-form failures
+and each filter's claim count): it queries each filter once per row into a
+bin map per block, the first claiming filter of each row, which gives the
+rows queried to each bin and the bins of the state rows.  The plain rows
+share one jmin, so their static failures are counted per bin.  Pass 2 never
+reads the profile: a Bloom filter has no false negatives, so the bin counts
+turn the claim counts into the per-filter FPRs and fix the refreshes the
+profiled schedule would issue.
 
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
@@ -266,16 +263,16 @@ class RefreshSimulation:
                    plain_jmin: int) -> None:
         """Sum every per-row quantity the built bins fix, in one blocked pass.
 
-        Each filter meets each row once and returns the offsets it claims
-        in the block.  They give its claim count, and, taken shortest
-        interval first, the rows queried to each bin; the default bin gets
-        the rest.  Refreshes are tallied per queried bin: the rows each
-        bin answers, times that bin's refreshes in the horizon.  Each
-        filter holds exactly its bin's profiled rows and has no false
-        negatives, so bins.counts gives the false positives and the
-        profiled schedule's refreshes.  The state rows (device indices,
-        ascending, with their jmin) look up their bins in the claims, once
-        per block.  Their static failures follow from their queried
+        Each filter meets each row once and returns the offsets it claims in
+        the block, which give its claim count; the claims make a bin map per
+        block (BinSet.first_claims).  A filter's claims that the map gives its
+        own bin are the rows queried to it; the default bin gets the rest.
+        Refreshes are tallied per queried bin: the rows each bin answers,
+        times that bin's refreshes in the horizon.  Each filter holds exactly
+        its bin's profiled rows and has no false negatives, so bins.counts
+        gives the false positives and the profiled schedule's refreshes.  The
+        state rows (device indices, ascending, with their jmin) gather their
+        bins from the map.  Their static failures follow from their queried
         multiplier and jmin, none at jmin_cap, where the VRT rows are.  The
         plain rows share plain_jmin, so theirs are counted per bin, from the
         rows queried to it that are not state rows.  Where plain rows can
@@ -287,7 +284,7 @@ class RefreshSimulation:
         bins = self.bins
         mult_table = np.asarray(bins.multipliers, dtype=np.int64)
         queried = np.zeros(mult_table.size, dtype=np.int64)
-        plain_queried = np.zeros(mult_table.size, dtype=np.int64)
+        state_queried = np.zeros(mult_table.size, dtype=np.int64)
         static_failures = static_unsafe = 0
         claimed = [0] * len(bins.filters)
         v_bins = RowBuffer()
@@ -295,21 +292,22 @@ class RefreshSimulation:
         for lo in range(0, n, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, n)
             claims = bins.claims(np.arange(lo, hi, dtype=np.uint64))
-            block_queried = bins.queried(claims, hi - lo)
-            queried += block_queried
-            plain_queried += block_queried
+            bin_of = bins.first_claims(claims, hi - lo)
             for b, rows in enumerate(claims):
                 claimed[b] += rows.size
+                queried[b] += np.count_nonzero(bin_of[rows] == b)
 
             a, b = np.searchsorted(state_rows, (lo, hi))
-            q = bins.first_claims(claims, state_rows[a:b].astype(np.intp) - lo)
+            q = bin_of[state_rows[a:b] - lo]
             jmin = state_jmin[a:b].astype(np.int64)
-            plain_queried -= np.bincount(q, minlength=mult_table.size)
+            state_queried += np.bincount(q, minlength=mult_table.size)
             fails = _static_failures(horizon, mult_table[q], jmin)
             static_failures += int(fails.sum())
             static_unsafe += int(np.count_nonzero(fails))
             v_bins.extend(q[jmin == jmin_cap])
 
+        queried[-1] = n - queried[:-1].sum()
+        plain_queried = queried - state_queried
         fails = _static_failures(horizon, mult_table, plain_jmin)
         self._static_failures = static_failures + int(plain_queried @ fails)
         self._static_unsafe = static_unsafe + int(plain_queried[fails > 0].sum())
@@ -482,13 +480,11 @@ class RefreshSimulation:
 
 
 def run(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3) -> SimReport:
-    """Build and run the ExperimentSpec of positional parts.
+    """Build and run the ExperimentSpec of positional parts, the arguments of tests/reference_sim.run_reference.
 
-    Only perfbench's oracle cross-check calls this form, with the
-    arguments it passes to tests/reference_sim.run_reference; every other
-    run is built from a spec.  The seed is sim_cfg's.  The budget is a
-    per-bin FPR target, or BloomParams with seed 0: the form
-    `ExperimentSpec.bloom_budget` returns for an explicit m/k.
+    Only perfbench's oracle cross-check calls this form.  The seed is
+    sim_cfg's; the budget is a per-bin FPR target, or BloomParams with
+    seed 0, as `ExperimentSpec.bloom_budget` returns an explicit m/k.
     """
     if isinstance(bloom_budget, BloomParams) and bloom_budget.seed == 0:
         bloom = {"bloom_explicit_m": bloom_budget.m, "bloom_explicit_k": bloom_budget.k}
@@ -506,7 +502,18 @@ def run(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-
 
 
 def check_report_invariants(report: SimReport, spec: ExperimentSpec) -> list[str]:
-    """Post-run checks of the report of `spec`; a non-empty list means a violated contract."""
+    """Post-run checks of the report of `spec`; a non-empty list means a violated contract.
+
+    Safety: a row fails only where its refresh gap, at most its queried
+    interval, exceeds a retention it holds, none below its true minimum.
+    Bloom false positives only shorten intervals, a guard >= 1 only lowers
+    profiled values and a bin's interval is its lower edge, so queried
+    interval <= profiled interval <= true interval <= true minimum, the
+    last unless the true minimum is under device.trefw_ms.  An oracle
+    profile is the true minimum over the guard, and the build rejects
+    values under device.trefw_ms, so oracle runs never fail; in a measured
+    run, each unsafe row breaks the second step or the last.
+    """
     problems = []
     baseline = report.refreshes_baseline_equiv
     if not 0 <= report.refreshes_issued <= baseline:
@@ -517,9 +524,6 @@ def check_report_invariants(report: SimReport, spec: ExperimentSpec) -> list[str
     max_mult = max(spec.bins.multipliers(spec.device.trefw_ms))
     if report.savings_fraction > 1.0 - 1.0 / max_mult + 1e-12:
         problems.append("savings-bound: savings exceeds 1 - 1/max_multiplier")
-    # a guard only shortens intervals, Bloom errors only demote rows, and a
-    # row below device.trefw_ms is rejected at build: no guard >= 1 can
-    # make an oracle profile unsafe
     if spec.profiler.mode == MODE_ORACLE and report.retention_failures:
         problems.append("oracle-safety: retention failures under perfect profiling")
     return problems

@@ -128,6 +128,7 @@ class ReferenceResult:
     retention_failures: int
     unsafe_rows: int
     fpr_extra_refreshes: int
+    unsafe_set: frozenset[int]  # the rows that failed at least once
 
 
 def parts_of(spec):
@@ -194,6 +195,7 @@ def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_
         retention_failures=failures,
         unsafe_rows=len(unsafe),
         fpr_extra_refreshes=issued - profiled_refreshes,
+        unsafe_set=frozenset(unsafe),
     )
 
 

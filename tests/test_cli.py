@@ -332,11 +332,14 @@ UNREACHABLE_FPR = ["--set", "device.density_bits=163840000", "--set", "dist.weak
 ], ids=["simulate", "sweep", "sweep-jobs-2"])
 def test_unreachable_fpr_target_exits_2(tmp_path, capsys, argv):
     # a budget no filter can meet is a bad config, not a fault in raidrsim;
-    # under --jobs 2 the error crosses the process pool
-    assert run_cli(*argv, *UNREACHABLE_FPR, "--out", str(tmp_path)) == 2
+    # under --jobs 2 the error crosses the process pool.  The filters are
+    # planned as the engine is built, which comes before any output exists
+    out = tmp_path / "out"
+    assert run_cli(*argv, *UNREACHABLE_FPR, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(r"config error: no filter below 4294967296 bits meets fpr 1e-300 at n=\d+\n", err)
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bloom", [
@@ -393,13 +396,15 @@ class TestSimulateCommand:
         assert "nope" in capsys.readouterr().err
 
     def test_unbinnable_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
         code = run_cli(
-            "simulate", "--out", str(tmp_path), *SMALL,
+            "simulate", "--out", str(out), *SMALL,
             "--set", "profiler.guard_band_factor=8",
             "--set", "dist.weak_fraction=1.0",
         )
         assert code == 3
         assert "refreshed fast enough" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_outdir_created(self, tmp_path):
         target = tmp_path / "deep" / "nested" / "dir"
@@ -526,12 +531,14 @@ class TestSweepCommand:
 
     def test_unbinnable_point_exits_3_under_parallel_jobs(self, tmp_path, capsys):
         # the worker's UnbinnableRowError must reach main intact
+        out = tmp_path / "out"
         code = run_cli(
             "sweep", "--axis", "profiler.guard_band_factor", "--values", "1.0,8.0", *SMALL,
-            "--set", "dist.weak_fraction=1.0", "--jobs", "2", "--out", str(tmp_path),
+            "--set", "dist.weak_fraction=1.0", "--jobs", "2", "--out", str(out),
         )
         assert code == 3
         assert "refreshed fast enough" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parallel_jobs_same_csv(self, tmp_path):
         common = [

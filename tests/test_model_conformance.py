@@ -23,7 +23,6 @@ from raidrsim.retention import (
     VrtModel,
     draw_vrt_rows,
     generate_rows,
-    locate_rows,
 )
 
 SEEDS = (5, 6)
@@ -88,7 +87,7 @@ def test_weak_and_vrt_row_counts_are_binomial(weak_fraction, affected_fraction):
         # base.at holds the VRT rows too; the weak law's support lies below
         # strong_value_ms, the plain value
         weak = gt.base.at[gt.base.values < gt.base.plain]
-        both = int(np.count_nonzero(locate_rows(weak, vrt_rows)[1]))
+        both = np.intersect1d(weak, vrt_rows).size
         for count, p in ((weak.size, weak_fraction), (vrt_rows.size, affected_fraction),
                          (both, weak_fraction * affected_fraction)):
             assert within_binomial(count, n, p), (seed, count, n * p)
@@ -114,3 +113,29 @@ def test_two_population_weak_values_are_uniform():
         d = max(float(np.max(i / x.size - cdf)), float(np.max(cdf - (i - 1) / x.size)))
         assert x[0] >= dist.floor_ms and x[-1] < dist.weak_high_ms
         assert math.sqrt(x.size) * d < KS_BOUND, (seed, x.size, d)
+
+
+def normal_cdf(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def test_lognormal_tail_edges_and_median():
+    # guard-sweep's law: median 440 ms, sigma 0.4, clipped into [320, 960).
+    # The draws below the floor pile at floor_ms, those at or above
+    # weak_high_ms at the largest double below it, and half lie at or
+    # below the median
+    n = 1_000_000
+    dist = RetentionDistribution(kind="lognormal-tail", weak_fraction=0.3, floor_ms=320.0, weak_high_ms=960.0,
+                                 lognormal_median_ms=440.0, lognormal_sigma=0.4)
+    top = np.nextafter(dist.weak_high_ms, 0.0)
+    for seed in SEEDS:
+        gt = generate_rows(DeviceConfig.from_rows(n), dist, VrtModel(), DpdModel(), seed, 0, n,
+                           draw_vrt_rows(VrtModel(), seed, 0, n))
+        x = gt.base.values  # VRT is off, so the own rows are the weak rows
+        for count, p in (
+            (np.count_nonzero(x == dist.floor_ms), normal_cdf(math.log(320.0 / 440.0) / 0.4)),
+            (np.count_nonzero(x == top), 1.0 - normal_cdf(math.log(960.0 / 440.0) / 0.4)),
+            (np.count_nonzero(x <= dist.lognormal_median_ms), 0.5),
+        ):
+            assert within_binomial(int(count), x.size, p), (seed, count, x.size * p)
+        assert x.min() >= dist.floor_ms and x.max() == top

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from raidrsim.bloom import BloomParams, analytic_fpr
 from raidrsim.experiment import ExperimentSpec, SimConfig
 from raidrsim.profiler import ProfilerConfig
-from raidrsim.raidr import BinConfig, UnbinnableRowError, refreshes_in_horizon
-from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
+from raidrsim.raidr import BinConfig, UnbinnableRowError, bin_blocks, refreshes_in_horizon
+from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, SparseRows, VrtModel
 from raidrsim.simulate import RefreshSimulation
 
 from reference_sim import build_bins, ground_truth, profile, query
@@ -14,7 +14,7 @@ from reference_sim import build_bins, ground_truth, profile, query
 
 def query_many(bins, rows) -> np.ndarray:
     """Bin per row through the engine's vectorised query."""
-    return bins.first_claims(bins.claims(rows), np.arange(rows.size))
+    return bins.first_claims(bins.claims(rows), rows.size)
 
 
 BASE_MS = 64.0  # the default device.trefw_ms
@@ -198,3 +198,27 @@ def test_query_interval_never_longer_than_profiled(vals):
     queried_iv = intervals[query_many(bins, np.arange(len(vals), dtype=np.uint64))]
     profiled_iv = intervals[bins.bin_cfg.classify(np.asarray(vals))]
     assert np.all(queried_iv <= profiled_iv)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_blocks_build_the_filters_of_their_dense_form(data):
+    # a block's plain rows join the plain value's bin, a filter bin
+    # included, beside the own rows of that bin and no others; any cut of
+    # the device into blocks builds the filters of its one dense block
+    n = data.draw(st.integers(1, 60))
+    values = st.sampled_from([70.0, 100.0, 130.0, 200.0, 300.0, 2560.0])
+    plain = data.draw(values)
+    own = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    dense = np.array([data.draw(values) if o else plain for o in own])
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        at = np.flatnonzero(own[lo:hi])
+        blocks.append(SparseRows(lo, hi - lo, plain, at, dense[lo:hi][at]))
+    sparse = bin_blocks(blocks, BinConfig(), BASE_MS, 1e-3, seed=3)
+    full = build_bins(dense, BinConfig(), BASE_MS, 1e-3, seed=3)
+    assert sparse.counts == full.counts
+    for a, b in zip(sparse.filters, full.filters):
+        assert a.params == b.params
+        assert np.array_equal(a.words, b.words)

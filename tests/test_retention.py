@@ -13,8 +13,6 @@ from raidrsim.retention import (
     RowBuffer,
     SparseRows,
     VrtModel,
-    locate_rows,
-    union_rows,
     vrt_walk,
 )
 
@@ -315,18 +313,7 @@ def test_sparse_rows_against_their_dense_form(rows):
     dense = rows.dense()
     assert dense.tolist() == [own.get(i, 2560.0) for i in range(rows.num_rows)]
     assert rows.num_plain == len(plain)
-    assert rows.plain_rows().tolist() == plain
     assert rows.first_plain() == (plain[0] if plain else rows.num_rows)
-
-
-@given(st.lists(st.sets(st.integers(0, 200)), min_size=2, max_size=2), st.lists(st.integers(-5, 205)))
-@settings(max_examples=150, deadline=None)
-def test_row_set_operations(pair, probes):
-    a, b = (np.array(sorted(rows), dtype=np.intp) for rows in pair)
-    assert union_rows(a, b).tolist() == sorted(pair[0] | pair[1])
-    i, found = locate_rows(a, np.array(probes, dtype=np.intp))
-    assert found.tolist() == [x in pair[0] for x in probes]
-    assert np.array_equal(a[i[found]], np.array(probes, dtype=np.intp)[found])
 
 
 @given(st.lists(st.lists(st.integers(0, 2**40), max_size=30), max_size=12))

@@ -1,4 +1,6 @@
 import os
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +27,18 @@ def test_scripts_run_at_small_size():
     lines = run_script("run_default_scenario.py", "--rows", "2000")
     assert lines[0].split() == ["rows", "2000"]
     assert "retention failures   0" in lines
+
+
+def test_each_mutant_still_applies():
+    # scripts/mutants.py runs each mutant against its tests; a full run is
+    # too slow for this suite, so here each mutant's old text must occur
+    # exactly once and each of its tests must still be defined
+    mutants = runpy.run_path(str(ROOT / "scripts" / "mutants.py"), run_name="mutants")
+    names = [m.name for m in mutants["MUTANTS"]]
+    assert len(set(names)) == len(names)
+    for m in mutants["MUTANTS"]:
+        assert mutants["occurrences"](m) == 1, m.name
+        assert m.new != m.old and m.path.split("/")[0] in mutants["COPIED"], m.name
+        for test in m.tests:
+            path, *_, name = test.split("::")
+            assert re.search(rf"^\s*def {re.escape(name)}\(", (ROOT / path).read_text(), re.M), (m.name, test)
