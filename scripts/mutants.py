@@ -66,8 +66,8 @@ MUTANTS = (
     Mutant(
         "toggles-from-weak-rows",
         "src/raidrsim/retention.py",
-        "toggles[np.searchsorted(at, vrt_at)] = True",
-        "toggles[np.searchsorted(at, weak)] = True",
+        "RetentionGroundTruth(device, vrt, dpd, seed, base, toggle[at])",
+        "RetentionGroundTruth(device, vrt, dpd, seed, base, own[at])",
         ("tests/test_retention.py::TestTrueMinRetention::test_own_rows_are_the_weak_and_vrt_rows",),
     ),
     Mutant(
@@ -142,6 +142,77 @@ MUTANTS = (
         "values[self.toggles] *= self.vrt.low_factor",
         "values[self.toggles] *= 1.0",
         (ACROSS_CHECKPOINT,),
+    ),
+    # a block's campaign then steps its rows on another block's streams
+    Mutant(
+        "campaign-keyed-by-block-offsets",
+        "src/raidrsim/profiler.py",
+        "gt.base.at[gt.toggles] + gt.start, cfg",
+        "gt.base.at[gt.toggles], cfg",
+        ("tests/test_simulate.py::test_vrt_tiles_are_exact_at_their_boundaries",),
+    ),
+    Mutant(
+        "pattern-seed-is-the-master-seed",
+        "src/raidrsim/profiler.py",
+        "seed = rng.hash_words(gt.seed, rng.TAG_PROFILER_SEED)",
+        "seed = gt.seed",
+        ("tests/test_golden.py::test_artifact_digests",),
+    ),
+    Mutant(
+        "seen-never-reset-at-a-refresh",
+        "src/raidrsim/simulate.py",
+        "failed = np.take(phase != 0, self._v_key, axis=1)",
+        "failed = np.take(phase >= 0, self._v_key, axis=1)",
+        ("tests/test_model_conformance.py::test_engine_vrt_failures_match_the_chain",),
+    ),
+    Mutant(
+        "campaign-steps-on-the-engine-stream",
+        "src/raidrsim/rng.py",
+        "TAG_PROFILE_VRT_STEP = 0x07",
+        "TAG_PROFILE_VRT_STEP = TAG_VRT_STEP",
+        ("tests/test_model_conformance.py::test_engine_and_campaign_toggle_streams_are_uncorrelated",),
+    ),
+    Mutant(
+        "plain-static-failures-dropped",
+        "src/raidrsim/simulate.py",
+        "self._static_failures = static_failures + int(plain_queried @ fails)",
+        "self._static_failures = static_failures",
+        ("tests/test_simulate.py::test_plain_rows_that_can_fail_match_oracle",),
+    ),
+    Mutant(
+        "plain-jmin-off-by-one",
+        "src/raidrsim/simulate.py",
+        "plain_jmin = math.floor(true_min.plain / trefw_ms) + 1",
+        "plain_jmin = math.floor(true_min.plain / trefw_ms)",
+        ("tests/test_simulate.py::test_plain_rows_that_can_fail_match_oracle",),
+    ),
+    Mutant(
+        "first-plain-returns-0",
+        "src/raidrsim/retention.py",
+        "return int(gaps[0]) if gaps.size else self.at.size",
+        "return 0",
+        ("tests/test_retention.py::test_sparse_rows_against_their_dense_form",),
+    ),
+    Mutant(
+        "vrt-rows-not-moved-to-jmin-cap",
+        "src/raidrsim/simulate.py",
+        "                jmin[gt.toggles] = jmin_cap\n",
+        "",
+        ("tests/test_simulate.py::TestAgainstReferenceOracle::test_odd_horizon_partial_cycles_exact",),
+    ),
+    Mutant(
+        "coverage-ignores-the-under-base-case",
+        "src/raidrsim/profiler.py",
+        " or covered < gt.device.trefw_ms:",
+        ":",
+        ("tests/test_simulate.py::test_plain_rows_below_the_base_period_are_reported_as_the_oracle_reports",),
+    ),
+    Mutant(
+        "coverage-branch-keeps-the-vrt-positions",
+        "src/raidrsim/profiler.py",
+        "            toggling = own[toggling]\n",
+        "",
+        ("tests/test_profiler.py::TestMeasuredMode::test_full_coverage_with_visited_low_state_equals_oracle",),
     ),
 )
 

@@ -55,12 +55,11 @@ def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig
     purpose tag.  It steps every row of `rows` together, up to the last
     sampled window, in tiles of consecutive windows: at most tile_pairs
     (window, row) pairs each, and at least one window.  Each tile is one
-    hash call and one vrt_walk, so its cost is one pass over the span,
-    however the device is blocked.  An oracle runs no campaign and sees no
-    row low.
+    hash call and one vrt_walk.  Every row's steps are its own, so the
+    rows stepped together and the tiling change no result.
     """
     seen = np.zeros(rows.size, dtype=bool)
-    if cfg.mode == MODE_ORACLE or rows.size == 0:
+    if rows.size == 0:
         return seen
     sample_at = _round_windows(cfg.profiling_window_span, cfg.rounds)
     last = int(sample_at[-1])
@@ -79,13 +78,15 @@ def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig
     return seen
 
 
-def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_seen, bins=None) -> SparseRows:
+def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, bins=None) -> SparseRows:
     """Guard-divided measured retention of each row of gt, a range of the device, as sparse rows.
 
-    low_seen is vrt_low_seen of gt's toggling rows, in row order, passed in
-    so that a blocked caller runs the campaign once for all its blocks.
-    Oracle mode ignores the campaign parameters (patterns, rounds, span);
-    measured mode validates patterns_tested against the pattern universe.
+    It reads only gt's own rows.  Measured mode runs gt's own campaign
+    (vrt_low_seen) on its toggling rows, in tiles of num_rows // 4
+    (window, row) pairs, and keys the pattern draws by the profiler seed
+    derived from gt.seed.  Oracle mode ignores the campaign parameters
+    (patterns, rounds, span); measured mode validates patterns_tested
+    against the pattern universe.
 
     Every row of gt.base.at holds its own value.  The plain rows share
     one, except in measured mode with DPD, where a plain row whose worst
@@ -111,6 +112,7 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_s
         # sample of patterns_tested patterns: exact marginal s/N
         f = gt.dpd.worst_pattern_factor
         p_cover = cfg.patterns_tested / gt.dpd.num_patterns
+        seed = rng.hash_words(gt.seed, rng.TAG_PROFILER_SEED)
         missed, covered = plain / guard, (plain * f) / guard
         if bins is None or bins.classify(missed) != bins.classify(covered) or covered < gt.device.trefw_ms:
             rows = np.arange(gt.start, gt.start + gt.num_rows, dtype=np.uint64)
@@ -129,6 +131,7 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, seed: int, low_s
         measured = np.where(covered_at, measured * f, measured)
     else:
         measured = measured.copy()
+    low_seen = vrt_low_seen(gt.seed, gt.vrt, gt.base.at[gt.toggles] + gt.start, cfg, max(1, gt.num_rows // 4))
     i = toggling[low_seen]
     measured[i] = measured[i] * gt.vrt.low_factor
     return SparseRows(gt.start, gt.num_rows, plain / guard, at, measured / guard)

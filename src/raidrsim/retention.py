@@ -275,14 +275,6 @@ class RetentionGroundTruth:
         return SparseRows(self.start, self.num_rows, self.base.plain * f, self.base.at, values)
 
 
-def draw_vrt_rows(vrt: VrtModel, seed: int, start: int, stop: int) -> np.ndarray:
-    """Device indices of the rows in [start, stop) that carry a retention toggle, ascending."""
-    if not vrt.enabled:
-        return np.zeros(0, dtype=np.int64)
-    rows = np.arange(start, stop, dtype=np.uint64)
-    return start + np.flatnonzero(rng.bernoulli_vec(vrt.affected_fraction, seed, rng.TAG_VRT_FLAG, rows))
-
-
 def generate_rows(
     device: DeviceConfig,
     dist: RetentionDistribution,
@@ -291,15 +283,15 @@ def generate_rows(
     seed: int,
     start: int,
     stop: int,
-    vrt_rows: np.ndarray,
 ) -> RetentionGroundTruth:
-    """Ground truth of the rows [start, stop), whose toggling rows are vrt_rows (see draw_vrt_rows).
+    """Ground truth of the rows [start, stop) of seed's device, drawn from those rows' streams alone.
 
-    Weak rows are selected by independent per-row Bernoulli draws, so the
-    weak count is binomial around weak_fraction * num_rows.  The tail law
-    is drawn at the weak rows alone; each draw is a function of its row.
-    The weak and toggling rows are the record's own rows, decided here
-    once; every other row's base is strong_value_ms, held once.
+    Weak rows, and with VRT enabled toggling rows, are selected by
+    independent per-row Bernoulli draws, so each count is binomial around
+    its fraction times num_rows.  The tail law is drawn at the weak rows
+    alone; each draw is a function of its row.  The weak and toggling rows
+    are the record's own rows, decided here once; every other row's base
+    is strong_value_ms, held once.
     """
     if dist.floor_ms < device.trefw_ms:
         raise ValueError(
@@ -317,12 +309,12 @@ def generate_rows(
         draw = dist.lognormal_median_ms * np.exp(dist.lognormal_sigma * z)
         # clip into the supported band; mass piles at the edges by design
         draw = np.clip(draw, dist.floor_ms, np.nextafter(dist.weak_high_ms, 0.0))
-    vrt_at = vrt_rows - start
-    own[vrt_at] = True
+    toggle = np.zeros(rows.size, dtype=bool)
+    if vrt.enabled:
+        toggle = rng.bernoulli_vec(vrt.affected_fraction, seed, rng.TAG_VRT_FLAG, rows)
+        own |= toggle
     at = np.flatnonzero(own)
     values = np.full(at.size, float(dist.strong_value_ms))
     values[np.searchsorted(at, weak)] = draw
-    toggles = np.zeros(at.size, dtype=bool)
-    toggles[np.searchsorted(at, vrt_at)] = True
     base = SparseRows(start, rows.size, float(dist.strong_value_ms), at, values)
-    return RetentionGroundTruth(device, vrt, dpd, seed, base, toggles)
+    return RetentionGroundTruth(device, vrt, dpd, seed, base, toggle[at])

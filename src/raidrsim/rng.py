@@ -118,11 +118,6 @@ def extend_hash_vec(h: np.ndarray, word) -> np.ndarray:
     return x
 
 
-def uniform01(*words: int) -> float:
-    """Deterministic uniform in [0, 1) keyed by the given words."""
-    return (hash_words(*words) >> 11) * 2.0**-53
-
-
 def uniform01_of(h: np.ndarray) -> np.ndarray:
     """The uniform in [0, 1) that uniform01_vec derives from the hash h."""
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -14,11 +14,13 @@ touch a row's own data only where it differs from a plain row, one that is
 neither weak nor VRT.  All plain rows share one true retention,
 strong_value_ms times the DPD factor, and one profiled value, or two in
 measured mode with DPD (whether the campaign tested the worst pattern).
-Pass 1 generates and profiles one block at a time, as SparseRows: the
-block's own rows, its weak and VRT rows, which generate_rows decides once,
-and the plain value.  Each plain value is classified once and its rows
-counted in its bin; a plain row's pattern coverage is drawn only where it
-changes the row's bin or takes it under the base period.  Of each block the
+Pass 1 generates and profiles one block at a time, from its rows alone, as
+SparseRows: the block's own rows, its weak and VRT rows, which
+generate_rows draws once, and the plain value; profile_rows runs the
+block's own profiling campaign, in tiles of a quarter of its rows.  Each
+plain value is classified once and its rows counted in its bin; a plain
+row's pattern coverage is drawn only where it changes the row's bin or
+takes it under the base period.  Of each block the
 engine keeps, each kind in one growing buffer, each filter bin's member rows
 and one set of state rows with their jmin, the windows past a refresh at
 which a row without VRT starts to fail: the weak rows without VRT that can
@@ -68,9 +70,9 @@ import numpy as np
 from . import rng
 from .bloom import BloomParams
 from .experiment import ExperimentSpec, config_sha256, config_text, parse_config_text, spec_from_flat
-from .profiler import MODE_ORACLE, profile_rows, vrt_low_seen
+from .profiler import MODE_ORACLE, profile_rows
 from .raidr import BinSet, bin_blocks, refreshes_in_horizon
-from .retention import RowBuffer, draw_vrt_rows, generate_rows, vrt_walk
+from .retention import RowBuffer, generate_rows, vrt_walk
 
 _CHECKPOINT_MAGIC = b"RSIM"
 _CHECKPOINT_VERSION = 4
@@ -84,8 +86,8 @@ _CHECKPOINT_ARRAYS = ("vrt_low", "seen", "unsafe")
 # temporaries, at most 8 B per row of the block each, independently of
 # num_rows.  keep_block_pages has malloc reuse them from block to block.
 # A quarter of it bounds the (window, row) pairs of a tile of VRT steps,
-# in the engine and in the profiling campaign, so that a tile's uint64
-# temporaries, 256 KB each, stay in L2 cache
+# in the engine and in each block's profiling campaign, so that a tile's
+# uint64 temporaries, 256 KB each, stay in L2 cache
 _CHUNK_ROWS = 1 << 17
 
 # glibc's mallopt parameter numbers
@@ -163,21 +165,14 @@ def profiled_blocks(spec: ExperimentSpec, bins=None):
 
     Every stream is keyed by row, so each block equals the same rows of
     the device generated and profiled as one block, which is how the
-    reference oracle builds it.  The VRT rows are drawn first, block by
-    block, so that the profiling campaign steps them all together, in
-    tiles of windows bounded as _advance bounds its tiles.  bins is
-    profile_rows': given a BinConfig, the profile is exact up to each
-    row's bin.
+    reference oracle builds it.  Each block draws its own VRT rows and
+    runs its own profiling campaign over them.  bins is profile_rows':
+    given a BinConfig, the profile is exact up to each row's bin.
     """
     n = spec.device.num_rows
-    blocks = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
-    vrt_rows = np.concatenate([draw_vrt_rows(spec.vrt, spec.seed, lo, hi) for lo, hi in blocks])
-    low_seen = vrt_low_seen(spec.seed, spec.vrt, vrt_rows, spec.profiler, _CHUNK_ROWS // 4)
-    profiler_seed = rng.hash_words(spec.seed, rng.TAG_PROFILER_SEED)
-    for lo, hi in blocks:
-        a, b = np.searchsorted(vrt_rows, (lo, hi))
-        gt = generate_rows(spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed, lo, hi, vrt_rows[a:b])
-        yield gt, profile_rows(gt, spec.profiler, profiler_seed, low_seen[a:b], bins)
+    for lo in range(0, n, _CHUNK_ROWS):
+        gt = generate_rows(spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed, lo, min(lo + _CHUNK_ROWS, n))
+        yield gt, profile_rows(gt, spec.profiler, bins)
 
 
 def _static_failures(horizon: int, m, j):

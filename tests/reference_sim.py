@@ -5,27 +5,30 @@ refresh decision, elapsed time, running-minimum retention, each VRT row's
 toggle state and each row's queried bin directly from their definitions.
 
 It shares two things with the engine:
-- The build pass: draw_vrt_rows, generate_rows, vrt_low_seen,
-  profile_rows and bin_blocks, applied to the whole device as one block,
-  and SparseRows.dense, the one expansion of the pass's sparse ground
-  truth and profile to every row's value, which `raidrsim profile` uses
-  too.  The engine runs the same pass block by block and never expands
-  it: it profiles plain rows exactly only up to their bin and counts
-  their static failures per bin, so this oracle's exact profile and
-  per-row loops check those shortcuts.  The tests check the
-  blocks against this one-block build, generation and the profiling
-  campaign against their scalar streams, and the filters against the
-  scalar probe sequence here; a second copy of the pass would only
-  repeat those checks.
-- rng.hash_words, the scalar splitmix64 stream (rng.uniform01 is its
-  uniform), which the vectorised hash is tested against.
+- The build pass: generate_rows, profile_rows and bin_blocks, applied to
+  the whole device as one block, and SparseRows.dense, the one expansion
+  of the pass's sparse ground truth and profile to every row's value,
+  which `raidrsim profile` uses too.  generate_rows draws a block's VRT
+  rows and profile_rows runs its profiling campaign from the block's rows
+  alone, so one block of the device is the engine's blocks joined.  The
+  engine runs the same pass block by block and never expands it: it
+  profiles plain rows exactly only up to their bin and counts their
+  static failures per bin, so this oracle's exact profile and per-row
+  loops check those shortcuts.  The tests check the blocks against this
+  one-block build, generation and the profiling campaign against their
+  scalar streams, and the filters against the scalar probe sequence here;
+  a second copy of the pass would only repeat those checks.
+- rng.hash_words, the scalar splitmix64 stream, which the vectorised hash
+  is tested against.
 
-Everything after the build is written from scratch.  The VRT rows come
-from the oracle's own draw_vrt_rows call (vrt_rows_of), not from the
-record's toggles flags.  Each row's base retention comes from the
-expanded record, SparseRows.dense.  The toggle steps by the scalar rule
-next_low on rng.uniform01.  The bins are queried through the scalar
-probe sequence of probes().  A row's low retention is taken as
+Everything after the build is written from scratch, and so are the two
+draws the oracle owns: uniform01, the scalar uniform of a hash, and
+draw_vrt_rows, the VRT rows drawn afresh from their stream by
+`uniform01 < affected_fraction`.  The oracle steps those rows
+(vrt_rows_of), not the record's toggles flags.  Each row's base retention
+comes from the expanded record, SparseRows.dense.  The toggle steps by the
+scalar rule next_low on uniform01.  The bins are queried through the
+scalar probe sequence of probes().  A row's low retention is taken as
 RetentionGroundTruth.min_possible takes it, (base x dpd) x low_factor.
 The schedule, elapsed times, failures and profiled refreshes are plain
 loops, so the vectorised engine has something honest to disagree with.
@@ -39,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from raidrsim import rng
-from raidrsim.profiler import profile_rows, vrt_low_seen
+from raidrsim.profiler import profile_rows
 from raidrsim.raidr import bin_blocks
-from raidrsim.retention import SparseRows, draw_vrt_rows, generate_rows
+from raidrsim.retention import SparseRows, generate_rows
 
 _MASK = (1 << 64) - 1
 
@@ -51,8 +54,7 @@ _MASK = (1 << 64) - 1
 
 def ground_truth(device, dist, vrt, dpd, seed):
     """The ground truth of the whole device, generated as one row range."""
-    n = device.num_rows
-    return generate_rows(device, dist, vrt, dpd, seed, 0, n, draw_vrt_rows(vrt, seed, 0, n))
+    return generate_rows(device, dist, vrt, dpd, seed, 0, device.num_rows)
 
 
 def vrt_rows_of(gt):
@@ -60,18 +62,9 @@ def vrt_rows_of(gt):
     return draw_vrt_rows(gt.vrt, gt.seed, gt.start, gt.start + gt.num_rows)
 
 
-def sparse_profile(gt, cfg, seed):
-    """The guard-divided profile of gt, exact at every row.
-
-    Its campaign is keyed by gt.seed and its patterns by seed.
-    """
-    low_seen = vrt_low_seen(gt.seed, gt.vrt, vrt_rows_of(gt), cfg, tile_pairs=max(1, gt.num_rows))
-    return profile_rows(gt, cfg, seed, low_seen)
-
-
-def profile(gt, cfg, seed):
-    """sparse_profile of gt, one value per row."""
-    return sparse_profile(gt, cfg, seed).dense()
+def profile(gt, cfg):
+    """The guard-divided profile of gt, exact at every row, one value per row."""
+    return profile_rows(gt, cfg).dense()
 
 
 def build_bins(measured, bin_cfg, base_ms, bloom_budget=1e-3, seed=0):
@@ -81,6 +74,23 @@ def build_bins(measured, bin_cfg, base_ms, bloom_budget=1e-3, seed=0):
 
 
 # -- scalar definitions ------------------------------------------------------
+
+
+def uniform01(*words: int) -> float:
+    """The uniform in [0, 1) keyed by words: the top 53 bits of their hash, scaled by 2**-53."""
+    return (rng.hash_words(*words) >> 11) * 2.0**-53
+
+
+def draw_vrt_rows(vrt, seed: int, start: int, stop: int) -> np.ndarray:
+    """Device indices of the rows in [start, stop) that carry a retention toggle, ascending.
+
+    With VRT enabled, row r toggles iff its uniform on (seed, TAG_VRT_FLAG,
+    r) is below affected_fraction, compared as floats.
+    """
+    if not vrt.enabled:
+        return np.zeros(0, dtype=np.int64)
+    u = rng.uniform01_vec(seed, rng.TAG_VRT_FLAG, np.arange(start, stop, dtype=np.uint64))
+    return start + np.flatnonzero(u < vrt.affected_fraction)
 
 
 def probes(params, key: int) -> list[int]:
@@ -148,7 +158,7 @@ def counters(result):
 def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_budget=1e-3):
     seed = sim_cfg.seed
     gt = ground_truth(device, dist, vrt, dpd, seed)
-    sparse = sparse_profile(gt, profiler_cfg, rng.hash_words(seed, rng.TAG_PROFILER_SEED))
+    sparse = profile_rows(gt, profiler_cfg)
     base_ms = device.trefw_ms
     bins = bin_blocks([sparse], bin_cfg, base_ms, bloom_budget, seed=rng.hash_words(seed, rng.TAG_FILTER_SEED))
     prof = sparse.dense()
@@ -174,7 +184,7 @@ def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_
     for w in range(horizon):
         if w > 0:
             for r in low:
-                low[r] = next_low(low[r], rng.uniform01(seed, rng.TAG_VRT_STEP, r, w), vrt)
+                low[r] = next_low(low[r], uniform01(seed, rng.TAG_VRT_STEP, r, w), vrt)
         for r in range(n):
             if w % row_mult[r] == 0:
                 issued += 1

@@ -10,7 +10,7 @@ from raidrsim.raidr import BinConfig
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel, vrt_walk
 
 from reference_sim import (
-    MisclassificationReport, ground_truth, misclassification_report, next_low, profile, vrt_rows_of,
+    MisclassificationReport, ground_truth, misclassification_report, next_low, profile, uniform01, vrt_rows_of,
 )
 
 
@@ -28,7 +28,7 @@ def make_gt(num_rows=1000, seed=0, **kw):
 class TestOracleMode:
     def test_no_noise_equals_base(self):
         gt = make_gt()
-        prof = profile(gt, ProfilerConfig(mode="oracle"), seed=1)
+        prof = profile(gt, ProfilerConfig(mode="oracle"))
         assert np.array_equal(prof, gt.base.dense())
         assert prof.shape == (gt.num_rows,)
 
@@ -37,23 +37,21 @@ class TestOracleMode:
             vrt=VrtModel(enabled=True, affected_fraction=1.0, low_factor=0.5),
             dpd=DpdModel(enabled=True, worst_pattern_factor=0.8),
         )
-        prof = profile(gt, ProfilerConfig(mode="oracle"), seed=1)
+        prof = profile(gt, ProfilerConfig(mode="oracle"))
         assert np.allclose(prof, gt.base.dense() * 0.8 * 0.5)
 
     def test_guard_band_divides(self):
         gt = make_gt()
-        p1 = profile(gt, ProfilerConfig(mode="oracle", guard_band_factor=1.0), seed=1)
-        p2 = profile(gt, ProfilerConfig(mode="oracle", guard_band_factor=2.0), seed=1)
+        p1 = profile(gt, ProfilerConfig(mode="oracle", guard_band_factor=1.0))
+        p2 = profile(gt, ProfilerConfig(mode="oracle", guard_band_factor=2.0))
         assert np.allclose(p2, p1 / 2.0)
 
 
 class TestMeasuredMode:
     def test_full_coverage_no_vrt_equals_oracle(self):
         gt = make_gt(dpd=DpdModel(enabled=True, num_patterns=8, worst_pattern_factor=0.6))
-        oracle = profile(gt, ProfilerConfig(mode="oracle"), seed=5)
-        measured = profile(
-            gt, ProfilerConfig(mode="measured", patterns_tested=8), seed=5
-        )
+        oracle = profile(gt, ProfilerConfig(mode="oracle"))
+        measured = profile(gt, ProfilerConfig(mode="measured", patterns_tested=8))
         assert np.array_equal(measured, oracle)
 
     def test_full_coverage_with_visited_low_state_equals_oracle(self):
@@ -63,11 +61,10 @@ class TestMeasuredMode:
                          p_high_to_low=1.0, p_low_to_high=1.0),
             dpd=DpdModel(enabled=True, num_patterns=4, worst_pattern_factor=0.6),
         )
-        oracle = profile(gt, ProfilerConfig(mode="oracle"), seed=5)
+        oracle = profile(gt, ProfilerConfig(mode="oracle"))
         measured = profile(
             gt,
             ProfilerConfig(mode="measured", patterns_tested=4, rounds=4, profiling_window_span=4),
-            seed=5,
         )
         assert np.array_equal(measured, oracle)
 
@@ -78,11 +75,11 @@ class TestMeasuredMode:
                        p_high_to_low=0.2, p_low_to_high=0.5)
         gt = make_gt(num_rows=200, seed=17, vrt=vrt)
         cfg = ProfilerConfig(mode="measured", rounds=4, profiling_window_span=8)
-        measured = profile(gt, cfg, seed=5)
+        measured = profile(gt, cfg)
         for r in vrt_rows_of(gt).tolist():
             low = seen = False
             for w in range(1, 8):
-                low = next_low(low, rng.uniform01(17, rng.TAG_PROFILE_VRT_STEP, r, w), vrt)
+                low = next_low(low, uniform01(17, rng.TAG_PROFILE_VRT_STEP, r, w), vrt)
                 seen |= low and w % 2 == 0
             assert measured[r] == gt.base.dense()[r] * (0.5 if seen else 1.0)
 
@@ -118,7 +115,7 @@ class TestMeasuredMode:
     def test_patterns_tested_above_universe_rejected(self):
         gt = make_gt(dpd=DpdModel(enabled=True, num_patterns=4))
         with pytest.raises(ValueError, match="patterns_tested"):
-            profile(gt, ProfilerConfig(mode="measured", patterns_tested=5), seed=1)
+            profile(gt, ProfilerConfig(mode="measured", patterns_tested=5))
 
     def test_worst_pattern_miss_probability(self):
         # testing 1 of 8 patterns misses the worst one with probability 7/8
@@ -129,7 +126,7 @@ class TestMeasuredMode:
             dpd=DpdModel(enabled=True, num_patterns=8, worst_pattern_factor=0.5),
             seed=13,
         )
-        prof = profile(gt, ProfilerConfig(mode="measured", patterns_tested=1), seed=13)
+        prof = profile(gt, ProfilerConfig(mode="measured", patterns_tested=1))
         true_min = gt.min_possible().dense()
         overestimated = int(np.count_nonzero(prof > true_min + 1e-12))
         expected = n * 7 / 8
@@ -147,7 +144,7 @@ class TestMeasuredMode:
             ProfilerConfig(mode="oracle"),
             ProfilerConfig(mode="measured", patterns_tested=4, rounds=3, profiling_window_span=8),
         ):
-            prof = profile(gt, cfg, seed=3)
+            prof = profile(gt, cfg)
             assert np.all(prof <= gt.base.dense() + 1e-12)
 
     def test_guard_band_monotone_per_row(self):
@@ -160,7 +157,7 @@ class TestMeasuredMode:
             ProfilerConfig(mode="measured", patterns_tested=2, guard_band_factor=g)
             for g in (1.0, 2.0, 4.0)
         ]
-        profs = [profile(gt, c, seed=9) for c in cfgs]
+        profs = [profile(gt, c) for c in cfgs]
         assert np.all(profs[1] <= profs[0] + 1e-12)
         assert np.all(profs[2] <= profs[1] + 1e-12)
 
@@ -173,7 +170,7 @@ class TestMisclassification:
             dpd=DpdModel(enabled=True, worst_pattern_factor=0.9),
             seed=17,
         )
-        prof = profile(gt, ProfilerConfig(mode="oracle", guard_band_factor=1.0), seed=17)
+        prof = profile(gt, ProfilerConfig(mode="oracle", guard_band_factor=1.0))
         rep = misclassification_report(prof, gt, BinConfig())
         assert rep.unsafe == 0
         assert rep.wasteful == 0
@@ -183,7 +180,7 @@ class TestMisclassification:
         # all-weak population; guard >= longest/floor pushes every row to bin 0
         gt = make_gt(dist=RetentionDistribution(weak_fraction=1.0), seed=4)
         guard = 256.0 / 64.0
-        prof = profile(gt, ProfilerConfig(mode="oracle", guard_band_factor=guard), seed=4)
+        prof = profile(gt, ProfilerConfig(mode="oracle", guard_band_factor=guard))
         rep = misclassification_report(prof, gt, BinConfig())
         assert rep.unsafe == 0
         true_bin0 = int(np.count_nonzero(gt.min_possible().dense() < 128.0))
@@ -205,7 +202,6 @@ class TestMisclassification:
         prof = profile(
             gt,
             ProfilerConfig(mode="measured", rounds=span, profiling_window_span=span),
-            seed=29,
         )
         rep = misclassification_report(prof, gt, BinConfig())
         expect_p = (1 - p_h2l) ** (span - 1)
@@ -221,7 +217,7 @@ class TestMisclassification:
         bins = BinConfig(thresholds_ms=(64.0,))
         for trefw_ms in (64.0, 32.0):
             gt = make_gt(device=DeviceConfig.from_rows(1000, trefw_ms=trefw_ms), dist=weak, seed=6)
-            rep = misclassification_report(profile(gt, guard, seed=6), gt, bins)
+            rep = misclassification_report(profile(gt, guard), gt, bins)
             demoted = int(np.count_nonzero(gt.min_possible().dense() < 128.0))
             assert 0 < demoted < gt.num_rows
             assert rep.unsafe == 0
@@ -231,7 +227,7 @@ class TestMisclassification:
     def test_shape_mismatch_rejected(self):
         gt = make_gt(num_rows=10)
         other = make_gt(num_rows=20)
-        prof = profile(other, ProfilerConfig(), seed=1)
+        prof = profile(other, ProfilerConfig())
         with pytest.raises(ValueError):
             misclassification_report(prof, gt, BinConfig())
 

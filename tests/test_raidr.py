@@ -172,7 +172,7 @@ class TestSavings:
         gt = ground_truth(
             dev, RetentionDistribution(weak_fraction=1e-3), VrtModel(), DpdModel(), seed=2
         )
-        prof = profile(gt, ProfilerConfig(), seed=2)
+        prof = profile(gt, ProfilerConfig())
         bins = build_bins(prof, BinConfig(), dev.trefw_ms, 1e-3, seed=2)
         horizon = 16
         mult = np.asarray(bins.multipliers)[query_many(bins, np.arange(n, dtype=np.uint64))]

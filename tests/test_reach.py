@@ -20,7 +20,6 @@ SRC = Path(raidrsim.__file__).parent
 
 # function -> why no command reaches it
 UNREACHED = {
-    "rng.uniform01": "the scalar stream the reference oracle steps the toggle on",
     "simulate.RefreshSimulation.checkpoint": "the README's library API",
     "simulate.RefreshSimulation.restore": "the README's library API",
     "simulate.run": "the positional adapter of perfbench's oracle cross-check",

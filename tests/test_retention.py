@@ -16,7 +16,7 @@ from raidrsim.retention import (
     vrt_walk,
 )
 
-from reference_sim import ground_truth, next_low, vrt_rows_of
+from reference_sim import ground_truth, next_low, uniform01, vrt_rows_of
 
 
 def make_gt(num_rows=1000, seed=0, **kw):
@@ -91,9 +91,9 @@ class TestGeneration:
         assert np.array_equal(a.base.dense(), b.base.dense())
         # per-row re-derivation from the stream primitives (order independent)
         for row in (0, 17, 999):
-            u = rng.uniform01(7, rng.TAG_WEAK_SELECT, row)
+            u = uniform01(7, rng.TAG_WEAK_SELECT, row)
             if u < 0.3:
-                ub = rng.uniform01(7, rng.TAG_BASE_RETENTION, row)
+                ub = uniform01(7, rng.TAG_BASE_RETENTION, row)
                 expected = 64.0 + ub * (256.0 - 64.0)
             else:
                 expected = 2560.0
@@ -206,7 +206,7 @@ class TestVrtChain:
         low = {r: False for r in rows}
         for w, line in enumerate(lows, start=1):
             for r in rows:
-                low[r] = next_low(low[r], rng.uniform01(13, rng.TAG_VRT_STEP, r, w), vrt)
+                low[r] = next_low(low[r], uniform01(13, rng.TAG_VRT_STEP, r, w), vrt)
             assert line.tolist() == [low[r] for r in rows]
 
     def test_stationary_occupancy_ensemble(self):
@@ -247,7 +247,7 @@ def hashes_near(draw, p):
 
 
 def uniform_of(h: int) -> float:
-    """The uniform of the 64-bit hash h, as rng.uniform01 takes it."""
+    """The uniform of the 64-bit hash h, as uniform01 takes it."""
     return (h >> 11) * 2.0**-53
 
 
@@ -293,7 +293,7 @@ def test_bernoulli_is_the_uniform_below_p(data):
     seed = data.draw(st.integers(0, 2**64 - 1))
     keys = data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=20))
     drawn = rng.bernoulli_vec(p, seed, 3, np.array(keys, dtype=np.uint64))
-    assert drawn.tolist() == [rng.uniform01(seed, 3, k) < p for k in keys]
+    assert drawn.tolist() == [uniform01(seed, 3, k) < p for k in keys]
 
 
 @st.composite

@@ -594,7 +594,7 @@ def report_fields(rep):
 
 def profile_of_spec(spec, gt):
     """The full-array profile of gt under the spec's profiler and seed."""
-    return profile(gt, spec.profiler, rng.hash_words(spec.seed, rng.TAG_PROFILER_SEED))
+    return profile(gt, spec.profiler)
 
 
 def profile_of(sim):
