@@ -36,7 +36,7 @@ class Mutant:
     path: str  # relative to the repository root, under one of COPIED
     old: str
     new: str
-    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root, each may name one parametrization
 
 
 ACROSS_CHECKPOINT = "tests/test_simulate.py::test_vrt_engine_matches_oracle_across_checkpoint"
@@ -94,16 +94,23 @@ MUTANTS = (
     ),
     Mutant(
         "window-0-stepped",
-        "src/raidrsim/simulate.py",
+        "src/raidrsim/retention.py",
         "stepped = windows[windows > 0]",
         "stepped = windows[windows >= 0]",
         (ACROSS_CHECKPOINT,),
     ),
     Mutant(
+        "tile-runs-past-stop",
+        "src/raidrsim/retention.py",
+        "windows = np.arange(w0, min(w0 + tile, stop))",
+        "windows = np.arange(w0, w0 + tile)",
+        ("tests/test_retention.py::test_vrt_tiles_are_the_scalar_chain_in_bounded_tiles",),
+    ),
+    Mutant(
         "campaign-stops-a-window-early",
         "src/raidrsim/profiler.py",
-        "windows = np.arange(w0, min(w0 + tile, last + 1))",
-        "windows = np.arange(w0, min(w0 + tile, last))",
+        "vrt, 1, last + 1)",
+        "vrt, 1, last)",
         ("tests/test_profiler.py::TestMeasuredMode::test_campaign_stops_at_the_last_sampled_window",),
     ),
     Mutant(
@@ -149,7 +156,7 @@ MUTANTS = (
         "src/raidrsim/profiler.py",
         "gt.base.at[gt.toggles] + gt.start, cfg",
         "gt.base.at[gt.toggles], cfg",
-        ("tests/test_simulate.py::test_vrt_tiles_are_exact_at_their_boundaries",),
+        ("tests/test_simulate.py::test_vrt_tiles_are_exact_at_their_boundaries[64]",),
     ),
     Mutant(
         "pattern-seed-is-the-master-seed",
@@ -213,6 +220,14 @@ MUTANTS = (
         "            toggling = own[toggling]\n",
         "",
         ("tests/test_profiler.py::TestMeasuredMode::test_full_coverage_with_visited_low_state_equals_oracle",),
+    ),
+    # a config file's repeated key is then read as its last value
+    Mutant(
+        "config-key-given-twice-kept",
+        "src/raidrsim/experiment.py",
+        "        if key in line_of:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_key_given_twice_in_a_config_file_exits_2",),
     ),
 )
 

@@ -196,18 +196,14 @@ def _k_for(m: int, n: int) -> int:
     return max(1, min(MAX_HASHES, int(math.floor(m / n * math.log(2) + 0.5))))
 
 
-def plan_params(
-    target_fpr: float,
-    n_expected: int,
-    seed: int = 0,
-    ceiling_bits: int = DEFAULT_PLAN_CEILING_BITS,
-) -> BloomParams:
+def plan_params(target_fpr: float, n_expected: int, seed: int = 0) -> BloomParams:
     """Smallest m (with k = round(m/n * ln 2)) whose analytic FPR meets target_fpr.
 
     Starts from the closed-form optimum m = ceil(-n ln p / (ln 2)^2) and
     searches locally, since rounding k perturbs the exact boundary.  The C
     library's math functions give the FPRs: m is platform-dependent only
-    where an FPR lands within an ulp of target_fpr.
+    where an FPR lands within an ulp of target_fpr.  It raises
+    PlanUnsatisfiableError where m would exceed DEFAULT_PLAN_CEILING_BITS.
     """
     if not 0.0 < target_fpr < 1.0:
         raise ValueError("target_fpr must be in (0, 1)")
@@ -220,9 +216,9 @@ def plan_params(
         lo, hi = m, m
         while analytic_fpr(hi, _k_for(hi, n_expected), n_expected) > target_fpr:
             hi *= 2
-            if hi > ceiling_bits:
+            if hi > DEFAULT_PLAN_CEILING_BITS:
                 raise PlanUnsatisfiableError(
-                    f"no filter below {ceiling_bits} bits meets fpr {target_fpr} at n={n_expected}"
+                    f"no filter below {DEFAULT_PLAN_CEILING_BITS} bits meets fpr {target_fpr} at n={n_expected}"
                 )
         while lo + 1 < hi:
             mid = (lo + hi) // 2
@@ -234,8 +230,8 @@ def plan_params(
     # k rounding makes feasibility only near-monotone in m; finish locally
     while m > 1 and analytic_fpr(m - 1, _k_for(m - 1, n_expected), n_expected) <= target_fpr:
         m -= 1
-    if m > ceiling_bits:
+    if m > DEFAULT_PLAN_CEILING_BITS:
         raise PlanUnsatisfiableError(
-            f"required {m} bits exceeds ceiling {ceiling_bits} for fpr {target_fpr}, n={n_expected}"
+            f"required {m} bits exceeds ceiling {DEFAULT_PLAN_CEILING_BITS} for fpr {target_fpr}, n={n_expected}"
         )
     return BloomParams(m=m, k=_k_for(m, n_expected), seed=seed)

@@ -143,7 +143,6 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_point, payloads))
     else:
         results = [_sweep_point(p) for p in payloads]
-    results.sort(key=lambda r: r[0])
     out = _ensure_outdir(args)
 
     lines = [_csv_comment(base_spec), ",".join(results[0][1])]  # the columns are the row's keys
@@ -224,7 +223,7 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failures = run_selftest(fault=args.fault)
+    failures = run_selftest()
     return EXIT_INVARIANT if failures else EXIT_OK
 
 
@@ -261,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_over.set_defaults(func=cmd_overhead)
 
     p_self = sub.add_parser("selftest", help="run the embedded invariant suite")
-    p_self.add_argument(
-        "--fault", default=None, metavar="NAME",
-        help="inject a named fault (diagnostic aid, e.g. corrupt-bloom)",
-    )
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

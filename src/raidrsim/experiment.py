@@ -256,8 +256,8 @@ def spec_from_flat(flat: dict[str, str]) -> ExperimentSpec:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse `key = value` lines; comments (#) and blank lines are ignored."""
-    flat = {}
+    """Parse `key = value` lines; comments (#) and blank lines are ignored, a key given twice is rejected."""
+    flat, line_of = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -265,7 +265,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        flat[key.strip()] = value.strip()
+        key = key.strip()
+        if key in line_of:
+            raise ConfigError(f"line {lineno}: key {key!r} given again, first on line {line_of[key]}")
+        flat[key], line_of[key] = value.strip(), lineno
     return flat
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .retention import RetentionGroundTruth, SparseRows, VrtModel, vrt_walk
+from .retention import RetentionGroundTruth, SparseRows, VrtModel, vrt_tiles
 
 MODE_ORACLE = "oracle"
 MODE_MEASURED = "measured"
@@ -47,33 +47,24 @@ def _round_windows(span: int, rounds: int) -> np.ndarray:
     return np.unique((np.arange(rounds, dtype=np.int64) * span) // rounds)
 
 
-def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig, tile_pairs: int) -> np.ndarray:
+def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig) -> np.ndarray:
     """Whether each affected row of `rows` occupied its low state at any sampled pass.
 
     The campaign has its own window timeline starting from the fresh (high)
     state; transitions reuse the per-row physical streams under a dedicated
-    purpose tag.  It steps every row of `rows` together, up to the last
-    sampled window, in tiles of consecutive windows: at most tile_pairs
-    (window, row) pairs each, and at least one window.  Each tile is one
-    hash call and one vrt_walk.  Every row's steps are its own, so the
-    rows stepped together and the tiling change no result.
+    purpose tag.  It walks every row of `rows` together with vrt_tiles,
+    over windows 1 to the last sampled one.  Every row's steps are its
+    own, so the rows stepped together and the tiling change no result.
     """
-    seen = np.zeros(rows.size, dtype=bool)
-    if rows.size == 0:
-        return seen
     sample_at = _round_windows(cfg.profiling_window_span, cfg.rounds)
     last = int(sample_at[-1])
     sampled = np.zeros(last + 1, dtype=bool)
     sampled[sample_at] = True
-    low = np.zeros(rows.size, dtype=bool)
+    seen = np.zeros(rows.size, dtype=bool)
     prefix = rng.hash_words_vec(seed, rng.TAG_PROFILE_VRT_STEP, rows)
-    tile = max(1, tile_pairs // rows.size)
     # window 0 is the fresh state: never low, nothing to record there; no
     # window past the last sampled one is read
-    for w0 in range(1, last + 1, tile):
-        windows = np.arange(w0, min(w0 + tile, last + 1))
-        lows = vrt_walk(low, rng.extend_hash_vec(prefix, windows[:, None]), vrt)
-        low = lows[-1]
+    for windows, lows in vrt_tiles(prefix, np.zeros_like(seen), vrt, 1, last + 1):
         seen |= lows[sampled[windows]].any(axis=0)
     return seen
 
@@ -82,11 +73,10 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, bins=None) -> Sp
     """Guard-divided measured retention of each row of gt, a range of the device, as sparse rows.
 
     It reads only gt's own rows.  Measured mode runs gt's own campaign
-    (vrt_low_seen) on its toggling rows, in tiles of num_rows // 4
-    (window, row) pairs, and keys the pattern draws by the profiler seed
-    derived from gt.seed.  Oracle mode ignores the campaign parameters
-    (patterns, rounds, span); measured mode validates patterns_tested
-    against the pattern universe.
+    (vrt_low_seen) on its toggling rows, and keys the pattern draws by the
+    profiler seed derived from gt.seed.  Oracle mode ignores the campaign
+    parameters (patterns, rounds, span); measured mode validates
+    patterns_tested against the pattern universe.
 
     Every row of gt.base.at holds its own value.  The plain rows share
     one, except in measured mode with DPD, where a plain row whose worst
@@ -131,7 +121,7 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, bins=None) -> Sp
         measured = np.where(covered_at, measured * f, measured)
     else:
         measured = measured.copy()
-    low_seen = vrt_low_seen(gt.seed, gt.vrt, gt.base.at[gt.toggles] + gt.start, cfg, max(1, gt.num_rows // 4))
+    low_seen = vrt_low_seen(gt.seed, gt.vrt, gt.base.at[gt.toggles] + gt.start, cfg)
     i = toggling[low_seen]
     measured[i] = measured[i] * gt.vrt.low_factor
     return SparseRows(gt.start, gt.num_rows, plain / guard, at, measured / guard)

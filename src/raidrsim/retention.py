@@ -169,6 +169,33 @@ def vrt_walk(low: np.ndarray, h: np.ndarray, vrt: VrtModel) -> np.ndarray:
     return out
 
 
+# (window, row) pairs per tile of vrt_tiles; a tile's uint64 temporaries,
+# 256 KB each, stay in L2 cache
+TILE_PAIRS = 1 << 15
+
+
+def vrt_tiles(prefix: np.ndarray, low: np.ndarray, vrt: VrtModel, start: int, stop: int):
+    """Yield (windows, lows), tile by tile over the windows [start, stop): the toggle of prefix's rows from low.
+
+    prefix holds each row's step-stream hash and low its state before window
+    start; low is never written.  A tile holds at most TILE_PAIRS (window,
+    row) pairs and at least one window, in one hash call and one vrt_walk;
+    line t of lows is the state at windows[t].  Window 0 is the fresh state
+    and takes no step.  No rows yield no tile.
+    """
+    if prefix.size == 0:
+        return
+    tile = max(1, TILE_PAIRS // prefix.size)
+    for w0 in range(start, stop, tile):
+        windows = np.arange(w0, min(w0 + tile, stop))
+        stepped = windows[windows > 0]
+        lows = vrt_walk(low, rng.extend_hash_vec(prefix, stepped[:, None]), vrt)
+        if stepped.size < windows.size:
+            lows = np.concatenate([low[None], lows])
+        low = lows[-1]
+        yield windows, lows
+
+
 class RowBuffer:
     """An append-only array that doubles its capacity as it grows.
 

@@ -1,8 +1,7 @@
 """Embedded invariant suite: a fast sanity gate runnable from the CLI.
 
-Each property runs at small scale and prints one line.  The optional
-fault name corrupts a structure on purpose so the gate itself can be
-tested end to end.
+Each property runs at small scale and prints one line, ok or FAIL with
+its problem; `raidrsim selftest` exits 3 if any fails.
 """
 
 from __future__ import annotations
@@ -11,24 +10,16 @@ import numpy as np
 
 from . import rng
 from .bloom import BloomFilter, BloomParams, analytic_fpr
-from .experiment import ConfigError, ExperimentSpec, SimConfig
+from .experiment import ExperimentSpec, SimConfig
 from .profiler import ProfilerConfig
 from .retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
 from .simulate import RefreshSimulation, check_report_invariants
 
-FAULT_CORRUPT_BLOOM = "corrupt-bloom"
-KNOWN_FAULTS = (FAULT_CORRUPT_BLOOM,)
 
-
-def _check_no_false_negatives(fault: str | None) -> str | None:
+def _check_no_false_negatives() -> str | None:
     filt = BloomFilter(BloomParams(m=4096, k=6, seed=17))
     keys = rng.hash_words_vec(21, np.arange(400, dtype=np.uint64))
     filt.insert_many(keys)
-    if fault == FAULT_CORRUPT_BLOOM:
-        set_words = np.flatnonzero(filt.words)
-        w = int(set_words[0])
-        bit = int(np.uint64(filt.words[w]).item().bit_length()) - 1
-        filt.words[w] ^= np.uint64(1 << bit)
     if filt.claimed(keys).size != keys.size:
         return "an inserted key reported absent"
     return None
@@ -45,7 +36,7 @@ def _check_run(spec: ExperimentSpec, floor: float = 0.0) -> str | None:
     return None
 
 
-def _check_oracle_safety(_: str | None) -> str | None:
+def _check_oracle_safety() -> str | None:
     return _check_run(ExperimentSpec(
         seed=11,
         device=DeviceConfig.from_rows(20_000),
@@ -57,7 +48,7 @@ def _check_oracle_safety(_: str | None) -> str | None:
     ))
 
 
-def _check_savings_bound(_: str | None) -> str | None:
+def _check_savings_bound() -> str | None:
     return _check_run(ExperimentSpec(
         seed=5,
         device=DeviceConfig.from_rows(20_000),
@@ -66,7 +57,7 @@ def _check_savings_bound(_: str | None) -> str | None:
     ), floor=0.70)
 
 
-def _check_fpr_calibration(_: str | None) -> str | None:
+def _check_fpr_calibration() -> str | None:
     m, k, n = 4096, 4, 512
     filt = BloomFilter(BloomParams(m=m, k=k, seed=3))
     filt.insert_many(rng.hash_words_vec(31, np.arange(n, dtype=np.uint64)))
@@ -78,7 +69,7 @@ def _check_fpr_calibration(_: str | None) -> str | None:
     return None
 
 
-def _check_determinism(_: str | None) -> str | None:
+def _check_determinism() -> str | None:
     spec = ExperimentSpec(seed=9, device=DeviceConfig.from_rows(10_000), sim=SimConfig(horizon_windows=32))
     a = RefreshSimulation(spec).run().to_text()
     b = RefreshSimulation(spec).run().to_text()
@@ -96,13 +87,11 @@ _PROPERTIES = (
 )
 
 
-def run_selftest(fault: str | None = None) -> list[str]:
+def run_selftest() -> list[str]:
     """Run every property; returns the names of the ones that failed."""
-    if fault is not None and fault not in KNOWN_FAULTS:
-        raise ConfigError(f"unknown fault {fault!r}; known: {', '.join(KNOWN_FAULTS)}")
     failures = []
     for name, check in _PROPERTIES:
-        problem = check(fault)
+        problem = check()
         if problem:
             failures.append(name)
             print(f"selftest {name}: FAIL ({problem})")

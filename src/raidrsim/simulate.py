@@ -17,7 +17,7 @@ measured mode with DPD (whether the campaign tested the worst pattern).
 Pass 1 generates and profiles one block at a time, from its rows alone, as
 SparseRows: the block's own rows, its weak and VRT rows, which
 generate_rows draws once, and the plain value; profile_rows runs the
-block's own profiling campaign, in tiles of a quarter of its rows.  Each
+block's own profiling campaign.  Each
 plain value is classified once and its rows counted in its bin; a plain
 row's pattern coverage is drawn only where it changes the row's bin or
 takes it under the base period.  Of each block the
@@ -42,10 +42,10 @@ running minimum is a flag, "low state seen since the last refresh".  A
 VRT row whose longest refresh gap, m * trefw_ms, is at most its low
 retention never fails in either state, and no result reads its toggle.
 So the engine holds VRT state only for the rows that can fail, and
-steps only those, over tiles of consecutive windows.  A tile is one hash
-call over its (window, row) pairs and a few numpy calls over the tile;
-only the toggle walk and the "seen" scan take a call per window, four
-in-place bool operations on one line of the tile.
+steps only those, over retention.vrt_tiles' tiles of windows, as the
+campaign does.  A tile is one hash call and a few numpy calls; only the
+toggle walk and the "seen" scan take a call per window, four in-place
+bool operations on one line of the tile.
 
 A checkpoint (version 4) is a `<4sI32s` header (magic `RSIM`, version,
 SHA-256 of the payload) and a payload of plain data: the length-prefixed
@@ -72,7 +72,7 @@ from .bloom import BloomParams
 from .experiment import ExperimentSpec, config_sha256, config_text, parse_config_text, spec_from_flat
 from .profiler import MODE_ORACLE, profile_rows
 from .raidr import BinSet, bin_blocks, refreshes_in_horizon
-from .retention import RowBuffer, generate_rows, vrt_walk
+from .retention import RowBuffer, generate_rows, vrt_tiles
 
 _CHECKPOINT_MAGIC = b"RSIM"
 _CHECKPOINT_VERSION = 4
@@ -84,10 +84,7 @@ _CHECKPOINT_ARRAYS = ("vrt_low", "seen", "unsafe")
 
 # rows per block of the engine's passes over the device; bounds their
 # temporaries, at most 8 B per row of the block each, independently of
-# num_rows.  keep_block_pages has malloc reuse them from block to block.
-# A quarter of it bounds the (window, row) pairs of a tile of VRT steps,
-# in the engine and in each block's profiling campaign, so that a tile's
-# uint64 temporaries, 256 KB each, stay in L2 cache
+# num_rows.  keep_block_pages has malloc reuse them from block to block
 _CHUNK_ROWS = 1 << 17
 
 # glibc's mallopt parameter numbers
@@ -323,43 +320,33 @@ class RefreshSimulation:
     def _advance(self, end: int) -> None:
         """Step the rows that can fail from the current window up to `end`, counting their failures.
 
-        The windows go in tiles of at most _CHUNK_ROWS // 4 (window, row)
-        pairs, and at least one window.  A tile hashes all its steps in one
-        call and walks the toggle through them in one vrt_walk; its
-        phases, elapsed times and refresh masks are 2-D arrays, and only
-        the "seen" flag is carried line by line.  Window 0 takes no step.
+        vrt_tiles walks the toggle in tiles of windows; a tile's phases,
+        elapsed times and refresh masks are 2-D arrays, and only the "seen"
+        flag is carried line by line.
         """
-        n = self._v_key.size
-        if n:
-            low, seen, unsafe = self._v_low, self._v_seen, self._v_unsafe
-            tile = max(1, (_CHUNK_ROWS // 4) // n)
-            for w0 in range(self._window, end, tile):
-                windows = np.arange(w0, min(w0 + tile, end))
-                stepped = windows[windows > 0]
-                lows = vrt_walk(low, rng.extend_hash_vec(self._v_prefix, stepped[:, None]), self.spec.vrt)
-                if stepped.size < windows.size:
-                    lows = np.concatenate([low[None], lows])
-                # per multiplier: refreshed in each window, and the time since
-                # the last refresh.  np.take gathers the rows' columns in C
-                # order, so that each window's line is contiguous
-                phase = windows[:, None] % self._v_mults
-                elapsed_ms = np.take((phase + 1) * self.device.trefw_ms, self._v_key, axis=1)
-                # in place, line t of `failed` goes from "not refreshed in
-                # window t" to "low state held at some window since the last
-                # refresh": the running minimum is then the low retention
-                failed = np.take(phase != 0, self._v_key, axis=1)
-                for line, line_low in zip(failed, lows):
-                    line &= seen
-                    line |= line_low
-                    seen = line
-                # seen is a line of `failed`, which the tests below overwrite
-                low, seen = lows[-1], seen.copy()
-                # the low retention is never above the high one
-                failed &= elapsed_ms > self._v_low_ms
-                failed |= elapsed_ms > self._v_high_ms
-                self._v_failures += int(np.count_nonzero(failed))
-                unsafe |= failed.any(axis=0)
-            self._v_low, self._v_seen, self._v_unsafe = low, seen, unsafe
+        low, seen, unsafe = self._v_low, self._v_seen, self._v_unsafe
+        for windows, lows in vrt_tiles(self._v_prefix, low, self.spec.vrt, self._window, end):
+            # per multiplier: refreshed in each window, and the time since
+            # the last refresh.  np.take gathers the rows' columns in C
+            # order, so that each window's line is contiguous
+            phase = windows[:, None] % self._v_mults
+            elapsed_ms = np.take((phase + 1) * self.device.trefw_ms, self._v_key, axis=1)
+            # in place, line t of `failed` goes from "not refreshed in
+            # window t" to "low state held at some window since the last
+            # refresh": the running minimum is then the low retention
+            failed = np.take(phase != 0, self._v_key, axis=1)
+            for line, line_low in zip(failed, lows):
+                line &= seen
+                line |= line_low
+                seen = line
+            # seen is a line of `failed`, which the tests below overwrite
+            low, seen = lows[-1], seen.copy()
+            # the low retention is never above the high one
+            failed &= elapsed_ms > self._v_low_ms
+            failed |= elapsed_ms > self._v_high_ms
+            self._v_failures += int(np.count_nonzero(failed))
+            unsafe |= failed.any(axis=0)
+        self._v_low, self._v_seen, self._v_unsafe = low, seen, unsafe
         self._window = max(self._window, end)
 
     def run(self, stop_after_window: int | None = None) -> SimReport | None:

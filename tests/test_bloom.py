@@ -153,8 +153,9 @@ class TestPlan:
             assert analytic_fpr(p.m - 1, max(1, min(64, int(math.floor((p.m - 1) / n * math.log(2) + 0.5)))), n) > target
 
     def test_unsatisfiable(self):
+        # about 4.3e10 bits, past the 2**32-bit ceiling
         with pytest.raises(PlanUnsatisfiableError):
-            plan_params(1e-9, 10**9, ceiling_bits=2**20)
+            plan_params(1e-9, 10**9)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

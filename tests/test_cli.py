@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raidrsim import cli as cli_mod
+from raidrsim.bloom import BloomFilter
 from raidrsim.cli import main
 from raidrsim.experiment import (
     _SCHEMA,
@@ -305,6 +306,22 @@ def test_config_file_that_is_not_text_exits_2(tmp_path, capsys):
     path.write_bytes(b"seed = \xff\n")
     assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "never")) == 2
     assert "not text" in capsys.readouterr().err
+
+
+def test_key_given_twice_in_a_config_file_exits_2(tmp_path, capsys):
+    # the file is rejected, not read as its last value; --set still
+    # overrides the file, and a repeated --set keeps its last value
+    path = tmp_path / "twice.cfg"
+    path.write_text("seed = 1\n# seed = 5\nsim.horizon_windows = 32\nseed = 2\n")
+    assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "never")) == 2
+    assert "line 4: key 'seed' given again, first on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+    path.write_text("seed = 1\n")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(path), *SMALL, "--set", "seed=2", "--set", "seed=3",
+                   "--out", str(out)) == 0
+    assert "\nseed = 3\n" in (out / "simreport.txt").read_text()
 
 
 def test_unexpected_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
@@ -652,13 +669,14 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert out.count(": ok") == 5
 
-    def test_fault_injection_names_property(self, capsys):
-        assert run_cli("selftest", "--fault", "corrupt-bloom") == 3
+    def test_fault_injection_names_property(self, monkeypatch, capsys):
+        # a filter that drops its first member from every answer has a
+        # false negative, and the gate names the property it breaks
+        claimed = BloomFilter.claimed
+        monkeypatch.setattr(BloomFilter, "claimed", lambda self, keys: claimed(self, keys)[1:])
+        assert run_cli("selftest") == 3
         out = capsys.readouterr().out
         assert "bloom-no-false-negatives: FAIL" in out
-
-    def test_unknown_fault_exit_2(self, capsys):
-        assert run_cli("selftest", "--fault", "nope") == 2
 
     def test_selftest_deterministic(self, capsys):
         run_cli("selftest")

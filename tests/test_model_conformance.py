@@ -67,7 +67,7 @@ def test_campaign_miss_fraction_matches_the_chain(vrt, cfg):
     assert 0.05 < p < 0.95
     sigma = math.sqrt(n * p * (1 - p))
     for seed in SEEDS:
-        misses = n - int(np.count_nonzero(vrt_low_seen(seed, vrt, rows, cfg, tile_pairs=1 << 20)))
+        misses = n - int(np.count_nonzero(vrt_low_seen(seed, vrt, rows, cfg)))
         assert abs(misses - n * p) < SIGMAS * sigma, (seed, misses, n * p)
 
 

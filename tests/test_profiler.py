@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raidrsim import rng
+from raidrsim import retention, rng
 from raidrsim.profiler import ProfilerConfig, _round_windows, vrt_low_seen
 from raidrsim.raidr import BinConfig
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel, vrt_walk
@@ -97,9 +97,9 @@ class TestMeasuredMode:
                                                        tile_pairs):
         # stepping the full span window by window, as a campaign that read
         # every window would, sees the same rows low: no window past the
-        # last sample is read.  The campaign's tiles hold one window (budget
-        # 1), cut between sample windows (7 pairs over a few rows) or span
-        # the campaign (2**15)
+        # last sample is read.  The campaign's tiles hold one window
+        # (TILE_PAIRS 1), are cut between sample windows (7 pairs over a few
+        # rows) or span the campaign (2**15)
         vrt = VrtModel(enabled=True, p_high_to_low=p_hl, p_low_to_high=p_lh)
         cfg = ProfilerConfig(mode="measured", rounds=rounds, profiling_window_span=span)
         rows = np.arange(0, 3 * num_rows, 3, dtype=np.int64)
@@ -110,7 +110,9 @@ class TestMeasuredMode:
             low = vrt_walk(low, rng.extend_hash_vec(prefix, np.array([[w]])), vrt)[0]
             if w in sample_at:
                 seen = seen | low
-        assert np.array_equal(vrt_low_seen(seed, vrt, rows, cfg, tile_pairs), seen)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retention, "TILE_PAIRS", tile_pairs)
+            assert np.array_equal(vrt_low_seen(seed, vrt, rows, cfg), seen)
 
     def test_patterns_tested_above_universe_rejected(self):
         gt = make_gt(dpd=DpdModel(enabled=True, num_patterns=4))

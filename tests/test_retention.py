@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raidrsim import rng
+from raidrsim import retention, rng
 from raidrsim.retention import (
     DeviceConfig,
     DpdModel,
@@ -13,6 +13,7 @@ from raidrsim.retention import (
     RowBuffer,
     SparseRows,
     VrtModel,
+    vrt_tiles,
     vrt_walk,
 )
 
@@ -160,26 +161,22 @@ class TestTrueMinRetention:
         assert gt.toggles.dtype == bool and gt.toggles.size == gt.base.at.size
 
 
-def walk(num_rows, windows, seed=0, tile=100, **vrt_kw):
-    """Every row's toggle state at windows 1..windows, from the fresh (high) state, one tile of windows at a time.
+def walk(num_rows, windows, seed=0, **vrt_kw):
+    """Every row's toggle state at windows 1..windows, from the fresh (high) state, one tile at a time.
 
-    Yields (first window of the tile, the tile's states); the states are
-    drawn with vrt_walk from the stream TAG_VRT_STEP of rows 0..num_rows-1.
+    Yields vrt_tiles' (windows, states) of the stream TAG_VRT_STEP of rows
+    0..num_rows-1.
     """
     vrt = VrtModel(enabled=True, affected_fraction=1.0, **vrt_kw)
     prefix = rng.hash_words_vec(seed, rng.TAG_VRT_STEP, np.arange(num_rows))
-    low = np.zeros(num_rows, dtype=bool)
-    for w0 in range(1, windows + 1, tile):
-        lows = vrt_walk(low, rng.extend_hash_vec(prefix, np.arange(w0, min(w0 + tile, windows + 1))[:, None]), vrt)
-        yield w0, lows
-        low = lows[-1]
+    yield from vrt_tiles(prefix, np.zeros(num_rows, dtype=bool), vrt, 1, windows + 1)
 
 
 def occupancy(num_rows, windows, burn_in, **kw):
     """The mean share of rows low over windows burn_in + 1..windows."""
     total = 0
-    for w0, lows in walk(num_rows, windows, **kw):
-        total += int(np.count_nonzero(lows[max(0, burn_in + 1 - w0):]))
+    for tile_windows, lows in walk(num_rows, windows, **kw):
+        total += int(np.count_nonzero(lows[tile_windows > burn_in]))
     return total / (num_rows * (windows - burn_in))
 
 
@@ -189,7 +186,7 @@ class TestVrtChain:
             assert not lows.any()
 
     def test_deterministic_alternation(self):
-        lows = np.concatenate([lows for _, lows in walk(100, 8, tile=3, p_high_to_low=1.0, p_low_to_high=1.0)])
+        lows = np.concatenate([lows for _, lows in walk(100, 8, p_high_to_low=1.0, p_low_to_high=1.0)])
         for w, line in enumerate(lows, start=1):
             expected = w % 2 == 1
             assert line.all() == expected and line.any() == expected
@@ -216,7 +213,7 @@ class TestVrtChain:
         assert abs(occ - 0.5) < 0.025
 
     def test_stationary_occupancy_single_row_time_average(self):
-        occ = occupancy(1, 10_000, 0, seed=33, tile=10_000, p_high_to_low=0.1, p_low_to_high=0.1)
+        occ = occupancy(1, 10_000, 0, seed=33, p_high_to_low=0.1, p_low_to_high=0.1)
         assert abs(occ - 0.5) < 0.05
 
     def test_asymmetric_stationary(self):
@@ -283,6 +280,37 @@ def test_vrt_walk_is_repeated_vrt_step(data):
         state = [next_low(lo, uniform_of(int(x)), vrt) for lo, x in zip(state, h[t])]
         assert walked[t].tolist() == state, t
     assert np.array_equal(low, before[0]) and np.array_equal(h, before[1])
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_vrt_tiles_are_the_scalar_chain_in_bounded_tiles(data):
+    # from any states, over any windows, in tiles of one window (TILE_PAIRS
+    # 1), of a few (7 pairs over a few rows) or of every window (2**15)
+    p_hl, p_lh = data.draw(probabilities), data.draw(probabilities)
+    vrt = VrtModel(enabled=True, p_high_to_low=p_hl, p_low_to_high=p_lh)
+    rows, start = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 5))
+    stop = data.draw(st.integers(start, start + 70))
+    tile_pairs = data.draw(st.sampled_from([1, 7, 2**15]))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    low = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+    before = low.copy()
+    prefix = rng.hash_words_vec(seed, rng.TAG_VRT_STEP, np.arange(rows))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retention, "TILE_PAIRS", tile_pairs)
+        tiles = list(vrt_tiles(prefix, low, vrt, start, stop))
+    assert np.array_equal(low, before)
+    if rows == 0:
+        assert tiles == []
+        return
+    assert [int(w) for windows, _ in tiles for w in windows] == list(range(start, stop))
+    state = low.tolist()
+    for windows, lows in tiles:
+        assert 1 <= windows.size <= max(1, tile_pairs // rows) and lows.shape == (windows.size, rows)
+        for w, line in zip(windows.tolist(), lows):
+            if w > 0:  # window 0 is the fresh state
+                state = [next_low(lo, uniform01(seed, rng.TAG_VRT_STEP, r, w), vrt) for r, lo in enumerate(state)]
+            assert line.tolist() == state, w
 
 
 @given(st.data())

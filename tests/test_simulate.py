@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from raidrsim import retention as retention_mod
 from raidrsim import rng
 from raidrsim import simulate as simulate_mod
 from raidrsim.bloom import BloomParams
@@ -26,7 +27,7 @@ from raidrsim.retention import (
     RetentionDistribution,
     VrtModel,
     generate_rows,
-    vrt_walk,
+    vrt_tiles,
 )
 from raidrsim.simulate import CheckpointError, RefreshSimulation, check_report_invariants, run
 
@@ -469,14 +470,15 @@ def test_vrt_trajectory_matches_standalone_ground_truth():
 
 
 def count_vrt_steps(monkeypatch):
-    """The list of the engine's vrt_walk calls, one entry each: a tile of windows stepped."""
+    """The list of the tiles of windows the engine steps, one entry each, as simulate's vrt_tiles yields them."""
     calls = []
 
     def counted(*a):
-        calls.append(1)
-        return vrt_walk(*a)
+        for tile in vrt_tiles(*a):
+            calls.append(1)
+            yield tile
 
-    monkeypatch.setattr(simulate_mod, "vrt_walk", counted)
+    monkeypatch.setattr(simulate_mod, "vrt_tiles", counted)
     return calls
 
 
@@ -554,22 +556,27 @@ def test_checkpoint_after_restore_and_advance_matches_uninterrupted(first, secon
     assert resumed.checkpoint() == uninterrupted.checkpoint()
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 7, 64, simulate_mod._CHUNK_ROWS])
-def test_vrt_tiles_are_exact_at_their_boundaries(monkeypatch, chunk_rows):
-    # 4 VRT rows can fail, so a tile of _CHUNK_ROWS // 4 pairs is one window
-    # at 1 and 7 block rows, four windows at 64 and the whole horizon at the
-    # default.  The run stops inside a tile, where the default tiling has
-    # no boundary, and resumes from its checkpoint
+@pytest.mark.parametrize("block_rows", [1, 7, 64, simulate_mod._CHUNK_ROWS])
+def test_vrt_tiles_are_exact_at_their_boundaries(monkeypatch, block_rows):
+    # the device is built in blocks of block_rows rows, each block with its
+    # own campaign, and the toggle walked in tiles of a quarter as many
+    # (window, row) pairs: 4 VRT rows can fail, so an engine tile is one
+    # window at 1 and 7 block rows, four windows at 64 and the whole horizon
+    # at the default, where the tiles hold TILE_PAIRS.  The run stops inside
+    # a tile, where the default tiling has no boundary, and resumes from its
+    # checkpoint
+    tile_pairs = max(1, block_rows // 4)
     spec = noisy_spec(horizon=133, seed=5)
     whole = RefreshSimulation(spec)
     rep = whole.run()
     assert whole._v_key.size == 4 and whole._v_failures > 0
-    tile = max(1, chunk_rows // 4 // whole._v_key.size)
+    tile = max(1, tile_pairs // whole._v_key.size)
     stop = min(tile + max(1, tile // 2), spec.sim.horizon_windows - 1)
     default_at_stop = RefreshSimulation(spec)
     default_at_stop.run(stop_after_window=stop)
 
-    monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(retention_mod, "TILE_PAIRS", tile_pairs)
+    monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", block_rows)
     sim = RefreshSimulation(spec)
     assert sim.run(stop_after_window=stop) is None
     blob = sim.checkpoint()
@@ -846,10 +853,11 @@ def small_vrt_runs(draw):
 @settings(max_examples=100, deadline=None)
 def test_vrt_engine_matches_oracle_across_checkpoint(drawn):
     # the engine works in blocks of 1 to 50 rows, from one row per block to
-    # the whole device in one
+    # the whole device in one, and in tiles of as many (window, row) pairs
     spec, stop, block_rows = drawn
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate_mod, "_CHUNK_ROWS", block_rows)
+        mp.setattr(retention_mod, "TILE_PAIRS", block_rows)
         sim = RefreshSimulation(spec)
         sim.run(stop_after_window=stop)
         restored = RefreshSimulation.restore(sim.checkpoint())
@@ -870,11 +878,13 @@ def test_vrt_engine_matches_oracle_across_checkpoint(drawn):
 def engine_against_oracle(spec, block_rows):
     """Build and run the engine in blocks of block_rows rows: its counters, or its error, must be the oracle's.
 
-    An UnbinnableRowError must name the first row of the exact profile under the base
-    period, that row's value and the count of such rows.
+    Its VRT tiles hold block_rows (window, row) pairs each.  An
+    UnbinnableRowError must name the first row of the exact profile under
+    the base period, that row's value and the count of such rows.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate_mod, "_CHUNK_ROWS", block_rows)
+        mp.setattr(retention_mod, "TILE_PAIRS", block_rows)
         try:
             want = counters(run_reference(*parts_of(spec)))
         except UnbinnableRowError:
