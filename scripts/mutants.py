@@ -3,7 +3,8 @@
 A mutant replaces one exact text in one file with another.  For each
 mutant the script copies src/ and tests/ to a temporary directory, applies
 the mutant there and runs only its named tests, with a fixed Hypothesis
-seed.  The mutant is killed when they fail.
+seed and the `mutants` Hypothesis profile of tests/conftest.py, which
+does not shrink a failing example.  The mutant is killed when they fail.
 
     python scripts/mutants.py            # every mutant
     python scripts/mutants.py NAME ...   # the named ones
@@ -40,6 +41,9 @@ class Mutant:
 
 
 ACROSS_CHECKPOINT = "tests/test_simulate.py::test_vrt_engine_matches_oracle_across_checkpoint"
+PROFILE_EXACT_UP_TO_THE_BIN = (
+    "tests/test_profiler.py::TestCampaignOnlyWhereTheBinDependsOnIt::test_profile_with_bins_is_exact_up_to_the_bin"
+)
 
 MUTANTS = (
     Mutant(
@@ -154,9 +158,35 @@ MUTANTS = (
     Mutant(
         "campaign-keyed-by-block-offsets",
         "src/raidrsim/profiler.py",
-        "gt.base.at[gt.toggles] + gt.start, cfg",
-        "gt.base.at[gt.toggles], cfg",
+        "rows + gt.start, cfg",
+        "rows, cfg",
         ("tests/test_simulate.py::test_vrt_tiles_are_exact_at_their_boundaries[64]",),
+    ),
+    # a VRT row whose two values share a bin but whose low one is under the
+    # base period then keeps its high value
+    Mutant(
+        "campaign-ignores-base-period",
+        "src/raidrsim/profiler.py",
+        " | (seen < gt.device.trefw_ms)",
+        "",
+        (PROFILE_EXACT_UP_TO_THE_BIN,),
+    ),
+    # the two values then miss the DPD coverage of a row whose worst pattern was tested
+    Mutant(
+        "campaign-decides-before-coverage",
+        "src/raidrsim/profiler.py",
+        "high = measured[toggling]",
+        "high = gt.base.values[gt.toggles]",
+        (PROFILE_EXACT_UP_TO_THE_BIN,),
+    ),
+    # the profile keeps its bins, but the campaign walks every VRT row again
+    Mutant(
+        "campaign-walks-every-toggling-row",
+        "src/raidrsim/profiler.py",
+        "        toggling, rows = toggling[asked], rows[asked]\n",
+        "",
+        ("tests/test_profiler.py::TestCampaignOnlyWhereTheBinDependsOnIt::"
+         "test_campaign_walks_exactly_the_straddling_rows",),
     ),
     Mutant(
         "pattern-seed-is-the-master-seed",
@@ -249,7 +279,7 @@ def run_mutant(mutant: Mutant) -> str:
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--rootdir", str(work),
-             "--hypothesis-seed=0", *mutant.tests],
+             "--hypothesis-seed=0", "--hypothesis-profile=mutants", *mutant.tests],
             cwd=work, env=env, capture_output=True, text=True,
         )
     # pytest exits 1 when a test fails; any other non-zero code means the

@@ -54,7 +54,8 @@ def vrt_low_seen(seed: int, vrt: VrtModel, rows: np.ndarray, cfg: ProfilerConfig
     state; transitions reuse the per-row physical streams under a dedicated
     purpose tag.  It walks every row of `rows` together with vrt_tiles,
     over windows 1 to the last sampled one.  Every row's steps are its
-    own, so the rows stepped together and the tiling change no result.
+    own, so the rows stepped together and the tiling change no result:
+    a subset of the rows gets the answers it gets among all of them.
     """
     sample_at = _round_windows(cfg.profiling_window_span, cfg.rounds)
     last = int(sample_at[-1])
@@ -85,6 +86,16 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, bins=None) -> Sp
     given and both values fall in the same bin at or above the base period
     device.trefw_ms: then every plain row holds the missed value, and the
     profile bins every row as the exact one does.
+
+    A toggling row holds its value times vrt.low_factor where the campaign
+    saw its low state.  Without bins, the campaign walks every toggling
+    row.  Given bins, it walks only those whose two possible values, with
+    and without the low state, fall in different bins, or whose low value
+    is under the base period; every other toggling row holds its high
+    value.  Binning reads a value only through its bin and whether it is
+    under the base period (and, for such rows, the value itself), so the
+    profile still bins every row, and rejects the same rows, as the exact
+    one does.
     """
     guard = cfg.guard_band_factor
     if cfg.mode == MODE_ORACLE:
@@ -121,7 +132,15 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, bins=None) -> Sp
         measured = np.where(covered_at, measured * f, measured)
     else:
         measured = measured.copy()
-    low_seen = vrt_low_seen(gt.seed, gt.vrt, gt.base.at[gt.toggles] + gt.start, cfg)
+    rows = gt.base.at[gt.toggles]
+    if bins is not None:
+        # each toggling row's two possible values, by the float operations
+        # of the return below
+        high = measured[toggling]
+        unseen, seen = high / guard, (high * gt.vrt.low_factor) / guard
+        asked = (bins.classify(unseen) != bins.classify(seen)) | (seen < gt.device.trefw_ms)
+        toggling, rows = toggling[asked], rows[asked]
+    low_seen = vrt_low_seen(gt.seed, gt.vrt, rows + gt.start, cfg)
     i = toggling[low_seen]
     measured[i] = measured[i] * gt.vrt.low_factor
     return SparseRows(gt.start, gt.num_rows, plain / guard, at, measured / guard)

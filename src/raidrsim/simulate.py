@@ -20,7 +20,8 @@ generate_rows draws once, and the plain value; profile_rows runs the
 block's own profiling campaign.  Each
 plain value is classified once and its rows counted in its bin; a plain
 row's pattern coverage is drawn only where it changes the row's bin or
-takes it under the base period.  Of each block the
+takes it under the base period, and the campaign walks only the VRT rows
+whose low state would do either.  Of each block the
 engine keeps, each kind in one growing buffer, each filter bin's member rows
 and one set of state rows with their jmin, the windows past a refresh at
 which a row without VRT starts to fail: the weak rows without VRT that can
@@ -164,7 +165,9 @@ def profiled_blocks(spec: ExperimentSpec, bins=None):
     the device generated and profiled as one block, which is how the
     reference oracle builds it.  Each block draws its own VRT rows and
     runs its own profiling campaign over them.  bins is profile_rows':
-    given a BinConfig, the profile is exact up to each row's bin.
+    given a BinConfig, the profile is exact up to each row's bin, and the
+    campaign walks only the VRT rows whose bin, or whether they fall under
+    the base period, depends on it.
     """
     n = spec.device.num_rows
     for lo in range(0, n, _CHUNK_ROWS):

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raidrsim import retention, rng
-from raidrsim.profiler import ProfilerConfig, _round_windows, vrt_low_seen
+from raidrsim import profiler, retention, rng
+from raidrsim.profiler import ProfilerConfig, _round_windows, profile_rows, vrt_low_seen
 from raidrsim.raidr import BinConfig
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel, vrt_walk
 
@@ -162,6 +163,78 @@ class TestMeasuredMode:
         profs = [profile(gt, c) for c in cfgs]
         assert np.all(profs[1] <= profs[0] + 1e-12)
         assert np.all(profs[2] <= profs[1] + 1e-12)
+
+
+class TestCampaignOnlyWhereTheBinDependsOnIt:
+    """Given bins, the campaign walks only the VRT rows whose bin, or base-period check, its answer can change."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dpd=st.booleans(),
+        worst=st.floats(0.3, 1.0),
+        patterns_tested=st.integers(1, 4),
+        guard=st.floats(1.0, 4.0),
+        low_factor=st.floats(0.05, 1.0),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_profile_with_bins_is_exact_up_to_the_bin(self, seed, dpd, worst, patterns_tested, guard, low_factor,
+                                                      data):
+        # a low state seen at some rows and not at others; guards and low
+        # factors take VRT rows under the 64 ms base period, and some
+        # thresholds sit exactly on a row's profiled value
+        gt = make_gt(
+            num_rows=200,
+            seed=seed,
+            dist=RetentionDistribution(weak_fraction=0.5, floor_ms=64.0, weak_high_ms=512.0, strong_value_ms=1024.0),
+            vrt=VrtModel(enabled=True, affected_fraction=0.5, low_factor=low_factor,
+                         p_high_to_low=0.3, p_low_to_high=0.3),
+            dpd=DpdModel(enabled=dpd, num_patterns=4, worst_pattern_factor=worst),
+        )
+        cfg = ProfilerConfig(mode="measured", patterns_tested=patterns_tested, rounds=3, profiling_window_span=6,
+                             guard_band_factor=guard)
+        exact = profile_rows(gt, cfg).dense()
+        edges = data.draw(st.lists(st.one_of(st.floats(16.0, 1100.0), st.sampled_from(exact.tolist())),
+                                   min_size=1, max_size=4))
+        bins = BinConfig(thresholds_ms=tuple(sorted(set(edges))))
+        binned = profile_rows(gt, cfg, bins).dense()
+        assert np.array_equal(bins.classify(binned), bins.classify(exact))
+        under = exact < gt.device.trefw_ms
+        assert np.array_equal(binned < gt.device.trefw_ms, under)
+        assert np.array_equal(binned[under], exact[under])
+
+    def test_campaign_walks_exactly_the_straddling_rows(self, monkeypatch):
+        vrt = VrtModel(enabled=True, affected_fraction=0.5, low_factor=0.5, p_high_to_low=0.3, p_low_to_high=0.3)
+        gt = make_gt(
+            num_rows=2000,
+            seed=5,
+            dist=RetentionDistribution(weak_fraction=0.3),
+            vrt=vrt,
+            dpd=DpdModel(enabled=True, num_patterns=4, worst_pattern_factor=0.8),
+        )
+        # sampled windows 0 and 1: a low state entered at window 1 is seen
+        cfg = ProfilerConfig(mode="measured", patterns_tested=2, rounds=2, profiling_window_span=2,
+                             guard_band_factor=1.5)
+        bins = BinConfig()
+        # each VRT row's two possible values, from campaigns that never and
+        # that always see its low state
+        never = profile_rows(replace(gt, vrt=replace(vrt, p_high_to_low=0.0)), cfg).dense()
+        always = profile_rows(replace(gt, vrt=replace(vrt, p_high_to_low=1.0, p_low_to_high=0.0)), cfg).dense()
+        toggling = vrt_rows_of(gt)
+        straddle = (bins.classify(never[toggling]) != bins.classify(always[toggling])) | (
+            always[toggling] < gt.device.trefw_ms
+        )
+        walked = []
+        walk = profiler.vrt_low_seen
+
+        def recording(seed, vrt, rows, cfg):
+            walked.append(rows.copy())
+            return walk(seed, vrt, rows, cfg)
+
+        monkeypatch.setattr(profiler, "vrt_low_seen", recording)
+        profile_rows(gt, cfg, bins)
+        assert 0 < np.count_nonzero(straddle) < toggling.size
+        assert np.array_equal(np.concatenate(walked), toggling[straddle])
 
 
 class TestMisclassification:
