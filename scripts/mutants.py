@@ -85,8 +85,8 @@ MUTANTS = (
     Mutant(
         "hash-caller-array-in-place",
         "src/raidrsim/rng.py",
-        "x = w.astype(np.uint64)  # a copy, even of a uint64 array",
-        "x = w.astype(np.uint64, copy=False)",
+        "x = words[lead].astype(np.uint64)  # a copy, even of a uint64 array",
+        "x = words[lead].astype(np.uint64, copy=False)",
         ("tests/test_rng.py::test_kernels_leave_their_inputs_unchanged",),
     ),
     Mutant(
@@ -250,6 +250,21 @@ MUTANTS = (
         "            toggling = own[toggling]\n",
         "",
         ("tests/test_profiler.py::TestMeasuredMode::test_full_coverage_with_visited_low_state_equals_oracle",),
+    ),
+    # each sweep point then runs on a device of its own, as sweep did before
+    Mutant(
+        "sweep-point-reseeded",
+        "src/raidrsim/cli.py",
+        "specs = [spec_from_flat({**flat, args.axis: v}) for v in values]",
+        "specs = [spec_from_flat({**flat, args.axis: v}).with_seed(i) for i, v in enumerate(values)]",
+        ("tests/test_cli.py::TestSweepCommand::test_each_point_is_the_simulate_run_of_its_value",),
+    ),
+    Mutant(
+        "sweep-skips-invariants",
+        "src/raidrsim/cli.py",
+        "for v in check_report_invariants(r, spec)]",
+        "for v in []]",
+        ("tests/test_cli.py::TestSweepCommand::test_a_point_that_breaks_an_invariant_exits_3_after_every_artifact",),
     ),
     # a config file's repeated key is then read as its last value
     Mutant(

@@ -24,7 +24,7 @@ from .experiment import (
 )
 from .raidr import UnbinnableRowError
 from .selftest import run_selftest
-from .simulate import RefreshSimulation, check_report_invariants, keep_block_pages, profiled_blocks
+from .simulate import RefreshSimulation, SimReport, check_report_invariants, keep_block_pages, profiled_blocks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,15 +91,16 @@ def cmd_simulate(args) -> int:
     return EXIT_INVARIANT if violations else EXIT_OK
 
 
-def _sweep_point(payload):
-    index, key, value, spec = payload
-    report = RefreshSimulation(spec).run()
+def _sweep_point(spec: ExperimentSpec) -> SimReport:
+    return RefreshSimulation(spec).run()
+
+
+def _sweep_row(index: int, key: str, value: str, spec: ExperimentSpec, report: SimReport) -> dict:
     baseline, raidr = overhead_mod.policy_points(spec.device, spec.overhead, report.savings_fraction)
-    row = {
+    return {
         "point_index": index,
         "axis": key,
         "value": value,
-        "seed": spec.seed,
         "savings_fraction": report.savings_fraction,
         "retention_failures": report.retention_failures,
         "unsafe_rows": report.unsafe_rows,
@@ -112,7 +113,6 @@ def _sweep_point(payload):
         # RAIDR's loss is the baseline's times (1 - savings), so it is clamped only where the baseline's is
         "clamped": baseline.clamped,
     }
-    return index, row, report.to_text()
 
 
 def cmd_sweep(args) -> int:
@@ -127,34 +127,34 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
+    # each point is the spec `simulate --set axis=value` runs, seed included;
     # every point is validated and run before any output exists
-    payloads = []
-    for i, v in enumerate(values):
-        spec = spec_from_flat({**flat, args.axis: v})
-        if args.axis != "seed":  # an explicit seed axis overrides the derived per-point seed
-            spec = spec.with_seed(spec.sweep_seed(i))
-        payloads.append((i, args.axis, v, spec))
+    specs = [spec_from_flat({**flat, args.axis: v}) for v in values]
 
     if args.jobs > 1:
         # imported here, so that no other command starts by loading multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=keep_block_pages) as pool:
-            results = list(pool.map(_sweep_point, payloads))
+            reports = list(pool.map(_sweep_point, specs))
     else:
-        results = [_sweep_point(p) for p in payloads]
+        reports = [_sweep_point(spec) for spec in specs]
     out = _ensure_outdir(args)
 
-    lines = [_csv_comment(base_spec), ",".join(results[0][1])]  # the columns are the row's keys
-    for index, row, report_text in results:
-        point_dir = out / f"point_{index:03d}"
+    rows = [_sweep_row(i, args.axis, v, spec, r) for i, (v, spec, r) in enumerate(zip(values, specs, reports))]
+    lines = [_csv_comment(base_spec), ",".join(rows[0])]  # the columns are the row's keys
+    for i, (row, report) in enumerate(zip(rows, reports)):
+        point_dir = out / f"point_{i:03d}"
         point_dir.mkdir(exist_ok=True)
-        _write_text(point_dir / "simreport.txt", report_text)
+        _write_text(point_dir / "simreport.txt", report.to_text())
         lines.append(",".join(map(_fmt_cell, row.values())))
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
-    _print_clamp_note(sorted({payloads[i][3].device.density_gbit for i, row, _ in results if row["clamped"]}))
+    _print_clamp_note(sorted({spec.device.density_gbit for spec, row in zip(specs, rows) if row["clamped"]}))
     print(f"swept {args.axis} over {len(values)} values -> {out / 'sweep.csv'}")
-    return EXIT_OK
+    violations = [(i, v) for i, (spec, r) in enumerate(zip(specs, reports)) for v in check_report_invariants(r, spec)]
+    for i, v in violations:
+        print(f"INVARIANT VIOLATION: point {i} ({args.axis}={values[i]}): {v}", file=sys.stderr)
+    return EXIT_INVARIANT if violations else EXIT_OK
 
 
 def _print_clamp_note(densities_gbit) -> None:

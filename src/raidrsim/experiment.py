@@ -11,9 +11,9 @@ from it, and its flat rendering is the run's config echo.  Every check
 that spans config sections runs when a spec is constructed, so a bad
 config is rejected before any output exists.
 
-Seed splitting: a master seed drives the run; sweep point i derives its
-seed as hash(master, TAG_SWEEP_POINT, i), so points are independent yet
-reproducible.
+Seeds: one master seed drives the run, and every sweep point runs with
+it, so the points of a sweep share one device and differ only in the
+swept key; sweeping `seed` itself gives replicates.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from . import rng
 from .bloom import BloomParams
 from .overhead import OverheadConfig, check as check_overhead
 from .profiler import MODE_MEASURED, ProfilerConfig
@@ -183,7 +182,12 @@ class ExperimentSpec:
         return BloomParams(m=m, k=k)
 
     def sweep_seed(self, point_index: int) -> int:
-        return rng.hash_words(self.seed, rng.TAG_SWEEP_POINT, point_index)
+        """The seed of sweep point point_index: the spec's own, for every point.
+
+        Only perfbench's oracle cross-check calls this, to seed its sweep
+        points as the CLI does.
+        """
+        return self.seed
 
     def to_flat(self) -> dict[str, str]:
         """Every schema key with the formatted value of the spec field it names."""

@@ -32,7 +32,6 @@ TAG_PROFILE_VRT_STEP = 0x07
 TAG_PROFILE_PATTERNS = 0x08
 TAG_PROFILER_SEED = 0x09
 TAG_FILTER_SEED = 0x0A
-TAG_SWEEP_POINT = 0x0B
 
 
 def mix64(x: int) -> int:
@@ -64,16 +63,17 @@ def _mix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def hash_words_vec(*words) -> np.ndarray:
-    """Vectorized hash_words; any word may be a numpy array of integers.
+    """Vectorized hash_words; at most one word may be a numpy array of integers.
 
-    The scalar words before the first array are folded as Python ints by
+    The scalar words before the array are folded as Python ints by
     hash_words' own chain.  From there the hash is one uint64 array that
     this call owns: every later word is added and mixed in place, so the
-    only temporaries are that array and one scratch array, and no input
-    array is ever written.  Arithmetic intentionally wraps mod 2**64, so
+    only temporaries are that array and one scratch array, and the input
+    array is never written.  Arithmetic intentionally wraps mod 2**64, so
     a call mixing scalars and arrays agrees element-wise with the scalar
     path; array arithmetic wraps without a warning.  An all-scalar call
-    returns a 0-d array.
+    returns a 0-d array.  A second array word raises TypeError: hash it in
+    with extend_hash_vec, which broadcasts.
     """
     h = 0
     for lead, w in enumerate(words):
@@ -82,19 +82,15 @@ def hash_words_vec(*words) -> np.ndarray:
         h = mix64((h + _GAMMA + (int(w) & _MASK)) & _MASK)
     else:
         return np.array(h, dtype=np.uint64)
-    x = tmp = None
-    for w in words[lead:]:
-        if not isinstance(w, np.ndarray):
-            x += np.uint64((_GAMMA + int(w)) & _MASK)
-        elif x is None:
-            x = w.astype(np.uint64)  # a copy, even of a uint64 array
-            x += np.uint64((h + _GAMMA) & _MASK)
-        else:
-            w64 = w.astype(np.uint64, copy=False)
-            x = np.add(x, w64, out=np.empty(np.broadcast_shapes(x.shape, w64.shape), np.uint64))
-            x += _V_GAMMA
-        if tmp is None or tmp.shape != x.shape:
-            tmp = np.empty_like(x)
+    rest = words[lead + 1:]
+    if any(isinstance(w, np.ndarray) for w in rest):
+        raise TypeError("hash_words_vec takes at most one array word; extend_hash_vec adds another")
+    x = words[lead].astype(np.uint64)  # a copy, even of a uint64 array
+    x += np.uint64((h + _GAMMA) & _MASK)
+    tmp = np.empty_like(x)
+    _mix64_into(x, tmp)
+    for w in rest:
+        x += np.uint64((_GAMMA + int(w)) & _MASK)
         _mix64_into(x, tmp)
     return x
 

@@ -139,6 +139,7 @@ class ReferenceResult:
     unsafe_rows: int
     fpr_extra_refreshes: int
     unsafe_set: frozenset[int]  # the rows that failed at least once
+    row_mult: tuple[int, ...]  # each row's queried multiplier
 
 
 def parts_of(spec):
@@ -206,6 +207,7 @@ def run_reference(sim_cfg, device, dist, vrt, dpd, profiler_cfg, bin_cfg, bloom_
         unsafe_rows=len(unsafe),
         fpr_extra_refreshes=issued - profiled_refreshes,
         unsafe_set=frozenset(unsafe),
+        row_mult=tuple(row_mult),
     )
 
 

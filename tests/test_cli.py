@@ -44,6 +44,17 @@ SMALL = [
     "--set", "sim.horizon_windows=32",
 ]
 
+# 2,000 rows under measured profiling that misses VRT low states and DPD
+# worst patterns, so rows fail and the guard band changes their bins
+MEASURED_NOISY = [
+    "--set", "device.density_bits=16384000", "--set", "sim.horizon_windows=64", "--set", "seed=7",
+    "--set", "dist.weak_fraction=0.3", "--set", "dist.floor_ms=160",
+    "--set", "vrt.enabled=true", "--set", "vrt.affected_fraction=0.3", "--set", "vrt.low_factor=0.8",
+    "--set", "dpd.enabled=true", "--set", "dpd.worst_pattern_factor=0.8",
+    "--set", "profiler.mode=measured", "--set", "profiler.patterns_tested=2", "--set", "profiler.rounds=2",
+    "--set", "profiler.profiling_window_span=4",
+]
+
 
 class TestConfig:
     def test_defaults_roundtrip(self):
@@ -566,6 +577,43 @@ class TestSweepCommand:
         assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (
             tmp_path / "par" / "sweep.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("axis, values", [
+        ("profiler.guard_band_factor", ["1.0", "1.25", "1.5"]),
+        ("seed", ["3", "11"]),
+        ("dist.weak_fraction", ["0.2", "0.3"]),
+    ])
+    def test_each_point_is_the_simulate_run_of_its_value(self, tmp_path, axis, values, jobs):
+        # every point runs on the spec's own seed, so neither its index nor
+        # the order of --values changes its report
+        for name, listed in (("forward", values), ("reversed", values[::-1])):
+            assert run_cli("sweep", *MEASURED_NOISY, "--axis", axis, "--values", ",".join(listed), "--jobs", jobs,
+                           "--out", str(tmp_path / name)) == 0
+        for i, value in enumerate(values):
+            assert run_cli("simulate", *MEASURED_NOISY, "--set", f"{axis}={value}",
+                           "--out", str(tmp_path / f"simulate-{i}")) == 0
+            want = (tmp_path / f"simulate-{i}" / "simreport.txt").read_bytes()
+            assert (tmp_path / "forward" / f"point_{i:03d}" / "simreport.txt").read_bytes() == want
+            j = len(values) - 1 - i
+            assert (tmp_path / "reversed" / f"point_{j:03d}" / "simreport.txt").read_bytes() == want
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_point_that_breaks_an_invariant_exits_3_after_every_artifact(self, tmp_path, capsys, monkeypatch,
+                                                                           jobs):
+        real = cli_mod.check_report_invariants
+
+        def fails_at_guard_1_25(report, spec):
+            return real(report, spec) + (["fake-check: broken"] if spec.profiler.guard_band_factor == 1.25 else [])
+
+        monkeypatch.setattr(cli_mod, "check_report_invariants", fails_at_guard_1_25)
+        code = run_cli("sweep", *MEASURED_NOISY, "--axis", "profiler.guard_band_factor", "--values", "1.0,1.25,1.5",
+                       "--jobs", jobs, "--out", str(tmp_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "INVARIANT VIOLATION: point 1 (profiler.guard_band_factor=1.25): fake-check: broken\n"
+        assert (tmp_path / "sweep.csv").exists()
+        assert all((tmp_path / f"point_{i:03d}" / "simreport.txt").exists() for i in range(3))
 
     def test_cli_import_loads_no_process_pool(self):
         # only sweep --jobs above 1 needs the pool; every other command

@@ -50,17 +50,18 @@ CASES = {
             "bins.csv": "380d6bf2b9b7320c50854bbfe8699d4ca05a83cf6c3fce5e0b54a98b1852952f",
         },
     ),
-    # both sweep.csv digests were taken after a deliberate change: the final
-    # `clamped` column; the other bytes equal the artifact from before it
+    # both sweep cases were retaken after a deliberate change: every point
+    # runs with the spec's seed, so each point_*/simreport.txt equals what
+    # `simulate --set <axis>=<value>` writes, and sweep.csv lost its seed column
     "sweep-guard": (
         [
             "sweep", "--seed", "5", *sets(ROWS_20K, *MEASURED_VRT_DPD),
             "--axis", "profiler.guard_band_factor", "--values", "1.0,1.1",
         ],
         {
-            "sweep.csv": "d364ff1b750ee729cd14ea3d622f103b8b575e953011d0835d2c88ed363b8905",
-            "point_000/simreport.txt": "92feb9a3af19d34db734aca3da213c80f81f9443bbd832939edb38838c602960",
-            "point_001/simreport.txt": "5f89a5e86d3feddda14724d2c6bb862c5f8d9fad8117131b408163d24c1a81e0",
+            "sweep.csv": "c67c0c641c01498775be4b6b44370da17f3663f348036ad56caea27fdabb0388",
+            "point_000/simreport.txt": "d3267146309e93633a6dcea76a4c326883c0b1a62c43a5fc4671f8a5b69fe124",
+            "point_001/simreport.txt": "a1091f16d13a26fabda5455d525102454426d842ba1b85e045d49e169184549b",
         },
     ),
     "profile": (
@@ -82,9 +83,9 @@ CASES = {
     "sweep-energy": (
         ["sweep", *sets(ROWS_20K), "--axis", "overhead.e_activity_mw", "--values", "1,200"],
         {
-            "sweep.csv": "57d18fd8e1849bd50fdbc16d99aee06b2d996db14b40837993e743ad803f6856",
-            "point_000/simreport.txt": "b56a483eea615cd1d2e6eaf7532b21c9bc51c1a97c1ffd7589af033a16cbe818",
-            "point_001/simreport.txt": "b89886a1f9270f8dbee80cc7f78452fb821ea381a83de8c85ed56f9086a01896",
+            "sweep.csv": "10d30cb6842bbb0e6006215759c8b6112abddce0cfab0528943187489fa133f8",
+            "point_000/simreport.txt": "9e99c8bcc70a51d3529bf2fcc311236340da4bdbfa4d1306c57a861372e268ed",
+            "point_001/simreport.txt": "5406a42e993459f5e841caf0f796ea12d636efe5c76ff02c83152e224588b61c",
         },
     ),
     "overhead-clamped": (

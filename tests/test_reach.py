@@ -23,6 +23,8 @@ UNREACHED = {
     "simulate.RefreshSimulation.checkpoint": "the README's library API",
     "simulate.RefreshSimulation.restore": "the README's library API",
     "simulate.run": "the positional adapter of perfbench's oracle cross-check",
+    "experiment.ExperimentSpec.sweep_seed": "the seed adapter of perfbench's oracle cross-check",
+    "experiment.ExperimentSpec.with_seed": "perfbench's oracle cross-check seeds its sweep points with it",
     "raidr.UnbinnableRowError.__reduce__": "runs only when a sweep --jobs worker sends the error back",
 }
 

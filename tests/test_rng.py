@@ -76,7 +76,7 @@ def test_uniform_range_and_moments():
 def test_tags_are_distinct():
     # two quantities sharing a tag would draw from the same per-row stream
     tags = {name: value for name, value in vars(rng).items() if name.startswith("TAG_")}
-    assert len(tags) >= 9
+    assert len(tags) >= 8
     assert len(set(tags.values())) == len(tags)
 
 
@@ -113,6 +113,15 @@ def test_vec_of_a_0d_word():
         assert int(vec) == rng.hash_words(*(-3 if w is zero_d else w for w in words))
     ext = rng.extend_hash_vec(rng.hash_words_vec(5, zero_d), 11)
     assert isinstance(ext, np.ndarray) and int(ext) == rng.hash_words(5, -3, 11)
+
+
+def test_vec_rejects_a_second_array_word():
+    # a 0-d or one-element array would otherwise pass int() and hash as a scalar;
+    # extend_hash_vec is the way to hash in a second array
+    rows = np.arange(10, dtype=np.uint64)
+    for words in [(rows, rows), (3, rows, 4, np.asarray(np.uint64(5))), (rows, 1, rows[:1])]:
+        with pytest.raises(TypeError, match="one array word"):
+            rng.hash_words_vec(*words)
 
 
 def test_all_scalar_vec_is_a_0d_array():

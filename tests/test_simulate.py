@@ -875,6 +875,55 @@ def test_vrt_engine_matches_oracle_across_checkpoint(drawn):
     assert want.unsafe_set <= set(np.flatnonzero(longer | (true_min < spec.device.trefw_ms)).tolist())
 
 
+@st.composite
+def guard_pairs(draw):
+    """A small measured VRT+DPD spec, and two guards A < B to run it at under its one seed.
+
+    Up to 300 rows and 64 windows at a 64 ms base.  The bins are nested,
+    at multipliers 2 and 4, or not, at 3 and 5.  The retention floor keeps
+    every row binnable at the larger guard, and a loose Bloom target
+    gives false positives that shorten some rows' intervals.
+    """
+    guard_a, guard_b = sorted(draw(st.lists(st.sampled_from([1.0, 1.25, 1.5, 2.0]), min_size=2, max_size=2,
+                                            unique=True)))
+    low_factor = draw(st.sampled_from([0.8, 0.5]))
+    dpd = DpdModel(enabled=True, num_patterns=4, worst_pattern_factor=0.75)
+    floor = 64.0 * draw(st.integers(math.ceil(guard_b / (low_factor * dpd.worst_pattern_factor)), 8))
+    dist = RetentionDistribution(weak_fraction=draw(st.sampled_from([0.3, 0.7])), floor_ms=floor,
+                                 weak_high_ms=floor + draw(st.sampled_from([64.0, 256.0])), strong_value_ms=2560.0)
+    vrt = VrtModel(enabled=True, affected_fraction=draw(st.sampled_from([0.1, 0.3])), low_factor=low_factor,
+                   p_high_to_low=draw(st.sampled_from([0.05, 0.2])), p_low_to_high=draw(st.sampled_from([0.2, 0.5])))
+    profiler = ProfilerConfig(mode="measured", patterns_tested=draw(st.integers(1, 4)),
+                              rounds=draw(st.integers(1, 2)), profiling_window_span=draw(st.integers(1, 4)))
+    spec = ExperimentSpec(
+        seed=draw(st.integers(0, 2**64 - 1)), device=DeviceConfig.from_rows(draw(st.integers(40, 300))),
+        dist=dist, vrt=vrt, dpd=dpd, profiler=profiler,
+        bins=BinConfig(thresholds_ms=draw(st.sampled_from([(128.0, 256.0), (192.0, 320.0)]))),
+        sim=SimConfig(horizon_windows=draw(st.integers(16, 64))),
+        bloom_target_fpr=draw(st.sampled_from([1e-3, 0.3])),
+    )
+    return spec, guard_a, guard_b
+
+
+@given(guard_pairs())
+@settings(max_examples=100, deadline=None)
+def test_a_larger_guard_fails_no_new_row_whose_multiplier_divides(drawn):
+    # the toggles are keyed by (seed, row, window), so a row whose queried
+    # multiplier at B divides the one at A is refreshed at B wherever it is
+    # at A, and fails at B only in windows where it fails at A; the failure
+    # count alone need not fall, since a false positive at A can shorten a
+    # row that B leaves in its own bin
+    spec, guard_a, guard_b = drawn
+
+    def at(guard):
+        return run_reference(*parts_of(dataclasses.replace(
+            spec, profiler=dataclasses.replace(spec.profiler, guard_band_factor=guard))))
+
+    a, b = at(guard_a), at(guard_b)
+    not_divided = {r for r, (mult_a, mult_b) in enumerate(zip(a.row_mult, b.row_mult)) if mult_a % mult_b}
+    assert b.unsafe_set <= a.unsafe_set | not_divided
+
+
 def engine_against_oracle(spec, block_rows):
     """Build and run the engine in blocks of block_rows rows: its counters, or its error, must be the oracle's.
 
