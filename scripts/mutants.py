@@ -44,6 +44,8 @@ ACROSS_CHECKPOINT = "tests/test_simulate.py::test_vrt_engine_matches_oracle_acro
 PROFILE_EXACT_UP_TO_THE_BIN = (
     "tests/test_profiler.py::TestCampaignOnlyWhereTheBinDependsOnIt::test_profile_with_bins_is_exact_up_to_the_bin"
 )
+MEMBER_FORMS_ROUND_TRIP = "tests/test_raidr.py::test_member_forms_round_trip_in_the_smaller_form"
+MEMBER_FORMS_BUILD_THE_FILTERS = "tests/test_raidr.py::test_member_forms_build_the_filters_of_a_flat_member_list"
 
 MUTANTS = (
     Mutant(
@@ -63,8 +65,8 @@ MUTANTS = (
     Mutant(
         "plain-members-keep-other-bins",
         "src/raidrsim/raidr.py",
-        "held[block.at[idx != b]] = False",
-        "held[block.at[idx == b]] = True",
+        "in_bin[block.at[idx != b]] = False",
+        "in_bin[block.at[idx == b]] = True",
         ("tests/test_raidr.py::test_sparse_blocks_build_the_filters_of_their_dense_form",),
     ),
     Mutant(
@@ -233,9 +235,9 @@ MUTANTS = (
     Mutant(
         "vrt-rows-not-moved-to-jmin-cap",
         "src/raidrsim/simulate.py",
-        "                jmin[gt.toggles] = jmin_cap\n",
+        "                jmin[gt.toggles] = np.where(can_fail, jmin_cap, jmin_cap + 1)\n",
         "",
-        ("tests/test_simulate.py::TestAgainstReferenceOracle::test_odd_horizon_partial_cycles_exact",),
+        ("tests/test_simulate.py::TestAgainstReferenceOracle::test_noisy_configs_exact",),
     ),
     Mutant(
         "coverage-ignores-the-under-base-case",
@@ -265,6 +267,37 @@ MUTANTS = (
         "for v in check_report_invariants(r, spec)]",
         "for v in []]",
         ("tests/test_cli.py::TestSweepCommand::test_a_point_that_breaks_an_invariant_exits_3_after_every_artifact",),
+    ),
+    # a bitmap of a block's members then unpacks with its bytes' bits reversed
+    Mutant(
+        "member-bitmap-bitorder",
+        "src/raidrsim/raidr.py",
+        "return True, np.packbits(members)",
+        'return True, np.packbits(members, bitorder="little")',
+        (MEMBER_FORMS_ROUND_TRIP, MEMBER_FORMS_BUILD_THE_FILTERS),
+    ),
+    Mutant(
+        "member-offsets-decoded-without-the-block-start",
+        "src/raidrsim/raidr.py",
+        "    rows += np.uint64(start)\n",
+        "",
+        (MEMBER_FORMS_ROUND_TRIP, MEMBER_FORMS_BUILD_THE_FILTERS),
+    ),
+    # the members of a block then reach the filter only where they fill a batch
+    Mutant(
+        "member-batches-drop-the-remainder",
+        "src/raidrsim/raidr.py",
+        "pending, held = [joined[cut:]], held - cut",
+        "pending, held = [], 0",
+        (MEMBER_FORMS_BUILD_THE_FILTERS,),
+    ),
+    # every block then keeps its members as offsets, 2 B per binned row
+    Mutant(
+        "members-always-offsets",
+        "src/raidrsim/raidr.py",
+        "if count * offset_type.itemsize <= -(-num_rows // 8):",
+        "if True:",
+        ("tests/test_simulate.py::test_engine_pass_memory_is_bounded",),
     ),
     # a config file's repeated key is then read as its last value
     Mutant(

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import rng
 from .bloom import BloomFilter, BloomParams, plan_params
-from .retention import RowBuffer
 
 
 class UnbinnableRowError(RuntimeError):
@@ -132,6 +131,55 @@ class BinSet:
         return out
 
 
+def pack_members(members: np.ndarray, num_rows: int) -> tuple[bool, np.ndarray]:
+    """(bitmap, data): a block's members in the smaller of two forms.
+
+    members are offsets below num_rows, ascending and distinct, or a bool
+    mask of the block's num_rows rows.  data holds the offsets in the
+    smallest unsigned type that holds num_rows - 1, or, where that takes
+    more bytes, np.packbits of the member mask, num_rows / 8 bytes; bitmap
+    tells which.  member_rows inverts it.
+    """
+    offset_type = np.min_scalar_type(num_rows - 1)
+    is_mask = members.dtype == bool
+    count = np.count_nonzero(members) if is_mask else members.size
+    if count * offset_type.itemsize <= -(-num_rows // 8):
+        return False, (np.flatnonzero(members) if is_mask else members).astype(offset_type)
+    if not is_mask:
+        mask = np.zeros(num_rows, dtype=bool)
+        mask[members] = True
+        members = mask
+    return True, np.packbits(members)
+
+
+def member_rows(start: int, num_rows: int, bitmap: bool, data: np.ndarray) -> np.ndarray:
+    """The device indices, as uint64, of the block of rows [start, start + num_rows) that pack_members packed."""
+    offsets = np.flatnonzero(np.unpackbits(data, count=num_rows)) if bitmap else data
+    rows = offsets.astype(np.uint64)
+    rows += np.uint64(start)
+    return rows
+
+
+def _batches(arrays, size: int):
+    """The concatenation of arrays, cut into pieces of size elements, the last one shorter.
+
+    A bin with few rows per block then still reaches its filter in few
+    insert_many calls.
+    """
+    pending, held = [], 0
+    for a in arrays:
+        pending.append(a)
+        held += a.size
+        if held >= size:
+            joined = np.concatenate(pending)
+            cut = held - held % size
+            for lo in range(0, cut, size):
+                yield joined[lo:lo + size]
+            pending, held = [joined[cut:]], held - cut
+    if held:
+        yield np.concatenate(pending)
+
+
 def bin_blocks(blocks, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: int) -> BinSet:
     """Bins of a profile given as SparseRows blocks that cover the device in row order.
 
@@ -143,16 +191,20 @@ def bin_blocks(blocks, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: i
 
     A block's plain value is classified once and its plain rows counted
     in its bin.  The filters are sized from the bin counts of the whole
-    device, so each filter bin's member rows are kept, in one RowBuffer
-    per bin in the smallest unsigned type that holds them, until the last
-    block is in; then each filter gets its rows, as many at a time as the
-    largest block holds.  The rows of the default bin are only counted.
-    Beyond the filter bins' rows, memory is bounded by the largest block.
+    device, so each filter bin keeps its member rows of each block until
+    the last block is in, in the smaller of two forms (pack_members):
+    block-relative offsets where the bin has few rows in the block, else
+    a bitmap of the block, one bit per row.  Then each filter gets its
+    rows, decoded block by block and inserted at most a quarter of the
+    largest block at a time; a Bloom filter's bits do not depend on the
+    order of its inserts.  The rows of the default bin are only counted.
+    Beyond the filter bins' members, at most a bit per row and bin,
+    memory is bounded by the largest block.
     """
     bin_cfg.multipliers(base_ms)  # rejects a threshold that is not a whole multiple of the base
     nbins = bin_cfg.num_filter_bins
     counts = np.zeros(nbins + 1, dtype=np.int64)
-    members = [RowBuffer() for _ in range(nbins)]
+    members = [[] for _ in range(nbins)]  # per bin, (start, num_rows, bitmap, data) of each block
     block_rows = 1
     first_below, n_below = None, 0
     for block in blocks:
@@ -170,14 +222,13 @@ def bin_blocks(blocks, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: i
         plain_bin = bin_cfg.classify(block.plain)
         counts[plain_bin] += block.num_plain
         block_rows = max(block_rows, block.num_rows)
-        row_type = np.min_scalar_type(block.start + block.num_rows - 1)
-        for b, rows in enumerate(members):
-            offsets = block.at[idx == b]
+        for b, held in enumerate(members):
             if b == plain_bin:  # every row but the own rows of other bins
-                held = np.ones(block.num_rows, dtype=bool)
-                held[block.at[idx != b]] = False
-                offsets = np.flatnonzero(held)
-            rows.extend((offsets + block.start).astype(row_type))
+                in_bin = np.ones(block.num_rows, dtype=bool)
+                in_bin[block.at[idx != b]] = False
+            else:
+                in_bin = block.at[idx == b]
+            held.append((block.start, block.num_rows, *pack_members(in_bin, block.num_rows)))
     if n_below:
         raise UnbinnableRowError(
             row=first_below[0],
@@ -197,10 +248,10 @@ def bin_blocks(blocks, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: i
                 seed=rng.hash_words(seed, rng.TAG_FILTER_SEED, b),
             )
         filters.append(BloomFilter(params))
-    for filt, rows in zip(filters, members):
-        rows = rows.array()
-        for lo in range(0, rows.size, block_rows):
-            filt.insert_many(rows[lo:lo + block_rows])
+    batch = max(1, block_rows // 4)
+    for filt, held in zip(filters, members):
+        for rows in _batches((member_rows(*packed) for packed in held), batch):
+            filt.insert_many(rows)
     return BinSet(bin_cfg=bin_cfg, base_ms=base_ms, filters=filters, counts=tuple(int(c) for c in counts))
 
 

@@ -199,10 +199,14 @@ def vrt_tiles(prefix: np.ndarray, low: np.ndarray, vrt: VrtModel, start: int, st
 class RowBuffer:
     """An append-only array that doubles its capacity as it grows.
 
-    The build pass keeps a few rows of each block of temporaries.  One
-    buffer per kind, instead of one small array per block, keeps those
-    rows from splitting the heap between the blocks' freed pages.  The
-    element type widens to hold whatever is appended.
+    The build pass keeps a few rows of each block of temporaries: the
+    state rows, their jmin and the high retentions of the VRT rows that can
+    fail.  One buffer per kind, instead of one small array per block, keeps
+    those rows from splitting the heap between the blocks' freed pages.  It
+    holds up to twice its rows, so it is not used for the filter bins'
+    members, which can be most of the device (raidr.bin_blocks keeps them
+    per block, at most a bit per row).  The element type widens to hold
+    whatever is appended.
     """
 
     def __init__(self, dtype=np.uint8):
@@ -326,8 +330,7 @@ def generate_rows(
             "unrefreshable at the base rate"
         )
     rows = np.arange(start, stop, dtype=np.uint64)
-    own = rng.bernoulli_vec(dist.weak_fraction, seed, rng.TAG_WEAK_SELECT, rows)
-    weak = np.flatnonzero(own)
+    weak = rng.bernoulli_vec(dist.weak_fraction, seed, rng.TAG_WEAK_SELECT, rows)
     if dist.kind == DIST_TWO_POPULATION:
         u = rng.uniform01_vec(seed, rng.TAG_BASE_RETENTION, rows[weak])
         draw = dist.floor_ms + u * (dist.weak_high_ms - dist.floor_ms)
@@ -337,11 +340,13 @@ def generate_rows(
         # clip into the supported band; mass piles at the edges by design
         draw = np.clip(draw, dist.floor_ms, np.nextafter(dist.weak_high_ms, 0.0))
     toggle = np.zeros(rows.size, dtype=bool)
+    own = weak
     if vrt.enabled:
         toggle = rng.bernoulli_vec(vrt.affected_fraction, seed, rng.TAG_VRT_FLAG, rows)
-        own |= toggle
+        own = weak | toggle
     at = np.flatnonzero(own)
     values = np.full(at.size, float(dist.strong_value_ms))
-    values[np.searchsorted(at, weak)] = draw
+    # the weak rows are own rows, and both run in row order
+    values[weak[at]] = draw
     base = SparseRows(start, rows.size, float(dist.strong_value_ms), at, values)
     return RetentionGroundTruth(device, vrt, dpd, seed, base, toggle[at])

@@ -140,8 +140,12 @@ def bernoulli_vec(p: float, *words) -> np.ndarray:
 
 
 def standard_normal_vec(*words) -> np.ndarray:
-    """Box-Muller normal deviates from two derived uniform streams."""
-    u1 = uniform01_vec(*words, 1)
-    u2 = uniform01_vec(*words, 2)
+    """Box-Muller normal deviates from two derived uniform streams, those of (*words, 1) and (*words, 2).
+
+    The words are hashed once and each stream extends the hash.
+    """
+    prefix = hash_words_vec(*words)
+    u1 = uniform01_of(extend_hash_vec(prefix, 1))
+    u2 = uniform01_of(extend_hash_vec(prefix, 2))
     # 1 - u1 lies in (0, 1], keeping the log finite
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)

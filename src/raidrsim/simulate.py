@@ -22,12 +22,14 @@ plain value is classified once and its rows counted in its bin; a plain
 row's pattern coverage is drawn only where it changes the row's bin or
 takes it under the base period, and the campaign walks only the VRT rows
 whose low state would do either.  Of each block the
-engine keeps, each kind in one growing buffer, each filter bin's member rows
-and one set of state rows with their jmin, the windows past a refresh at
-which a row without VRT starts to fail: the weak rows without VRT that can
-fail, and every VRT row, with its high retention, at a jmin past every
-multiplier.  The bin counts then size the filters.  Pass 2 gives everything
-fixed per row once the bins exist (refresh counts, the closed-form failures
+engine keeps each filter bin's member rows, as offsets or a bitmap of the
+block, whichever is smaller (raidr.pack_members), and, in one growing
+buffer per kind, one set of state rows with their jmin, the windows past a
+refresh at which a row without VRT starts to fail: the weak rows without
+VRT that can fail, and the VRT rows that can fail in some bin, with
+their high retention, at a jmin past every multiplier (the other VRT rows
+only where plain rows can fail).  The bin counts then size the filters.  Pass 2 gives everything fixed per row once
+the bins exist (refresh counts, the closed-form failures
 and each filter's claim count): it queries each filter once per row into a
 bin map per block, the first claiming filter of each row, which gives the
 rows queried to each bin and the bins of the state rows.  The plain rows
@@ -84,9 +86,9 @@ _CHECKPOINT_COUNTS = struct.Struct("<QQ")  # window, VRT failures so far
 _CHECKPOINT_ARRAYS = ("vrt_low", "seen", "unsafe")
 
 # rows per block of the engine's passes over the device; bounds their
-# temporaries, at most 8 B per row of the block each, independently of
-# num_rows.  keep_block_pages has malloc reuse them from block to block
-_CHUNK_ROWS = 1 << 17
+# temporaries, at most 8 B per row of the block each (512 KB), independently
+# of num_rows.  keep_block_pages has malloc reuse them from block to block
+_CHUNK_ROWS = 1 << 16
 
 # glibc's mallopt parameter numbers
 _M_TRIM_THRESHOLD = -1
@@ -99,9 +101,10 @@ def keep_block_pages() -> None:
     By default glibc maps a large array afresh and returns a freed heap top
     to the kernel, so every block faults its pages in again.  Both
     thresholds are set above the largest block temporary, 8 * _CHUNK_ROWS
-    bytes: setting the trim threshold alone turns off glibc's dynamic mmap
-    threshold, and every block temporary is then mapped afresh.  A no-op
-    where the C library has no mallopt.
+    bytes: the mmap threshold at four times that (2 MB), the trim threshold
+    at sixteen times (8 MB).  Setting the trim threshold alone turns off
+    glibc's dynamic mmap threshold, and every block temporary is then
+    mapped afresh.  A no-op where the C library has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -198,64 +201,64 @@ class RefreshSimulation:
         # fail at all; jmin_cap is one past the largest multiplier.  The
         # plain rows share one jmin, so jmin is kept per row only for the
         # state rows: the near rows, weak rows without VRT that can fail,
-        # and the VRT rows, exactly the state rows at jmin_cap
+        # and the VRT rows.  A VRT row fails only past its low retention,
+        # taken as min_possible takes it, and its time since a refresh peaks
+        # at m * trefw_ms, computed as _advance computes it.  So a VRT row
+        # whose low retention the longest gap of every bin does not exceed
+        # never fails.  Where plain rows cannot fail either, it counts as a
+        # plain row; elsewhere, which plain_jmin's rounding allows only at
+        # an edge, it is a state row at jmin_cap + 1.  The other VRT rows,
+        # exactly the state rows at jmin_cap, keep their high retention
         trefw_ms = self.device.trefw_ms
         jmin_cap = max(spec.bins.multipliers(trefw_ms)) + 1
+        longest_gap_ms = (jmin_cap - 1) * trefw_ms
         row_type = np.min_scalar_type(self.device.num_rows - 1)
-        jmin_type = np.min_scalar_type(jmin_cap)
+        jmin_type = np.min_scalar_type(jmin_cap + 1)
         state_rows, state_jmin = RowBuffer(row_type), RowBuffer(jmin_type)
         vrt_high_ms = RowBuffer(np.float64)
         plain_jmin = jmin_cap
 
         def binned_blocks():
             # pass 1: of each block, only its state rows with their jmin and
-            # its VRT rows' high retentions outlive it, besides the filter
-            # bins' rows that bin_blocks keeps
+            # the high retentions of its VRT rows that can fail outlive it,
+            # besides the filter bins' rows that bin_blocks keeps
             nonlocal plain_jmin
             for gt, measured in profiled_blocks(spec, spec.bins):
                 true_min = gt.min_possible()
                 plain_jmin = math.floor(true_min.plain / trefw_ms) + 1
                 jmin = np.floor(true_min.values / trefw_ms) + 1
-                jmin[gt.toggles] = jmin_cap
+                high_ms = gt.vrt_retention_high
+                can_fail = longest_gap_ms > high_ms * spec.vrt.low_factor
+                jmin[gt.toggles] = np.where(can_fail, jmin_cap, jmin_cap + 1)
                 # a weak row's base is below strong_value_ms, so its jmin is
                 # at most plain_jmin, and where plain rows can fail every
                 # weak row is near
-                keep = (jmin < jmin_cap) | gt.toggles
+                keep = jmin < jmin_cap
+                keep[gt.toggles] = can_fail | (plain_jmin < jmin_cap)
                 state_rows.extend((true_min.at[keep] + gt.start).astype(row_type))
                 state_jmin.extend(jmin[keep].astype(jmin_type))
-                vrt_high_ms.extend(gt.vrt_retention_high)
+                vrt_high_ms.extend(high_ms[can_fail])
                 yield measured
 
         self.bins: BinSet = bin_blocks(
             binned_blocks(), spec.bins, trefw_ms, spec.bloom_budget,
             seed=rng.hash_words(spec.seed, rng.TAG_FILTER_SEED),
         )
-        state_rows, state_jmin, vrt_high_ms = state_rows.array(), state_jmin.array(), vrt_high_ms.array()
-        self._scan_rows(state_rows, state_jmin, jmin_cap, plain_jmin)
-        vrt_rows = state_rows[state_jmin == jmin_cap]
-        vrt_low_ms = vrt_high_ms * spec.vrt.low_factor  # as min_possible takes it
-        # a row fails only past its low retention, and its elapsed time
-        # peaks at m * trefw_ms, computed as _advance computes it.  Only
-        # these rows are stepped, so the inputs of a step are gathered once
-        longest_gap_ms = self._v_mults[self._v_key] * trefw_ms
-        can_fail = np.flatnonzero(longest_gap_ms > vrt_low_ms)
-        self._v_key = self._v_key[can_fail]
-        self._v_prefix = rng.hash_words_vec(spec.seed, rng.TAG_VRT_STEP, vrt_rows[can_fail])
-        self._v_high_ms = vrt_high_ms[can_fail]
-        self._v_low_ms = vrt_low_ms[can_fail]
-        # their toggle state, and whether each held its low state at any
-        # window since its last refresh: its running minimum retention is
-        # then the low one
-        self._v_low = np.zeros(can_fail.size, dtype=bool)
-        self._v_seen = np.zeros(can_fail.size, dtype=bool)
-        self._v_unsafe = np.zeros(can_fail.size, dtype=bool)
+        self._scan_rows(state_rows.array(), state_jmin.array(), vrt_high_ms.array(), jmin_cap, plain_jmin)
+        # the toggle state of the VRT rows that can fail, and whether each
+        # held its low state at any window since its last refresh: its
+        # running minimum retention is then the low one
+        n_fail = self._v_key.size
+        self._v_low = np.zeros(n_fail, dtype=bool)
+        self._v_seen = np.zeros(n_fail, dtype=bool)
+        self._v_unsafe = np.zeros(n_fail, dtype=bool)
         self._v_failures = 0
 
         self._window = 0
         self._wall = time.perf_counter() - t0
 
-    def _scan_rows(self, state_rows: np.ndarray, state_jmin: np.ndarray, jmin_cap: int,
-                   plain_jmin: int) -> None:
+    def _scan_rows(self, state_rows: np.ndarray, state_jmin: np.ndarray, vrt_high_ms: np.ndarray,
+                   jmin_cap: int, plain_jmin: int) -> None:
         """Sum every per-row quantity the built bins fix, in one blocked pass.
 
         Each filter meets each row once and returns the offsets it claims in
@@ -268,12 +271,15 @@ class RefreshSimulation:
         gives the false positives and the profiled schedule's refreshes.  The
         state rows (device indices, ascending, with their jmin) gather their
         bins from the map.  Their static failures follow from their queried
-        multiplier and jmin, none at jmin_cap, where the VRT rows are.  The
+        multiplier and jmin, none from jmin_cap up, where the VRT rows are.  The
         plain rows share plain_jmin, so theirs are counted per bin, from the
         rows queried to it that are not state rows.  Where plain rows can
         fail, every weak row is near, so those are exactly the plain rows;
-        where they cannot, no bin's multiplier reaches plain_jmin.  Every
-        stream is keyed by row index, so the blocking is exact.
+        where they cannot, no bin's multiplier reaches plain_jmin.  The VRT
+        rows at jmin_cap, with their high retentions vrt_high_ms in row
+        order, are kept for stepping where their queried multiplier lets
+        them fail, block by block.  Every stream is keyed by row index, so
+        the blocking is exact.
         """
         horizon = self.horizon
         bins = self.bins
@@ -282,7 +288,9 @@ class RefreshSimulation:
         state_queried = np.zeros(mult_table.size, dtype=np.int64)
         static_failures = static_unsafe = 0
         claimed = [0] * len(bins.filters)
-        v_bins = RowBuffer()
+        trefw_ms, low_factor = self.device.trefw_ms, self.spec.vrt.low_factor
+        v_rows, v_mults, v_high_ms = RowBuffer(state_rows.dtype), RowBuffer(np.int64), RowBuffer(np.float64)
+        v_lo = 0
         n = self.device.num_rows
         for lo in range(0, n, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, n)
@@ -299,7 +307,16 @@ class RefreshSimulation:
             fails = _static_failures(horizon, mult_table[q], jmin)
             static_failures += int(fails.sum())
             static_unsafe += int(np.count_nonzero(fails))
-            v_bins.extend(q[jmin == jmin_cap])
+
+            vrt = jmin == jmin_cap
+            mults = mult_table[q[vrt]]
+            high_ms = vrt_high_ms[v_lo:v_lo + mults.size]
+            v_lo += mults.size
+            # pass 1's test, at the row's own multiplier
+            can_fail = mults * trefw_ms > high_ms * low_factor
+            v_rows.extend(state_rows[a:b][vrt][can_fail])
+            v_mults.extend(mults[can_fail])
+            v_high_ms.extend(high_ms[can_fail])
 
         queried[-1] = n - queried[:-1].sum()
         plain_queried = queried - state_queried
@@ -315,8 +332,13 @@ class RefreshSimulation:
         # a filter's FPR is its claims beyond its own rows over the rows
         # profiled outside it; on Python ints the quotient is correctly rounded
         self.filter_fprs = [(k - c) / (n - c) if n > c else 0.0 for k, c in zip(claimed, counts)]
-        # the VRT rows' distinct multipliers, and each row's index into them
-        self._v_mults, self._v_key = np.unique(mult_table[v_bins.array()], return_inverse=True)
+        # only the VRT rows that can fail are stepped, so the inputs of a
+        # step are gathered once: their distinct multipliers and each row's
+        # index into them, their step-stream prefixes and both retentions
+        self._v_mults, self._v_key = np.unique(v_mults.array(), return_inverse=True)
+        self._v_prefix = rng.hash_words_vec(self.spec.seed, rng.TAG_VRT_STEP, v_rows.array())
+        self._v_high_ms = v_high_ms.array()
+        self._v_low_ms = self._v_high_ms * low_factor
 
     # -- stepping ----------------------------------------------------------
 

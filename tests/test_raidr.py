@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raidrsim.bloom import BloomParams, analytic_fpr
+from raidrsim.bloom import BloomFilter, BloomParams, analytic_fpr
 from raidrsim.experiment import ExperimentSpec, SimConfig
 from raidrsim.profiler import ProfilerConfig
-from raidrsim.raidr import BinConfig, UnbinnableRowError, bin_blocks, refreshes_in_horizon
+from raidrsim.raidr import (
+    BinConfig,
+    UnbinnableRowError,
+    bin_blocks,
+    member_rows,
+    pack_members,
+    refreshes_in_horizon,
+)
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, SparseRows, VrtModel
 from raidrsim.simulate import RefreshSimulation
 
@@ -222,3 +229,71 @@ def test_sparse_blocks_build_the_filters_of_their_dense_form(data):
     for a, b in zip(sparse.filters, full.filters):
         assert a.params == b.params
         assert np.array_equal(a.words, b.words)
+
+
+DENSITIES = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_member_forms_round_trip_in_the_smaller_form(data):
+    # offsets take one byte per member in a block of up to 256 rows, two
+    # beyond; a bitmap takes a bit per row of the block.  Members given as
+    # offsets or as a mask pack alike, and unpack to device indices
+    n = data.draw(st.sampled_from([1, 7, 8, 9, 255, 256, 257, 1000, 1 << 16]))
+    density = data.draw(st.sampled_from(DENSITIES))
+    mask = np.random.default_rng(data.draw(st.integers(0, 2**32))).random(n) < density
+    offsets = np.flatnonzero(mask)
+    start = data.draw(st.integers(0, 2**40))
+    offset_bytes = offsets.size * (1 if n <= 256 else 2)
+    for members in (offsets, mask):
+        bitmap, packed = pack_members(members, n)
+        assert bitmap == (offset_bytes > -(-n // 8))
+        assert packed.nbytes == min(offset_bytes, -(-n // 8))
+        rows = member_rows(start, n, bitmap, packed)
+        assert rows.dtype == np.uint64
+        assert rows.tolist() == (offsets + start).tolist()
+
+
+@st.composite
+def member_blocks(draw):
+    """SparseRows blocks that cover a device in row order, and each row's value.
+
+    Blocks hold 200 or 300 rows, so offsets take one byte or two, and the
+    last one is often short.  Each block has its own plain value and its
+    own rows at one of DENSITIES, so a bin's members in a block run from
+    none to every row of it (the plain rows binned, no own row elsewhere),
+    and fall on either side of the switch between the two forms.
+    """
+    size = draw(st.sampled_from([200, 300]))
+    sizes = [size] * draw(st.integers(0, 3)) + [draw(st.integers(1, size))]
+    values = [70.0, 100.0, 130.0, 200.0, 300.0, 2560.0]
+    seed = draw(st.integers(0, 2**32))
+    rand = np.random.default_rng(seed)
+    blocks, dense, start = [], [], 0
+    for n in sizes:
+        plain = draw(st.sampled_from(values))
+        at = np.flatnonzero(rand.random(n) < draw(st.sampled_from(DENSITIES)))
+        own = rand.choice(values, size=at.size)
+        blocks.append(SparseRows(start, n, plain, at, own))
+        block = np.full(n, plain)
+        block[at] = own
+        dense.append(block)
+        start += n
+    return blocks, np.concatenate(dense)
+
+
+@given(member_blocks())
+@settings(max_examples=100, deadline=None)
+def test_member_forms_build_the_filters_of_a_flat_member_list(case):
+    # each filter is built from offsets and bitmaps, a quarter block at a
+    # time; inserting its bin's rows in one flat list sets the same words
+    blocks, dense = case
+    cfg = BinConfig()
+    bins = bin_blocks(blocks, cfg, BASE_MS, 1e-3, seed=5)
+    of_row = cfg.classify(dense)
+    assert bins.counts == tuple(np.bincount(of_row, minlength=cfg.num_filter_bins + 1).tolist())
+    for b, filt in enumerate(bins.filters):
+        flat = BloomFilter(filt.params)
+        flat.insert_many(np.flatnonzero(of_row == b).astype(np.uint64))
+        assert np.array_equal(filt.words, flat.words)

@@ -28,6 +28,15 @@ def test_scripts_run_at_small_size():
     assert "retention failures   0" in lines
 
 
+def test_device_memory_runs_one_fresh_process_per_density_and_run():
+    lines = run_script("device_memory.py", "--densities", "16384000,0.0152587890625G", "--runs", "2", "--seed", "1",
+                       "--set", "profiler.mode=measured")
+    assert lines[0].split() == ["density_gbit", "rows", "run", "wall_s", "peak_rss_mb"]
+    rows = [line.split() for line in lines[1:]]
+    assert [(r[1], r[2]) for r in rows] == [("2000", "0"), ("2000", "1"), ("2000", "0"), ("2000", "1")]
+    assert all(float(r[3]) > 0 and float(r[4]) > 1 for r in rows)
+
+
 def test_each_mutant_still_applies():
     # scripts/mutants.py runs each mutant against its tests; a full run is
     # too slow for this suite, so here each mutant's old text must occur

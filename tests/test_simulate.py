@@ -556,13 +556,14 @@ def test_checkpoint_after_restore_and_advance_matches_uninterrupted(first, secon
     assert resumed.checkpoint() == uninterrupted.checkpoint()
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, 64, simulate_mod._CHUNK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 7, 64, simulate_mod._CHUNK_ROWS, 1 << 17])
 def test_vrt_tiles_are_exact_at_their_boundaries(monkeypatch, block_rows):
     # the device is built in blocks of block_rows rows, each block with its
     # own campaign, and the toggle walked in tiles of a quarter as many
     # (window, row) pairs: 4 VRT rows can fail, so an engine tile is one
     # window at 1 and 7 block rows, four windows at 64 and the whole horizon
-    # at the default, where the tiles hold TILE_PAIRS.  The run stops inside
+    # at the default and at twice the default, where the tiles hold
+    # TILE_PAIRS or more.  The run stops inside
     # a tile, where the default tiling has no boundary, and resumes from its
     # checkpoint
     tile_pairs = max(1, block_rows // 4)
@@ -700,14 +701,15 @@ def test_filter_fprs_all_default():
 
 
 def engine_build_peak(num_rows, spec_of):
-    """tracemalloc peak of building the engine for num_rows rows."""
+    """tracemalloc peak of building the engine for num_rows rows, and the bytes of its filters."""
     spec = spec_of(num_rows)
     tracemalloc.start()
     try:
-        RefreshSimulation(spec)
-        return tracemalloc.get_traced_memory()[1]
+        sim = RefreshSimulation(spec)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, sum(f.words.nbytes for f in sim.bins.filters)
 
 
 def guard_sweep_law_spec(num_rows):
@@ -729,23 +731,27 @@ def guard_sweep_law_spec(num_rows):
 def test_engine_pass_memory_is_bounded(monkeypatch):
     # the whole build works in blocks: beyond one block it keeps only the
     # rows that need state (the weak rows that can fail statically, the
-    # filter bins' rows and the VRT rows), and a plain row keeps none.  So
-    # where a thousandth of the rows is weak and no plain row is binned, a
-    # row added to the device adds at most a tenth of a byte to the peak.
+    # filter bins' members and the VRT rows), and a plain row keeps none.
+    # So where a thousandth of the rows is weak and no plain row is binned,
+    # a row added to the device adds at most a tenth of a byte to the peak.
     # With 1% weak and 1% VRT rows under measured VRT+DPD profiling, at
-    # most 1 B; where a fifth of the rows is binned, at most 2 B, half the
-    # 4 B of the two per-row arrays the sparse state replaced
+    # most 1 B.  Where a fifth of the rows is binned, a row adds its share
+    # of the filters and 0.29-0.32 B besides (a bit per row of each dense
+    # bin's member bitmap, and the VRT rows' state); the bound allows 0.5 B,
+    # below the 0.44 B that 2-byte offsets of the binned rows alone would take
     monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 1 << 12)
-    for spec_of, per_row_bound in (
-        (lambda n: quiet_spec(num_rows=n, horizon=64, seed=3), 0.1),
+    for spec_of, per_row_bound, beyond_filters in (
+        (lambda n: quiet_spec(num_rows=n, horizon=64, seed=3), 0.1, False),
         (lambda n: dataclasses.replace(noisy_spec(num_rows=n, horizon=64, seed=3),
                                        dist=RetentionDistribution(weak_fraction=0.01, floor_ms=160.0),
-                                       vrt=VrtModel(enabled=True, affected_fraction=0.01)), 1),
-        (guard_sweep_law_spec, 2),
+                                       vrt=VrtModel(enabled=True, affected_fraction=0.01)), 1, False),
+        (guard_sweep_law_spec, 0.5, True),
     ):
         RefreshSimulation(spec_of(1 << 12))  # one-time caches and imports
-        small, large = engine_build_peak(1 << 18, spec_of), engine_build_peak(1 << 19, spec_of)
-        assert (large - small) / (1 << 18) <= per_row_bound
+        (small, small_filters), (large, large_filters) = (engine_build_peak(1 << 18, spec_of),
+                                                          engine_build_peak(1 << 19, spec_of))
+        added = large - small - (large_filters - small_filters if beyond_filters else 0)
+        assert added / (1 << 18) <= per_row_bound
         assert large / (1 << 19) <= 4
 
 
