@@ -5,7 +5,10 @@ Each run is `python -m raidrsim.cli simulate` of this checkout's src/, with
 the given config, overrides and seed, at one device density.  The script
 prints, per run, the density, the rows the run reports, the host wall
 time of the child process (interpreter start and imports included) and
-its peak RSS (`ru_maxrss` of that child alone).
+its peak RSS (`ru_maxrss` from `wait4`).  Linux charges a child that
+vfork+execs, as subprocess starts it, the launcher's high-water RSS, so a
+reading is at least this script's own peak.  The script imports nothing
+heavy and stays far below any run's peak, so the readings are the runs'.
 
     python scripts/device_memory.py --densities 16G,64G,256G --runs 3 \\
         --seed 1 --set profiler.mode=measured ...

@@ -221,9 +221,20 @@ MUTANTS = (
     Mutant(
         "plain-jmin-off-by-one",
         "src/raidrsim/simulate.py",
-        "plain_jmin = math.floor(true_min.plain / trefw_ms) + 1",
-        "plain_jmin = math.floor(true_min.plain / trefw_ms)",
+        "plain_jmin = int(_first_failing_window(true_min.plain, trefw_ms))",
+        "plain_jmin = int(_first_failing_window(true_min.plain, trefw_ms)) - 1",
         ("tests/test_simulate.py::test_plain_rows_that_can_fail_match_oracle",),
+    ),
+    # a retention of k base periods then fails k windows past a refresh
+    # wherever (k * trefw_ms) / trefw_ms rounds below k
+    Mutant(
+        "jmin-floored-quotient",
+        "src/raidrsim/simulate.py",
+        "    j -= (j - 1) * trefw_ms > retention_ms\n    j += j * trefw_ms <= retention_ms\n",
+        "",
+        ("tests/test_cli.py::test_retention_on_a_refresh_boundary_never_fails",
+         "tests/test_simulate.py::test_first_failing_window_is_the_first_elapsed_time_past_the_retention",
+         "tests/test_simulate.py::test_sparse_rows_match_oracle"),
     ),
     Mutant(
         "first-plain-returns-0",
@@ -235,7 +246,7 @@ MUTANTS = (
     Mutant(
         "vrt-rows-not-moved-to-jmin-cap",
         "src/raidrsim/simulate.py",
-        "                jmin[gt.toggles] = np.where(can_fail, jmin_cap, jmin_cap + 1)\n",
+        "                jmin[gt.toggles] = jmin_cap\n",
         "",
         ("tests/test_simulate.py::TestAgainstReferenceOracle::test_noisy_configs_exact",),
     ),
@@ -298,6 +309,16 @@ MUTANTS = (
         "if count * offset_type.itemsize <= -(-num_rows // 8):",
         "if True:",
         ("tests/test_simulate.py::test_engine_pass_memory_is_bounded",),
+    ),
+    # every process then maps OpenSSL's libcrypto
+    Mutant(
+        "sha256-from-hashlib",
+        "src/raidrsim/experiment.py",
+        "try:\n    from _sha2 import sha256  # Python 3.12+\nexcept ImportError:\n    try:\n"
+        "        from _sha256 import sha256  # Python 3.10-3.11\n    except ImportError:\n"
+        "        from hashlib import sha256\n",
+        "from hashlib import sha256\n",
+        ("tests/test_cli.py::test_cli_runs_load_no_openssl",),
     ),
     # a config file's repeated key is then read as its last value
     Mutant(

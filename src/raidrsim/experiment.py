@@ -18,7 +18,6 @@ swept key; sweeping `seed` itself gives replicates.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .bloom import BloomParams
@@ -26,6 +25,18 @@ from .overhead import OverheadConfig, check as check_overhead
 from .profiler import MODE_MEASURED, ProfilerConfig
 from .retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel
 from .raidr import BinConfig
+
+# The hashlib module maps OpenSSL's libcrypto (about 3.5 MB of resident
+# memory) into every process that imports it; the hash inputs here are a
+# few KB, so CPython's built-in SHA-256 is as good and far lighter.  The
+# same fallback as the standard library's random.py.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(ValueError):
@@ -50,7 +61,7 @@ def config_text(config: dict[str, str]) -> str:
 
 
 def config_sha256(config: dict[str, str]) -> str:
-    return hashlib.sha256(config_text(config).encode()).hexdigest()
+    return sha256(config_text(config).encode()).hexdigest()
 
 
 def _fmt_float(v: float) -> str:

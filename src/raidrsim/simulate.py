@@ -27,8 +27,8 @@ block, whichever is smaller (raidr.pack_members), and, in one growing
 buffer per kind, one set of state rows with their jmin, the windows past a
 refresh at which a row without VRT starts to fail: the weak rows without
 VRT that can fail, and the VRT rows that can fail in some bin, with
-their high retention, at a jmin past every multiplier (the other VRT rows
-only where plain rows can fail).  The bin counts then size the filters.  Pass 2 gives everything fixed per row once
+their high retention, at a jmin past every multiplier.  The bin counts
+then size the filters.  Pass 2 gives everything fixed per row once
 the bins exist (refresh counts, the closed-form failures
 and each filter's claim count): it queries each filter once per row into a
 bin map per block, the first claiming filter of each row, which gives the
@@ -62,8 +62,6 @@ executes code from the blob.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -72,7 +70,7 @@ import numpy as np
 
 from . import rng
 from .bloom import BloomParams
-from .experiment import ExperimentSpec, config_sha256, config_text, parse_config_text, spec_from_flat
+from .experiment import ExperimentSpec, config_sha256, config_text, parse_config_text, sha256, spec_from_flat
 from .profiler import MODE_ORACLE, profile_rows
 from .raidr import BinSet, bin_blocks, refreshes_in_horizon
 from .retention import RowBuffer, generate_rows, vrt_tiles
@@ -178,6 +176,20 @@ def profiled_blocks(spec: ExperimentSpec, bins=None):
         yield gt, profile_rows(gt, spec.profiler, bins)
 
 
+def _first_failing_window(retention_ms, trefw_ms: float):
+    """The smallest j >= 1 with j * trefw_ms > retention_ms, by _advance's float test, elementwise.
+
+    A row whose retention never toggles fails at j windows past its last
+    refresh from then on.  The floored quotient retention_ms / trefw_ms can
+    round to either side of a whole number, so it is corrected by one step
+    each way against the product itself, which makes it exact.
+    """
+    j = np.floor(retention_ms / trefw_ms) + 1
+    j -= (j - 1) * trefw_ms > retention_ms
+    j += j * trefw_ms <= retention_ms
+    return j
+
+
 def _static_failures(horizon: int, m, j):
     """Failures over the horizon of a row refreshed every m windows whose retention runs out j windows past a refresh.
 
@@ -205,15 +217,15 @@ class RefreshSimulation:
         # taken as min_possible takes it, and its time since a refresh peaks
         # at m * trefw_ms, computed as _advance computes it.  So a VRT row
         # whose low retention the longest gap of every bin does not exceed
-        # never fails.  Where plain rows cannot fail either, it counts as a
-        # plain row; elsewhere, which plain_jmin's rounding allows only at
-        # an edge, it is a state row at jmin_cap + 1.  The other VRT rows,
-        # exactly the state rows at jmin_cap, keep their high retention
+        # never fails, and then no plain row fails either, as a plain row's
+        # retention is at least the VRT row's: it counts as a plain row.  The
+        # other VRT rows, exactly the state rows at jmin_cap, keep their high
+        # retention
         trefw_ms = self.device.trefw_ms
         jmin_cap = max(spec.bins.multipliers(trefw_ms)) + 1
         longest_gap_ms = (jmin_cap - 1) * trefw_ms
         row_type = np.min_scalar_type(self.device.num_rows - 1)
-        jmin_type = np.min_scalar_type(jmin_cap + 1)
+        jmin_type = np.min_scalar_type(jmin_cap)
         state_rows, state_jmin = RowBuffer(row_type), RowBuffer(jmin_type)
         vrt_high_ms = RowBuffer(np.float64)
         plain_jmin = jmin_cap
@@ -225,16 +237,16 @@ class RefreshSimulation:
             nonlocal plain_jmin
             for gt, measured in profiled_blocks(spec, spec.bins):
                 true_min = gt.min_possible()
-                plain_jmin = math.floor(true_min.plain / trefw_ms) + 1
-                jmin = np.floor(true_min.values / trefw_ms) + 1
+                plain_jmin = int(_first_failing_window(true_min.plain, trefw_ms))
+                jmin = _first_failing_window(true_min.values, trefw_ms)
                 high_ms = gt.vrt_retention_high
                 can_fail = longest_gap_ms > high_ms * spec.vrt.low_factor
-                jmin[gt.toggles] = np.where(can_fail, jmin_cap, jmin_cap + 1)
+                jmin[gt.toggles] = jmin_cap
                 # a weak row's base is below strong_value_ms, so its jmin is
                 # at most plain_jmin, and where plain rows can fail every
                 # weak row is near
                 keep = jmin < jmin_cap
-                keep[gt.toggles] = can_fail | (plain_jmin < jmin_cap)
+                keep[gt.toggles] = can_fail
                 state_rows.extend((true_min.at[keep] + gt.start).astype(row_type))
                 state_jmin.extend(jmin[keep].astype(jmin_type))
                 vrt_high_ms.extend(high_ms[can_fail])
@@ -421,7 +433,7 @@ class RefreshSimulation:
             *(flags.astype(np.uint8).tobytes() for flags in (self._v_low, self._v_seen, self._v_unsafe)),
         ])
         header = _CHECKPOINT_HEADER.pack(
-            _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, hashlib.sha256(payload).digest()
+            _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, sha256(payload).digest()
         )
         return header + payload
 
@@ -436,7 +448,7 @@ class RefreshSimulation:
         if version != _CHECKPOINT_VERSION:
             raise CheckpointError(f"checkpoint version {version} unsupported")
         payload = memoryview(blob)[_CHECKPOINT_HEADER.size:]
-        if hashlib.sha256(payload).digest() != digest:
+        if sha256(payload).digest() != digest:
             raise CheckpointError("checkpoint integrity check failed")
 
         if len(payload) < 8:

@@ -294,6 +294,18 @@ def test_threshold_a_hair_under_a_multiple_exits_2(tmp_path, capsys):
     assert "config error: bins.thresholds_ms" in capsys.readouterr().err
 
 
+def test_retention_on_a_refresh_boundary_never_fails(tmp_path):
+    # every row holds 4.3 ms, 43 periods of 0.1 ms, and is refreshed every
+    # 4.3 ms, so no elapsed time exceeds it, though 4.3 / 0.1 rounds below 43
+    settings = ["device.density_bits=16384000", "device.trefw_ms=0.1", "bins.thresholds_ms=4.3",
+                "dist.weak_fraction=0", "dist.strong_value_ms=4.3", "dist.floor_ms=0.1", "dist.weak_high_ms=4.3",
+                "sim.horizon_windows=86"]
+    argv = [arg for item in settings for arg in ("--set", item)]
+    assert run_cli("simulate", "--seed", "1", *argv, "--out", str(tmp_path)) == 0
+    report = (tmp_path / "simreport.txt").read_text()
+    assert "retention_failures = 0\n" in report and "unsafe_rows = 0\n" in report
+
+
 @pytest.mark.parametrize("settings, intervals", [
     # a 0.6 worst pattern takes weak rows to 38.4 ms: under the 64 ms default
     # period they would fail, but each is binned at the device's 32 ms
@@ -382,6 +394,30 @@ def test_library_report_equals_cli_artifact(tmp_path, bloom):
     argv = [arg for item in flat.items() for arg in ("--set", "=".join(item))]
     assert run_cli("simulate", "--out", str(tmp_path), *argv) == 0
     assert run(*parts_of(spec_from_flat(flat))).to_text() == (tmp_path / "simreport.txt").read_text()
+
+
+def test_cli_runs_load_no_openssl(tmp_path):
+    # SHA-256 comes from CPython's built-in module: hashlib's OpenSSL
+    # binding maps libcrypto, about 3.5 MB, into every process that loads it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])}
+    code = f"""
+import sys
+from raidrsim import cli
+from raidrsim.experiment import ExperimentSpec, SimConfig
+from raidrsim.retention import DeviceConfig
+from raidrsim.simulate import RefreshSimulation
+out, small = {str(tmp_path)!r}, {SMALL!r}
+assert cli.main(["simulate", *small, "--out", out + "/simulate"]) == 0
+assert cli.main(["sweep", "--axis", "seed", "--values", "1,2", *small, "--out", out + "/sweep"]) == 0
+sim = RefreshSimulation(ExperimentSpec(device=DeviceConfig.from_rows(64), sim=SimConfig(horizon_windows=8)))
+sim.run(stop_after_window=4)
+blob = sim.checkpoint()
+assert RefreshSimulation.restore(blob).checkpoint() == blob
+print(sorted({{"_hashlib", "hashlib"}} & set(sys.modules)))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 class TestSimulateCommand:

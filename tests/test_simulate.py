@@ -765,6 +765,13 @@ def test_wall_time_covers_engine_set_up(monkeypatch):
     assert rep.wall_time_s >= 0.05
 
 
+def test_checkpoint_hash_is_hashlibs_sha256():
+    # restore hashes a memoryview slice of the blob, checkpoint a bytes object
+    blob = RefreshSimulation(noisy_spec()).checkpoint()
+    for data in (blob, memoryview(blob)[simulate_mod._CHECKPOINT_HEADER.size:], memoryview(blob)[5:17], b""):
+        assert simulate_mod.sha256(data).digest() == hashlib.sha256(data).digest()
+
+
 def test_no_deserializer_imports_in_package():
     # checkpoints and snapshots are plain data; nothing in the package may unpickle
     banned = {"pickle", "marshal", "shelve"}
@@ -793,35 +800,64 @@ def test_run_rejects_other_budget_forms():
         run(*parts, [BloomParams(m=300, k=3)] * 2)
 
 
+# Base periods, device.trefw_ms, for the engine-versus-oracle generators.
+# The dyadic ones make every j * trefw_ms exact; at the others the
+# quotient (k * trefw_ms) / trefw_ms can round below k, at k = 3 and 6 for
+# 0.7 ms and at k = 7 for 64/3 ms, so a retention drawn at k * trefw_ms
+# ties with an elapsed time where a floored quotient misplaces it.
+BASE_PERIODS_MS = (64.0, 48.0, 37.5, 0.1, 0.7, 7.8, 64 / 3)
+
+
+@given(st.sampled_from(BASE_PERIODS_MS), st.integers(1, 10_000),
+       st.sampled_from([0.0, math.inf, 0.0, -math.inf]) | st.floats(0.1, 10.0))
+def test_first_failing_window_is_the_first_elapsed_time_past_the_retention(trefw_ms, k, toward):
+    # a retention at k * trefw_ms, one ulp either side of it, or off it by a
+    # factor: j * trefw_ms is computed as the oracle and _advance compute it
+    retention_ms = k * trefw_ms
+    if math.isinf(toward):
+        retention_ms = math.nextafter(retention_ms, toward)
+    elif toward:
+        retention_ms *= toward
+    j = int(simulate_mod._first_failing_window(retention_ms, trefw_ms))
+    assert j >= 1 and j * trefw_ms > retention_ms
+    assert j == 1 or (j - 1) * trefw_ms <= retention_ms
+    both = simulate_mod._first_failing_window(np.array([retention_ms, retention_ms]), trefw_ms)
+    assert both.tolist() == [j, j]
+
+
 @st.composite
 def small_vrt_runs(draw):
     """The spec of a small VRT run, a window to checkpoint at and a block size.
 
-    The base period, device.trefw_ms, is 64, 48 or 37.5 ms.  Zero to four
-    bins above it, at multipliers drawn from 2, 3, 5, 7 and 9, and
+    The base period, device.trefw_ms, is one of BASE_PERIODS_MS.  Zero to
+    four bins above it, at multipliers drawn from 2, 3, 5, 7 and 9, and
     horizons mostly off a multiple of the largest one.  The Bloom budget
     is an FPR target or an explicit tiny geometry (m up to 256 bits, never
     a power of two), whose false positives demote rows to shorter
     intervals.  The retention floor is a multiple of the base high enough
     that every row's lowest retention, after the guard band, stays at or
-    above the base, so no draw is unbinnable; a weak band one ulp wide
-    puts weak rows exactly on it, so elapsed times tie with retentions.
-    Each toggle probability is 0, 1, a mid-range value such as 0.25, or
-    any float in [0, 1]; the mid-range values make the two directions of
-    the toggle differ in most draws.
+    above the base, so no draw is unbinnable, and often a bin's own
+    threshold; a weak band one ulp wide puts weak rows exactly on it, so
+    elapsed times tie with retentions.  Each toggle probability is 0, 1, a
+    mid-range value such as 0.25, or any float in [0, 1]; the mid-range
+    values make the two directions of the toggle differ in most draws.
     """
-    base_ms = draw(st.sampled_from([64.0, 48.0, 37.5]))
+    base_ms = draw(st.sampled_from(BASE_PERIODS_MS))
     low_factor = draw(st.sampled_from([1.0, 0.8, 0.5, 0.45, 0.3]))
     dpd = DpdModel(enabled=draw(st.booleans()), num_patterns=4, worst_pattern_factor=0.75)
     mode = draw(st.sampled_from(["oracle", "measured"]))
     guard = draw(st.sampled_from([1.0, 1.25]))
     dpd_factor = dpd.worst_pattern_factor if dpd.enabled else 1.0
-    floor = base_ms * draw(st.integers(math.ceil(guard / (low_factor * dpd_factor)), 8))
-    width = draw(st.sampled_from([0.0, 64.0, 256.0, 640.0]))
+    mults = sorted(draw(st.permutations([2, 3, 5, 7, 9]))[:draw(st.integers(0, 4))])
+    lowest = math.ceil(guard / (low_factor * dpd_factor))
+    on_a_threshold = [m for m in mults if lowest <= m <= 8]
+    periods = st.integers(lowest, 8)
+    floor = base_ms * draw(periods | st.sampled_from(on_a_threshold) if on_a_threshold else periods)
+    width = base_ms * draw(st.sampled_from([0, 1, 4, 10]))
     dist = RetentionDistribution(
         weak_fraction=0.7, floor_ms=floor,
         weak_high_ms=floor + width if width else math.nextafter(floor, math.inf),
-        strong_value_ms=2560.0,
+        strong_value_ms=base_ms * 40,
     )
     probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | st.sampled_from([0.1, 0.25, 0.5])
     vrt = VrtModel(enabled=True, affected_fraction=draw(st.sampled_from([0.3, 1.0])),
@@ -830,7 +866,6 @@ def small_vrt_runs(draw):
     profiler = ProfilerConfig(mode=mode, patterns_tested=draw(st.integers(1, 4)),
                               rounds=draw(st.integers(1, 3)), guard_band_factor=guard,
                               profiling_window_span=draw(st.integers(1, 6)))
-    mults = sorted(draw(st.permutations([2, 3, 5, 7, 9]))[:draw(st.integers(0, 4))])
     bins = BinConfig(thresholds_ms=tuple(base_ms * m for m in mults))
     device = DeviceConfig.from_rows(draw(st.integers(8, 48)), trefw_ms=base_ms)
     max_mult = bins.multipliers(device.trefw_ms)[-1]
@@ -1033,30 +1068,32 @@ def test_devices_without_weak_or_plain_rows_match_oracle(weak_fraction, vrt):
 def plain_row_runs(draw):
     """The spec of a small run whose plain rows (neither weak nor VRT) land anywhere, and a block size.
 
-    The plain rows' true retention, strong_value_ms at the worst pattern,
-    is drawn in base periods from under the base period to past the last
-    threshold, and the guard band and the tested patterns move their
-    profiled values: plain rows that can fail, plain rows in a filter bin,
-    covered and missed plain rows in different bins, and plain rows too
-    short to bin.  The weak fraction is 0, 0.3 or 1, and the VRT rows
-    none, some or all, so some devices have no weak rows and some no plain
-    rows; most draws have both, and most profile in measured mode.
+    The base period, device.trefw_ms, is one of BASE_PERIODS_MS.  The
+    plain rows' true retention, strong_value_ms at the worst pattern, is
+    drawn in base periods from under the base period to past the last
+    threshold, often exactly a bin's interval, and the guard band and the
+    tested patterns move their profiled values: plain rows that can fail,
+    plain rows in a filter bin, covered and missed plain rows in different
+    bins, and plain rows too short to bin.  The weak fraction is 0, 0.3 or
+    1, and the VRT rows none, some or all, so some devices have no weak
+    rows and some no plain rows; most draws have both, and most profile in
+    measured mode.
     """
-    base_ms = draw(st.sampled_from([64.0, 48.0]))
+    base_ms = draw(st.sampled_from(BASE_PERIODS_MS))
     mults = sorted(draw(st.permutations([2, 3, 4, 6]))[:draw(st.integers(0, 3))])
     bins = BinConfig(thresholds_ms=tuple(base_ms * m for m in mults))
     max_mult = bins.multipliers(base_ms)[-1]
     dpd = DpdModel(enabled=draw(st.booleans()), num_patterns=4,
                    worst_pattern_factor=draw(st.sampled_from([0.25, 0.5, 0.8, 1.0])))
     floor = base_ms * draw(st.sampled_from([1.0, 1.5, 2.0, 5.0]))
-    weak_high = floor + draw(st.sampled_from([8.0, 100.0, 300.0]))
-    plain_periods = draw(st.floats(0.5, max_mult + 1.5))
+    weak_high = floor + base_ms * draw(st.sampled_from([0.125, 1.5, 5.0]))
+    plain_periods = draw(st.floats(0.5, max_mult + 1.5) | st.sampled_from(bins.multipliers(base_ms)))
     dpd_factor = dpd.worst_pattern_factor if dpd.enabled else 1.0
     dist = RetentionDistribution(
         kind=draw(st.sampled_from([DIST_TWO_POPULATION, DIST_LOGNORMAL_TAIL])),
         weak_fraction=draw(st.sampled_from([0.0, 0.3, 0.3, 1.0])), floor_ms=floor, weak_high_ms=weak_high,
         strong_value_ms=max(weak_high, base_ms * plain_periods / dpd_factor),
-        lognormal_median_ms=floor + 4.0,
+        lognormal_median_ms=floor + base_ms / 16,
     )
     vrt = VrtModel(enabled=draw(st.booleans()), affected_fraction=draw(st.sampled_from([0.3, 0.3, 1.0])),
                    low_factor=draw(st.sampled_from([0.5, 0.8])), p_high_to_low=0.25, p_low_to_high=0.5)
@@ -1074,6 +1111,14 @@ def plain_row_runs(draw):
 
 
 @given(plain_row_runs())
+# a row whose retention is the 3 * 0.7 ms threshold itself, where 3 * 0.7 / 0.7
+# rounds below 3: the row never fails
+@example((ExperimentSpec(
+    device=DeviceConfig.from_rows(1, trefw_ms=0.7),
+    dist=RetentionDistribution(weak_fraction=0.0, floor_ms=0.7, weak_high_ms=1.4, strong_value_ms=0.7 * 3),
+    profiler=ProfilerConfig(mode="oracle"), bins=BinConfig(thresholds_ms=(0.7 * 2, 0.7 * 3)),
+    sim=SimConfig(horizon_windows=3),
+), 1))
 @settings(max_examples=300, deadline=None)
 def test_sparse_rows_match_oracle(drawn):
     engine_against_oracle(*drawn)
