@@ -9,6 +9,10 @@ its peak RSS (`ru_maxrss` from `wait4`).  Linux charges a child that
 vfork+execs, as subprocess starts it, the launcher's high-water RSS, so a
 reading is at least this script's own peak.  The script imports nothing
 heavy and stays far below any run's peak, so the readings are the runs'.
+Before the first run, one unmeasured child imports raidrsim.cli with
+bytecode writing enabled, so that the measured children, which inherit
+the environment and with it any PYTHONDONTWRITEBYTECODE, load current
+bytecode instead of compiling a stale or missing __pycache__ at import.
 
     python scripts/device_memory.py --densities 16G,64G,256G --runs 3 \\
         --seed 1 --set profiler.mode=measured ...
@@ -37,10 +41,22 @@ def density_bits(text: str) -> int:
     return int(text)
 
 
-def measure(cli_args: list[str]) -> tuple[float, float, int, str]:
-    """(wall seconds, peak RSS in MB, exit code, standard error) of one child running the CLI."""
+def child_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def write_bytecode() -> None:
+    """Compile this checkout's raidrsim into its __pycache__ in one child that may write bytecode."""
+    env = child_env()
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", "import raidrsim.cli"], env=env, check=True)
+
+
+def measure(cli_args: list[str]) -> tuple[float, float, int, str]:
+    """(wall seconds, peak RSS in MB, exit code, standard error) of one child running the CLI."""
+    env = child_env()
     with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "raidrsim.cli", *cli_args],
@@ -71,6 +87,7 @@ def main(argv=None) -> int:
     for kv in args.set:
         base += ["--set", kv]
 
+    write_bytecode()
     print(f"{'density_gbit':>12} {'rows':>10} {'run':>3} {'wall_s':>8} {'peak_rss_mb':>11}")
     with tempfile.TemporaryDirectory() as out:
         for text in args.densities.split(","):

@@ -87,9 +87,33 @@ MUTANTS = (
     Mutant(
         "hash-caller-array-in-place",
         "src/raidrsim/rng.py",
-        "x = words[lead].astype(np.uint64)  # a copy, even of a uint64 array",
-        "x = words[lead].astype(np.uint64, copy=False)",
+        "out=np.empty(np.shape(arr), np.uint64),",
+        "out=arr,",
         ("tests/test_rng.py::test_kernels_leave_their_inputs_unchanged",),
+    ),
+    # int64 + uint64 then resolves to float64, which rounds large words
+    Mutant(
+        "hash-add-without-uint64-dtype",
+        "src/raidrsim/rng.py",
+        "dtype=np.uint64, casting=\"unsafe\")",
+        "casting=\"unsafe\")",
+        ("tests/test_rng.py::test_vec_matches_scalar_wherever_the_array_word_sits[first-int64]",),
+    ),
+    # a query then answers from the bits the filter had before the insert
+    Mutant(
+        "bloom-table-kept-across-inserts",
+        "src/raidrsim/bloom.py",
+        "        self._table = None\n        self._empty = False\n",
+        "        self._empty = False\n",
+        ("tests/test_bloom.py::TestInsertContains::test_query_between_inserts_sees_the_later_keys[590]",),
+    ),
+    Mutant(
+        "bloom-table-big-endian",
+        "src/raidrsim/bloom.py",
+        'bitorder="little").view(bool)',
+        'bitorder="big").view(bool)',
+        ("tests/test_bloom.py::TestInsertContains::test_claimed_matches_scalar",
+         "tests/test_bloom_properties.py::test_contains_many_matches_scalar_contains"),
     ),
     Mutant(
         "seen-carry-dropped",

@@ -21,9 +21,20 @@ answer: claimed() returns their offsets, which stay ascending.
 What a probe costs is the numpy passes it makes, not their number of
 calls, so each step is one cheap pass over an array the kernel owns.  A
 position is reduced as x - (x // m) * m: numpy divides by a scalar with
-a multiply and shifts, where % runs a hardware divide per element.  The
-bit is a byte gathered with take() through an intp index view, then
-shifted and masked in place in u8.
+a multiply and shifts, where % runs a hardware divide per element.
+
+A filter of at most TABLE_MAX_BITS bits tests a bit with one take() from
+a byte-per-bit bool table, unpacked from the words on the first query
+after the last insert: one gather per probe instead of a gather, a shift
+and a mask over packed bytes.  The bound keeps the table small: at 2**19
+bits it is 512 KiB, no more than one engine block temporary (8 B per row
+for 2**16 rows), and RAIDR's own 256 B and 1 KB filters fit in the L1
+and L2 caches as bytes.  Filters planned for many members at a device
+scale reach 10**8 bits, which would take 107 MB as bytes against 13 MB
+packed, so a larger filter keeps the packed test: the bit is a byte
+gathered with take() through an intp index view, then shifted and
+masked in place in u8.  The words stay the filter's one stored state;
+the table is derived from them and insert_many drops it.
 """
 
 from __future__ import annotations
@@ -39,6 +50,8 @@ _MASK = (1 << 64) - 1
 
 MAX_HASHES = 64
 DEFAULT_PLAN_CEILING_BITS = 2**32
+# the largest filter whose bits are tested through a byte-per-bit table
+TABLE_MAX_BITS = 2**19
 
 
 class PlanUnsatisfiableError(ValueError):
@@ -72,14 +85,17 @@ class BloomFilter:
 
     No deletion and no counting: bins are built once per profiling pass.
     After construction and inserts the filter is immutable in practice and
-    may be probed concurrently.
+    may be probed concurrently: queries that race to build the bit table
+    build the same one.
     """
 
-    __slots__ = ("params", "words")
+    __slots__ = ("params", "words", "_table", "_empty")
 
     def __init__(self, params: BloomParams):
         self.params = params
         self.words = np.zeros((params.m + 63) // 64, dtype=np.uint64)
+        self._table = None  # the byte-per-bit table, built from words on a query
+        self._empty = True  # no key inserted, so no bit set
 
     # -- hashing ---------------------------------------------------------
 
@@ -99,6 +115,8 @@ class BloomFilter:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return
+        self._table = None
+        self._empty = False
         g1 = hash_words_vec(self.params.seed, 1, keys)
         g2 = self._g2_vec(keys)
         for i in range(self.params.k):
@@ -111,21 +129,31 @@ class BloomFilter:
 
     # -- queries ---------------------------------------------------------
 
-    def _bits_at(self, pos: np.ndarray) -> np.ndarray:
-        """The filter's bit at each position, as bool; pos is overwritten.
+    def _octets(self) -> np.ndarray:
+        """The words' bytes in little-endian order: bit i is bit i % 8 of byte i // 8."""
+        return np.ascontiguousarray(self.words, dtype="<u8").view(np.uint8)
 
-        Bit i is bit i % 8 of byte i // 8 in the little-endian word layout,
-        and byte gathers and shifts run several times faster than 64-bit
-        ones.  pos >> 3 is gathered through an intp view, which spares
-        take() a conversion of the whole index array; the view is safe
-        because every position is below m, so pos >> 3 indexes the
-        filter's own bytes.
+    def _bits_at(self, pos: np.ndarray) -> np.ndarray:
+        """The filter's bit at each position, as bool; pos may be overwritten.
+
+        A filter of at most TABLE_MAX_BITS bits answers with one take()
+        from its byte-per-bit table, built here on the first query after
+        the last insert.  A larger one would need a table eight times its
+        packed size, so it gathers bytes: byte gathers and shifts run
+        several times faster than 64-bit ones.  pos >> 3 is gathered
+        through an intp view, which spares take() a conversion of the
+        whole index array; the view is safe because every position is
+        below m, so pos >> 3 indexes the filter's own bytes.
         """
-        octets = np.ascontiguousarray(self.words, dtype="<u8").view(np.uint8)
+        m = self.params.m
+        if m <= TABLE_MAX_BITS:
+            if self._table is None:
+                self._table = np.unpackbits(self._octets(), count=m, bitorder="little").view(bool)
+            return self._table.take(pos.view(np.intp))
         shift = pos.astype(np.uint8)
         shift &= np.uint8(7)
         pos >>= np.uint64(3)
-        byte = octets.take(pos.view(np.intp))
+        byte = self._octets().take(pos.view(np.intp))
         byte >>= shift
         byte &= np.uint8(1)
         return byte.view(bool)
@@ -135,18 +163,21 @@ class BloomFilter:
 
         Probe 0 is g1 mod m (C(0,3) = 0), so g2 is hashed only for the keys
         that pass it, and each later probe sees only the survivors of the
-        one before.  Positions are those insert_many sets.
+        one before.  Positions are those insert_many sets.  A filter that
+        holds no key claims nothing, so it hashes nothing.
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint64).reshape(-1)
+        if self._empty:
+            return np.empty(0, dtype=np.intp)
         m = self.params.m
         g1 = hash_words_vec(self.params.seed, 1, keys)
         live = np.flatnonzero(self._bits_at(_probe_positions(g1, None, 0, m)))
         if self.params.k > 1 and live.size:
-            g1 = g1[live]
-            g2 = self._g2_vec(keys[live])
+            g1 = g1.take(live)
+            g2 = self._g2_vec(keys.take(live))
             for i in range(1, self.params.k):
                 keep = np.flatnonzero(self._bits_at(_probe_positions(g1, g2, i, m)))
-                live, g1, g2 = live[keep], g1[keep], g2[keep]
+                live, g1, g2 = live.take(keep), g1.take(keep), g2.take(keep)
                 if not live.size:
                     break
         return live

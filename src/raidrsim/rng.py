@@ -67,13 +67,15 @@ def hash_words_vec(*words) -> np.ndarray:
 
     The scalar words before the array are folded as Python ints by
     hash_words' own chain.  From there the hash is one uint64 array that
-    this call owns: every later word is added and mixed in place, so the
-    only temporaries are that array and one scratch array, and the input
-    array is never written.  Arithmetic intentionally wraps mod 2**64, so
-    a call mixing scalars and arrays agrees element-wise with the scalar
-    path; array arithmetic wraps without a warning.  An all-scalar call
-    returns a 0-d array.  A second array word raises TypeError: hash it in
-    with extend_hash_vec, which broadcasts.
+    this call owns: the array word, wrapped to uint64 as hash_words masks
+    it, is added into a new array in one pass, and every later word is
+    added and mixed in place, so the only temporaries are that array and
+    one scratch array, and the input array is never written.  Arithmetic
+    intentionally wraps mod 2**64, so a call mixing scalars and arrays
+    agrees element-wise with the scalar path; array arithmetic wraps
+    without a warning.  An all-scalar call returns a 0-d array.  A second
+    array word raises TypeError: hash it in with extend_hash_vec, which
+    broadcasts.
     """
     h = 0
     for lead, w in enumerate(words):
@@ -85,8 +87,10 @@ def hash_words_vec(*words) -> np.ndarray:
     rest = words[lead + 1:]
     if any(isinstance(w, np.ndarray) for w in rest):
         raise TypeError("hash_words_vec takes at most one array word; extend_hash_vec adds another")
-    x = words[lead].astype(np.uint64)  # a copy, even of a uint64 array
-    x += np.uint64((h + _GAMMA) & _MASK)
+    arr = words[lead]
+    # one pass into a new array; dtype keeps a signed word from promoting to float64
+    x = np.add(arr, np.uint64((h + _GAMMA) & _MASK), out=np.empty(np.shape(arr), np.uint64),
+               dtype=np.uint64, casting="unsafe")
     tmp = np.empty_like(x)
     _mix64_into(x, tmp)
     for w in rest:

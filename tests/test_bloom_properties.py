@@ -3,7 +3,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from raidrsim import rng
-from raidrsim.bloom import DEFAULT_PLAN_CEILING_BITS, BloomFilter, BloomParams, _mod, analytic_fpr, plan_params
+from raidrsim.bloom import (
+    DEFAULT_PLAN_CEILING_BITS,
+    TABLE_MAX_BITS,
+    BloomFilter,
+    BloomParams,
+    _mod,
+    analytic_fpr,
+    plan_params,
+)
 
 from reference_sim import contains
 
@@ -126,6 +134,9 @@ def probe_cases(test):
     """Draw a filter, how many keys it holds, how many fresh keys to probe and their seed."""
     test = settings(max_examples=150, deadline=None)(test)
     test = example(BloomParams(m=2**20 - 3, k=5, seed=1), 2000, 200, 7)(test)
+    # the largest filter tested through a byte table, and the smallest tested packed
+    test = example(BloomParams(m=TABLE_MAX_BITS, k=5, seed=1), 2000, 200, 7)(test)
+    test = example(BloomParams(m=TABLE_MAX_BITS + 1, k=5, seed=1), 2000, 200, 7)(test)
     test = example(BloomParams(m=2**20, k=5, seed=1), 2000, 200, 7)(test)
     test = example(BloomParams(m=1, k=1), 0, 0, 0)(test)  # empty keys
     return given(

@@ -92,16 +92,35 @@ def test_known_value_pinned():
     assert rng.hash_words(1, 2, 3) == rng.hash_words(1, 2, 3)
 
 
-@pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32])
-@pytest.mark.parametrize("at", ["first", "middle", "last"])
-def test_vec_matches_scalar_wherever_the_array_word_sits(dtype, at):
+def _extremes(dtype) -> np.ndarray:
     info = np.iinfo(dtype)
-    arr = np.array([0, 1, 2, 12345, info.max, info.min, info.max // 3], dtype=dtype)
+    values = [0, 1, 2, 100, info.max, info.max // 3, info.min, info.min // 3, -1]
+    return np.array([v for v in values if info.min <= v <= info.max], dtype=dtype)
+
+
+ARRAY_WORDS = {
+    "uint64": _extremes(np.uint64),
+    "int64": _extremes(np.int64),
+    "uint32": _extremes(np.uint32),
+    "int8": _extremes(np.int8),
+    "bool": np.array([False, True, True, False]),
+    # every other element of a reversed int64 array, negatives included
+    "strided": np.arange(-(2**62), 2**62, 2**59, dtype=np.int64)[::-2],
+    "0-d": np.asarray(np.int64(-(2**63))),
+}
+
+
+@pytest.mark.parametrize("kind", list(ARRAY_WORDS))
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_vec_matches_scalar_wherever_the_array_word_sits(kind, at):
+    # each element wraps to 64 bits as hash_words masks an int: signed
+    # words by two's complement, never through float64
+    arr = ARRAY_WORDS[kind]
     scalars = [2**64 - 1, 7]
     words = {"first": [arr, *scalars], "middle": [scalars[0], arr, scalars[1]], "last": [*scalars, arr]}[at]
     vec = rng.hash_words_vec(*words)
-    assert vec.dtype == np.uint64 and vec.shape == arr.shape
-    for e, got in zip(arr.tolist(), vec.tolist()):
+    assert isinstance(vec, np.ndarray) and vec.dtype == np.uint64 and vec.shape == arr.shape
+    for e, got in zip(arr.reshape(-1).tolist(), vec.reshape(-1).tolist()):
         assert got == rng.hash_words(*(e if w is arr else w for w in words))
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +37,18 @@ def test_device_memory_runs_one_fresh_process_per_density_and_run():
     rows = [line.split() for line in lines[1:]]
     assert [(r[1], r[2]) for r in rows] == [("2000", "0"), ("2000", "1"), ("2000", "0"), ("2000", "1")]
     assert all(float(r[3]) > 0 and float(r[4]) > 1 for r in rows)
+
+
+def test_device_memory_writes_bytecode_before_measuring(tmp_path, monkeypatch):
+    # measured children inherit PYTHONDONTWRITEBYTECODE; the warm-up child
+    # must compile every module of the checkout all the same
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    script = runpy.run_path(str(ROOT / "scripts" / "device_memory.py"), run_name="device_memory")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setitem(script["write_bytecode"].__globals__, "ROOT", tmp_path)
+    script["write_bytecode"]()
+    sources = sorted((tmp_path / "src" / "raidrsim").glob("*.py"))
+    assert sources and all(Path(importlib.util.cache_from_source(str(p))).is_file() for p in sources)
 
 
 def test_each_mutant_still_applies():
