@@ -103,9 +103,17 @@ MUTANTS = (
     Mutant(
         "bloom-table-kept-across-inserts",
         "src/raidrsim/bloom.py",
-        "        self._table = None\n        self._empty = False\n",
-        "        self._empty = False\n",
+        "        self._table = None\n        g1 =",
+        "        g1 =",
         ("tests/test_bloom.py::TestInsertContains::test_query_between_inserts_sees_the_later_keys[590]",),
+    ),
+    # an empty bin's filter then hashes every row it is asked about
+    Mutant(
+        "empty-bin-queried",
+        "src/raidrsim/raidr.py",
+        "filt.claimed(rows) if n else",
+        "filt.claimed(rows) if True else",
+        ("tests/test_raidr.py::TestBuildBins::test_empty_bins_hash_nothing",),
     ),
     Mutant(
         "bloom-table-big-endian",

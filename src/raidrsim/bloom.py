@@ -26,13 +26,16 @@ a multiply and shifts, where % runs a hardware divide per element.
 A filter of at most TABLE_MAX_BITS bits tests a bit with one take() from
 a byte-per-bit bool table, unpacked from the words on the first query
 after the last insert: one gather per probe instead of a gather, a shift
-and a mask over packed bytes.  The bound keeps the table small: at 2**19
-bits it is 512 KiB, no more than one engine block temporary (8 B per row
-for 2**16 rows), and RAIDR's own 256 B and 1 KB filters fit in the L1
-and L2 caches as bytes.  Filters planned for many members at a device
-scale reach 10**8 bits, which would take 107 MB as bytes against 13 MB
-packed, so a larger filter keeps the packed test: the bit is a byte
-gathered with take() through an intp index view, then shifted and
+and a mask over packed bytes.  On a 2-vCPU Xeon a 2**16-key query of a
+k = 10 filter at its planned fill ran about 11% faster through the table
+from 2**15 to 2**18 bits, 6% at 2**19, 1-3% between 2**19 and 2**20, and
+slower from 2**20 on, where a table of m bytes gathers from far more
+memory than the packed words do.  The bound stops at the sizes shown to
+win, and it bounds the table's memory: at most 512 KiB, the size of one
+engine block temporary (8 B per row for 2**16 rows).  Filters planned
+for many members at a device scale reach 10**8 bits, 13 MB packed and
+107 MB as bytes, so a larger filter keeps the packed test: the bit is a
+byte gathered with take() through an intp index view, then shifted and
 masked in place in u8.  The words stay the filter's one stored state;
 the table is derived from them and insert_many drops it.
 """
@@ -50,7 +53,8 @@ _MASK = (1 << 64) - 1
 
 MAX_HASHES = 64
 DEFAULT_PLAN_CEILING_BITS = 2**32
-# the largest filter whose bits are tested through a byte-per-bit table
+# the largest filter whose bits are tested through a byte-per-bit table;
+# measured to win up to here, and at most one block temporary's size
 TABLE_MAX_BITS = 2**19
 
 
@@ -89,13 +93,12 @@ class BloomFilter:
     build the same one.
     """
 
-    __slots__ = ("params", "words", "_table", "_empty")
+    __slots__ = ("params", "words", "_table")
 
     def __init__(self, params: BloomParams):
         self.params = params
         self.words = np.zeros((params.m + 63) // 64, dtype=np.uint64)
         self._table = None  # the byte-per-bit table, built from words on a query
-        self._empty = True  # no key inserted, so no bit set
 
     # -- hashing ---------------------------------------------------------
 
@@ -116,7 +119,6 @@ class BloomFilter:
         if keys.size == 0:
             return
         self._table = None
-        self._empty = False
         g1 = hash_words_vec(self.params.seed, 1, keys)
         g2 = self._g2_vec(keys)
         for i in range(self.params.k):
@@ -138,12 +140,13 @@ class BloomFilter:
 
         A filter of at most TABLE_MAX_BITS bits answers with one take()
         from its byte-per-bit table, built here on the first query after
-        the last insert.  A larger one would need a table eight times its
-        packed size, so it gathers bytes: byte gathers and shifts run
-        several times faster than 64-bit ones.  pos >> 3 is gathered
-        through an intp view, which spares take() a conversion of the
-        whole index array; the view is safe because every position is
-        below m, so pos >> 3 indexes the filter's own bytes.
+        the last insert.  A larger one would gain nothing from a table
+        eight times its packed size (see the module docstring), so it
+        gathers bytes: byte gathers and shifts run several times faster
+        than 64-bit ones.  pos >> 3 is gathered through an intp view,
+        which spares take() a conversion of the whole index array; the
+        view is safe because every position is below m, so pos >> 3
+        indexes the filter's own bytes.
         """
         m = self.params.m
         if m <= TABLE_MAX_BITS:
@@ -163,12 +166,9 @@ class BloomFilter:
 
         Probe 0 is g1 mod m (C(0,3) = 0), so g2 is hashed only for the keys
         that pass it, and each later probe sees only the survivors of the
-        one before.  Positions are those insert_many sets.  A filter that
-        holds no key claims nothing, so it hashes nothing.
+        one before.  Positions are those insert_many sets.
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint64).reshape(-1)
-        if self._empty:
-            return np.empty(0, dtype=np.intp)
         m = self.params.m
         g1 = hash_words_vec(self.params.seed, 1, keys)
         live = np.flatnonzero(self._bits_at(_probe_positions(g1, None, 0, m)))

@@ -115,9 +115,14 @@ class BinSet:
         return sum(f.params.m for f in self.filters)
 
     def claims(self, rows: np.ndarray) -> list[np.ndarray]:
-        """Each filter's claimed offsets into `rows`, ascending, shortest interval first."""
+        """Each filter's claimed offsets into `rows`, ascending, shortest interval first.
+
+        A bin that received no row has a filter with no bit set, which
+        claims nothing, so it is not queried and hashes nothing.
+        """
         rows = np.ascontiguousarray(rows, dtype=np.uint64)
-        return [filt.claimed(rows) for filt in self.filters]
+        return [filt.claimed(rows) if n else np.empty(0, dtype=np.intp)
+                for filt, n in zip(self.filters, self.counts[:-1])]
 
     def first_claims(self, claims: list[np.ndarray], num_rows: int) -> np.ndarray:
         """The bin map of the num_rows keys that claims() took: each key's first claiming filter, default if none.

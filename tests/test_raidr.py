@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from raidrsim import bloom, rng
 from raidrsim.bloom import BloomFilter, BloomParams, analytic_fpr
 from raidrsim.experiment import ExperimentSpec, SimConfig
 from raidrsim.profiler import ProfilerConfig
@@ -94,6 +95,24 @@ class TestBuildBins:
         assert bins.counts == (0, 0, 3)
         assert all(not f.words.any() for f in bins.filters)
         assert all(query(bins, r) == 2 for r in range(3))
+
+    def test_empty_bins_hash_nothing(self, monkeypatch):
+        # bin 0 receives no row, so its filter claims nothing and is not
+        # queried: only bin 1's filter hashes the rows
+        bins = build_bins(profile_of([130.0, 300.0, 140.0]), BinConfig(), BASE_MS, 1e-3)
+        assert bins.counts == (0, 2, 1)
+        calls = []
+
+        def counting(*words):
+            calls.append(words[0])
+            return rng.hash_words_vec(*words)
+
+        monkeypatch.setattr(bloom, "hash_words_vec", counting)
+        rows = np.arange(1000, dtype=np.uint64)
+        claims = bins.claims(rows)
+        assert claims[0].dtype == np.intp and claims[0].size == 0
+        assert {0, 2} <= set(claims[1].tolist())
+        assert set(calls) == {bins.filters[1].params.seed}
 
     def test_unbinnable_row(self):
         with pytest.raises(UnbinnableRowError) as err:
