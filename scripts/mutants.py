@@ -60,7 +60,7 @@ MUTANTS = (
         "src/raidrsim/simulate.py",
         "queried[b] += np.count_nonzero(bin_of[rows] == b)",
         "queried[b] += rows.size",
-        ("tests/test_simulate.py::TestAgainstReferenceOracle::test_noisy_configs_exact",),
+        ("tests/test_simulate.py::TestAgainstReferenceOracle::test_rows_claimed_by_two_filters_exact",),
     ),
     Mutant(
         "plain-members-keep-other-bins",
@@ -103,9 +103,18 @@ MUTANTS = (
     Mutant(
         "bloom-table-kept-across-inserts",
         "src/raidrsim/bloom.py",
-        "        self._table = None\n        g1 =",
-        "        g1 =",
+        "        self._table = None\n        for i in",
+        "        for i in",
         ("tests/test_bloom.py::TestInsertContains::test_query_between_inserts_sees_the_later_keys[590]",),
+    ),
+    # every probe of a key then sets or tests the same bit: a filter of k
+    # probes behaves as one of a single probe
+    Mutant(
+        "bloom-probes-hash-one-word",
+        "src/raidrsim/bloom.py",
+        "hash_words_vec(seed, i + 1, keys)",
+        "hash_words_vec(seed, 1, keys)",
+        ("tests/test_bloom.py::TestPlannedFpr::test_raidr_filter_claims_no_non_member",),
     ),
     # an empty bin's filter then hashes every row it is asked about
     Mutant(

@@ -1,22 +1,15 @@
 """Bloom filters used to store retention bins, plus sizing tools.
 
-The hash family is enhanced double hashing: position i of a key is
-(g1 + i * g2 + C(i,3)) mod 2**64 mod m, where g1 and g2 are the hashes
-rng.hash_words(seed, 1, key) and rng.hash_words(seed, 2, key).  The
-cubic term breaks the arithmetic-progression structure of plain double
-hashing, whose false-positive rate runs several times above the
-analytic value for filters a few hundred bits long.  When
-m is a power of two, g2 is forced odd so the probe sequence walks the
-whole table; otherwise g2 is reduced mod m and bumped away from zero.
-Bits live in packed 64-bit words (bit i sits in word i // 64 at position
-i % 64).
+Probe i of a key is rng.hash_words(seed, i + 1, key) mod m: every probe
+is a hash of its own, so a filter realizes the independent-probe FPR
+that plan_params sizes it by.  Bits live in packed 64-bit words (bit i
+sits in word i // 64 at position i % 64).
 
-Batch queries exit early per key: probe 0 needs only g1, and each later
-probe runs over just the keys every earlier probe found set.  At the
-planned fill about half the keys survive each probe, so a batch costs
-about 2n probes and one g2 hash per surviving key instead of k*n probes
-and two hashes per key.  The survivors of the last probe are the batch's
-answer: claimed() returns their offsets, which stay ascending.
+Batch queries exit early per key: each probe hashes only the keys every
+earlier probe found set.  At fill f a key survives a probe with
+probability f, so a query hashes about 1/(1 - f) times per key, and an
+insert hashes k times per key.  The survivors of the last probe are the
+batch's answer: claimed() returns their offsets, which stay ascending.
 
 What a probe costs is the numpy passes it makes, not their number of
 calls, so each step is one cheap pass over an array the kernel owns.  A
@@ -62,11 +55,6 @@ class PlanUnsatisfiableError(ValueError):
     """Raised when no filter within the bit ceiling can meet the FPR target."""
 
 
-def _probe_offset(i: int) -> int:
-    # C(i,3): the enhanced-double-hashing cubic term
-    return (i * (i - 1) * (i - 2)) // 6
-
-
 @dataclass(frozen=True)
 class BloomParams:
     """Filter geometry: m bits, k hash functions, hash-family seed."""
@@ -100,18 +88,6 @@ class BloomFilter:
         self.words = np.zeros((params.m + 63) // 64, dtype=np.uint64)
         self._table = None  # the byte-per-bit table, built from words on a query
 
-    # -- hashing ---------------------------------------------------------
-
-    def _g2_vec(self, keys: np.ndarray) -> np.ndarray:
-        m = self.params.m
-        g2 = hash_words_vec(self.params.seed, 2, keys)
-        if m & (m - 1) == 0:
-            g2 |= np.uint64(1)
-        else:
-            g2 = _mod(g2, np.uint64(m))
-            np.maximum(g2, np.uint64(1), out=g2)  # 0 becomes 1
-        return g2
-
     # -- mutation --------------------------------------------------------
 
     def insert_many(self, keys: np.ndarray) -> None:
@@ -119,10 +95,8 @@ class BloomFilter:
         if keys.size == 0:
             return
         self._table = None
-        g1 = hash_words_vec(self.params.seed, 1, keys)
-        g2 = self._g2_vec(keys)
         for i in range(self.params.k):
-            pos = _probe_positions(g1, g2, i, self.params.m)
+            pos = _probe_positions(self.params.seed, i, keys, self.params.m)
             np.bitwise_or.at(
                 self.words,
                 (pos >> np.uint64(6)).view(np.intp),
@@ -164,22 +138,17 @@ class BloomFilter:
     def claimed(self, keys: np.ndarray) -> np.ndarray:
         """The flat offsets of the keys that are members, ascending, probe by probe over the keys still unrejected.
 
-        Probe 0 is g1 mod m (C(0,3) = 0), so g2 is hashed only for the keys
-        that pass it, and each later probe sees only the survivors of the
-        one before.  Positions are those insert_many sets.
+        Each probe hashes only the keys that passed the one before, taken
+        from keys by their offsets.  Positions are those insert_many sets.
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint64).reshape(-1)
-        m = self.params.m
-        g1 = hash_words_vec(self.params.seed, 1, keys)
-        live = np.flatnonzero(self._bits_at(_probe_positions(g1, None, 0, m)))
-        if self.params.k > 1 and live.size:
-            g1 = g1.take(live)
-            g2 = self._g2_vec(keys.take(live))
-            for i in range(1, self.params.k):
-                keep = np.flatnonzero(self._bits_at(_probe_positions(g1, g2, i, m)))
-                live, g1, g2 = live.take(keep), g1.take(keep), g2.take(keep)
-                if not live.size:
-                    break
+        seed, m = self.params.seed, self.params.m
+        live = np.flatnonzero(self._bits_at(_probe_positions(seed, 0, keys, m)))
+        for i in range(1, self.params.k):
+            if not live.size:
+                break
+            keep = np.flatnonzero(self._bits_at(_probe_positions(seed, i, keys.take(live), m)))
+            live = live.take(keep)
         return live
 
 
@@ -195,20 +164,12 @@ def _mod(x: np.ndarray, m: np.uint64) -> np.ndarray:
     return r
 
 
-def _probe_positions(g1: np.ndarray, g2: np.ndarray | None, i: int, m: int) -> np.ndarray:
-    """Probe i of every key, (g1 + i*g2 + C(i,3)) mod 2**64 mod m, in a new array.
+def _probe_positions(seed: int, i: int, keys: np.ndarray, m: int) -> np.ndarray:
+    """Probe i of every key, hash_words(seed, i + 1, key) mod m, in a new array.
 
-    The one probe kernel, which both insert_many and claimed use;
-    g2 is not read for probe 0.
+    The one probe kernel, which both insert_many and claimed use.
     """
-    if i == 0:
-        return _mod(g1, np.uint64(m))
-    pos = g2 * np.uint64(i)  # array arithmetic wraps mod 2**64
-    pos += g1
-    offset = _probe_offset(i)
-    if offset:
-        pos += np.uint64(offset)
-    return _mod(pos, np.uint64(m))
+    return _mod(hash_words_vec(seed, i + 1, keys), np.uint64(m))
 
 
 def analytic_fpr(m: int, k: int, n: int) -> float:

@@ -46,8 +46,6 @@ from raidrsim.profiler import profile_rows
 from raidrsim.raidr import bin_blocks
 from raidrsim.retention import SparseRows, generate_rows
 
-_MASK = (1 << 64) - 1
-
 
 # -- the build pass shared with the engine, over the whole device -----------
 
@@ -94,20 +92,8 @@ def draw_vrt_rows(vrt, seed: int, start: int, stop: int) -> np.ndarray:
 
 
 def probes(params, key: int) -> list[int]:
-    """The bit positions of key in a filter of params: enhanced double hashing.
-
-    Probe i is (g1 + i*g2 + i(i-1)(i-2)/6) mod 2**64 mod m, with g1 and g2
-    the hashes of (seed, 1, key) and (seed, 2, key).  g2 is made odd when m
-    is a power of two; otherwise it is reduced mod m, and 0 becomes 1.
-    """
-    m = params.m
-    g1 = rng.hash_words(params.seed, 1, key)
-    g2 = rng.hash_words(params.seed, 2, key)
-    if m & (m - 1) == 0:
-        g2 |= 1
-    else:
-        g2 = g2 % m or 1
-    return [((g1 + i * g2 + i * (i - 1) * (i - 2) // 6) & _MASK) % m for i in range(params.k)]
+    """The bit positions of key in a filter of params: probe i is hash_words(seed, i + 1, key) mod m."""
+    return [rng.hash_words(params.seed, i + 1, key) % params.m for i in range(params.k)]
 
 
 def contains(filt, key: int) -> bool:

@@ -121,7 +121,8 @@ small_params_st = st.builds(
     m=st.one_of(
         st.integers(min_value=1, max_value=300),
         st.sampled_from([1, 2, 64, 128, 256]),
-        # powers of two force g2 odd; the larger m spread the gathers over many pages
+        # powers of two divide 2**64, so mod m keeps a hash's low bits; the larger
+        # m spread the gathers over many pages
         st.integers(min_value=0, max_value=20).map(lambda e: 2**e),
         st.integers(min_value=301, max_value=2**20),
     ),

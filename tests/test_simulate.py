@@ -69,6 +69,15 @@ class TestAgainstReferenceOracle:
         parts = parts_of(noisy_spec(seed=seed))
         assert counters(run(*parts)) == counters(run_reference(*parts))
 
+    def test_rows_claimed_by_two_filters_exact(self):
+        # a loose Bloom target makes both filters claim some of the same
+        # rows; each row counts toward the first filter that claims it
+        spec = dataclasses.replace(noisy_spec(seed=1), bloom_target_fpr=0.3)
+        claims = RefreshSimulation(spec).bins.claims(np.arange(spec.device.num_rows, dtype=np.uint64))
+        assert np.intersect1d(claims[0], claims[1]).size
+        parts = parts_of(spec)
+        assert counters(run(*parts)) == counters(run_reference(*parts))
+
     def test_odd_horizon_partial_cycles_exact(self):
         # horizons that are not multiples of the max multiplier stress the
         # partial-cycle accounting
@@ -832,15 +841,15 @@ def small_vrt_runs(draw):
     The base period, device.trefw_ms, is one of BASE_PERIODS_MS.  Zero to
     four bins above it, at multipliers drawn from 2, 3, 5, 7 and 9, and
     horizons mostly off a multiple of the largest one.  The Bloom budget
-    is an FPR target or an explicit tiny geometry (m up to 256 bits, never
-    a power of two), whose false positives demote rows to shorter
-    intervals.  The retention floor is a multiple of the base high enough
-    that every row's lowest retention, after the guard band, stays at or
-    above the base, so no draw is unbinnable, and often a bin's own
-    threshold; a weak band one ulp wide puts weak rows exactly on it, so
-    elapsed times tie with retentions.  Each toggle probability is 0, 1, a
-    mid-range value such as 0.25, or any float in [0, 1]; the mid-range
-    values make the two directions of the toggle differ in most draws.
+    is an FPR target or an explicit tiny geometry (m up to 255 bits), whose
+    false positives demote rows to shorter intervals.  The retention floor
+    is a multiple of the base high enough that every row's lowest
+    retention, after the guard band, stays at or above the base, so no
+    draw is unbinnable, and often a bin's own threshold; a weak band one
+    ulp wide puts weak rows exactly on it, so elapsed times tie with
+    retentions.  Each toggle probability is 0, 1, a mid-range value such
+    as 0.25, or any float in [0, 1]; the mid-range values make the two
+    directions of the toggle differ in most draws.
     """
     base_ms = draw(st.sampled_from(BASE_PERIODS_MS))
     low_factor = draw(st.sampled_from([1.0, 0.8, 0.5, 0.45, 0.3]))
@@ -873,7 +882,7 @@ def small_vrt_runs(draw):
     horizon = draw(st.integers(max_mult, 5 * span - 1))
     seed = draw(st.integers(0, 2**64 - 1))
     target_fpr = st.sampled_from([1e-3, 0.3]).map(lambda fpr: {"bloom_target_fpr": fpr})
-    tiny_bloom = st.builds(dict, bloom_explicit_m=st.integers(3, 255).filter(lambda m: m & (m - 1)),
+    tiny_bloom = st.builds(dict, bloom_explicit_m=st.integers(3, 255),
                            bloom_explicit_k=st.integers(1, 4))
     spec = ExperimentSpec(seed=seed, device=device, dist=dist, vrt=vrt, dpd=dpd, profiler=profiler,
                           bins=bins, sim=SimConfig(horizon_windows=horizon),
