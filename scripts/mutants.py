@@ -84,14 +84,23 @@ MUTANTS = (
         ("tests/test_bloom_properties.py::test_remainder_matches_mod",
          "tests/test_bloom_properties.py::test_remainder_matches_mod_for_random_m"),
     ),
+    # a uint64 word array is then not copied, and gains _GAMMA in place
     Mutant(
         "hash-caller-array-in-place",
         "src/raidrsim/rng.py",
-        "out=np.empty(np.shape(arr), np.uint64),",
-        "out=arr,",
+        "word = word.astype(np.uint64) + _V_GAMMA",
+        "word = word.astype(np.uint64, copy=False)\n        word += _V_GAMMA",
         ("tests/test_rng.py::test_kernels_leave_their_inputs_unchanged",),
     ),
-    # int64 + uint64 then resolves to float64, which rounds large words
+    # a column of windows then hashes without the fold's constant
+    Mutant(
+        "hash-array-word-without-gamma",
+        "src/raidrsim/rng.py",
+        "word = word.astype(np.uint64) + _V_GAMMA",
+        "word = word.astype(np.uint64)",
+        ("tests/test_rng.py::test_extend_hash_over_a_column_of_windows",),
+    ),
+    # np.uint64 + int64 then resolves to float64, which rounds large words and cannot be mixed
     Mutant(
         "hash-add-without-uint64-dtype",
         "src/raidrsim/rng.py",

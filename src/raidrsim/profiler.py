@@ -76,8 +76,8 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, bins=None) -> Sp
     It reads only gt's own rows.  Measured mode runs gt's own campaign
     (vrt_low_seen) on its toggling rows, and keys the pattern draws by the
     profiler seed derived from gt.seed.  Oracle mode ignores the campaign
-    parameters (patterns, rounds, span); measured mode validates
-    patterns_tested against the pattern universe.
+    parameters (patterns, rounds, span).  cfg.patterns_tested is at most
+    gt.dpd.num_patterns, as ExperimentSpec checks.
 
     Every row of gt.base.at holds its own value.  The plain rows share
     one, except in measured mode with DPD, where a plain row whose worst
@@ -101,10 +101,6 @@ def profile_rows(gt: RetentionGroundTruth, cfg: ProfilerConfig, bins=None) -> Sp
     if cfg.mode == MODE_ORACLE:
         true_min = gt.min_possible()
         return SparseRows(gt.start, gt.num_rows, true_min.plain / guard, true_min.at, true_min.values / guard)
-    if cfg.patterns_tested > gt.dpd.num_patterns:
-        raise ValueError(
-            f"patterns_tested {cfg.patterns_tested} exceeds num_patterns {gt.dpd.num_patterns}"
-        )
     at, measured = gt.base.at, gt.base.values
     toggling = np.flatnonzero(gt.toggles)  # their positions in at
     plain = gt.base.plain

@@ -205,19 +205,18 @@ class RowBuffer:
     those rows from splitting the heap between the blocks' freed pages.  It
     holds up to twice its rows, so it is not used for the filter bins'
     members, which can be most of the device (raidr.bin_blocks keeps them
-    per block, at most a bit per row).  The element type widens to hold
-    whatever is appended.
+    per block, at most a bit per row).  Values are stored in the dtype the
+    buffer is built with.
     """
 
-    def __init__(self, dtype=np.uint8):
+    def __init__(self, dtype):
         self._data = np.zeros(0, dtype=dtype)
         self.size = 0
 
     def extend(self, values: np.ndarray) -> None:
         end = self.size + values.size
-        dtype = np.promote_types(self._data.dtype, values.dtype)
-        if end > self._data.size or dtype != self._data.dtype:
-            data = np.empty(max(end, 2 * self._data.size), dtype=dtype)
+        if end > self._data.size:
+            data = np.empty(max(end, 2 * self._data.size), dtype=self._data.dtype)
             data[:self.size] = self._data[:self.size]
             self._data = data
         self._data[self.size:end] = values
@@ -322,13 +321,9 @@ def generate_rows(
     its fraction times num_rows.  The tail law is drawn at the weak rows
     alone; each draw is a function of its row.  The weak and toggling rows
     are the record's own rows, decided here once; every other row's base
-    is strong_value_ms, held once.
+    is strong_value_ms, held once.  dist.floor_ms is at least
+    device.trefw_ms, as ExperimentSpec checks.
     """
-    if dist.floor_ms < device.trefw_ms:
-        raise ValueError(
-            f"floor_ms {dist.floor_ms} below trefw_ms {device.trefw_ms}: rows would be "
-            "unrefreshable at the base rate"
-        )
     rows = np.arange(start, stop, dtype=np.uint64)
     weak = rng.bernoulli_vec(dist.weak_fraction, seed, rng.TAG_WEAK_SELECT, rows)
     if dist.kind == DIST_TWO_POPULATION:

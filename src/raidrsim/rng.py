@@ -2,10 +2,13 @@
 
 Every draw is a pure function of (seed, purpose tag, coordinates), so values
 are reproducible across runs and do not depend on the order in which rows
-are visited.  The mixer is the splitmix64 finalizer; scalar and vectorized
-paths produce bit-identical results.  The hashes and uniforms are the same
-bits on every platform; the normal deviates are not: np.log1p and np.cos
-return last bits that depend on numpy's version and CPU dispatch.
+are visited.  The mixer is the splitmix64 finalizer.  hash_words folds
+Python ints.  extend_hash_vec is the one array kernel: it folds one more
+word, an int or an integer array, into a hash or an array of hashes.
+hash_words_vec chains the two, so the array paths give hash_words' bits.
+The hashes and uniforms are the same bits on every platform; the normal
+deviates are not: np.log1p and np.cos return last bits that depend on
+numpy's version and CPU dispatch.
 """
 
 from __future__ import annotations
@@ -50,8 +53,36 @@ def hash_words(*words: int) -> int:
     return h
 
 
-def _mix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
-    """mix64 of every element of the uint64 array x, in place; tmp is scratch of x's shape."""
+def hash_words_vec(*words) -> np.ndarray:
+    """hash_words(*words) for each element of the last word, an integer array.
+
+    The words before it are scalars, hashed once by hash_words; the array
+    is then hashed in by extend_hash_vec.
+    """
+    return extend_hash_vec(hash_words(*words[:-1]), words[-1])
+
+
+def extend_hash_vec(h: int | np.ndarray, word: int | np.ndarray) -> np.ndarray:
+    """hash_words(*words, word) from h = hash_words(*words), element-wise, as a new uint64 array.
+
+    h is a hash or a uint64 array of hashes, and word an int or an integer
+    array that broadcasts against h: a column of windows against a row of
+    prefixes hashes every (window, row) pair in one call, as a (windows,
+    rows) array.  Lets a caller that hashes the same prefix every step (a
+    per-row stream indexed by window) hash the prefix once.  Each element
+    of word wraps to 64 bits as hash_words masks an int, and arithmetic
+    wraps mod 2**64 without a warning.  Neither input is written.
+    """
+    # _GAMMA joins the scalar side, or word (in practice a column) when both are arrays
+    if not isinstance(word, np.ndarray):
+        word = np.uint64((_GAMMA + int(word)) & _MASK)
+    elif isinstance(h, np.ndarray):
+        word = word.astype(np.uint64) + _V_GAMMA
+    else:
+        h = np.uint64((h + _GAMMA) & _MASK)
+    # the one full-size pass, into a new array; dtype keeps a signed word from promoting to float64
+    x = np.add(h, word, dtype=np.uint64, casting="unsafe")
+    tmp = np.empty_like(x)
     np.right_shift(x, np.uint64(30), out=tmp)
     x ^= tmp
     x *= _V_MUL1
@@ -60,61 +91,6 @@ def _mix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
     x *= _V_MUL2
     np.right_shift(x, np.uint64(31), out=tmp)
     x ^= tmp
-
-
-def hash_words_vec(*words) -> np.ndarray:
-    """Vectorized hash_words; at most one word may be a numpy array of integers.
-
-    The scalar words before the array are folded as Python ints by
-    hash_words' own chain.  From there the hash is one uint64 array that
-    this call owns: the array word, wrapped to uint64 as hash_words masks
-    it, is added into a new array in one pass, and every later word is
-    added and mixed in place, so the only temporaries are that array and
-    one scratch array, and the input array is never written.  Arithmetic
-    intentionally wraps mod 2**64, so a call mixing scalars and arrays
-    agrees element-wise with the scalar path; array arithmetic wraps
-    without a warning.  An all-scalar call returns a 0-d array.  A second
-    array word raises TypeError: hash it in with extend_hash_vec, which
-    broadcasts.
-    """
-    h = 0
-    for lead, w in enumerate(words):
-        if isinstance(w, np.ndarray):
-            break
-        h = mix64((h + _GAMMA + (int(w) & _MASK)) & _MASK)
-    else:
-        return np.array(h, dtype=np.uint64)
-    rest = words[lead + 1:]
-    if any(isinstance(w, np.ndarray) for w in rest):
-        raise TypeError("hash_words_vec takes at most one array word; extend_hash_vec adds another")
-    arr = words[lead]
-    # one pass into a new array; dtype keeps a signed word from promoting to float64
-    x = np.add(arr, np.uint64((h + _GAMMA) & _MASK), out=np.empty(np.shape(arr), np.uint64),
-               dtype=np.uint64, casting="unsafe")
-    tmp = np.empty_like(x)
-    _mix64_into(x, tmp)
-    for w in rest:
-        x += np.uint64((_GAMMA + int(w)) & _MASK)
-        _mix64_into(x, tmp)
-    return x
-
-
-def extend_hash_vec(h: np.ndarray, word) -> np.ndarray:
-    """hash_words_vec(*words, word) from h = hash_words_vec(*words).
-
-    Lets a caller that hashes the same prefix every step (a per-row stream
-    indexed by window) hash the prefix once.  word may be an integer array
-    that broadcasts against h: a column of windows against a row of
-    prefixes hashes every (window, row) pair in one call, as a
-    (windows, rows) array.  h is left unchanged.
-    """
-    if isinstance(word, np.ndarray):
-        w = word.astype(np.uint64)
-        w += _V_GAMMA
-    else:
-        w = np.uint64((_GAMMA + int(word)) & _MASK)
-    x = np.add(h, w, out=np.empty(np.broadcast_shapes(np.shape(h), np.shape(w)), np.uint64))
-    _mix64_into(x, np.empty_like(x))
     return x
 
 

@@ -582,8 +582,10 @@ class TestSweepCommand:
         assert (tmp_path / "point_000" / "simreport.txt").exists()
 
     def test_unknown_axis_exit_2(self, tmp_path, capsys):
-        assert run_cli("sweep", "--axis", "nope", "--values", "1", "--out", str(tmp_path)) == 2
-        assert "axis" in capsys.readouterr().err
+        out = tmp_path / "never"
+        assert run_cli("sweep", "--axis", "nope", "--values", "1", "--out", str(out)) == 2
+        assert "unknown config key(s): nope" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):

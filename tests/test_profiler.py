@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raidrsim import profiler, retention, rng
+from raidrsim.experiment import ConfigError, ExperimentSpec
 from raidrsim.profiler import ProfilerConfig, _round_windows, profile_rows, vrt_low_seen
 from raidrsim.raidr import BinConfig
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, VrtModel, vrt_walk
@@ -116,9 +117,9 @@ class TestMeasuredMode:
             assert np.array_equal(vrt_low_seen(seed, vrt, rows, cfg), seen)
 
     def test_patterns_tested_above_universe_rejected(self):
-        gt = make_gt(dpd=DpdModel(enabled=True, num_patterns=4))
-        with pytest.raises(ValueError, match="patterns_tested"):
-            profile(gt, ProfilerConfig(mode="measured", patterns_tested=5))
+        with pytest.raises(ConfigError, match="patterns_tested 5 exceeds dpd.num_patterns 4"):
+            ExperimentSpec(dpd=DpdModel(enabled=True, num_patterns=4),
+                           profiler=ProfilerConfig(mode="measured", patterns_tested=5))
 
     def test_worst_pattern_miss_probability(self):
         # testing 1 of 8 patterns misses the worst one with probability 7/8

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raidrsim import retention, rng
+from raidrsim.experiment import ConfigError, ExperimentSpec
 from raidrsim.retention import (
     DeviceConfig,
     DpdModel,
@@ -83,8 +84,8 @@ class TestGeneration:
         assert gt.base.dense().max() < 256.0
 
     def test_floor_below_trefw_rejected(self):
-        with pytest.raises(ValueError, match="unrefreshable"):
-            make_gt(dist=RetentionDistribution(floor_ms=32.0))
+        with pytest.raises(ConfigError, match="unrefreshable"):
+            ExperimentSpec(dist=RetentionDistribution(floor_ms=32.0))
 
     def test_determinism_and_row_stream_independence(self):
         a = make_gt(seed=7, dist=RetentionDistribution(weak_fraction=0.3))
@@ -347,9 +348,9 @@ def test_sparse_rows_against_their_dense_form(rows):
 @given(st.lists(st.lists(st.integers(0, 2**40), max_size=30), max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_row_buffer_is_the_concatenation(pieces):
-    # pieces arrive in the smallest type that holds them, so the buffer widens
-    buffer = RowBuffer()
+    buffer = RowBuffer(np.int64)
     for piece in pieces:
-        buffer.extend(np.array(piece, dtype=np.min_scalar_type(max(piece, default=0))))
+        buffer.extend(np.array(piece, dtype=np.int64))
+    assert buffer.array().dtype == np.int64
     assert buffer.array().tolist() == [x for piece in pieces for x in piece]
     assert buffer.size == sum(map(len, pieces))

@@ -10,7 +10,7 @@ from reference_sim import uniform01
 
 def test_scalar_vector_agreement():
     rows = np.arange(2000, dtype=np.uint64)
-    vec = rng.hash_words_vec(987654321, 5, rows, 17)
+    vec = rng.extend_hash_vec(rng.hash_words_vec(987654321, 5, rows), 17)
     for r in (0, 1, 2, 999, 1999):
         assert int(vec[r]) == rng.hash_words(987654321, 5, r, 17)
 
@@ -27,12 +27,10 @@ def test_extend_hash_matches_full_hash():
     prefix = rng.hash_words_vec(2**64 - 5, rng.TAG_VRT_STEP, rows)
     for window in (0, 1, 17, 4095, 2**64 - 1):
         ext = rng.extend_hash_vec(prefix, window)
-        assert np.array_equal(ext, rng.hash_words_vec(2**64 - 5, rng.TAG_VRT_STEP, rows, window))
+        u = rng.uniform01_of(ext)
         for r in (0, 1, 2999):
             assert int(ext[r]) == rng.hash_words(2**64 - 5, rng.TAG_VRT_STEP, r, window)
-        assert np.array_equal(
-            rng.uniform01_of(ext), rng.uniform01_vec(2**64 - 5, rng.TAG_VRT_STEP, rows, window)
-        )
+            assert float(u[r]) == uniform01(2**64 - 5, rng.TAG_VRT_STEP, r, window)
 
 
 @given(
@@ -106,47 +104,39 @@ ARRAY_WORDS = {
     "bool": np.array([False, True, True, False]),
     # every other element of a reversed int64 array, negatives included
     "strided": np.arange(-(2**62), 2**62, 2**59, dtype=np.int64)[::-2],
-    "0-d": np.asarray(np.int64(-(2**63))),
 }
+
+
+SCALAR_WORD = st.sampled_from([-1, 2**64 - 1]) | st.integers(-(2**63), 2**64 - 1)
 
 
 @pytest.mark.parametrize("kind", list(ARRAY_WORDS))
 @pytest.mark.parametrize("at", ["first", "middle", "last"])
-def test_vec_matches_scalar_wherever_the_array_word_sits(kind, at):
-    # each element wraps to 64 bits as hash_words masks an int: signed
-    # words by two's complement, never through float64
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_vec_matches_scalar_wherever_the_array_word_sits(at, kind, data):
+    # hash_words_vec hashes the array word into an int hash, and each later
+    # word extends that array of hashes: as an int, an array or a column.
+    # Each element wraps to 64 bits as hash_words masks an int: signed words
+    # by two's complement, never through float64
     arr = ARRAY_WORDS[kind]
-    scalars = [2**64 - 1, 7]
-    words = {"first": [arr, *scalars], "middle": [scalars[0], arr, scalars[1]], "last": [*scalars, arr]}[at]
-    vec = rng.hash_words_vec(*words)
-    assert isinstance(vec, np.ndarray) and vec.dtype == np.uint64 and vec.shape == arr.shape
-    for e, got in zip(arr.reshape(-1).tolist(), vec.reshape(-1).tolist()):
-        assert got == rng.hash_words(*(e if w is arr else w for w in words))
-
-
-def test_vec_of_a_0d_word():
-    zero_d = np.asarray(np.int64(-3))
-    for words in [(zero_d,), (5, zero_d), (zero_d, 9), (5, zero_d, 9)]:
-        vec = rng.hash_words_vec(*words)
-        assert isinstance(vec, np.ndarray) and vec.shape == ()
-        assert int(vec) == rng.hash_words(*(-3 if w is zero_d else w for w in words))
-    ext = rng.extend_hash_vec(rng.hash_words_vec(5, zero_d), 11)
-    assert isinstance(ext, np.ndarray) and int(ext) == rng.hash_words(5, -3, 11)
-
-
-def test_vec_rejects_a_second_array_word():
-    # a 0-d or one-element array would otherwise pass int() and hash as a scalar;
-    # extend_hash_vec is the way to hash in a second array
-    rows = np.arange(10, dtype=np.uint64)
-    for words in [(rows, rows), (3, rows, 4, np.asarray(np.uint64(5))), (rows, 1, rows[:1])]:
-        with pytest.raises(TypeError, match="one array word"):
-            rng.hash_words_vec(*words)
-
-
-def test_all_scalar_vec_is_a_0d_array():
-    vec = rng.hash_words_vec(1, 2, 2**64 - 1)
-    assert isinstance(vec, np.ndarray) and vec.shape == () and vec.dtype == np.uint64
-    assert int(vec) == rng.hash_words(1, 2, 2**64 - 1)
+    head_size, tail_size = {"first": (0, 2), "middle": (1, 1), "last": (2, 0)}[at]
+    head = data.draw(st.lists(SCALAR_WORD, min_size=head_size, max_size=head_size))
+    tail = data.draw(st.lists(SCALAR_WORD, min_size=tail_size, max_size=tail_size))
+    vec = rng.hash_words_vec(*head, arr)
+    for w in tail:
+        vec = rng.extend_hash_vec(vec, w)
+    by_array = rng.extend_hash_vec(vec, arr)
+    tile = rng.extend_hash_vec(vec, arr[:, None])
+    for got in (vec, by_array, tile):
+        assert isinstance(got, np.ndarray) and got.dtype == np.uint64
+    assert vec.shape == by_array.shape == arr.shape and tile.shape == (arr.size, arr.size)
+    elems = arr.tolist()
+    for i, e in enumerate(elems):
+        assert int(vec[i]) == rng.hash_words(*head, e, *tail)
+        assert int(by_array[i]) == rng.hash_words(*head, e, *tail, e)
+        for j, f in enumerate(elems):
+            assert int(tile[j, i]) == rng.hash_words(*head, e, *tail, f)
 
 
 def test_kernels_leave_their_inputs_unchanged():
@@ -155,17 +145,15 @@ def test_kernels_leave_their_inputs_unchanged():
         np.arange(1000, dtype=np.uint64) * np.uint64(2654435761),
         np.arange(-500, 500, dtype=np.int64),
         np.arange(1000, dtype=np.uint32),
-        np.asarray(np.uint64(42)),
     ]
-    for arr in arrays:
-        before = arr.tobytes()
-        rng.hash_words_vec(3, arr, 4)
-        rng.hash_words_vec(arr)
-        assert arr.tobytes() == before
     prefix = rng.hash_words_vec(9, rng.TAG_VRT_STEP, np.arange(1000, dtype=np.uint64))
-    before = prefix.tobytes()
-    rng.extend_hash_vec(prefix, 17)
-    assert prefix.tobytes() == before
+    for arr in arrays:
+        before, prefix_before = arr.tobytes(), prefix.tobytes()
+        rng.hash_words_vec(3, arr)
+        rng.hash_words_vec(arr)
+        rng.extend_hash_vec(prefix, arr)
+        rng.extend_hash_vec(prefix, 17)
+        assert arr.tobytes() == before and prefix.tobytes() == prefix_before
     for params in (BloomParams(m=1000, k=7, seed=3), BloomParams(m=1024, k=7, seed=3)):
         f = BloomFilter(params)
         keys = rng.hash_words_vec(5, np.arange(300, dtype=np.uint64))

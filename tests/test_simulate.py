@@ -418,8 +418,9 @@ class TestDeterminismAndCheckpoint:
 def toggle_states(spec, rows, windows):
     """Each of rows' toggle state at window `windows`, stepped by the scalar rule from the fresh (high) state."""
     low = np.zeros(len(rows), dtype=bool)
+    prefix = rng.hash_words_vec(spec.seed, rng.TAG_VRT_STEP, np.asarray(rows))
     for w in range(1, windows + 1):
-        u = rng.uniform01_vec(spec.seed, rng.TAG_VRT_STEP, np.asarray(rows), w)
+        u = rng.uniform01_of(rng.extend_hash_vec(prefix, w))
         low = np.array([next_low(bool(lo), float(x), spec.vrt) for lo, x in zip(low, u)], dtype=bool)
     return low
 
