@@ -133,15 +133,38 @@ MUTANTS = (
         "self._bits_at(pos).any(axis=0)",
         ("tests/test_bloom.py::test_claimed_at_the_collapse_bound_matches_scalar",),
     ),
-    # pass 2 then consumes each caller block before the helper block that
-    # precedes it, and the VRT rows' high retentions, taken in row order,
-    # land on other rows
+    # the worker then writes each state row's bin in the place of the state
+    # row before it
     Mutant(
-        "claims-blocks-out-of-order",
+        "worker-state-bins-shifted",
         "src/raidrsim/simulate.py",
-        "            yield claimed\n            if j + 1 < len(starts):\n                yield block(starts[j + 1])\n",
-        "            if j + 1 < len(starts):\n                yield block(starts[j + 1])\n            yield claimed\n",
-        ("tests/test_simulate.py::test_pass_2_on_two_threads_under_contention",),
+        "*upper_counts, state_bins[mid:])",
+        "*upper_counts, state_bins[mid - 1:])",
+        ("tests/test_simulate.py::test_pass_2_halves_equal_the_one_block_build[7-fork]",),
+    ),
+    # the caller then keeps what a failed worker wrote before it failed
+    Mutant(
+        "worker-fault-ignored",
+        "src/raidrsim/simulate.py",
+        "    if status == 0:\n",
+        "    if True:\n",
+        ("tests/test_simulate.py::test_a_fault_in_the_worker_alone_gives_an_equal_build",),
+    ),
+    # a caller whose half raises then waits for its worker to finish
+    Mutant(
+        "worker-not-killed",
+        "src/raidrsim/simulate.py",
+        "        os.kill(pid, signal.SIGKILL)\n",
+        "",
+        ("tests/test_simulate.py::test_a_fault_in_both_processes_raises_from_the_build[5-hang]",),
+    ),
+    # the claims and the rows queried of pass 2's upper half are then lost
+    Mutant(
+        "worker-counts-dropped",
+        "src/raidrsim/simulate.py",
+        "        counts += upper_counts\n",
+        "        pass\n",
+        ("tests/test_simulate.py::test_pass_2_halves_equal_the_one_block_build[64-fork]",),
     ),
     # an empty bin's filter then hashes every row it is asked about
     Mutant(

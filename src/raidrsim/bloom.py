@@ -18,14 +18,13 @@ A large probe costs the numpy passes it makes, each one cheap pass over an
 array the kernel owns.  A position is reduced as x - (x // m) * m: numpy
 divides by a scalar with a multiply and shifts, where % runs a hardware
 divide per element.  A small one costs its calls: a probe is about 20
-numpy calls whatever its size, and each holds the interpreter lock, which
-a second thread querying another block then waits for.  So once the
-survivors times the probes left is at most COLLAPSE_MAX_PROBES, the probes
-left run as one 2-D pass: the prefixes as a column against the survivors'
-keys as a row, one row of positions per probe, and a key survives where
-its column is all set.  That pass hashes keys an early exit would have
-rejected, at most COLLAPSE_MAX_PROBES of them.  On a 2-vCPU Xeon, on one
-thread, a 2**16-key query of one of dense-64gb's two k = 10 filters took
+numpy calls whatever its size.  So once the survivors times the probes
+left is at most COLLAPSE_MAX_PROBES, the probes left run as one 2-D pass:
+the prefixes as a column against the survivors' keys as a row, one row
+of positions per probe, and a key survives where its column is all set.
+That pass hashes keys an early exit would have rejected, at most
+COLLAPSE_MAX_PROBES of them.  On a 2-vCPU Xeon, on one thread, a
+2**16-key query of one of dense-64gb's two k = 10 filters took
 0.97-1.00 ms at bounds of 2**13 and 2**14, 1.00-1.11 ms without the
 collapse, 1.05-1.09 ms at 2**15 and 1.35-1.39 ms at 2**17.
 
@@ -94,9 +93,7 @@ class BloomFilter:
     """Append-only membership filter over 64-bit keys.
 
     No deletion and no counting: bins are built once per profiling pass.
-    After construction and inserts the filter is immutable in practice and
-    may be probed concurrently: queries that race to build the bit table
-    build the same one.
+    After construction and inserts the filter is immutable in practice.
     """
 
     __slots__ = ("params", "words", "_table", "_prefixes")

@@ -36,13 +36,12 @@ rows queried to each bin and the bins of the state rows.  The plain rows
 share one jmin, so their static failures are counted per bin.  Pass 2 never
 reads the profile: a Bloom filter has no false negatives, so the bin counts
 turn the claim counts into the per-filter FPRs and fix the refreshes the
-profiled schedule would issue.  Pass 2 queries two blocks at a time, the
-caller the even ones and a helper thread the odd ones (_claimed_blocks),
-and consumes them in row order; numpy releases the interpreter lock in
-every block-sized pass.  Pass 1 stays on one thread: its blocks make many
-small numpy calls, and in a trial that threaded it too, guard-sweep's
-peak RSS rose to 39.1 MB (36.2 MB with pass 1 on one thread) and
-vrt-churn ran 17% slower.
+profiled schedule would issue.  Pass 2 queries its blocks in two halves
+(_claim_halves): the caller the lower half and one forked worker the upper
+half, which sends back its claim counts and its state rows' bins through
+a shared mapping.  A second process holds an interpreter lock of its own,
+so the halves overlap fully.  Pass 1 stays in one process: a worker
+would have to send back every filter bin's members.
 
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
@@ -67,10 +66,9 @@ executes code from the blob.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
+import os
 import struct
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -99,7 +97,6 @@ _CHUNK_ROWS = 1 << 16
 # glibc's mallopt parameter numbers
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 
 
 def keep_block_pages() -> None:
@@ -111,9 +108,7 @@ def keep_block_pages() -> None:
     bytes: the mmap threshold at four times that (2 MB), the trim threshold
     at sixteen times (8 MB).  Setting the trim threshold alone turns off
     glibc's dynamic mmap threshold, and every block temporary is then
-    mapped afresh.  One arena serves every thread, so pass 2's helper
-    reuses the caller's freed pages instead of faulting in a heap of its
-    own.  A no-op where the C library has no mallopt.
+    mapped afresh.  A no-op where the C library has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -122,7 +117,6 @@ def keep_block_pages() -> None:
     block_bytes = 8 * _CHUNK_ROWS
     mallopt(_M_MMAP_THRESHOLD, 4 * block_bytes)
     mallopt(_M_TRIM_THRESHOLD, 16 * block_bytes)
-    mallopt(_M_ARENA_MAX, 1)
 
 
 class CheckpointError(RuntimeError):
@@ -211,59 +205,78 @@ def _static_failures(horizon: int, m, j):
     return np.where(j <= m, (horizon // m) * (m - j + 1) + np.maximum(0, horizon % m - j + 1), 0)
 
 
-def _claimed_blocks(bins: BinSet, n: int):
-    """Yield (lo, hi, bins.claims of rows lo to hi) of each block of _CHUNK_ROWS of n rows, in row order.
+def _claim_rows(bins: BinSet, lo: int, hi: int, state_rows: np.ndarray, claimed: np.ndarray,
+                queried: np.ndarray, state_bins: np.ndarray) -> None:
+    """Query rows lo to hi block by block, adding each filter's claims to claimed and its rows queried to queried.
 
-    The caller claims the even blocks and one helper thread the odd ones;
-    numpy releases the interpreter lock inside every block-sized pass, so
-    the two overlap.  The helper is handed its next block as soon as the
-    caller takes its last one, and the caller consumes its own block while
-    the helper works, so at most two blocks are in flight.  The caller
-    claims the first block before the helper starts, which builds every
-    filter's bit table.  A block that raises on the helper re-raises here,
-    when it is due.  The helper is joined before the generator finishes or
-    is closed; a one-block device starts none.  The rows are keys of the
-    smallest unsigned type that holds them.
+    Each block's claims make its bin map (BinSet.first_claims).  A filter's
+    claims that the map gives its own bin are the rows queried to it; the
+    default bin's entry is left for the caller.  state_rows are the state
+    rows from lo up to hi, ascending; the queried bin of each is written to
+    state_bins.  The rows are keys of state_rows' type, the smallest
+    unsigned type that holds every row of the device.
     """
-    row_type = np.min_scalar_type(n - 1)
+    for start in range(lo, hi, _CHUNK_ROWS):
+        end = min(start + _CHUNK_ROWS, hi)
+        claims = bins.claims(np.arange(start, end, dtype=state_rows.dtype))
+        bin_of = bins.first_claims(claims, end - start)
+        for b, rows in enumerate(claims):
+            claimed[b] += rows.size
+            queried[b] += np.count_nonzero(bin_of[rows] == b)
+        a, b = np.searchsorted(state_rows, (start, end))
+        state_bins[a:b] = bin_of[state_rows[a:b] - start]
 
-    def block(lo):
-        hi = min(lo + _CHUNK_ROWS, n)
-        return lo, hi, bins.claims(np.arange(lo, hi, dtype=row_type))
 
-    starts = range(0, n, _CHUNK_ROWS)
-    first = block(0)
-    if len(starts) == 1:
-        yield first
-        return
-    import _queue  # loaded by the first build of more than one block, not at import
+def _claim_halves(bins: BinSet, n: int, state_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, state_bins) of the n rows by _claim_rows: counts holds the claims and the rows queried per filter.
 
-    todo, done = _queue.SimpleQueue(), _queue.SimpleQueue()
+    The blocks are split in two halves on a block boundary.  The caller
+    claims the lower half and one forked worker the upper one.  The worker
+    writes its counts and its state rows' bins into a shared anonymous
+    mapping, sized before the fork, which holds every state row's bin:
+    nothing is pickled.  The worker inherits the filters with their byte
+    tables built, and ends with os._exit; the caller always reaps it, and
+    kills it first if its own half raises.  If the worker does not exit 0,
+    the caller claims the upper half itself, so a fault there raises here
+    with its own type.  A one-block device, or a platform without os.fork,
+    claims both halves in the caller.
+    """
+    counts = np.zeros((2, len(bins.filters)), dtype=np.int64)
+    bin_type = np.min_scalar_type(bins.default_bin)
+    split = -(-n // _CHUNK_ROWS) // 2 * _CHUNK_ROWS
+    if not split or not hasattr(os, "fork"):
+        state_bins = np.empty(state_rows.size, dtype=bin_type)
+        _claim_rows(bins, 0, n, state_rows, *counts, state_bins)
+        return counts, state_bins
+    import mmap
+    import signal  # loaded by the first build of more than one block, not at import
 
-    def helper():
-        for lo in iter(todo.get, None):
-            try:
-                done.put((block(lo), None))
-            except BaseException as exc:  # re-raised in the caller, when its block is due
-                done.put((None, exc))
-
-    todo.put(starts[1])
-    thread = threading.Thread(target=helper, name="raidrsim-claims")
-    thread.start()
+    # the worker's counts, then the state rows' bins; a mapping is never empty
+    shared = mmap.mmap(-1, max(1, counts.nbytes + state_rows.size * bin_type.itemsize))
+    upper_counts = np.frombuffer(shared, dtype=counts.dtype, count=counts.size).reshape(counts.shape)
+    state_bins = np.frombuffer(shared, dtype=bin_type, count=state_rows.size, offset=counts.nbytes)
+    mid = int(np.searchsorted(state_rows, split))
+    bins.claims(state_rows[:0])  # builds every queried filter's byte table before the fork
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            _claim_rows(bins, split, n, state_rows[mid:], *upper_counts, state_bins[mid:])
+            code = 0
+        finally:
+            os._exit(code)
     try:
-        yield first
-        for j in range(1, len(starts), 2):
-            claimed, exc = done.get()
-            if exc is not None:
-                raise exc
-            if j + 2 < len(starts):
-                todo.put(starts[j + 2])
-            yield claimed
-            if j + 1 < len(starts):
-                yield block(starts[j + 1])
-    finally:
-        todo.put(None)
-        thread.join()
+        _claim_rows(bins, 0, split, state_rows[:mid], *counts, state_bins)
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if status == 0:
+        counts += upper_counts
+    else:
+        _claim_rows(bins, split, n, state_rows[mid:], *counts, state_bins[mid:])
+    return counts, state_bins
 
 
 class RefreshSimulation:
@@ -357,46 +370,39 @@ class RefreshSimulation:
         where they cannot, no bin's multiplier reaches plain_jmin.  The VRT
         rows at jmin_cap, with their high retentions vrt_high_ms in row
         order, are kept for stepping where their queried multiplier lets
-        them fail, block by block.  Every stream is keyed by row index, so
-        the blocking is exact.
+        them fail, block by block, once _claim_halves has queried every
+        block.  Every stream is keyed by row index, so the blocking is exact.
         """
         horizon = self.horizon
         bins = self.bins
         mult_table = np.asarray(bins.multipliers, dtype=np.int64)
-        queried = np.zeros(mult_table.size, dtype=np.int64)
         state_queried = np.zeros(mult_table.size, dtype=np.int64)
         static_failures = static_unsafe = 0
-        claimed = [0] * len(bins.filters)
         trefw_ms, low_factor = self.device.trefw_ms, self.spec.vrt.low_factor
         v_rows, v_mults, v_high_ms = RowBuffer(state_rows.dtype), RowBuffer(np.int64), RowBuffer(np.float64)
         v_lo = 0
         n = self.device.num_rows
-        with contextlib.closing(_claimed_blocks(bins, n)) as blocks:
-            for lo, hi, claims in blocks:
-                bin_of = bins.first_claims(claims, hi - lo)
-                for b, rows in enumerate(claims):
-                    claimed[b] += rows.size
-                    queried[b] += np.count_nonzero(bin_of[rows] == b)
+        (claimed, queried), state_bins = _claim_halves(bins, n, state_rows)
+        queried = np.append(queried, n - queried.sum())
+        for lo in range(0, n, _CHUNK_ROWS):
+            block = slice(*np.searchsorted(state_rows, (lo, lo + _CHUNK_ROWS)))
+            q = state_bins[block]
+            jmin = state_jmin[block].astype(np.int64)
+            state_queried += np.bincount(q, minlength=mult_table.size)
+            fails = _static_failures(horizon, mult_table[q], jmin)
+            static_failures += int(fails.sum())
+            static_unsafe += int(np.count_nonzero(fails))
 
-                a, b = np.searchsorted(state_rows, (lo, hi))
-                q = bin_of[state_rows[a:b] - lo]
-                jmin = state_jmin[a:b].astype(np.int64)
-                state_queried += np.bincount(q, minlength=mult_table.size)
-                fails = _static_failures(horizon, mult_table[q], jmin)
-                static_failures += int(fails.sum())
-                static_unsafe += int(np.count_nonzero(fails))
+            vrt = jmin == jmin_cap
+            mults = mult_table[q[vrt]]
+            high_ms = vrt_high_ms[v_lo:v_lo + mults.size]
+            v_lo += mults.size
+            # pass 1's test, at the row's own multiplier
+            can_fail = mults * trefw_ms > high_ms * low_factor
+            v_rows.extend(state_rows[block][vrt][can_fail])
+            v_mults.extend(mults[can_fail])
+            v_high_ms.extend(high_ms[can_fail])
 
-                vrt = jmin == jmin_cap
-                mults = mult_table[q[vrt]]
-                high_ms = vrt_high_ms[v_lo:v_lo + mults.size]
-                v_lo += mults.size
-                # pass 1's test, at the row's own multiplier
-                can_fail = mults * trefw_ms > high_ms * low_factor
-                v_rows.extend(state_rows[a:b][vrt][can_fail])
-                v_mults.extend(mults[can_fail])
-                v_high_ms.extend(high_ms[can_fail])
-
-        queried[-1] = n - queried[:-1].sum()
         plain_queried = queried - state_queried
         fails = _static_failures(horizon, mult_table, plain_jmin)
         self._static_failures = static_failures + int(plain_queried @ fails)
@@ -409,7 +415,7 @@ class RefreshSimulation:
         self.fpr_extra_refreshes = issued - profiled_issued
         # a filter's FPR is its claims beyond its own rows over the rows
         # profiled outside it; on Python ints the quotient is correctly rounded
-        self.filter_fprs = [(k - c) / (n - c) if n > c else 0.0 for k, c in zip(claimed, counts)]
+        self.filter_fprs = [(k - c) / (n - c) if n > c else 0.0 for k, c in zip(claimed.tolist(), counts)]
         # only the VRT rows that can fail are stepped, so the inputs of a
         # step are gathered once: their distinct multipliers and each row's
         # index into them, their step-stream prefixes and both retentions

@@ -399,8 +399,8 @@ def test_library_report_equals_cli_artifact(tmp_path, bloom):
 def test_cli_runs_load_no_openssl(tmp_path):
     # SHA-256 comes from CPython's built-in module: hashlib's OpenSSL
     # binding maps libcrypto, about 3.5 MB, into every process that loads it.
-    # Pass 2's helper thread is bare threading: concurrent.futures would
-    # load logging, 5-8 ms of imports, into every run of more than one block
+    # Pass 2's worker is a bare os.fork: multiprocessing or concurrent.futures
+    # would load logging, 5-8 ms of imports, into every run of more than one block
     env = {**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])}
     code = f"""
 import sys
@@ -416,7 +416,7 @@ sim.run(stop_after_window=4)
 blob = sim.checkpoint()
 assert RefreshSimulation.restore(blob).checkpoint() == blob
 RefreshSimulation(ExperimentSpec(device=DeviceConfig.from_rows((1 << 17) + 1), sim=SimConfig(horizon_windows=8)))
-print(sorted({{"_hashlib", "hashlib", "concurrent.futures", "logging"}} & set(sys.modules)))
+print(sorted({{"_hashlib", "hashlib", "concurrent.futures", "multiprocessing", "logging"}} & set(sys.modules)))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True).stdout

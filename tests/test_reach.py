@@ -45,15 +45,16 @@ COMMANDS = [
     (["selftest"], 0),
     # a guard band that takes every row under the base period: unbinnable
     (["simulate", "--out", "{dir}", *SMALL, "--set", "profiler.guard_band_factor=48"], 3),
-    # 2**17 + 1 rows, three blocks: pass 2 claims block 1 on its helper thread
+    # 2**17 + 1 rows, three blocks: pass 2 claims block 0 itself and forks a
+    # worker for blocks 1 and 2, which runs only code the caller runs too
     (["simulate", "--out", "{dir}", "--set", f"device.density_bits={((1 << 17) + 1) * 8192}",
       "--set", "sim.horizon_windows=64"], 0),
 ]
 
 # records the first line of every function entered in the package, by
-# file, from before the package is imported, on every thread
+# file, from before the package is imported
 TRACER = """
-import importlib.util, json, sys, threading
+import importlib.util, json, sys
 from pathlib import Path
 
 src = importlib.util.find_spec("raidrsim").submodule_search_locations[0]
@@ -64,7 +65,6 @@ def profile(frame, event, arg):
         entered.add((Path(frame.f_code.co_filename).stem, frame.f_code.co_firstlineno))
 
 sys.setprofile(profile)
-threading.setprofile(profile)
 from raidrsim.cli import main
 
 codes = []

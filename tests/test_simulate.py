@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import math
+import os
 import pickle
 import struct
 import sys
@@ -644,57 +645,121 @@ def test_row_blocking_changes_nothing(monkeypatch):
     assert blocked.filter_fprs == default.filter_fprs
 
 
-class HelperBlockError(Exception):
-    """Raised by a patched bin query on the thread it is patched to fail on."""
+class PassTwoFault(Exception):
+    """Raised by a patched bin query in the process it is patched to fail in."""
 
 
-def claims_failing_on(monkeypatch, on_helper: bool, from_row: int):
-    """Make BinSet.claims raise HelperBlockError for blocks from from_row up, on pass 2's helper or on the caller."""
+def claims_fault(monkeypatch, from_row: int, caller=None, worker=None):
+    """Make BinSet.claims of the blocks from from_row up raise PassTwoFault, or hang, in pass 2's caller or worker.
+
+    caller and worker are each None, "raise" or "hang"; the worker is any
+    process other than the one that patched the query.
+    """
     claims = BinSet.claims
+    caller_pid = os.getpid()
 
-    def failing(self, rows):
-        if (threading.current_thread() is not threading.main_thread()) == on_helper and rows[0] >= from_row:
-            raise HelperBlockError(int(rows[0]))
+    def faulty(self, rows):
+        fault = caller if os.getpid() == caller_pid else worker
+        if fault and rows.size and rows[0] >= from_row:
+            if fault == "hang":
+                time.sleep(20)
+            raise PassTwoFault(int(rows[0]))
         return claims(self, rows)
 
-    monkeypatch.setattr(BinSet, "claims", failing)
+    monkeypatch.setattr(BinSet, "claims", faulty)
 
 
-def test_pass_2_threads_end_with_the_build(monkeypatch):
-    # pass 2 claims the odd blocks on a helper thread, which is joined when
-    # the build ends, whether it succeeds or a block raises on either
-    # thread; a block that raises on the helper surfaces with its type
-    live = threading.active_count()
-    one_block = RefreshSimulation(fpr_spec())
+def counted_forks(monkeypatch) -> list[int]:
+    """The pids of the children os.fork starts from here on, as it starts them."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def one_block_build():
+    """The report fields and filter FPRs of fpr_spec's build, whose one block pass 2 claims in process."""
+    sim = RefreshSimulation(fpr_spec())
+    return report_fields(sim.run()), sim.filter_fprs
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+@pytest.mark.parametrize("block_rows", [7, 64])
+def test_pass_2_halves_equal_the_one_block_build(monkeypatch, block_rows, fork):
+    # the caller claims the lower half of pass 2's blocks and a forked
+    # worker the upper half, or, without os.fork, the caller claims both: a
+    # half claimed twice or lost, or a state row given another row's bin,
+    # changes the report or the FPRs
+    want = one_block_build()
+    monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", block_rows)
+    if fork:
+        pids = counted_forks(monkeypatch)
+    else:
+        monkeypatch.delattr(os, "fork")
+    sim = RefreshSimulation(fpr_spec())
+    assert (report_fields(sim.run()), sim.filter_fprs) == want
+    assert not fork or len(pids) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("from_block", [23, 40])
+def test_a_fault_in_the_worker_alone_gives_an_equal_build(monkeypatch, from_block):
+    # 47 blocks of 64 rows: the worker claims blocks 23 to 46 and fails on
+    # its first block or after writing 17 blocks' counts; the caller claims
+    # its half again, from scratch
+    want = one_block_build()
     monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 64)
-    blocked = RefreshSimulation(fpr_spec())
-    assert report_fields(blocked.run()) == report_fields(one_block.run())
-    assert threading.active_count() == live
-    for on_helper, from_row in ((True, 5 * 64), (False, 4 * 64), (True, 64)):
-        with monkeypatch.context() as mp:
-            claims_failing_on(mp, on_helper, from_row)
-            with pytest.raises(HelperBlockError) as err:
-                RefreshSimulation(fpr_spec())
-        assert err.value.args == (from_row,)
-        assert threading.active_count() == live
+    pids = counted_forks(monkeypatch)
+    claims_fault(monkeypatch, from_block * 64, worker="raise")
+    sim = RefreshSimulation(fpr_spec())
+    assert (report_fields(sim.run()), sim.filter_fprs) == want
+    assert len(pids) == 1
+    assert_no_child_left()
 
 
-def test_a_one_block_build_starts_no_thread(monkeypatch):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a one-block build started a thread")
+@pytest.mark.parametrize("from_block, worker", [(5, "raise"), (30, "raise"), (5, "hang")])
+def test_a_fault_in_both_processes_raises_from_the_build(monkeypatch, from_block, worker):
+    # a fault in the caller's half raises there, and the worker, even one
+    # that would run for 20 s more, is killed and reaped; a fault in the
+    # worker's half raises when the caller claims that half again
+    monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 64)
+    pids = counted_forks(monkeypatch)
+    claims_fault(monkeypatch, from_block * 64, caller="raise", worker=worker)
+    t0 = time.monotonic()
+    with pytest.raises(PassTwoFault) as err:
+        RefreshSimulation(fpr_spec())
+    assert time.monotonic() - t0 < 10
+    assert err.value.args == (from_block * 64,)
+    assert len(pids) == 1
+    assert_no_child_left()
 
-    monkeypatch.setattr(simulate_mod.threading, "Thread", no_thread)
+
+def test_a_one_block_build_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("a one-block build forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     rep = RefreshSimulation(fpr_spec()).run()
     assert rep.num_rows <= simulate_mod._CHUNK_ROWS
 
 
-def test_pass_2_on_two_threads_under_contention(monkeypatch):
-    # three builds at once, each with its helper: six threads on two cores,
-    # switching every 10 us, over 7-row blocks.  Each build must equal the
-    # one-block build, which runs on one thread: a block claimed twice,
-    # lost, or consumed out of row order changes the report or the FPRs
-    one_block = RefreshSimulation(fpr_spec())
-    want = report_fields(one_block.run()), one_block.filter_fprs
+def test_pass_2_forks_from_three_threads_under_contention(monkeypatch):
+    # three builds at once, each forking its worker from its own thread,
+    # switching every 10 us, over 7-row blocks.  Each must equal the
+    # one-block build, and none may hang
+    want = one_block_build()
     monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 7)
     got = [None] * 3
 
@@ -714,6 +779,7 @@ def test_pass_2_on_two_threads_under_contention(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
     assert got == [want] * len(got)
+    assert_no_child_left()
 
 
 def blocking_spec(kind, mode):
@@ -837,6 +903,12 @@ def test_engine_pass_memory_is_bounded(monkeypatch):
         added = large - small - (large_filters - small_filters if beyond_filters else 0)
         assert added / (1 << 18) <= per_row_bound
         assert large / (1 << 19) <= 4
+
+
+def test_engine_pass_memory_is_bounded_in_one_process(monkeypatch):
+    # without os.fork, both halves of pass 2 run, and are traced, in process
+    monkeypatch.delattr(os, "fork")
+    test_engine_pass_memory_is_bounded(monkeypatch)
 
 
 def test_wall_time_covers_engine_set_up(monkeypatch):
