@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Peak memory of `raidrsim simulate` as the device grows, one fresh process per run.
+"""Peak memory of `raidrsim simulate`, or of a sweep, as the device grows, one fresh process per run.
 
 Each run is `python -m raidrsim.cli simulate` of this checkout's src/, with
-the given config, overrides and seed, at one device density.  The script
+the given config, overrides and seed, at one device density, or, given
+--axis and --values, `raidrsim sweep` over them with `--jobs 1`.  The script
 prints, per run, the density, the rows the run reports, the host wall
 time of the child process (interpreter start and imports included) and
 its peak RSS (`ru_maxrss` from `wait4`).  Linux charges a child that
@@ -16,6 +17,8 @@ bytecode instead of compiling a stale or missing __pycache__ at import.
 
     python scripts/device_memory.py --densities 16G,64G,256G --runs 3 \\
         --seed 1 --set profiler.mode=measured ...
+    python scripts/device_memory.py --densities 64G --axis profiler.guard_band_factor \\
+        --values 1.0,1.25,1.5,2.0 ...
 
 A density is device.density_bits, or a number of Gbit (2**30 bits) with a
 G suffix.  It exits 1 if a run fails, after printing its standard error.
@@ -77,7 +80,14 @@ def main(argv=None) -> int:
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override a config key")
     parser.add_argument("--seed", type=int, default=None, metavar="U64", help="master seed override")
+    parser.add_argument("--axis", metavar="KEY", help="run a sweep of this config key instead of simulate")
+    parser.add_argument("--values", metavar="V1,V2,...", help="the sweep's axis values")
     args = parser.parse_args(argv)
+    if (args.axis is None) != (args.values is None):
+        parser.error("--axis and --values go together")
+    command = ["sweep", "--axis", args.axis, "--values", args.values, "--jobs", "1"] if args.axis else ["simulate"]
+    # a sweep's first point reports the rows, as every point does
+    report_path = Path("point_000", "simreport.txt") if args.axis else Path("simreport.txt")
 
     base = []
     if args.config:
@@ -93,13 +103,13 @@ def main(argv=None) -> int:
         for text in args.densities.split(","):
             bits = density_bits(text)
             for run in range(args.runs):
-                cli_args = ["simulate", "--out", out, *base, "--set", f"device.density_bits={bits}"]
+                cli_args = [*command, "--out", out, *base, "--set", f"device.density_bits={bits}"]
                 wall, rss_mb, code, err = measure(cli_args)
                 if code:
                     print(err, end="", file=sys.stderr)
                     print(f"run at {bits} bits exited {code}", file=sys.stderr)
                     return 1
-                report = dict(line.split(" = ", 1) for line in Path(out, "simreport.txt").read_text().splitlines())
+                report = dict(line.split(" = ", 1) for line in Path(out, report_path).read_text().splitlines())
                 print(f"{bits / 2**30:>12.4f} {report['num_rows']:>10} {run:>3} {wall:>8.3f} {rss_mb:>11.2f}")
     return 0
 

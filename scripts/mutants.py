@@ -337,7 +337,7 @@ MUTANTS = (
     Mutant(
         "vrt-rows-not-moved-to-jmin-cap",
         "src/raidrsim/simulate.py",
-        "                jmin[gt.toggles] = jmin_cap\n",
+        "        jmin[gt.toggles] = jmin_cap\n",
         "",
         ("tests/test_simulate.py::TestAgainstReferenceOracle::test_noisy_configs_exact",),
     ),
@@ -369,6 +369,23 @@ MUTANTS = (
         "for v in check_report_invariants(r, spec)]",
         "for v in []]",
         ("tests/test_cli.py::TestSweepCommand::test_a_point_that_breaks_an_invariant_exits_3_after_every_artifact",),
+    ),
+    # sweep points on two devices then share one walk, and one profiles with the other's trefw_ms
+    Mutant(
+        "ground-truth-key-drops-device",
+        "src/raidrsim/simulate.py",
+        "    return spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed\n",
+        "    return spec.dist, spec.vrt, spec.dpd, spec.seed\n",
+        ("tests/test_cli.py::TestSweepCommand::test_points_of_one_ground_truth_generate_each_block_once"
+         "[device.trefw_ms-64,32-6]",),
+    ),
+    Mutant(
+        "walk-reuses-the-first-points-profile",
+        "src/raidrsim/simulate.py",
+        "point.add(gt, profile_rows(gt, point.spec.profiler, point.spec.bins))",
+        "point.add(gt, profile_rows(gt, points[0].spec.profiler, points[0].spec.bins))",
+        ("tests/test_cli.py::TestSweepCommand::test_each_point_is_the_simulate_run_of_its_value"
+         "[profiler.guard_band_factor-values0-1]",),
     ),
     # a bitmap of a block's members then unpacks with its bytes' bits reversed
     Mutant(

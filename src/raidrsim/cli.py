@@ -10,6 +10,7 @@ itself and escapes with its traceback (exit 1), whatever its type.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -24,7 +25,15 @@ from .experiment import (
 )
 from .raidr import UnbinnableRowError
 from .selftest import run_selftest
-from .simulate import RefreshSimulation, SimReport, check_report_invariants, keep_block_pages, profiled_blocks
+from .simulate import (
+    RefreshSimulation,
+    SimReport,
+    check_report_invariants,
+    ground_truth_key,
+    keep_block_pages,
+    profiled_blocks,
+    simulations,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,8 +100,13 @@ def cmd_simulate(args) -> int:
     return EXIT_INVARIANT if violations else EXIT_OK
 
 
-def _sweep_point(spec: ExperimentSpec) -> SimReport:
-    return RefreshSimulation(spec).run()
+def _sweep_group(specs: list[ExperimentSpec]) -> list[SimReport]:
+    """The reports of points that share one ground truth, built in one walk over its blocks.
+
+    map drops each point's simulation before it builds the next, so one
+    point's filters are live at a time.
+    """
+    return list(map(RefreshSimulation.run, simulations(specs)))
 
 
 def _sweep_row(index: int, key: str, value: str, spec: ExperimentSpec, report: SimReport) -> dict:
@@ -131,10 +145,14 @@ def cmd_sweep(args) -> int:
         # imported here, so that no other command starts by loading multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        # one point per task, a group of one
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=keep_block_pages) as pool:
-            reports = list(pool.map(_sweep_point, specs))
+            groups = list(pool.map(_sweep_group, [[spec] for spec in specs]))
     else:
-        reports = [_sweep_point(spec) for spec in specs]
+        # consecutive points that share a ground truth are one group, so the
+        # groups run, and raise, in point order
+        groups = [_sweep_group(list(group)) for _, group in itertools.groupby(specs, key=ground_truth_key)]
+    reports = [report for group in groups for report in group]
     out = _ensure_outdir(args)
 
     rows = [_sweep_row(i, args.axis, v, spec, r) for i, (v, spec, r) in enumerate(zip(values, specs, reports))]

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import rng
 from .bloom import BloomFilter, BloomParams, plan_params
+from .retention import SparseRows
 
 
 class UnbinnableRowError(RuntimeError):
@@ -184,79 +185,95 @@ def _batches(arrays, size: int):
         yield np.concatenate(pending)
 
 
-def bin_blocks(blocks, bin_cfg: BinConfig, base_ms: float, bloom_budget, seed: int) -> BinSet:
-    """Bins of a profile given as SparseRows blocks that cover the device in row order.
+class BinAccumulator:
+    """Bins of a profile fed as SparseRows blocks that cover the device in row order: add() each, then finish().
 
     Each row goes into the filter of the bin holding its guard-divided
-    measured retention; base_ms is the base refresh period.  bloom_budget
-    is either a per-bin target false-positive rate (filters are sized for
-    the actual bin populations) or explicit BloomParams shared by all
-    bins.  A whole profile is one block.
+    measured retention; base_ms is the base refresh period.  A whole
+    profile is one block.  Accumulators of several profiles advance in
+    lockstep, a block each, where their profiles share a walk over one
+    ground truth.
 
     A block's plain value is classified once and its plain rows counted
     in its bin.  The filters are sized from the bin counts of the whole
     device, so each filter bin keeps its member rows of each block until
     the last block is in, in the smaller of two forms (pack_members):
     block-relative offsets where the bin has few rows in the block, else
-    a bitmap of the block, one bit per row.  Then each filter gets its
-    rows, decoded block by block and inserted at most a quarter of the
+    a bitmap of the block, one bit per row.  Then finish gives each filter
+    its rows, decoded block by block and inserted at most a quarter of the
     largest block at a time; a Bloom filter's bits do not depend on the
     order of its inserts.  The rows of the default bin are only counted.
     Beyond the filter bins' members, at most a bit per row and bin,
     memory is bounded by the largest block.
     """
-    bin_cfg.multipliers(base_ms)  # rejects a threshold that is not a whole multiple of the base
-    nbins = bin_cfg.num_filter_bins
-    counts = np.zeros(nbins + 1, dtype=np.int64)
-    members = [[] for _ in range(nbins)]  # per bin, (start, num_rows, bitmap, data) of each block
-    block_rows = 1
-    first_below, n_below = None, 0
-    for block in blocks:
+
+    def __init__(self, bin_cfg: BinConfig, base_ms: float):
+        bin_cfg.multipliers(base_ms)  # rejects a threshold that is not a whole multiple of the base
+        self.bin_cfg = bin_cfg
+        self.base_ms = base_ms
+        self.counts = np.zeros(bin_cfg.num_filter_bins + 1, dtype=np.int64)
+        # per filter bin, (start, num_rows, bitmap, data) of each block
+        self.members = [[] for _ in range(bin_cfg.num_filter_bins)]
+        self.block_rows = 1
+        self.first_below, self.n_below = None, 0
+
+    def add(self, block: SparseRows) -> None:
+        """Count the block's rows in their bins and keep each filter bin's members of it."""
+        bin_cfg, base_ms = self.bin_cfg, self.base_ms
         below = np.flatnonzero(block.values < base_ms)
         first = [(int(block.at[below[0]]), float(block.values[below[0]]))] if below.size else []
-        n_below += below.size
+        self.n_below += below.size
         if block.num_plain and block.plain < base_ms:
             first.append((block.first_plain(), float(block.plain)))
-            n_below += block.num_plain
-        if first and first_below is None:
+            self.n_below += block.num_plain
+        if first and self.first_below is None:
             offset, value = min(first)
-            first_below = (block.start + offset, value)
+            self.first_below = (block.start + offset, value)
         idx = bin_cfg.classify(block.values)
-        counts += np.bincount(idx, minlength=nbins + 1)
+        self.counts += np.bincount(idx, minlength=self.counts.size)
         plain_bin = bin_cfg.classify(block.plain)
-        counts[plain_bin] += block.num_plain
-        block_rows = max(block_rows, block.num_rows)
-        for b, held in enumerate(members):
+        self.counts[plain_bin] += block.num_plain
+        self.block_rows = max(self.block_rows, block.num_rows)
+        for b, held in enumerate(self.members):
             if b == plain_bin:  # every row but the own rows of other bins
                 in_bin = np.ones(block.num_rows, dtype=bool)
                 in_bin[block.at[idx != b]] = False
             else:
                 in_bin = block.at[idx == b]
             held.append((block.start, block.num_rows, *pack_members(in_bin, block.num_rows)))
-    if n_below:
-        raise UnbinnableRowError(
-            row=first_below[0],
-            measured_ms=first_below[1],
-            base_ms=base_ms,
-            count=n_below,
-        )
 
-    filters = []
-    for b in range(nbins):
-        if isinstance(bloom_budget, BloomParams):
-            params = bloom_budget
-        else:
-            params = plan_params(
-                float(bloom_budget),
-                max(1, int(counts[b])),
-                seed=rng.hash_words(seed, rng.TAG_FILTER_SEED, b),
+    def finish(self, bloom_budget, seed: int) -> BinSet:
+        """The bins of every block added: UnbinnableRowError if a row is under base_ms.
+
+        bloom_budget is either a per-bin target false-positive rate (filters
+        are sized for the actual bin populations) or explicit BloomParams
+        shared by all bins.
+        """
+        if self.n_below:
+            raise UnbinnableRowError(
+                row=self.first_below[0],
+                measured_ms=self.first_below[1],
+                base_ms=self.base_ms,
+                count=self.n_below,
             )
-        filters.append(BloomFilter(params))
-    batch = max(1, block_rows // 4)
-    for filt, held in zip(filters, members):
-        for rows in _batches((member_rows(*packed) for packed in held), batch):
-            filt.insert_many(rows)
-    return BinSet(bin_cfg=bin_cfg, base_ms=base_ms, filters=filters, counts=tuple(int(c) for c in counts))
+        filters = []
+        for b, count in enumerate(self.counts[:-1]):
+            if isinstance(bloom_budget, BloomParams):
+                params = bloom_budget
+            else:
+                params = plan_params(
+                    float(bloom_budget),
+                    max(1, int(count)),
+                    seed=rng.hash_words(seed, rng.TAG_FILTER_SEED, b),
+                )
+            filters.append(BloomFilter(params))
+        batch = max(1, self.block_rows // 4)
+        members, self.members = self.members, []  # freed once inserted, before the caller's pass 2
+        for filt, held in zip(filters, members):
+            for rows in _batches((member_rows(*packed) for packed in held), batch):
+                filt.insert_many(rows)
+        return BinSet(bin_cfg=self.bin_cfg, base_ms=self.base_ms, filters=filters,
+                      counts=tuple(int(c) for c in self.counts))
 
 
 def refreshes_in_horizon(horizon_windows: int, multiplier):

@@ -43,6 +43,14 @@ a shared mapping.  A second process holds an interpreter lock of its own,
 so the halves overlap fully.  Pass 1 stays in one process: a worker
 would have to send back every filter bin's members.
 
+Points that share one ground truth, that is equal inputs of generate_rows
+(ground_truth_key), share pass 1's walk (simulations): each block is
+generated once, and each point profiles it with its own profiler and
+bins, keeps its own state rows and feeds its own bin accumulator
+(raidr.BinAccumulator).  A point's filters and pass 2 are built only when
+its turn comes, so one point's are live at a time.  A simulation of one
+spec is the walk of a group of one.
+
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
 point in that gap.  A VRT row only ever holds two retentions, so its
@@ -78,8 +86,8 @@ from . import rng
 from .bloom import BloomParams
 from .experiment import ExperimentSpec, config_sha256, config_text, parse_config_text, sha256, spec_from_flat
 from .profiler import MODE_ORACLE, profile_rows
-from .raidr import BinSet, bin_blocks, refreshes_in_horizon
-from .retention import RowBuffer, generate_rows, vrt_tiles
+from .raidr import BinAccumulator, BinSet, refreshes_in_horizon
+from .retention import RowBuffer, SparseRows, generate_rows, vrt_tiles
 
 _CHECKPOINT_MAGIC = b"RSIM"
 _CHECKPOINT_VERSION = 4
@@ -165,21 +173,35 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def profiled_blocks(spec: ExperimentSpec, bins=None):
-    """Yield (ground truth, measured retention) of each block of _CHUNK_ROWS rows, in row order, as sparse rows.
+def ground_truth_key(spec: ExperimentSpec) -> tuple:
+    """The inputs of generate_rows in spec: specs with equal keys share one ground truth.
+
+    The whole device counts, as profile_rows reads its trefw_ms from the
+    record, and so does vrt, which the campaign reads from it.
+    """
+    return spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed
+
+
+def truth_blocks(spec: ExperimentSpec):
+    """Yield the ground truth of each block of _CHUNK_ROWS rows of spec's device, in row order.
 
     Every stream is keyed by row, so each block equals the same rows of
-    the device generated and profiled as one block, which is how the
-    reference oracle builds it.  Each block draws its own VRT rows and
-    runs its own profiling campaign over them.  bins is profile_rows':
-    given a BinConfig, the profile is exact up to each row's bin, and the
-    campaign walks only the VRT rows whose bin, or whether they fall under
-    the base period, depends on it.
+    the device generated as one block, which is how the reference oracle
+    builds it.  Each block draws its own VRT rows.
     """
     n = spec.device.num_rows
     for lo in range(0, n, _CHUNK_ROWS):
-        gt = generate_rows(spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed, lo, min(lo + _CHUNK_ROWS, n))
-        yield gt, profile_rows(gt, spec.profiler, bins)
+        yield generate_rows(spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed, lo, min(lo + _CHUNK_ROWS, n))
+
+
+def profiled_blocks(spec: ExperimentSpec):
+    """Yield (ground truth, measured retention) of each block of truth_blocks, as sparse rows.
+
+    Each block runs its own profiling campaign over its VRT rows, so the
+    profiles of the blocks join into the profile of the device.
+    """
+    for gt in truth_blocks(spec):
+        yield gt, profile_rows(gt, spec.profiler)
 
 
 def _first_failing_window(retention_ms, trefw_ms: float):
@@ -279,64 +301,109 @@ def _claim_halves(bins: BinSet, n: int, state_rows: np.ndarray) -> tuple[np.ndar
     return counts, state_bins
 
 
+class _PassOne:
+    """One point's pass 1: its state rows with their jmin and its bin accumulator, fed a block at a time.
+
+    A row whose retention never toggles fails in every window at least
+    jmin windows past its last refresh, so only rows with jmin <= m can
+    fail at all; jmin_cap is one past the largest multiplier.  The plain
+    rows share one jmin, so jmin is kept per row only for the state rows:
+    the near rows, weak rows without VRT that can fail, and the VRT rows.
+    A VRT row fails only past its low retention, taken as min_possible
+    takes it, and its time since a refresh peaks at m * trefw_ms, computed
+    as _advance computes it.  So a VRT row whose low retention the longest
+    gap of every bin does not exceed never fails, and then no plain row
+    fails either, as a plain row's retention is at least the VRT row's: it
+    counts as a plain row.  The other VRT rows, exactly the state rows at
+    jmin_cap, keep their high retention.  Of each block, only these and
+    the filter bins' rows that the accumulator keeps outlive it.
+    """
+
+    def __init__(self, spec: ExperimentSpec):
+        self.spec = spec
+        self.trefw_ms = trefw_ms = spec.device.trefw_ms
+        self.jmin_cap = max(spec.bins.multipliers(trefw_ms)) + 1
+        self.longest_gap_ms = (self.jmin_cap - 1) * trefw_ms
+        self.row_type = np.min_scalar_type(spec.device.num_rows - 1)
+        self.jmin_type = np.min_scalar_type(self.jmin_cap)
+        self.state_rows, self.state_jmin = RowBuffer(self.row_type), RowBuffer(self.jmin_type)
+        self.vrt_high_ms = RowBuffer(np.float64)
+        self.plain_jmin = self.jmin_cap
+        self.binned = BinAccumulator(spec.bins, trefw_ms)
+        self.walk_s = 0.0  # host time of the walk that fed it
+
+    def add(self, gt, measured: SparseRows) -> None:
+        """Keep the state rows of the block gt, profiled as measured, and bin its profile."""
+        trefw_ms, jmin_cap = self.trefw_ms, self.jmin_cap
+        true_min = gt.min_possible()
+        self.plain_jmin = int(_first_failing_window(true_min.plain, trefw_ms))
+        jmin = _first_failing_window(true_min.values, trefw_ms)
+        high_ms = gt.vrt_retention_high
+        can_fail = self.longest_gap_ms > high_ms * self.spec.vrt.low_factor
+        jmin[gt.toggles] = jmin_cap
+        # a weak row's base is below strong_value_ms, so its jmin is at most
+        # plain_jmin, and where plain rows can fail every weak row is near
+        keep = jmin < jmin_cap
+        keep[gt.toggles] = can_fail
+        self.state_rows.extend((true_min.at[keep] + gt.start).astype(self.row_type))
+        self.state_jmin.extend(jmin[keep].astype(self.jmin_type))
+        self.vrt_high_ms.extend(high_ms[can_fail])
+        self.binned.add(measured)
+
+
+def _walk(specs) -> list[_PassOne]:
+    """The pass 1 of each of specs, which share one ground truth (ground_truth_key), in one walk over its blocks.
+
+    Each block is generated once; each point profiles it with its own
+    profiler and bins (profile_rows) and keeps its own state rows and bin
+    members of it.
+    """
+    t0 = time.perf_counter()
+    points = [_PassOne(spec) for spec in specs]
+    for gt in truth_blocks(specs[0]):
+        for point in points:
+            point.add(gt, profile_rows(gt, point.spec.profiler, point.spec.bins))
+    for point in points:
+        point.walk_s = time.perf_counter() - t0
+    return points
+
+
+def simulations(specs):
+    """Yield the RefreshSimulation of each of specs, in order, built from one walk over their shared ground truth.
+
+    specs must share one ground truth (ground_truth_key).  Pass 1 of every
+    point runs in the walk; each point's filters and pass 2 are built only
+    when it is yielded, so a caller that drops each simulation before it
+    asks for the next holds one point's filters at a time.  A point whose
+    build raises (UnbinnableRowError, PlanUnsatisfiableError) raises when
+    its turn comes, after every point before it.
+    """
+    key = ground_truth_key(specs[0])
+    if any(ground_truth_key(spec) != key for spec in specs):
+        raise ValueError("the specs of one walk must share one ground truth (ground_truth_key)")
+    points = _walk(specs)[::-1]
+    while points:
+        # the point is popped as it is built, so its pass 1 is freed with the build's own temporaries
+        yield RefreshSimulation(points[-1].spec, points.pop())
+
+
 class RefreshSimulation:
     """One deterministic simulation run; step, checkpoint, resume, report."""
 
-    def __init__(self, spec: ExperimentSpec):
+    def __init__(self, spec: ExperimentSpec, pass_one: _PassOne | None = None):
+        """The engine of spec, built from pass_one, its pass 1 in a walk that simulations() shares, or alone."""
+        if pass_one is None:
+            (pass_one,) = _walk([spec])
         self.spec = spec
         self.device = spec.device
         self.horizon = spec.sim.horizon_windows
 
         t0 = time.perf_counter()
-        # a row whose retention never toggles fails in every window at least
-        # jmin windows past its last refresh, so only rows with jmin <= m can
-        # fail at all; jmin_cap is one past the largest multiplier.  The
-        # plain rows share one jmin, so jmin is kept per row only for the
-        # state rows: the near rows, weak rows without VRT that can fail,
-        # and the VRT rows.  A VRT row fails only past its low retention,
-        # taken as min_possible takes it, and its time since a refresh peaks
-        # at m * trefw_ms, computed as _advance computes it.  So a VRT row
-        # whose low retention the longest gap of every bin does not exceed
-        # never fails, and then no plain row fails either, as a plain row's
-        # retention is at least the VRT row's: it counts as a plain row.  The
-        # other VRT rows, exactly the state rows at jmin_cap, keep their high
-        # retention
-        trefw_ms = self.device.trefw_ms
-        jmin_cap = max(spec.bins.multipliers(trefw_ms)) + 1
-        longest_gap_ms = (jmin_cap - 1) * trefw_ms
-        row_type = np.min_scalar_type(self.device.num_rows - 1)
-        jmin_type = np.min_scalar_type(jmin_cap)
-        state_rows, state_jmin = RowBuffer(row_type), RowBuffer(jmin_type)
-        vrt_high_ms = RowBuffer(np.float64)
-        plain_jmin = jmin_cap
-
-        def binned_blocks():
-            # pass 1: of each block, only its state rows with their jmin and
-            # the high retentions of its VRT rows that can fail outlive it,
-            # besides the filter bins' rows that bin_blocks keeps
-            nonlocal plain_jmin
-            for gt, measured in profiled_blocks(spec, spec.bins):
-                true_min = gt.min_possible()
-                plain_jmin = int(_first_failing_window(true_min.plain, trefw_ms))
-                jmin = _first_failing_window(true_min.values, trefw_ms)
-                high_ms = gt.vrt_retention_high
-                can_fail = longest_gap_ms > high_ms * spec.vrt.low_factor
-                jmin[gt.toggles] = jmin_cap
-                # a weak row's base is below strong_value_ms, so its jmin is
-                # at most plain_jmin, and where plain rows can fail every
-                # weak row is near
-                keep = jmin < jmin_cap
-                keep[gt.toggles] = can_fail
-                state_rows.extend((true_min.at[keep] + gt.start).astype(row_type))
-                state_jmin.extend(jmin[keep].astype(jmin_type))
-                vrt_high_ms.extend(high_ms[can_fail])
-                yield measured
-
-        self.bins: BinSet = bin_blocks(
-            binned_blocks(), spec.bins, trefw_ms, spec.bloom_budget,
-            seed=rng.hash_words(spec.seed, rng.TAG_FILTER_SEED),
+        self.bins: BinSet = pass_one.binned.finish(
+            spec.bloom_budget, seed=rng.hash_words(spec.seed, rng.TAG_FILTER_SEED),
         )
-        self._scan_rows(state_rows.array(), state_jmin.array(), vrt_high_ms.array(), jmin_cap, plain_jmin)
+        self._scan_rows(pass_one.state_rows.array(), pass_one.state_jmin.array(), pass_one.vrt_high_ms.array(),
+                        pass_one.jmin_cap, pass_one.plain_jmin)
         # the toggle state of the VRT rows that can fail, and whether each
         # held its low state at any window since its last refresh: its
         # running minimum retention is then the low one
@@ -347,7 +414,7 @@ class RefreshSimulation:
         self._v_failures = 0
 
         self._window = 0
-        self._wall = time.perf_counter() - t0
+        self._wall = pass_one.walk_s + time.perf_counter() - t0
 
     def _scan_rows(self, state_rows: np.ndarray, state_jmin: np.ndarray, vrt_high_ms: np.ndarray,
                    jmin_cap: int, plain_jmin: int) -> None:

@@ -5,7 +5,7 @@ refresh decision, elapsed time, running-minimum retention, each VRT row's
 toggle state and each row's queried bin directly from their definitions.
 
 It shares two things with the engine:
-- The build pass: generate_rows, profile_rows and bin_blocks, applied to
+- The build pass: generate_rows, profile_rows and the BinAccumulator, applied to
   the whole device as one block, and SparseRows.dense, the one expansion
   of the pass's sparse ground truth and profile to every row's value,
   which `raidrsim profile` uses too.  generate_rows draws a block's VRT
@@ -43,7 +43,7 @@ import numpy as np
 
 from raidrsim import rng
 from raidrsim.profiler import profile_rows
-from raidrsim.raidr import bin_blocks
+from raidrsim.raidr import BinAccumulator
 from raidrsim.retention import SparseRows, generate_rows
 
 
@@ -63,6 +63,14 @@ def vrt_rows_of(gt):
 def profile(gt, cfg):
     """The guard-divided profile of gt, exact at every row, one value per row."""
     return profile_rows(gt, cfg).dense()
+
+
+def bin_blocks(blocks, bin_cfg, base_ms, bloom_budget=1e-3, seed=0):
+    """The bins of SparseRows blocks that cover a device in row order, each added to one BinAccumulator."""
+    binned = BinAccumulator(bin_cfg, base_ms)
+    for block in blocks:
+        binned.add(block)
+    return binned.finish(bloom_budget, seed)
 
 
 def build_bins(measured, bin_cfg, base_ms, bloom_budget=1e-3, seed=0):

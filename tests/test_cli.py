@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raidrsim import cli as cli_mod
+from raidrsim import simulate as simulate_mod
 from raidrsim.bloom import BloomFilter
 from raidrsim.cli import main
 from raidrsim.experiment import (
@@ -598,15 +599,23 @@ class TestSweepCommand:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unbinnable_point_exits_3_under_parallel_jobs(self, tmp_path, capsys):
-        # the worker's UnbinnableRowError must reach main intact
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unbinnable_point_exits_3_under_parallel_jobs(self, tmp_path, capsys, jobs):
+        # the first unbinnable point in point order sets the exit code and
+        # the message, whether a worker's error reaches main or the points
+        # share one walk: guard 16 fails too, with other figures
+        common = [*SMALL, "--set", "dist.weak_fraction=1.0"]
+        assert run_cli("simulate", *common, "--set", "profiler.guard_band_factor=8.0",
+                       "--out", str(tmp_path / "simulate")) == 3
+        want = capsys.readouterr().err
         out = tmp_path / "out"
         code = run_cli(
-            "sweep", "--axis", "profiler.guard_band_factor", "--values", "1.0,8.0", *SMALL,
-            "--set", "dist.weak_fraction=1.0", "--jobs", "2", "--out", str(out),
+            "sweep", "--axis", "profiler.guard_band_factor", "--values", "1.0,8.0,16.0", *common,
+            "--jobs", jobs, "--out", str(out),
         )
         assert code == 3
-        assert "refreshed fast enough" in capsys.readouterr().err
+        assert capsys.readouterr().err == want
+        assert "refreshed fast enough" in want
         assert not out.exists()
 
     def test_parallel_jobs_same_csv(self, tmp_path):
@@ -624,6 +633,11 @@ class TestSweepCommand:
         ("profiler.guard_band_factor", ["1.0", "1.25", "1.5"]),
         ("seed", ["3", "11"]),
         ("dist.weak_fraction", ["0.2", "0.3"]),
+        # the points of a walk share the ground truth, not the device it was
+        # generated for, their bins or their filters
+        ("device.trefw_ms", ["64", "32"]),
+        ("bins.thresholds_ms", ["128", "192", "256"]),
+        ("bloom.target_fpr", ["0.001", "0.2"]),
     ])
     def test_each_point_is_the_simulate_run_of_its_value(self, tmp_path, axis, values, jobs):
         # every point runs on the spec's own seed, so neither its index nor
@@ -638,6 +652,26 @@ class TestSweepCommand:
             assert (tmp_path / "forward" / f"point_{i:03d}" / "simreport.txt").read_bytes() == want
             j = len(values) - 1 - i
             assert (tmp_path / "reversed" / f"point_{j:03d}" / "simreport.txt").read_bytes() == want
+
+    @pytest.mark.parametrize("axis, values, calls", [
+        ("profiler.guard_band_factor", "1.0,1.25,1.5", 3),  # one walk for every point
+        ("seed", "3,11", 6),  # a walk per point
+        ("device.trefw_ms", "64,32", 6),  # profile_rows reads the record's device
+    ])
+    def test_points_of_one_ground_truth_generate_each_block_once(self, tmp_path, monkeypatch, axis, values, calls):
+        monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 700)  # 2,000 rows in three blocks
+        generated = []
+        real = simulate_mod.generate_rows
+
+        def counted(*args):
+            generated.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(simulate_mod, "generate_rows", counted)
+        assert run_cli("sweep", *MEASURED_NOISY, "--axis", axis, "--values", values,
+                       "--out", str(tmp_path)) == 0
+        assert len(generated) == calls
+        assert sorted(set(generated)) == [(0, 700), (700, 1400), (1400, 2000)]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_a_point_that_breaks_an_invariant_exits_3_after_every_artifact(self, tmp_path, capsys, monkeypatch,

@@ -9,7 +9,6 @@ from raidrsim.profiler import ProfilerConfig
 from raidrsim.raidr import (
     BinConfig,
     UnbinnableRowError,
-    bin_blocks,
     member_rows,
     pack_members,
     refreshes_in_horizon,
@@ -17,7 +16,7 @@ from raidrsim.raidr import (
 from raidrsim.retention import DeviceConfig, DpdModel, RetentionDistribution, SparseRows, VrtModel
 from raidrsim.simulate import RefreshSimulation
 
-from reference_sim import build_bins, ground_truth, profile, query
+from reference_sim import bin_blocks, build_bins, ground_truth, profile, query
 
 
 def query_many(bins, rows) -> np.ndarray:

@@ -39,6 +39,14 @@ def test_device_memory_runs_one_fresh_process_per_density_and_run():
     assert all(float(r[3]) > 0 and float(r[4]) > 1 for r in rows)
 
 
+def test_device_memory_runs_a_sweep():
+    lines = run_script("device_memory.py", "--densities", "16384000", "--seed", "1", "--set", "profiler.mode=measured",
+                       "--axis", "profiler.guard_band_factor", "--values", "1.0,2.0")
+    rows = [line.split() for line in lines[1:]]
+    assert [(r[1], r[2]) for r in rows] == [("2000", "0")]
+    assert float(rows[0][4]) > 1
+
+
 def test_device_memory_writes_bytecode_before_measuring(tmp_path, monkeypatch):
     # measured children inherit PYTHONDONTWRITEBYTECODE; the warm-up child
     # must compile every module of the checkout all the same

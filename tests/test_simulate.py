@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -909,6 +910,52 @@ def test_engine_pass_memory_is_bounded_in_one_process(monkeypatch):
     # without os.fork, both halves of pass 2 run, and are traced, in process
     monkeypatch.delattr(os, "fork")
     test_engine_pass_memory_is_bounded(monkeypatch)
+
+
+def guard_group_build_peak(num_rows, guards):
+    """tracemalloc peak of building, one at a time, the engines of a walk shared by guard_sweep_law_spec at guards.
+
+    Returns the peak and the bytes of the largest point's filters.  The walk
+    must hold no point's bins once the caller drops its simulation.
+    """
+    law = guard_sweep_law_spec(num_rows)
+    specs = [dataclasses.replace(law, profiler=dataclasses.replace(law.profiler, guard_band_factor=g))
+             for g in guards]
+    filter_bytes, last_bins = [], None
+    tracemalloc.start()
+    try:
+        for sim in simulate_mod.simulations(specs):
+            assert last_bins is None or last_bins() is None
+            filter_bytes.append(sum(f.words.nbytes for f in sim.bins.filters))
+            last_bins = weakref.ref(sim.bins)
+            del sim  # as the sweep drops each point before the next is built
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, max(filter_bytes)
+
+
+def test_guard_group_pass_memory_is_bounded(monkeypatch):
+    # the walk keeps each point's pass-1 state (state rows and filter bin
+    # members) until its turn comes, so a row added to the device adds at
+    # most three times the single build's 0.5 B per row
+    # (test_engine_pass_memory_is_bounded) to a 3-point group's peak.  Only
+    # one point's filters are live at a time, so only the largest point's
+    # filters are excluded from it
+    monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 1 << 12)
+    guards = (1.0, 1.5, 2.0)
+    guard_group_build_peak(1 << 12, guards)  # one-time caches and imports
+    (small, small_filters), (large, large_filters) = (guard_group_build_peak(1 << 18, guards),
+                                                      guard_group_build_peak(1 << 19, guards))
+    added = large - small - (large_filters - small_filters)
+    assert added / (1 << 18) <= 3 * 0.5
+
+
+def test_one_walk_refuses_specs_of_two_ground_truths():
+    spec = quiet_spec(num_rows=200)
+    other = dataclasses.replace(spec, device=dataclasses.replace(spec.device, trefw_ms=32.0))
+    with pytest.raises(ValueError, match="share one ground truth"):
+        next(simulate_mod.simulations([spec, other]))
 
 
 def test_wall_time_covers_engine_set_up(monkeypatch):
