@@ -387,6 +387,30 @@ MUTANTS = (
         ("tests/test_cli.py::TestSweepCommand::test_each_point_is_the_simulate_run_of_its_value"
          "[profiler.guard_band_factor-values0-1]",),
     ),
+    # every run of one ground truth is then one walk, whatever --jobs asks
+    Mutant(
+        "walk-cut-ignores-ways",
+        "src/raidrsim/simulate.py",
+        "size = -(-len(run) // ways)",
+        "size = len(run)",
+        ("tests/test_simulate.py::test_shared_walks_cut_a_run_into_at_most_ways_pieces[2-sizes1]",),
+    ),
+    # a run of 4 cut 3 ways then gives 4 pieces of one point
+    Mutant(
+        "walk-piece-size-floored",
+        "src/raidrsim/simulate.py",
+        "size = -(-len(run) // ways)",
+        "size = len(run) // ways",
+        ("tests/test_simulate.py::test_shared_walks_cut_a_run_into_at_most_ways_pieces[3-sizes2]",),
+    ),
+    # sweep --jobs 64 over 2 points then forks 64 workers
+    Mutant(
+        "pool-sized-by-jobs",
+        "src/raidrsim/cli.py",
+        "max_workers=min(args.jobs, len(pieces))",
+        "max_workers=args.jobs",
+        ("tests/test_cli.py::TestSweepCommand::test_pool_is_capped_at_the_number_of_pieces",),
+    ),
     # a bitmap of a block's members then unpacks with its bytes' bits reversed
     Mutant(
         "member-bitmap-bitorder",

@@ -10,7 +10,6 @@ itself and escapes with its traceback (exit 1), whatever its type.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 
@@ -23,16 +22,17 @@ from .experiment import (
     load_config,
     spec_from_flat,
 )
+from .profiler import profile_rows
 from .raidr import UnbinnableRowError
 from .selftest import run_selftest
 from .simulate import (
     RefreshSimulation,
     SimReport,
     check_report_invariants,
-    ground_truth_key,
     keep_block_pages,
-    profiled_blocks,
+    shared_walks,
     simulations,
+    truth_blocks,
 )
 
 EXIT_OK = 0
@@ -141,17 +141,14 @@ def cmd_sweep(args) -> int:
     # every point is validated and run before any output exists
     specs = [spec_from_flat({**flat, args.axis: v}) for v in values]
 
+    # the pieces run, and raise, in point order, in the process or on the pool
+    pieces = shared_walks(specs, args.jobs)
     if args.jobs > 1:
-        # imported here, so that no other command starts by loading multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one point per task, a group of one
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=keep_block_pages) as pool:
-            groups = list(pool.map(_sweep_group, [[spec] for spec in specs]))
+        from concurrent.futures import ProcessPoolExecutor  # only here: no other command loads multiprocessing
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(pieces)), initializer=keep_block_pages) as pool:
+            groups = list(pool.map(_sweep_group, pieces))
     else:
-        # consecutive points that share a ground truth are one group, so the
-        # groups run, and raise, in point order
-        groups = [_sweep_group(list(group)) for _, group in itertools.groupby(specs, key=ground_truth_key)]
+        groups = list(map(_sweep_group, pieces))
     reports = [report for group in groups for report in group]
     out = _ensure_outdir(args)
 
@@ -192,9 +189,9 @@ def cmd_profile(args) -> int:
     with open(path, "w") as fh:
         fh.write(_csv_comment(spec) + "\n")
         fh.write("row_index,measured_retention_ms,assigned_bin\n")
-        for gt, sparse in profiled_blocks(spec):
+        for gt in truth_blocks(spec):
             rows = range(gt.start, gt.start + gt.num_rows)
-            measured = sparse.dense()
+            measured = profile_rows(gt, spec.profiler).dense()
             bins = spec.bins.classify(measured)
             fh.write("".join([f"{i},{m!r},{b}\n" for i, m, b in zip(rows, measured.tolist(), bins.tolist())]))
     print(f"profiled {spec.device.num_rows} rows ({spec.profiler.mode} mode) -> {path}")
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, "out/sweep")
     p_sweep.add_argument("--axis", required=True, metavar="KEY", help="config key to sweep")
     p_sweep.add_argument("--values", required=True, metavar="V1,V2,...", help="axis values")
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel sweep points")
+    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N", help="sweep walks run at once")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_prof = sub.add_parser("profile", help="profile retention and export per-row CSV")

@@ -204,9 +204,9 @@ class RowBuffer:
     fail.  One buffer per kind, instead of one small array per block, keeps
     those rows from splitting the heap between the blocks' freed pages.  It
     holds up to twice its rows, so it is not used for the filter bins'
-    members, which can be most of the device (raidr.bin_blocks keeps them
-    per block, at most a bit per row).  Values are stored in the dtype the
-    buffer is built with.
+    members, which can be most of the device (raidr.BinAccumulator keeps
+    them per block, at most a bit per row).  Values are stored in the dtype
+    the buffer is built with.
     """
 
     def __init__(self, dtype):

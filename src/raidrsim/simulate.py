@@ -48,8 +48,8 @@ Points that share one ground truth, that is equal inputs of generate_rows
 generated once, and each point profiles it with its own profiler and
 bins, keeps its own state rows and feeds its own bin accumulator
 (raidr.BinAccumulator).  A point's filters and pass 2 are built only when
-its turn comes, so one point's are live at a time.  A simulation of one
-spec is the walk of a group of one.
+its turn comes, so one point's are live at a time.  A sweep's walks are
+shared_walks' pieces; a simulation of one spec is the walk of a group of one.
 
 Failure accounting is conservative: a row fails a window when the time
 since its last refresh exceeds the smallest true retention it held at any
@@ -75,6 +75,7 @@ executes code from the blob.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import os
 import struct
 import time
@@ -192,16 +193,6 @@ def truth_blocks(spec: ExperimentSpec):
     n = spec.device.num_rows
     for lo in range(0, n, _CHUNK_ROWS):
         yield generate_rows(spec.device, spec.dist, spec.vrt, spec.dpd, spec.seed, lo, min(lo + _CHUNK_ROWS, n))
-
-
-def profiled_blocks(spec: ExperimentSpec):
-    """Yield (ground truth, measured retention) of each block of truth_blocks, as sparse rows.
-
-    Each block runs its own profiling campaign over its VRT rows, so the
-    profiles of the blocks join into the profile of the device.
-    """
-    for gt in truth_blocks(spec):
-        yield gt, profile_rows(gt, spec.profiler)
 
 
 def _first_failing_window(retention_ms, trefw_ms: float):
@@ -368,6 +359,19 @@ def _walk(specs) -> list[_PassOne]:
     return points
 
 
+def shared_walks(specs, ways: int) -> list[list[ExperimentSpec]]:
+    """specs in point order, each run of one ground_truth_key cut into at most `ways` walks of simulations().
+
+    A run's pieces are consecutive and hold at most ceil(len(run) / ways) points each.
+    """
+    pieces = []
+    for _, run in itertools.groupby(specs, key=ground_truth_key):
+        run = list(run)
+        size = -(-len(run) // ways)
+        pieces += [run[i:i + size] for i in range(0, len(run), size)]
+    return pieces
+
+
 def simulations(specs):
     """Yield the RefreshSimulation of each of specs, in order, built from one walk over their shared ground truth.
 
@@ -378,8 +382,7 @@ def simulations(specs):
     build raises (UnbinnableRowError, PlanUnsatisfiableError) raises when
     its turn comes, after every point before it.
     """
-    key = ground_truth_key(specs[0])
-    if any(ground_truth_key(spec) != key for spec in specs):
+    if len(shared_walks(specs, 1)) > 1:
         raise ValueError("the specs of one walk must share one ground truth (ground_truth_key)")
     points = _walk(specs)[::-1]
     while points:

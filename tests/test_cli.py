@@ -599,11 +599,12 @@ class TestSweepCommand:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
     def test_unbinnable_point_exits_3_under_parallel_jobs(self, tmp_path, capsys, jobs):
         # the first unbinnable point in point order sets the exit code and
         # the message, whether a worker's error reaches main or the points
-        # share one walk: guard 16 fails too, with other figures
+        # share one walk: guard 16 fails too, with other figures.  Under
+        # --jobs 2 the failing guard 8 is the second point of the first piece
         common = [*SMALL, "--set", "dist.weak_fraction=1.0"]
         assert run_cli("simulate", *common, "--set", "profiler.guard_band_factor=8.0",
                        "--out", str(tmp_path / "simulate")) == 3
@@ -617,6 +618,31 @@ class TestSweepCommand:
         assert capsys.readouterr().err == want
         assert "refreshed fast enough" in want
         assert not out.exists()
+
+    def test_pool_is_capped_at_the_number_of_pieces(self, tmp_path, monkeypatch):
+        # a stand-in records the pool size and maps in this process, so no
+        # worker is forked
+        import concurrent.futures
+
+        asked = []
+
+        class InProcess:
+            def __init__(self, max_workers, initializer):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        assert run_cli("sweep", "--axis", "seed", "--values", "1,2", *SMALL, "--jobs", "64",
+                       "--out", str(tmp_path)) == 0
+        assert asked == [2]
 
     def test_parallel_jobs_same_csv(self, tmp_path):
         common = [

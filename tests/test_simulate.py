@@ -21,7 +21,7 @@ from raidrsim import rng
 from raidrsim import simulate as simulate_mod
 from raidrsim.bloom import BloomParams
 from raidrsim.experiment import ExperimentSpec, SimConfig
-from raidrsim.profiler import ProfilerConfig
+from raidrsim.profiler import ProfilerConfig, profile_rows
 from raidrsim.raidr import BinConfig, BinSet, UnbinnableRowError
 from raidrsim.retention import (
     DIST_LOGNORMAL_TAIL,
@@ -804,7 +804,7 @@ def test_row_blocks_equal_the_full_arrays(monkeypatch, kind, mode):
     rep = default.run()
 
     monkeypatch.setattr(simulate_mod, "_CHUNK_ROWS", 7)
-    blocks = list(simulate_mod.profiled_blocks(spec))
+    blocks = [(b, profile_rows(b, spec.profiler)) for b in simulate_mod.truth_blocks(spec)]
     assert [b.start for b, _ in blocks] == list(range(0, 200, 7))
     assert sum(b.toggles.any() for b, _ in blocks) > 10
     assert np.array_equal(gt.base.at[gt.toggles], vrt_rows_of(gt))
@@ -956,6 +956,33 @@ def test_one_walk_refuses_specs_of_two_ground_truths():
     other = dataclasses.replace(spec, device=dataclasses.replace(spec.device, trefw_ms=32.0))
     with pytest.raises(ValueError, match="share one ground truth"):
         next(simulate_mod.simulations([spec, other]))
+
+
+def guard_specs(*guards, seed=0):
+    spec = quiet_spec(num_rows=200, seed=seed)
+    return [dataclasses.replace(spec, profiler=ProfilerConfig(guard_band_factor=g)) for g in guards]
+
+
+@pytest.mark.parametrize("ways, sizes", [(1, [4]), (2, [2, 2]), (3, [2, 2]), (4, [1, 1, 1, 1]), (8, [1, 1, 1, 1])])
+def test_shared_walks_cut_a_run_into_at_most_ways_pieces(ways, sizes):
+    specs = guard_specs(1.0, 1.25, 1.5, 2.0)
+    pieces = simulate_mod.shared_walks(specs, ways)
+    assert [len(piece) for piece in pieces] == sizes
+    assert len(pieces) <= ways
+    assert [spec for piece in pieces for spec in piece] == specs
+
+
+@pytest.mark.parametrize("ways", [1, 2, 3, 8])
+def test_shared_walks_give_a_seed_sweep_one_point_per_piece(ways):
+    specs = [quiet_spec(num_rows=200, seed=s) for s in (3, 11, 12)]
+    assert simulate_mod.shared_walks(specs, ways) == [[spec] for spec in specs]
+
+
+def test_shared_walks_join_only_consecutive_points():
+    # runs A, A, B, A: the two A runs share a ground truth but not a walk
+    a1, a2, a3 = guard_specs(1.0, 1.25, 1.5)
+    (b,) = guard_specs(1.0, seed=1)
+    assert simulate_mod.shared_walks([a1, a2, b, a3], 1) == [[a1, a2], [b], [a3]]
 
 
 def test_wall_time_covers_engine_set_up(monkeypatch):
